@@ -2,8 +2,8 @@
 """Tour of the dense-matrix kernels everything else is built on.
 
 Covers spectra, Lyapunov solves, the Hamiltonian hyperbolicity test, the
-Riccati solve via the stable invariant subspace, the bisection distance
-to instability, and the frequency-sweep peak gain.
+Riccati solve via the stable invariant subspace, and the level-set
+iteration behind both the distance to instability and the peak gain.
 """
 
 import numpy as np
@@ -61,7 +61,7 @@ print("closed-loop eigenvalue:", sol.closed_loop_spectrum)
 print("residual:", sol.residual_norm)
 
 # ---------------------------------------------------------------------------
-# Distance to instability: bisection vs a brute-force frequency scan
+# Distance to instability: level-set iteration vs a brute-force frequency scan
 # ---------------------------------------------------------------------------
 M = np.array([[-1.0, 10.0], [0.0, -1.0]])
 d = distance_to_instability(M, 1, 1e-10)

@@ -17,6 +17,7 @@ randomness is used.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -183,6 +184,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        print(f"error: --tol must be a positive finite number, got {args.tol}",
+              file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except GascertError as exc:

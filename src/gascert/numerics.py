@@ -1,11 +1,11 @@
 """Dense real-matrix kernels that the rest of the package builds on.
 
 Spectra, norms, Lyapunov and Riccati solves, Hamiltonian hyperbolicity
-tests, a bisection routine for the distance to instability, and a
-frequency-sweep H-infinity gain.  All functions are pure: they keep no
-state and are safe to call concurrently on shared read-only inputs.
-Intended problem sizes are small (n up to a few tens); everything is
-dense.
+tests, and one level-set Hamiltonian iteration that gives both the
+H-infinity gain and the distance to instability.  All functions are
+pure: they keep no state and are safe to call concurrently on shared
+read-only inputs.  Intended problem sizes are small (n up to a few tens);
+everything is dense.
 """
 
 from __future__ import annotations
@@ -169,6 +169,44 @@ def is_hyperbolic(H, tol):
     return bool(np.min(np.abs(w.real)) > tol)
 
 
+# Level-set kernel settings.  In the kernel a Hamiltonian eigenvalue within
+# _AXIS_PREFILTER * ||H||_F of the imaginary axis is a candidate crossing;
+# there and in solve_are a candidate is confirmed when the level is reached
+# at its frequency up to a relative _LEVEL_SLACK.  _HINF_RTOL is the
+# relative accuracy of the H-infinity gain, _DIST_RTOL a floor under the
+# level step of the distance.
+_AXIS_PREFILTER = 1e-6
+_LEVEL_SLACK = 1e-6
+_HINF_RTOL = 1e-12
+_DIST_RTOL = 1e-13
+_MAX_LEVELS = 50
+
+
+def _axis_frequencies(H, cut):
+    """Frequencies ``|Im lambda|`` of the eigenvalues of ``H`` within ``cut`` of the axis.
+
+    Returned ascending and unique.  They are only candidates for
+    imaginary-axis eigenvalues: callers confirm each one by evaluating the
+    frequency response directly.
+    """
+    lam = eigenvalues(H)
+    return np.unique(np.abs(lam.imag[np.abs(lam.real) <= cut]))
+
+
+def _smin_shifted(Am, ws):
+    """``sigma_min(Am - jwI)`` for each ``w`` in ``ws``.
+
+    Computed from the real form ``[[Am, wI], [-wI, Am]]``, which has the
+    singular values of ``Am - jwI``, each twice.
+    """
+    n = Am.shape[0]
+    R = np.empty((len(ws), 2 * n, 2 * n))
+    R[:, :n, :n] = R[:, n:, n:] = Am
+    R[:, :n, n:] = np.asarray(ws)[:, None, None] * np.eye(n)
+    R[:, n:, :n] = -R[:, :n, n:]
+    return np.linalg.svd(R, compute_uv=False)[:, -1]
+
+
 @dataclass(frozen=True)
 class AreSolution:
     """Stabilizing Riccati solution with its quality figures.
@@ -206,7 +244,11 @@ def solve_are(Am, N, q, eig_tol_scale=1e-8):
     q : float
         Non-negative constant-term weight.
     eig_tol_scale : float
-        Hyperbolicity tolerance relative to the Hamiltonian spectral norm.
+        Pre-filter for imaginary-axis eigenvalues, relative to the
+        Hamiltonian spectral norm.  An eigenvalue ``lambda`` within it of
+        the axis is confirmed directly: it counts when
+        ``sigma_min(Am - j Im(lambda) I) <= sqrt(N q)``, so slow modes of a
+        badly scaled ``Am`` are not mistaken for axis eigenvalues.
 
     Raises
     ------
@@ -222,8 +264,8 @@ def solve_are(Am, N, q, eig_tol_scale=1e-8):
     if not is_hurwitz(Am):
         raise StabilityError("Am is not Hurwitz")
     H = hamiltonian(Am, N, q)
-    eig_tol = eig_tol_scale * max(spectral_norm(H), 1e-300)
-    if not is_hyperbolic(H, eig_tol):
+    ws = _axis_frequencies(H, eig_tol_scale * spectral_norm(H))
+    if np.any(_smin_shifted(Am, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q)):
         raise StabilityError(
             "Hamiltonian has imaginary-axis eigenvalues: the distance "
             "condition is violated and the Riccati equation has no "
@@ -256,73 +298,77 @@ def solve_are(Am, N, q, eig_tol_scale=1e-8):
     return AreSolution(P=P, residual_norm=residual, closed_loop_spectrum=closed)
 
 
-def distance_to_instability(Am, N=1, tol=1e-9):
-    """Distance from a Hurwitz matrix to the nearest marginally unstable one.
+def _gains(Am, M, ws):
+    """``sigma_max(M (jwI - Am)^{-1})`` for each ``w``; ``M = None`` stands for I."""
+    if M is None:
+        return 1.0 / _smin_shifted(Am, ws)
+    Z = 1j * np.asarray(ws)[:, None, None] * np.eye(Am.shape[0]) - Am
+    return np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0]
 
-    Computes ``min over real w of sigma_min(Am - j w I)`` by bisection on
-    the candidate level ``sigma``: the test Hamiltonian
-    ``[[Am, N*I], [-(sigma^2/N)*I, -Am']]`` has an imaginary-axis
-    eigenvalue exactly when some singular value of ``Am - j w I`` equals
-    ``sigma`` for some ``w``, i.e. when ``sigma`` is at or above the
-    distance.  An imaginary-axis eigenvalue therefore shrinks the upper
-    bound, otherwise the lower bound rises.  The bracket starts at
-    ``[0, ||Am||_2]`` and runs ``ceil(log2(width/tol))`` iterations.
 
-    The result is independent of ``N`` (the block scalings cancel in the
-    characteristic polynomial); the parameter is kept so callers can pass
-    their neighbour count unchanged.
+def _peak_gain(Am, M, lam, rtol, dtol=0.0):
+    """Level-set iteration for ``sup_w sigma_max(M (jwI - Am)^{-1})``.
 
-    Returns the midpoint of the final bracket, within ``tol`` of the true
-    distance.
+    The quadratically convergent scheme of Boyd and Balakrishnan (1990)
+    and Bruinsma and Steinbuch (1990).  ``Am`` is Hurwitz with spectrum
+    ``lam``; ``M = None`` stands for the identity.  The estimate ``g``
+    starts as the largest gain at ``w = 0`` and at the moduli and
+    imaginary parts of ``lam``.  At each level above ``g`` the
+    imaginary-axis eigenvalues ``jw`` of the Hamiltonian
+
+        [[Ab, B B' / level], [-C'C / level, -Ab']]
+
+    (``Ab = T^{-1} Am T`` balanced, ``B = T^{-1}``, ``C = M T``: the same
+    transfer function) are the frequencies where ``level`` is a singular
+    value of the response.  Eigenvalues near the axis are only candidates
+    (``_axis_frequencies``); one counts as a crossing when the gain at
+    ``|Im lambda|`` reaches the level up to ``_LEVEL_SLACK``, so slow modes
+    of a badly scaled ``Am`` are not taken for crossings.  Because every
+    gain is evaluated directly, a wrong candidate costs an evaluation but
+    never lifts ``g`` above an attained gain.  ``g`` moves to the largest
+    gain at the candidates and at the midpoints between consecutive
+    crossings.  The iteration stops when none of them exceeds the level
+    ``g (1 + rtol) / (1 - dtol g)``: the peak is then within ``rtol``
+    relative of ``g`` and its reciprocal within ``dtol`` of ``1 / g``.
+
+    Returns ``(g, w)`` with ``g`` the gain attained at ``w``.
     """
-    Am = as_matrix(Am, "Am", square=True)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if N < 1:
-        N = 1
-    if not is_hurwitz(Am):
-        raise StabilityError("Am is not Hurwitz: the distance to instability is zero")
-    lo = 0.0
-    hi = spectral_norm(Am)
-    iterations = max(1, math.ceil(math.log2(max(hi - lo, tol) / tol)))
-    for _ in range(iterations):
-        sigma = 0.5 * (lo + hi)
-        H = hamiltonian(Am, N, sigma * sigma / float(N))
-        eig_tol = 1e-8 * max(spectral_norm(H), 1e-300)
-        if not is_hyperbolic(H, eig_tol):
-            hi = sigma
-        else:
-            lo = sigma
-    return 0.5 * (lo + hi)
+    Ab, T = sla.matrix_balance(Am)
+    B = np.linalg.inv(T)   # exact: T is a permuted diagonal of powers of two
+    C = T if M is None else M @ T
+    BB, CC = B @ B.T, C.T @ C
+    ws = np.unique(np.concatenate(([0.0], np.abs(lam), np.abs(lam.imag))))
+    gains = _gains(Am, M, ws)
+    k = int(np.argmax(gains))
+    g, w = float(gains[k]), float(ws[k])
+    for _ in range(_MAX_LEVELS):
+        if dtol * g >= 1.0:
+            return g, w
+        level = g * (1.0 + rtol) / (1.0 - dtol * g)
+        H = np.block([[Ab, BB / level], [-CC / level, -Ab.T]])
+        cand = _axis_frequencies(H, _AXIS_PREFILTER * np.linalg.norm(H))
+        if cand.size == 0:
+            return g, w
+        gains = _gains(Am, M, cand)
+        cross = cand[gains >= (1.0 - _LEVEL_SLACK) * level]
+        mids = 0.5 * (cross[:-1] + cross[1:])
+        if mids.size:
+            cand = np.concatenate((cand, mids))
+            gains = np.concatenate((gains, _gains(Am, M, mids)))
+        k = int(np.argmax(gains))
+        if gains[k] > g:
+            g, w = float(gains[k]), float(cand[k])
+        if g <= level:
+            return g, w
+    raise SolverError(f"level-set iteration did not converge in {_MAX_LEVELS} levels")
 
 
-def _golden_max(f, lo, hi, iterations=90):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd)
-
-
-def hinf_gain(M, Am, grid_points=400):
+def hinf_gain(M, Am):
     """Peak frequency-response gain ``sup_w sigma_max(M (jwI - Am)^{-1})``.
 
-    Evaluated on a logarithmic grid over ``[1e-3, 1e3] * ||Am||_2``
-    augmented with ``w = 0`` and eigenvalue-anchored frequencies (so slow
-    modes far below the norm scale are not missed), then refined by
-    golden-section search around the grid maximum.  Target accuracy is
-    about 1e-3 relative, which is adequate for the small-gain diagnostic.
+    Computed by the level-set iteration of ``_peak_gain`` to 1e-12
+    relative accuracy; the returned value is the gain attained at the
+    maximising frequency.  A zero ``M`` gives 0.0.
 
     Raises
     ------
@@ -334,29 +380,31 @@ def hinf_gain(M, Am, grid_points=400):
     n = Am.shape[0]
     if M.shape[1] != n:
         raise DimensionError(f"M has {M.shape[1]} columns, expected {n}")
-    w_eig = eigenvalues(Am)
-    if np.max(w_eig.real) >= 0.0:
+    lam = eigenvalues(Am)
+    if np.max(lam.real) >= 0.0:
         raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
-    eye = np.eye(n)
+    if not np.any(M):
+        return 0.0
+    return _peak_gain(Am, M, lam, rtol=_HINF_RTOL)[0]
 
-    def gain(w):
-        return float(np.linalg.svd(M @ np.linalg.inv(1j * w * eye - Am), compute_uv=False)[0])
 
-    norm = spectral_norm(Am)
-    anchors = []
-    fan = np.array([0.1, 0.3, 1.0, 3.0, 10.0])
-    for lam in w_eig:
-        for a in (abs(lam), abs(lam.imag)):
-            if a > 0.0:
-                anchors.extend(a * fan)
-    grid = np.unique(
-        np.concatenate(
-            [[0.0], np.geomspace(1e-3 * norm, 1e3 * norm, grid_points), anchors]
-        )
-    )
-    vals = np.array([gain(w) for w in grid])
-    k = int(np.argmax(vals))
-    lo = grid[k - 1] if k > 0 else 0.0
-    hi = grid[k + 1] if k + 1 < len(grid) else grid[k] * 4.0
-    refined = _golden_max(gain, lo, hi)
-    return max(float(vals[k]), refined)
+def distance_to_instability(Am, N=1, tol=1e-9):
+    """Distance from a Hurwitz matrix to the nearest marginally unstable one.
+
+    The distance ``min over real w of sigma_min(Am - j w I)`` equals
+    ``1 / hinf_gain(I, Am)``.  The level-set iteration of ``_peak_gain``
+    finds the maximising frequency ``w*`` of that gain, and the distance
+    is reported as ``sigma_min(Am - j w* I)`` evaluated there: an attained
+    value, within ``tol`` (absolute) above the true distance.
+
+    ``N`` is accepted for callers that pass their neighbour count and is
+    ignored: the distance does not depend on it.
+    """
+    Am = as_matrix(Am, "Am", square=True)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    lam = eigenvalues(Am)
+    if np.max(lam.real) >= 0.0:
+        raise StabilityError("Am is not Hurwitz: the distance to instability is zero")
+    _, w = _peak_gain(Am, None, lam, rtol=_DIST_RTOL, dtol=tol)
+    return float(_smin_shifted(Am, [w])[0])

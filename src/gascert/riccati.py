@@ -2,10 +2,10 @@
 
 Each subsystem is certified independently: its incoming coupling energy is
 summed, the distance from its target dynamics to instability is computed
-by bisection, and when the distance exceeds the coupling level a slack
-margin is picked and the Riccati equation solved.  The network is
-certified when every subsystem passes; failures are collected, never
-raised mid-run.
+by a level-set Hamiltonian iteration, and when the distance exceeds the
+coupling level a slack margin is picked and the Riccati equation solved.
+The network is certified when every subsystem passes; failures are
+collected, never raised mid-run.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ class GasCertificate:
 def certify(net: NetworkModel, tol=None, symmetric=False) -> GasCertificate:
     """Certify the network subsystem by subsystem.
 
-    For each subsystem: coupling energy, distance to instability (bisection
-    tolerance ``tol``, default ``1e-12 * max(1, ||A_m||_2)``), margin, and
+    For each subsystem: coupling energy, distance to instability (absolute
+    accuracy ``tol``, default ``1e-12 * max(1, ||A_m||_2)``), margin, and
     on a positive margin the slack pick and the Riccati solve.  Failures
     are recorded per subsystem; the run never aborts early.
     """

@@ -1,8 +1,8 @@
 """Shared test helpers: random stable matrices and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: the
-distance oracle scans a dense frequency grid, the Hurwitz oracle for
-3x3 matrices runs the Routh conditions on cofactor-expanded
+distance and peak-gain oracles scan dense frequency grids, the Hurwitz
+oracle for 3x3 matrices runs the Routh conditions on cofactor-expanded
 characteristic-polynomial coefficients, and ranks cross-check against
 numpy's own heuristic.
 """
@@ -41,6 +41,67 @@ def grid_distance_oracle(A, points=2000):
     res = minimize_scalar(smin, bounds=(lo_w, hi_w), method="bounded",
                           options={"xatol": 1e-12})
     return min(float(vals[k]), float(res.fun))
+
+
+
+def _sweep_extremum(f, A, sign, points=2000):
+    """Minimise ``sign * f(w)`` over ``w >= 0``: log grid, then local refinement.
+
+    The grid holds ``w = 0``, the imaginary parts of the eigenvalues of
+    ``A`` and ``points`` frequencies from six decades below the smallest
+    eigenvalue modulus to two decades above the largest, so the slow modes
+    of badly scaled matrices are resolved.  The three best grid points are
+    refined between their neighbours.
+    """
+    lam = np.linalg.eigvals(A)
+    mags = np.maximum(np.abs(lam), 1e-12)
+    grid = np.unique(np.concatenate([
+        [0.0], np.abs(lam.imag), np.geomspace(1e-6 * mags.min(), 1e2 * mags.max(), points)]))
+    vals = np.array([sign * f(w) for w in grid])
+    best = float(vals.min())
+    for k in np.argsort(vals)[:3]:
+        lo = grid[k - 1] if k > 0 else 0.0
+        hi = grid[k + 1] if k + 1 < grid.size else 2.0 * grid[k] + 1.0
+        res = minimize_scalar(lambda w: sign * f(w), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-13 * max(hi, 1.0)})
+        best = min(best, float(res.fun))
+    return sign * best
+
+
+def sweep_distance_oracle(A):
+    """Brute-force min over w of sigma_min(A - jwI) on a log-spaced grid."""
+    A = np.asarray(A, dtype=float)
+    eye = np.eye(A.shape[0])
+    return _sweep_extremum(
+        lambda w: np.linalg.svd(A - 1j * w * eye, compute_uv=False)[-1], A, 1.0)
+
+
+def sweep_hinf_oracle(M, A):
+    """Brute-force sup over w of sigma_max(M (jwI - A)^{-1}) on a log-spaced grid."""
+    M = np.asarray(M, dtype=float)
+    A = np.asarray(A, dtype=float)
+    eye = np.eye(A.shape[0])
+    return _sweep_extremum(
+        lambda w: np.linalg.svd(M @ np.linalg.solve(1j * w * eye - A, eye),
+                                compute_uv=False)[0], A, -1.0)
+
+
+def spread_normal(rng):
+    """Normal Hurwitz matrix whose eigenvalues span 1e-2 to 1e6 in modulus.
+
+    The slowest pair is -1e-2 +- 5j, so the distance to instability is
+    exactly 1e-2 and is attained at w = 5, not at w = 0.  A random
+    orthogonal similarity hides the block structure.
+    """
+    D = np.zeros((9, 9))
+    D[0, 0] = -1e-1
+    D[1:3, 1:3] = [[-1e-2, 5.0], [-5.0, -1e-2]]
+    D[3:5, 3:5] = [[-10.0, 1e2], [-1e2, -10.0]]
+    D[5, 5] = -1e3
+    D[6:8, 6:8] = [[-1e4, 1e5], [-1e5, -1e4]]
+    D[8, 8] = -1e6
+    Q = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+    return Q @ D @ Q.T
 
 
 def char_poly_3x3(A):

@@ -25,6 +25,8 @@ from conftest import (
     DC_A21,
     grid_distance_oracle,
     random_hurwitz,
+    spread_normal,
+    sweep_distance_oracle,
 )
 from gascert import (
     AugmentedSubsystem,
@@ -150,6 +152,18 @@ def test_criterion_4_bisection_vs_brute_force():
         err = abs(d - oracle)
         assert err <= max(tol, 1e-4 * oracle)
         worst = max(worst, err / max(tol, 1e-4 * oracle))
+    # badly scaled: the benchmark reference model (slow mode near 1e-2
+    # beside a fast one near 3.5e6) and a normal matrix with eigenvalues
+    # spanning 1e-2 to 1e6 (distance exactly 1e-2); the log-spaced sweep
+    # resolves their slow modes
+    for A in (DC_AM, spread_normal(rng)):
+        oracle = sweep_distance_oracle(A)
+        d = distance_to_instability(A, 1, tol)
+        err = abs(d - oracle)
+        assert err <= max(tol, 1e-4 * oracle)
+        worst = max(worst, err / max(tol, 1e-4 * oracle))
+    assert distance_to_instability(DC_AM, 1, tol) == pytest.approx(
+        grid_distance_oracle(DC_AM), rel=1e-8)
     # boundary case: level exactly at the distance must report failure
     d = distance_to_instability([[-1.0]], 1, 1e-12)
     assert not d > 1.0
@@ -157,8 +171,8 @@ def test_criterion_4_bisection_vs_brute_force():
     assert not is_hyperbolic(H, 1e-8 * spectral_norm(H))
     elapsed = time.perf_counter() - t0
     _report(4, elapsed < 30.0,
-            f"50 matrices, worst error at {worst:.2e} of the allowance, "
-            f"boundary case fails as required, {elapsed:.1f} s")
+            f"52 matrices (2 badly scaled), worst error at {worst:.2e} of "
+            f"the allowance, boundary case fails as required, {elapsed:.1f} s")
     assert elapsed < 30.0
 
 

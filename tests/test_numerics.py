@@ -8,6 +8,9 @@ from conftest import (
     grid_distance_oracle,
     random_hurwitz,
     routh_hurwitz_3x3,
+    spread_normal,
+    sweep_distance_oracle,
+    sweep_hinf_oracle,
 )
 from gascert import (
     DimensionError,
@@ -22,6 +25,7 @@ from gascert import (
     solve_lyapunov,
     spectral_norm,
 )
+from gascert import numerics
 
 
 class TestEigenvalues:
@@ -174,6 +178,23 @@ class TestSolveAre:
         with pytest.raises(StabilityError):
             solve_are([[0.5]], 1, 0.1)
 
+    def test_badly_scaled_reference_model(self):
+        # the slow Hamiltonian eigenvalues sit at |Re| ~ 0.0146, well inside
+        # 1e-8 * ||H||; the direct sigma_min check must tell them from
+        # imaginary-axis eigenvalues
+        gamma = distance_to_instability(DC_AM, 1, 1e-12)
+        q = (0.1 * gamma) ** 2
+        sol = solve_are(DC_AM, 1, q)
+        resid = np.linalg.norm(DC_AM.T @ sol.P + sol.P @ DC_AM + sol.P @ sol.P
+                               + q * np.eye(3))
+        assert resid <= 1e-8 * max(1.0, np.linalg.norm(sol.P) ** 2)
+        assert resid == pytest.approx(sol.residual_norm)
+        assert np.min(np.linalg.eigvalsh(sol.P)) > 0.0
+        assert np.max(sol.closed_loop_spectrum.real) < 0.0
+        # past the distance the equation has no stabilizing solution
+        with pytest.raises(StabilityError):
+            solve_are(DC_AM, 1, (1.1 * gamma) ** 2)
+
     def test_random_suite_residual_and_spectrum(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -232,6 +253,52 @@ class TestDistance:
             oracle = grid_distance_oracle(A)
             d = distance_to_instability(A, 1, 1e-8)
             assert abs(d - oracle) <= max(1e-8, 1e-4 * oracle)
+
+    def test_benchmark_matches_sweep(self):
+        # slow mode near 1e-2 beside a fast one near 3.5e6
+        d = distance_to_instability(DC_AM, 1, 1e-12 * spectral_norm(DC_AM))
+        assert d == pytest.approx(grid_distance_oracle(DC_AM), rel=1e-8)
+        assert d == pytest.approx(sweep_distance_oracle(DC_AM), rel=1e-8)
+        assert d == pytest.approx(0.013980367771379707, rel=1e-8)
+
+    def test_spread_normal_matches_exact(self):
+        # normal matrix: the distance is min |Re lambda| = 1e-2, at w = 5
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            A = spread_normal(rng)
+            d = distance_to_instability(A, 1, 1e-14)
+            assert d == pytest.approx(1e-2, rel=1e-8)
+            assert d == pytest.approx(sweep_distance_oracle(A), rel=1e-8)
+
+    def test_equals_reciprocal_hinf_gain(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            A = random_hurwitz(rng, n)
+            d = distance_to_instability(A, 1, 1e-14)
+            assert d == pytest.approx(1.0 / hinf_gain(np.eye(n), A), rel=1e-12)
+
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                distance_to_instability([[-1.0]], 1, tol)
+
+    def test_eigensolves_per_call(self, monkeypatch):
+        # the level-set iteration converges quadratically: the Hurwitz
+        # check plus a handful of Hamiltonian eigensolves per call
+        calls = []
+        real = numerics.eigenvalues
+        monkeypatch.setattr(numerics, "eigenvalues",
+                            lambda A: calls.append(1) or real(A))
+        rng = np.random.default_rng(47)
+        cases = [random_hurwitz(rng, int(rng.integers(1, 9))) for _ in range(40)]
+        cases += [DC_AM, spread_normal(rng)]
+        worst = 0
+        for A in cases:
+            calls.clear()
+            distance_to_instability(A, 1, 1e-12 * max(1.0, spectral_norm(A)))
+            worst = max(worst, len(calls))
+        assert worst <= 10
 
 
 class TestHyperbolicityDistanceEquivalence:
@@ -294,3 +361,11 @@ class TestHinfGain:
 
         oracle = max(g(w) for w in np.linspace(1.8, 2.2, 40001))
         assert hinf_gain(M, A) == pytest.approx(oracle, rel=1e-3)
+
+    def test_badly_scaled_vs_sweep(self):
+        rng = np.random.default_rng(53)
+        cases = [(DC_A12, DC_AM), (rng.normal(size=(2, 3)), DC_AM)]
+        A = spread_normal(rng)
+        cases += [(rng.normal(size=(2, 9)), A), (np.eye(9), A)]
+        for M, A in cases:
+            assert hinf_gain(M, A) == pytest.approx(sweep_hinf_oracle(M, A), rel=1e-8)
