@@ -235,6 +235,7 @@ class Interconnection:
     A: np.ndarray | None = None
     bound_only: bool = False
     norm_bound: float | None = None
+    _gain: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.A is None and not self.bound_only:
@@ -252,10 +253,15 @@ class Interconnection:
             object.__setattr__(self, "A", A)
 
     def gain(self):
-        """Spectral norm used in the aggregate bounds (declared bound wins)."""
+        """Spectral norm used in the aggregate bounds (declared bound wins).
+
+        The edge is frozen, so the norm is computed once and kept.
+        """
         if self.bound_only:
             return float(self.norm_bound)
-        return spectral_norm(self.A)
+        if self._gain is None:
+            object.__setattr__(self, "_gain", spectral_norm(self.A))
+        return self._gain
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,13 @@ def interconnection_energy(net: NetworkModel, sid, symmetric=False):
     """
     if sid not in net.ids:
         raise ValueError(f"unknown subsystem id {sid!r}")
+    back = {}
+    if symmetric:
+        for e in net.out_edges(sid):
+            back[e.dst] = max(back.get(e.dst, 0.0), e.gain())
     total = 0.0
     for e in net.in_edges(sid):
-        gain = e.gain()
-        if symmetric:
-            for back in net.out_edges(sid):
-                if back.dst == e.src:
-                    gain = max(gain, back.gain())
+        gain = max(e.gain(), back.get(e.src, 0.0))
         total += gain * gain
     return total
 

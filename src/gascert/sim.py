@@ -13,6 +13,18 @@ Plants are integrated as ``desired + B theta'`` (the uncertainty form),
 so the scenario's true ``theta`` is the single source of plant-model
 mismatch.  Outputs are ``C_aug @ x`` (feedthrough is carried in the model
 but excluded from tracking error).
+
+One stacked kernel evaluates the right-hand side of all N subsystems.
+Each is padded with zero blocks to the largest state dimension P and input
+count M; the state is ``[xbar (N, P) | xhat (N, P) | theta_hat (N, P, M)]``
+flattened and every term is one ``einsum`` over the subsystem axis.  Padded
+rows of ``A_m``, ``B``, forcing and coupling are zero and a zero estimate
+column lies inside the projection set, so padded entries stay exactly 0.
+Coupling is gathered by edge and summed with a dense incidence matrix; the
+forcing is tabulated per schedule segment.  A run keeps only the state
+history and derives controls, outputs, references, error norms and the
+Lyapunov value from it afterwards.  The scalar laws in ``control`` are the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import control
-from .exceptions import DimensionError
+from .exceptions import ConfigError, DimensionError, SolverError
 from .model import NetworkModel
 from .numerics import solve_lyapunov
 
@@ -37,6 +48,11 @@ __all__ = [
     "simulate",
     "step",
 ]
+
+# regularization of the normalized law at zero error (as in control.update_normalized)
+_ERR_FLOOR = 1e-12
+# trace values gathered per block of the CSV export (512 kB)
+_CSV_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class Schedule:
@@ -77,7 +93,8 @@ class Schedule:
 @dataclass
 class Scenario:
     """Simulation scenario: horizon, step, input schedules, truth, and
-    initial conditions.  Missing entries default to zeros."""
+    initial conditions.  Missing entries default to zeros.  The horizon
+    must be a whole number of steps (to 1e-9 relative)."""
 
     horizon: float
     dt: float
@@ -89,10 +106,14 @@ class Scenario:
     theta_hat0: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if self.horizon < 0.0:
+        if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError("horizon must be non-negative")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ValueError(f"horizon {self.horizon!r} is not a whole number of "
+                             f"steps of dt {self.dt!r}")
 
 
 @dataclass
@@ -130,165 +151,196 @@ class SimTrace:
     mode: str
 
 
-class _Dynamics:
-    """Precomputed structure for the joint right-hand side."""
+def _schedule(sched, width, sid, kind):
+    if sched is None:
+        return Schedule(times=[0.0], values=np.zeros((1, width)))
+    if not isinstance(sched, Schedule):
+        sched = Schedule.constant(sched)
+    if sched.width != width:
+        raise DimensionError(f"subsystem {sid}: {kind} schedule is {sched.width}-wide, "
+                             f"expected {width}")
+    return sched
+
+
+class _Kernel:
+    """The network padded to (N, P, M) blocks, with one stacked RHS."""
 
     def __init__(self, net: NetworkModel, scenario: Scenario, mode, certificate=None):
         if mode not in ("decentralized", "distributed"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.ids = list(net.ids)
-        self.subs = [net.subsystem(sid) for sid in self.ids]
-        index = {sid: k for k, sid in enumerate(self.ids)}
-        self.A_m = [net.desired[sid] for sid in self.ids]
-        self.B = [s.B for s in self.subs]
-        self.FE = [s.F @ s.E for s in self.subs]
-        self.C = [s.C for s in self.subs]
-        self.K_bl = [net.baseline[sid] for sid in self.ids]
-        self.in_edges = [
-            [(index[e.src], self._edge_matrix(e)) for e in net.in_edges(sid)]
-            for sid in self.ids
-        ]
-        self.gamma = [net.tuning[sid].gamma for sid in self.ids]
-        self.theta_max = [net.tuning[sid].theta_max for sid in self.ids]
-        self.eps0 = [net.tuning[sid].eps0 for sid in self.ids]
-        self.theta_true = []
-        for k, sid in enumerate(self.ids):
-            th = scenario.theta.get(sid)
-            shape = (self.subs[k].dim, self.subs[k].m)
-            th = np.zeros(shape) if th is None else np.asarray(th, dtype=float)
-            if th.shape != shape:
-                raise DimensionError(
-                    f"subsystem {sid}: true theta has shape {th.shape}, expected {shape}"
-                )
-            self.theta_true.append(th)
-        self.P = []
-        for k, sid in enumerate(self.ids):
-            Pk = certificate.P(sid) if certificate is not None else None
-            if Pk is None:
-                Pk = solve_lyapunov(self.A_m[k], net.tuning[sid].Q)
-            self.P.append(Pk)
-        self.ref = [self._schedule(scenario.references.get(sid), self.subs[k].q, sid, "reference")
-                    for k, sid in enumerate(self.ids)]
-        self.dist = [self._schedule(scenario.disturbances.get(sid), self.subs[k].r, sid, "disturbance")
-                     for k, sid in enumerate(self.ids)]
-        # flat layout: per subsystem, [xbar | xhat | vec(theta_hat)]
-        self.off = []
-        pos = 0
-        for s in self.subs:
+        subs = [net.subsystem(sid) for sid in self.ids]
+        self.dims, self.ms, self.qs = ([getattr(s, a) for s in subs] for a in ("dim", "m", "q"))
+        self.shape = N, P, M = len(subs), max(self.dims), max(self.ms)
+        Q = max(self.qs)
+        self.A_m, self.Pc = np.zeros((N, P, P)), np.zeros((N, P, P))
+        self.B, self.theta = np.zeros((N, P, M)), np.zeros((N, P, M))
+        self.K, self.C = np.zeros((N, M, P)), np.zeros((N, 2 * Q, P))
+        tunings = [net.tuning[sid] for sid in self.ids]
+        self.gamma, tmax, eps0 = (np.array([getattr(tn, a) for tn in tunings], dtype=float)
+                                  for a in ("gamma", "theta_max", "eps0"))
+        refs, dists = [], []
+        for k, (sid, s, tn) in enumerate(zip(self.ids, subs, tunings)):
             p, m = s.dim, s.m
-            self.off.append((pos, pos + p, pos + 2 * p, pos + 2 * p + p * m))
-            pos += 2 * p + p * m
-        self.size = pos
-
-    @staticmethod
-    def _edge_matrix(e):
-        if e.A is None:
-            raise ValueError(
-                f"edge {e.src}->{e.dst}: bound-only edge has no matrix to simulate"
-            )
-        return e.A
-
-    @staticmethod
-    def _schedule(sched, width, sid, kind):
-        if sched is None:
-            return Schedule(times=[0.0], values=np.zeros((1, width)))
-        if not isinstance(sched, Schedule):
-            sched = Schedule.constant(sched)
-        if sched.width != width:
-            raise DimensionError(
-                f"subsystem {sid}: {kind} schedule is {sched.width}-wide, expected {width}"
-            )
-        return sched
-
-    def pack(self, state: NetworkState):
-        z = np.zeros(self.size)
-        for k, sid in enumerate(self.ids):
-            a, b, c, d = self.off[k]
-            p, m = self.subs[k].dim, self.subs[k].m
-            z[a:b] = np.asarray(state.xbar.get(sid, np.zeros(p)), dtype=float)
-            z[b:c] = np.asarray(state.xhat.get(sid, np.zeros(p)), dtype=float)
-            th = state.theta_hat.get(sid)
+            if mode == "distributed" and not tn.theta_max > 0.0:
+                raise ConfigError(f"subsystem {sid}: tuning.theta_max must be positive for "
+                                  f"the distributed projection law, got {tn.theta_max!r}")
+            th = scenario.theta.get(sid)
             th = np.zeros((p, m)) if th is None else np.asarray(th, dtype=float)
-            z[c:d] = th.reshape(-1)
-        return z
+            if th.shape != (p, m):
+                raise DimensionError(
+                    f"subsystem {sid}: true theta has shape {th.shape}, expected {(p, m)}")
+            Pk = None if certificate is None else certificate.P(sid)
+            self.Pc[k, :p, :p] = solve_lyapunov(net.desired[sid], tn.Q) if Pk is None else Pk
+            self.A_m[k, :p, :p] = net.desired[sid]
+            self.B[k, :p, :m], self.theta[k, :p, :m] = s.B, th
+            self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
+            refs.append(_schedule(scenario.references.get(sid), s.q, sid, "reference"))
+            dists.append(_schedule(scenario.disturbances.get(sid), s.r, sid, "disturbance"))
+        self.PB = self.Pc @ self.B
+        self.neg_gamma = -self.gamma[:, None]
+        if mode == "distributed":
+            # g(theta) = ((eps0 + 1) |theta|^2 - theta_max^2) / (eps0 theta_max^2)
+            self.g_scale = ((eps0 + 1.0) / (eps0 * tmax ** 2))[:, None]
+            self.g_shift = (1.0 / eps0)[:, None]
+        index = {sid: k for k, sid in enumerate(self.ids)}
+        self.src = np.array([index[e.src] for e in net.edges], dtype=np.intp)
+        self.A_e = np.zeros((len(net.edges), P, P))
+        self.inc = np.zeros((N, len(net.edges)))
+        for j, e in enumerate(net.edges):
+            if e.A is None:
+                raise ConfigError(f"edge {e.src}->{e.dst}: bound_only edge has no "
+                                  "coupling matrix A to simulate")
+            self.A_e[j, :e.A.shape[0], :e.A.shape[1]] = e.A
+            self.inc[index[e.dst], j] = 1.0
+        # one forcing F E [d; r] and reference row per segment of the merged schedules
+        self.breaks = np.unique(np.concatenate([s.times for s in refs + dists]))
+        self.forcing = np.zeros((self.breaks.size, N, P))
+        self.reference = np.zeros((self.breaks.size, N, Q))
+        for j, t in enumerate(self.breaks):
+            for k, s in enumerate(subs):
+                r = refs[k].at(t)
+                self.forcing[j, k, :s.dim] = (s.F @ s.E) @ np.concatenate([dists[k].at(t), r])
+                self.reference[j, k, :s.q] = r
+        self.n1, self.n2 = N * P, 2 * N * P
+        self.coupled = 2 if mode == "distributed" else 1   # predictors exchange states
+        self.size = N * P * (2 + M)
+
+    def segment(self, t):
+        """Forcing-table row of time(s) ``t`` (``Schedule.at`` semantics)."""
+        return np.maximum(np.searchsorted(self.breaks, t, side="right") - 1, 0)
+
+    def views(self, z):
+        """``(xbar, xhat, theta_hat)`` views of state(s) ``z (..., size)``."""
+        lead, (N, P, M) = z.shape[:-1], self.shape
+        return (z[..., :self.n1].reshape(lead + (N, P)),
+                z[..., self.n1:self.n2].reshape(lead + (N, P)),
+                z[..., self.n2:].reshape(lead + (N, P, M)))
+
+    def split(self, a, *widths):
+        """Per-subsystem slices of ``a (..., N, ...)``, cut to the given widths."""
+        return {sid: a[(Ellipsis, k) + tuple(slice(w[k]) for w in widths)]
+                for k, sid in enumerate(self.ids)}
 
     def unpack(self, z):
-        xbar, xhat, theta = {}, {}, {}
-        for k, sid in enumerate(self.ids):
-            a, b, c, d = self.off[k]
-            p, m = self.subs[k].dim, self.subs[k].m
-            xbar[sid] = z[a:b].copy()
-            xhat[sid] = z[b:c].copy()
-            theta[sid] = z[c:d].reshape(p, m).copy()
-        return NetworkState(xbar=xbar, xhat=xhat, theta_hat=theta)
+        """The state ``z`` as per-subsystem views."""
+        X, XH, TH = self.views(z)
+        return NetworkState(xbar=self.split(X, self.dims), xhat=self.split(XH, self.dims),
+                            theta_hat=self.split(TH, self.dims, self.ms))
 
-    def rhs(self, t, z):
-        xbars, xhats, thetas = [], [], []
-        for k in range(len(self.ids)):
-            a, b, c, d = self.off[k]
-            p, m = self.subs[k].dim, self.subs[k].m
-            xbars.append(z[a:b])
-            xhats.append(z[b:c])
-            thetas.append(z[c:d].reshape(p, m))
-        dz = np.empty_like(z)
-        for k in range(len(self.ids)):
-            a, b, c, d = self.off[k]
-            s = self.subs[k]
-            x, xh, th = xbars[k], xhats[k], thetas[k]
-            dbar = np.concatenate([self.dist[k].at(t), self.ref[k].at(t)])
-            forced = self.FE[k] @ dbar
-            u = control.mrac_control(th, x)
-            coupling = np.zeros(s.dim)
-            for j, A_ij in self.in_edges[k]:
-                coupling += A_ij @ xbars[j]
-            dz[a:b] = (self.A_m[k] @ x + self.B[k] @ (u + self.theta_true[k].T @ x)
-                       + forced + coupling)
-            if self.mode == "distributed":
-                terms = [(A_ij, xhats[j]) for j, A_ij in self.in_edges[k]]
-                dz[b:c] = control.predictor_rate(
-                    self.A_m[k], self.B[k], xh, u, th, x, forced,
-                    mode="distributed", neighbor_terms=terms)
-                rate = control.update_projection(
-                    xh - x, self.P[k], self.B[k], x, self.gamma[k], th,
-                    self.theta_max[k], self.eps0[k])
-            else:
-                dz[b:c] = control.predictor_rate(
-                    self.A_m[k], self.B[k], xh, u, th, x, forced,
-                    mode="decentralized")
-                rate = control.update_normalized(
-                    xh - x, self.P[k], self.B[k], xh, self.gamma[k])
-            dz[c:d] = rate.reshape(-1)
-        return dz
+    def pack(self, state: NetworkState):
+        """State vector of ``state``; missing entries are zero."""
+        z = np.zeros(self.size)
+        slots = self.unpack(z)
+        for name in ("xbar", "xhat", "theta_hat"):
+            for sid, slot in getattr(slots, name).items():
+                value = getattr(state, name).get(sid)
+                if value is not None:
+                    slot[...] = np.asarray(value, dtype=float).reshape(slot.shape)
+        return z
 
-    def rk4_step(self, t, z, dt):
-        k1 = self.rhs(t, z)
-        k2 = self.rhs(t + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = self.rhs(t + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = self.rhs(t + dt, z + dt * k3)
+    def _couple(self, xx):
+        """Incoming coupling of state blocks ``xx (k, N, P)``."""
+        return self.inc @ np.einsum("epq,keq->kep", self.A_e, xx[:, self.src])
+
+    def _project(self, th, y):
+        # control.project per column: grad(g) is parallel to theta, so the
+        # outward case removes theta (theta'y) g / |theta|^2 from y
+        tt = np.einsum("npm,npm->nm", th, th)
+        g = self.g_scale * tt - self.g_shift
+        if not (g >= 0.0).any():
+            return y
+        ty = np.einsum("npm,npm->nm", th, y)
+        active = (g >= 0.0) & (ty > 0.0)
+        if np.any(active & (tt == 0.0)):
+            raise SolverError("projection hit g >= 0 with zero gradient (theta == 0)")
+        scale = np.where(active, g * ty / np.where(active, tt, 1.0), 0.0)
+        return np.where(active[:, None, :], y - th * scale[:, None, :], y)
+
+    def rhs(self, z, force):
+        N, P, M = self.shape
+        xx = z[:self.n2].reshape(2, N, P)            # plant and predictor states
+        x, xh = xx
+        th = z[self.n2:].reshape(N, P, M)
+        lin = np.einsum("npq,knq->knp", self.A_m, xx) + force
+        lin[:self.coupled] += self._couple(xx[:self.coupled])
+        # B (u + theta' x) under u = -theta_hat' x; it vanishes in the predictor
+        lin[0] += np.einsum("npm,nm->np", self.B, np.einsum("npm,np->nm", self.theta - th, x))
+        err = xh - x
+        ePB = np.einsum("np,npm->nm", err, self.PB)
+        if self.mode == "distributed":
+            # gamma > 0 commutes with the (positively homogeneous) projection
+            rate = self._project(th, (self.neg_gamma * x)[:, :, None] * ePB[:, None, :])
+        else:
+            w = np.einsum("np,npq,nq->n", err, self.Pc, err)
+            live = w > _ERR_FLOOR * _ERR_FLOOR
+            scale = np.where(live, -self.gamma / (2.0 * np.sqrt(np.where(live, w, 1.0))), 0.0)
+            rate = (scale[:, None] * xh)[:, :, None] * ePB[:, None, :]
+        return np.concatenate([lin.ravel(), rate.ravel()])
+
+    def rk4(self, z, dt, seg):
+        """One step; ``seg`` holds the forcing rows at t, t + dt/2 and t + dt."""
+        f1, f2, f4 = self.forcing[seg]
+        k1 = self.rhs(z, f1)
+        k2 = self.rhs(z + 0.5 * dt * k1, f2)
+        k3 = self.rhs(z + 0.5 * dt * k2, f2)
+        k4 = self.rhs(z + dt * k3, f4)
         return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def lyapunov(self, z):
-        v = 0.0
-        for k in range(len(self.ids)):
-            a, b, c, d = self.off[k]
-            p, m = self.subs[k].dim, self.subs[k].m
-            err = z[b:c] - z[a:b]
-            dth = z[c:d].reshape(p, m) - self.theta_true[k]
-            v += float(err @ self.P[k] @ err)
-            v += float(np.sum(dth * dth)) / self.gamma[k]
-        return v
+    def trace(self, Z, t, with_lyapunov, diverged_at):
+        """Derive every recorded series from the state history ``Z``."""
+        X, XH, TH = self.views(Z)
+        err = XH - X
+        lyap = None
+        if with_lyapunov:
+            dth = TH - self.theta
+            lyap = (np.einsum("tnp,npq,tnq->t", err, self.Pc, err)
+                    + np.einsum("tnpm,tnpm,n->t", dth, dth, 1.0 / self.gamma))
+        split = self.split
+        return SimTrace(
+            ids=list(self.ids), t=t,
+            xbar=split(X, self.dims), xhat=split(XH, self.dims),
+            theta_hat=split(TH, self.dims, self.ms),
+            u_bl=split(-np.einsum("nmp,tnp->tnm", self.K, X), self.ms),
+            u_mrac=split(-np.einsum("tnpm,tnp->tnm", TH, X), self.ms),
+            output=split(np.einsum("nqp,tnp->tnq", self.C, X), [2 * q for q in self.qs]),
+            reference=split(self.reference[self.segment(t)], self.qs),
+            error_norm=split(np.linalg.norm(err, axis=-1)),
+            lyapunov=lyap, diverged=diverged_at is not None,
+            diverged_at=diverged_at, mode=self.mode,
+        )
 
 
 def step(net, state: NetworkState, scenario: Scenario, t, dt,
          mode="distributed", certificate=None) -> NetworkState:
     """Advance the joint state by one RK4 step of length ``dt``."""
-    dyn = _Dynamics(net, scenario, mode, certificate)
-    z = dyn.pack(state)
-    z_next = dyn.rk4_step(float(t), z, float(dt))
-    if not np.all(np.isfinite(z_next)):
+    kern = _Kernel(net, scenario, mode, certificate)
+    t, dt = float(t), float(dt)
+    z = kern.rk4(kern.pack(state), dt, kern.segment([t, t + 0.5 * dt, t + dt]))
+    if not np.all(np.isfinite(z)):
         raise FloatingPointError(f"state diverged during the step at t={t}")
-    return dyn.unpack(z_next)
+    return kern.unpack(z)
 
 
 def simulate(net, scenario: Scenario, mode="distributed",
@@ -300,77 +352,24 @@ def simulate(net, scenario: Scenario, mode="distributed",
     and by the diagnostic).  Divergence truncates the trace and sets the
     flag; it is not an exception.
     """
-    dyn = _Dynamics(net, scenario, mode, certificate)
-    n_steps = int(round(scenario.horizon / scenario.dt))
-    t_grid = np.arange(n_steps + 1) * scenario.dt
-    xbar = {sid: np.zeros((n_steps + 1, dyn.subs[k].dim)) for k, sid in enumerate(dyn.ids)}
-    xhat = {sid: np.zeros((n_steps + 1, dyn.subs[k].dim)) for k, sid in enumerate(dyn.ids)}
-    theta = {sid: np.zeros((n_steps + 1, dyn.subs[k].dim, dyn.subs[k].m))
-             for k, sid in enumerate(dyn.ids)}
-    u_bl = {sid: np.zeros((n_steps + 1, dyn.subs[k].m)) for k, sid in enumerate(dyn.ids)}
-    u_mrac = {sid: np.zeros((n_steps + 1, dyn.subs[k].m)) for k, sid in enumerate(dyn.ids)}
-    output = {sid: np.zeros((n_steps + 1, 2 * dyn.subs[k].q)) for k, sid in enumerate(dyn.ids)}
-    reference = {sid: np.zeros((n_steps + 1, dyn.subs[k].q)) for k, sid in enumerate(dyn.ids)}
-    err_norm = {sid: np.zeros(n_steps + 1) for sid in dyn.ids}
-    has_cert = certificate is not None
-    lyap = np.zeros(n_steps + 1) if has_cert else None
-
-    z = dyn.pack(NetworkState(
-        xbar={sid: scenario.x0.get(sid) for sid in dyn.ids if scenario.x0.get(sid) is not None},
-        xhat={sid: scenario.xhat0.get(sid) for sid in dyn.ids if scenario.xhat0.get(sid) is not None},
-        theta_hat={sid: scenario.theta_hat0.get(sid) for sid in dyn.ids
-                   if scenario.theta_hat0.get(sid) is not None},
-    ))
-
-    def record(i, t):
-        for k, sid in enumerate(dyn.ids):
-            a, b, c, d = dyn.off[k]
-            p, m = dyn.subs[k].dim, dyn.subs[k].m
-            x = z[a:b]
-            xh = z[b:c]
-            th = z[c:d].reshape(p, m)
-            xbar[sid][i] = x
-            xhat[sid][i] = xh
-            theta[sid][i] = th
-            u_bl[sid][i] = control.baseline_control(dyn.K_bl[k], x)
-            u_mrac[sid][i] = control.mrac_control(th, x)
-            output[sid][i] = dyn.C[k] @ x
-            reference[sid][i] = dyn.ref[k].at(t)
-            err_norm[sid][i] = np.linalg.norm(xh - x)
-        if has_cert:
-            lyap[i] = dyn.lyapunov(z)
-
-    record(0, 0.0)
-    diverged = False
-    diverged_at = None
-    last = n_steps
-    # states beyond 1e150 count as divergent: the recorded quadratics
+    kern = _Kernel(net, scenario, mode, certificate)
+    n_steps, dt = int(round(scenario.horizon / scenario.dt)), scenario.dt
+    t_grid = np.arange(n_steps + 1) * dt
+    t0 = t_grid[:-1]
+    stages = kern.segment(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1))
+    Z = np.empty((n_steps + 1, kern.size))
+    Z[0] = kern.pack(NetworkState(scenario.x0, scenario.xhat0, scenario.theta_hat0))
+    last, diverged_at = n_steps, None
+    # states beyond 1e150 count as divergent: the derived quadratics
     # (Lyapunov value, control signals) would overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            z = dyn.rk4_step(t_grid[i], z, scenario.dt)
-            if not np.all(np.isfinite(z)) or np.max(np.abs(z)) >= 1e150:
-                diverged = True
-                diverged_at = float(t_grid[i + 1])
-                last = i
+        for i, seg in enumerate(stages):
+            z = kern.rk4(Z[i], dt, seg)
+            if not np.max(np.abs(z)) < 1e150:
+                last, diverged_at = i, float(t_grid[i + 1])
                 break
-            record(i + 1, t_grid[i + 1])
-
-    n_keep = last + 1
-
-    def trim(d):
-        return {sid: arr[:n_keep] for sid, arr in d.items()}
-
-    return SimTrace(
-        ids=list(dyn.ids),
-        t=t_grid[:n_keep],
-        xbar=trim(xbar), xhat=trim(xhat), theta_hat=trim(theta),
-        u_bl=trim(u_bl), u_mrac=trim(u_mrac),
-        output=trim(output), reference=trim(reference),
-        error_norm=trim(err_norm),
-        lyapunov=lyap[:n_keep] if has_cert else None,
-        diverged=diverged, diverged_at=diverged_at, mode=mode,
-    )
+            Z[i + 1] = z
+    return kern.trace(Z[:last + 1], t_grid[:last + 1], certificate is not None, diverged_at)
 
 
 def metrics(trace: SimTrace):
@@ -427,30 +426,31 @@ def export_csv(trace: SimTrace, stream):
     One row per sample element, floats rendered with 17 significant
     digits; row order is fixed (time, then subsystem in model order, then
     series, then element index), so identical traces serialize to
-    identical bytes.
+    identical bytes.  Each time sample is one ``%`` format of a template
+    built once, written in one call.
     """
+    series, rows = [], [""]
+    for sid in trace.ids:
+        for name, data in (("state", trace.xbar), ("predictor", trace.xhat),
+                           ("estimate", trace.theta_hat), ("u_bl", trace.u_bl),
+                           ("u_mrac", trace.u_mrac), ("output", trace.output),
+                           ("reference", trace.reference), ("error_norm", trace.error_norm)):
+            series.append(data[sid])
+            rows += [f",{sid},{name},{j},".replace("%", "%%") + "%.17g\n"
+                     for j in range(int(np.prod(data[sid].shape[1:])))]
+    if trace.lyapunov is not None:
+        series.append(trace.lyapunov)
+        rows.append(",network,lyapunov,0,%.17g\n")
     own = isinstance(stream, (str, os.PathLike))
     fh = open(stream, "w", newline="") if own else stream
     try:
         fh.write("time,subsystem,series,index,value\n")
-        for i, t in enumerate(trace.t):
-            ts = f"{t:.17g}"
-            for sid in trace.ids:
-                rows = (
-                    ("state", trace.xbar[sid][i]),
-                    ("predictor", trace.xhat[sid][i]),
-                    ("estimate", trace.theta_hat[sid][i].reshape(-1)),
-                    ("u_bl", trace.u_bl[sid][i]),
-                    ("u_mrac", trace.u_mrac[sid][i]),
-                    ("output", trace.output[sid][i]),
-                    ("reference", trace.reference[sid][i]),
-                    ("error_norm", np.atleast_1d(trace.error_norm[sid][i])),
-                )
-                for series, vec in rows:
-                    for j, v in enumerate(vec):
-                        fh.write(f"{ts},{sid},{series},{j},{v:.17g}\n")
-            if trace.lyapunov is not None:
-                fh.write(f"{ts},network,lyapunov,0,{trace.lyapunov[i]:.17g}\n")
+        step = max(1, _CSV_BLOCK // len(rows))
+        for lo in range(0, trace.t.size, step):
+            t = trace.t[lo:lo + step]
+            block = np.concatenate([a[lo:lo + t.size].reshape(t.size, -1) for a in series], axis=1)
+            for ts, values in zip(t.tolist(), block):
+                fh.write(f"{ts:.17g}".join(rows) % tuple(values.tolist()))
     finally:
         if own:
             fh.close()

@@ -7,6 +7,7 @@ from conftest import CONFIG_DIR
 from gascert import ConfigError
 from gascert.cli import main
 from gascert.config import dump_report, load_config, parse_config
+from gascert.sim import simulate
 
 DC = str(CONFIG_DIR / "dc_pair.json")
 TOY = str(CONFIG_DIR / "toy_pair.json")
@@ -190,6 +191,40 @@ class TestExitCodes:
         out = tmp_path / "none.csv"
         assert main(["simulate", DC, "--mode", "dist", "--out", str(out)]) == 1
         assert "scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda doc: doc["tuning"].update(theta_max=0), "theta_max"),
+        (lambda doc: doc["edges"][0].update(A=None, bound_only=True, norm_bound=0.1),
+         "bound_only"),
+        (lambda doc: doc["scenario"].update(horizon=0.0105), "horizon"),
+    ], ids=["theta_max_zero", "bound_only_edge", "horizon_off_grid"])
+    def test_simulate_precondition_one_line_error(self, edit, field, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        edit(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=field):
+            net, scenario, _ = load_config(cfg)
+            simulate(net, scenario, mode="distributed")
+        out = tmp_path / "bad.csv"
+        assert main(["simulate", str(cfg), "--mode", "dist", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_theta_max_zero_still_simulates_decentralized(self, tmp_path, capsys):
+        # the bound only enters the projection law of the distributed mode
+        doc = json.loads(open(TOY, "rb").read())
+        doc["tuning"]["theta_max"] = 0
+        doc["scenario"]["horizon"] = 0.01
+        cfg = tmp_path / "tmax0.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "tmax0.csv"
+        assert main(["simulate", str(cfg), "--mode", "dec", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 11
 
     def test_missing_file(self, capsys):
         assert main(["connective", "/nonexistent/cfg.json"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import CONFIG_DIR, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     Interconnection,
@@ -19,6 +20,9 @@ from gascert import (
     simulate,
     step,
 )
+from gascert.config import load_config
+from gascert.numerics import solve_lyapunov
+from gascert.sim import _Kernel
 
 AM = np.array([[-2.0, 1.0], [-1.0, 0.0]])
 
@@ -140,24 +144,160 @@ class TestStepFunction:
             theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
                        "b": rng.normal(size=(2, 1)) * 0.1},
         )
-        from gascert.sim import _Dynamics
-
-        dyn = _Dynamics(net, sc, "distributed")
-        z = dyn.pack(state)
-        dz = dyn.rhs(0.0, z)
-        # subsystem "a": predictor slice is [2:4] in its block
-        a, b, c, d = dyn.off[0]
+        kern = _Kernel(net, sc, "distributed")
+        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
         u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
         edge = net.in_edges("a")[0]
         expected = control.predictor_rate(
             AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
             state.theta_hat["a"], state.xbar["a"], np.zeros(2),
             mode="distributed", neighbor_terms=[(edge.A, state.xhat["b"])])
-        assert np.allclose(dz[b:c], expected, atol=1e-14)
+        assert np.allclose(rate.xhat["a"], expected, atol=1e-14)
         dec = control.predictor_rate(
             AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
             state.theta_hat["a"], state.xbar["a"], np.zeros(2))
-        assert np.allclose(dz[b:c] - dec, edge.A @ state.xhat["b"], atol=1e-14)
+        assert np.allclose(rate.xhat["a"] - dec, edge.A @ state.xhat["b"], atol=1e-14)
+
+
+def mixed_net(rng, n_subs, with_edges):
+    """Random network of mixed shapes: augmented dim 1-6, 1-3 inputs."""
+    subs, desired, tuning, scen = [], {}, {}, {"references": {}, "disturbances": {}, "theta": {}}
+    for k in range(n_subs):
+        sid = f"s{k}"
+        n = int(rng.integers(1, 5))
+        q = int(rng.integers(0, min(n, 6 - n) + 1))
+        m, r = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        sub = AugmentedSubsystem.from_raw(sid, B=rng.normal(size=(n, m)), C=rng.normal(size=(q, n)),
+                                          A=rng.normal(size=(n, n)), E=rng.normal(size=(n, r)))
+        subs.append(sub)
+        desired[sid] = random_hurwitz(rng, sub.dim)
+        tuning[sid] = Tuning(Q=np.eye(sub.dim), gamma=rng.uniform(5.0, 50.0),
+                             theta_max=rng.uniform(0.5, 2.0), eps0=rng.uniform(0.05, 0.5))
+        scen["references"][sid] = Schedule(times=[0.0, 0.05], values=rng.normal(size=(2, q)))
+        scen["disturbances"][sid] = Schedule(times=[0.0, 0.1], values=rng.normal(size=(2, r)))
+        scen["theta"][sid] = rng.normal(size=(sub.dim, m)) * 0.3
+    edges = []
+    if with_edges:
+        for i in range(n_subs):
+            for j in range(n_subs):
+                if i != j and rng.random() < 0.6:
+                    edges.append(Interconnection(
+                        src=subs[j].sid, dst=subs[i].sid,
+                        A=rng.normal(size=(subs[i].dim, subs[j].dim)) * 0.2))
+    net = NetworkModel(subsystems=subs, edges=edges, desired=desired, tuning=tuning)
+    return net, Scenario(horizon=0.2, dt=1e-3, **scen)
+
+
+def reference_rhs(net, sc, mode, state, t):
+    """Joint rate per subsystem from the scalar laws of ``control``."""
+    out = {}
+    for sid in net.ids:
+        s, tun = net.subsystem(sid), net.tuning[sid]
+        x, xh, th = state.xbar[sid], state.xhat[sid], state.theta_hat[sid]
+        P = solve_lyapunov(net.desired[sid], tun.Q)
+        forced = s.F @ s.E @ np.concatenate([sc.disturbances[sid].at(t), sc.references[sid].at(t)])
+        u = control.mrac_control(th, x)
+        edges = net.in_edges(sid)
+        coupling = sum((e.A @ state.xbar[e.src] for e in edges), np.zeros(s.dim))
+        dx = net.desired[sid] @ x + s.B @ (u + sc.theta[sid].T @ x) + forced + coupling
+        if mode == "distributed":
+            dxh = control.predictor_rate(net.desired[sid], s.B, xh, u, th, x, forced, mode=mode,
+                                         neighbor_terms=[(e.A, state.xhat[e.src]) for e in edges])
+            dth = control.update_projection(xh - x, P, s.B, x, tun.gamma, th,
+                                            tun.theta_max, tun.eps0)
+        else:
+            dxh = control.predictor_rate(net.desired[sid], s.B, xh, u, th, x, forced)
+            dth = control.update_normalized(xh - x, P, s.B, xh, tun.gamma)
+        out[sid] = (dx, dxh, dth)
+    return out
+
+
+def boundary_state(net, rng):
+    """Random state with projection-active columns and floored errors.
+
+    Per subsystem, each estimate column is placed on the boundary layer
+    (g >= 0) along +/- its own update direction, or well inside; every
+    third subsystem has a prediction error under the normalized law's floor.
+    """
+    xbar, xhat, theta = {}, {}, {}
+    for k, sid in enumerate(net.ids):
+        s, tun = net.subsystem(sid), net.tuning[sid]
+        x = rng.normal(size=s.dim)
+        err = rng.normal(size=s.dim) * (1e-14 if k % 3 == 2 else 1.0)
+        P = solve_lyapunov(net.desired[sid], tun.Q)
+        drive = -np.outer(x, err @ P @ s.B)
+        th = np.empty((s.dim, s.m))
+        for col in range(s.m):
+            d = drive[:, col] / np.linalg.norm(drive[:, col])
+            kind = (k + col) % 3
+            th[:, col] = (0.98 * tun.theta_max * d if kind == 0 else
+                          -0.98 * tun.theta_max * d if kind == 1 else 0.1 * tun.theta_max * d)
+        xbar[sid], xhat[sid], theta[sid] = x, x + err, th
+    return NetworkState(xbar=xbar, xhat=xhat, theta_hat=theta)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rhs_matches_control_reference(self, mode, seed):
+        rng = np.random.default_rng(100 + seed)
+        net, sc = mixed_net(rng, int(rng.integers(2, 6)), with_edges=seed % 3 != 0)
+        state = boundary_state(net, rng)
+        kern = _Kernel(net, sc, mode)
+        active = floored = 0
+        for t in (0.0, 0.07, 0.15):
+            got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(t)]))
+            want = reference_rhs(net, sc, mode, state, t)
+            for sid in net.ids:
+                for g, w in zip((got.xbar[sid], got.xhat[sid], got.theta_hat[sid]), want[sid]):
+                    assert g.shape == w.shape
+                    scale = np.max(np.abs(w), initial=0.0)
+                    assert np.max(np.abs(g - w), initial=0.0) <= 1e-13 * scale, sid
+                if mode == "decentralized":
+                    floored += not np.any(want[sid][2])
+        for sid in net.ids:
+            tun, th = net.tuning[sid], state.theta_hat[sid]
+            err = state.xhat[sid] - state.xbar[sid]
+            P = solve_lyapunov(net.desired[sid], tun.Q)
+            drive = -np.outer(state.xbar[sid], err @ P @ net.subsystem(sid).B)
+            for col in range(th.shape[1]):
+                g = control.boundary_function(th[:, col], tun.theta_max, tun.eps0)
+                active += g >= 0.0 and th[:, col] @ drive[:, col] > 0.0
+        if mode == "distributed":
+            assert active > 0
+        else:
+            assert floored > 0
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_padding_stays_zero(self, mode):
+        rng = np.random.default_rng(7)
+        net, sc = mixed_net(rng, 5, with_edges=True)
+        kern = _Kernel(net, sc, mode)
+        assert len(set(kern.dims)) > 1 and len(set(kern.ms)) > 1
+        ones = NetworkState(
+            xbar={sid: np.ones(d) for sid, d in zip(kern.ids, kern.dims)},
+            xhat={sid: np.ones(d) for sid, d in zip(kern.ids, kern.dims)},
+            theta_hat={sid: np.ones((d, m)) for sid, d, m in zip(kern.ids, kern.dims, kern.ms)})
+        pad = kern.pack(ones) == 0.0
+        assert pad.any()
+        z = kern.pack(boundary_state(net, rng))
+        dt = 1e-3
+        for i in range(200):
+            t = i * dt
+            z = kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
+            assert np.all(z[pad] == 0.0)
+        assert np.all(np.isfinite(z)) and np.any(z[~pad] != 0.0)
+
+    def test_simulate_mixed_network_matches_step(self):
+        rng = np.random.default_rng(8)
+        net, sc = mixed_net(rng, 4, with_edges=True)
+        trace = simulate(net, sc, mode="distributed")
+        state = NetworkState(xbar={}, xhat={}, theta_hat={})
+        for i in range(3):
+            state = step(net, state, sc, trace.t[i], sc.dt, mode="distributed")
+        for sid in net.ids:
+            assert np.array_equal(state.xbar[sid], trace.xbar[sid][3])
+            assert np.array_equal(state.theta_hat[sid], trace.theta_hat[sid][3])
 
 
 class TestTraceMechanics:
@@ -244,3 +384,63 @@ class TestTraceMechanics:
         trace = simulate(net, sc, mode="distributed", certificate=cert)
         tol = 1e-6 * (1.0 + trace.lyapunov[0])
         assert np.max(np.diff(trace.lyapunov[10:])) <= tol
+
+
+def reference_export_csv(trace, fh):
+    """Row-by-row long-form writer: the oracle for ``export_csv``'s bytes."""
+    fh.write("time,subsystem,series,index,value\n")
+    for i, t in enumerate(trace.t):
+        ts = f"{t:.17g}"
+        for sid in trace.ids:
+            rows = (
+                ("state", trace.xbar[sid][i]),
+                ("predictor", trace.xhat[sid][i]),
+                ("estimate", trace.theta_hat[sid][i].reshape(-1)),
+                ("u_bl", trace.u_bl[sid][i]),
+                ("u_mrac", trace.u_mrac[sid][i]),
+                ("output", trace.output[sid][i]),
+                ("reference", trace.reference[sid][i]),
+                ("error_norm", np.atleast_1d(trace.error_norm[sid][i])),
+            )
+            for series, vec in rows:
+                for j, v in enumerate(vec):
+                    fh.write(f"{ts},{sid},{series},{j},{v:.17g}\n")
+        if trace.lyapunov is not None:
+            fh.write(f"{ts},network,lyapunov,0,{trace.lyapunov[i]:.17g}\n")
+
+
+def demo_trace(name, mode, certified):
+    net, sc, _ = load_config(CONFIG_DIR / f"{name}.json")
+    cert = certify(net) if certified else None
+    return simulate(net, sc, mode=mode, certificate=cert)
+
+
+def percent_id_trace():
+    ids = ("100%", "%s%%")
+    tun = Tuning(Q=np.eye(2), gamma=20.0, theta_max=1.5, eps0=0.1)
+    net = NetworkModel(subsystems=[make_sub(sid) for sid in ids], edges=[],
+                       desired={sid: AM for sid in ids}, tuning={sid: tun for sid in ids})
+    return simulate(net, Scenario(horizon=0.003, dt=1e-3, x0={"100%": [0.1, 0.2]}))
+
+
+class TestCsvExport:
+    @pytest.mark.parametrize("make", [
+        lambda: demo_trace("toy_pair", "distributed", certified=True),
+        lambda: demo_trace("toy_pair", "decentralized", certified=False),
+        lambda: demo_trace("unstable_pair", "decentralized", certified=False),
+        lambda: simulate(*mixed_net(np.random.default_rng(9), 4, with_edges=True),
+                         mode="distributed"),
+        percent_id_trace,
+    ], ids=["toy_pair_certified", "toy_pair_no_certificate", "unstable_pair_diverged",
+            "mixed_shapes", "percent_in_ids"])
+    def test_bytes_match_row_by_row_writer(self, make, tmp_path):
+        trace = make()
+        want = io.StringIO()
+        reference_export_csv(trace, want)
+        got = io.StringIO()
+        export_csv(trace, got)
+        assert got.getvalue() == want.getvalue()
+        path = tmp_path / "trace.csv"
+        export_csv(trace, str(path))
+        assert path.read_bytes() == want.getvalue().encode()
+        assert ("network,lyapunov" in want.getvalue()) == (trace.lyapunov is not None)
