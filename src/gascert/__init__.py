@@ -37,6 +37,7 @@ from .exceptions import (
     ConfigError,
     DimensionError,
     GascertError,
+    NonFiniteError,
     SolverError,
     StabilityError,
 )

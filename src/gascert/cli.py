@@ -189,12 +189,13 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
-    except GascertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an overflow shows as a non-finite value, which ends in the error
+        # line below; numpy's floating-point warnings would only add lines
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except (GascertError, OSError) as exc:
+        # one line, whatever line breaks the ids or paths in the message hold
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 1
 
 

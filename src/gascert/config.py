@@ -9,18 +9,23 @@ declaration with a spectral-norm bound.
 
 Reports are emitted by a small deterministic serializer: keys sorted,
 floats at 17 significant digits, so byte-identical inputs give
-byte-identical reports.
+byte-identical reports.  It walks the report once.  A float array is
+written by one ``%`` operation on a template of its nested-list layout,
+one ``%.17g`` per entry; the bytes are the same as formatting its entries
+one at a time.  Non-finite numbers are rejected (``NonFiniteError``, a
+``ValueError``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
 from .control import build_reference_model
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
 from .sim import Scenario, Schedule
 
@@ -53,9 +58,26 @@ def _matrix(value, path, allow_null=False):
         M = M.reshape(-1, 1) if M.size else M.reshape(0, 0)
     if M.ndim != 2:
         raise ConfigError(f"{path}: expected a 2-D nested array, got ndim={M.ndim}")
-    if M.size and not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ConfigError(f"{path}: matrix has non-finite entries")
     return M
+
+
+def _vector(value, path):
+    try:
+        vec = np.asarray(value, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a numeric array ({exc})") from None
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"{path}: non-finite entries")
+    return vec
+
+
+def _section(spec, key, path):
+    entry = spec.get(key, {})
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}.{key}: expected an object keyed by subsystem id")
+    return entry
 
 
 def _scalar(value, path):
@@ -91,9 +113,9 @@ def _tuning(spec, path):
 
 def _schedule(spec, path):
     if isinstance(spec, list):
-        return Schedule.constant(np.asarray(spec, dtype=float))
-    times = _require(spec, "times", path)
-    values = _require(spec, "values", path)
+        times, values = [0.0], [spec]
+    else:
+        times, values = _require(spec, "times", path), _require(spec, "values", path)
     try:
         return Schedule(times=np.asarray(times, dtype=float),
                         values=np.asarray(values, dtype=float))
@@ -106,22 +128,14 @@ def _scenario(spec, subs_by_id, path):
     dt = _scalar(_require(spec, "dt", path), f"{path}.dt")
     kwargs = {"horizon": horizon, "dt": dt}
     for key in ("references", "disturbances"):
-        entry = spec.get(key, {})
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}.{key}: expected an object keyed by subsystem id")
-        kwargs[key] = {sid: _schedule(v, f"{path}.{key}.{sid}") for sid, v in entry.items()}
+        kwargs[key] = {sid: _schedule(v, f"{path}.{key}.{sid}")
+                       for sid, v in _section(spec, key, path).items()}
     for key in ("theta", "theta_hat0"):
-        entry = spec.get(key, {})
-        kwargs[key] = {sid: _matrix(v, f"{path}.{key}.{sid}") for sid, v in entry.items()}
+        kwargs[key] = {sid: _matrix(v, f"{path}.{key}.{sid}")
+                       for sid, v in _section(spec, key, path).items()}
     for key in ("x0", "xhat0"):
-        entry = spec.get(key, {})
-        out = {}
-        for sid, v in entry.items():
-            vec = np.asarray(v, dtype=float).ravel()
-            if not np.all(np.isfinite(vec)):
-                raise ConfigError(f"{path}.{key}.{sid}: non-finite entries")
-            out[sid] = vec
-        kwargs[key] = out
+        kwargs[key] = {sid: _vector(v, f"{path}.{key}.{sid}")
+                       for sid, v in _section(spec, key, path).items()}
     for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
         for sid in kwargs[key]:
             if sid not in subs_by_id:
@@ -161,6 +175,8 @@ def parse_config(doc):
         sid = _require(sub, "id", path)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id: expected a non-empty string")
+        if sid in raw:
+            raise ConfigError(f"{path}.id: duplicate id {sid!r}")
         B = _matrix(_require(sub, "B", path), f"{path}.B")
         C = _matrix(_require(sub, "C", path), f"{path}.C")
         A = _matrix(sub.get("A"), f"{path}.A", allow_null=True)
@@ -183,12 +199,15 @@ def parse_config(doc):
         if sub.get("baseline_gain") is not None:
             baseline[sid] = _matrix(sub["baseline_gain"], f"{path}.baseline_gain")
     edges = []
-    for k, edge in enumerate(doc.get("edges", [])):
+    edges_spec = doc.get("edges", [])
+    if not isinstance(edges_spec, list):
+        raise ConfigError("config.edges: expected an array")
+    for k, edge in enumerate(edges_spec):
         path = f"config.edges[{k}]"
         src = _require(edge, "from", path)
         dst = _require(edge, "to", path)
         for sid, role in ((src, "from"), (dst, "to")):
-            if sid not in raw:
+            if not isinstance(sid, str) or sid not in raw:
                 raise ConfigError(f"{path}.{role}: unknown subsystem id {sid!r}")
         bound_only = bool(edge.get("bound_only", False))
         norm_bound = edge.get("norm_bound")
@@ -239,64 +258,58 @@ def digest(data: bytes):
     return hashlib.sha256(data).hexdigest()
 
 
-def _to_jsonable(x):
+_NON_FINITE = "reports must not contain non-finite numbers"
+
+
+def _layout(parts, pad, brackets):
+    """``parts`` one per line, one level inside ``pad``, as in the report layout."""
+    if not parts:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
+
+
+def _template(shape, pad):
+    """`%`-template of a float array at ``pad``: one ``%.17g`` per entry."""
+    if not shape:
+        return "%.17g"
+    return _layout([_template(shape[1:], pad + "  ")] * shape[0], pad, "[]")
+
+
+def _emit(x, pad):
     if isinstance(x, np.ndarray):
-        return [_to_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, dict):
-        return {str(k): _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    return x
-
-
-def _emit(x, out, indent):
-    pad = "  " * indent
+        if x.dtype.kind == "f":
+            if not np.isfinite(x).all():
+                raise NonFiniteError(_NON_FINITE)
+            return _template(x.shape, pad) % tuple(x.ravel().tolist())
+        x = x.tolist()
+    elif isinstance(x, np.generic):
+        x = x.item()
     if x is None:
-        out.append("null")
-    elif isinstance(x, bool):
-        out.append("true" if x else "false")
-    elif isinstance(x, int):
-        out.append(str(x))
-    elif isinstance(x, float):
-        if not np.isfinite(x):
-            raise ValueError("reports must not contain non-finite numbers")
-        out.append(f"{x:.17g}")
-    elif isinstance(x, str):
-        out.append(json.dumps(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(x)
-        for i, k in enumerate(keys):
-            out.append(f"{pad}  {json.dumps(str(k))}: ")
-            _emit(x[k], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(x):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(x) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(x).__name__}")
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise NonFiniteError(_NON_FINITE)
+        return "%.17g" % x
+    if isinstance(x, str):
+        return json.dumps(x)
+    if isinstance(x, dict):
+        x = {str(k): v for k, v in x.items()}
+        return _layout([f"{json.dumps(k)}: {_emit(x[k], pad + '  ')}" for k in sorted(x)],
+                       pad, "{}")
+    if isinstance(x, (list, tuple)):
+        return _layout([_emit(v, pad + "  ") for v in x], pad, "[]")
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def dump_report(report: dict):
-    """Serialize a report deterministically (sorted keys, 17-digit floats)."""
-    out = []
-    _emit(_to_jsonable(report), out, 0)
-    out.append("\n")
-    return "".join(out)
+    """Serialize a report deterministically (sorted keys, 17-digit floats).
+
+    One recursive walk.  A float array is written with one ``%``
+    operation on a template of its nested-list layout.
+    """
+    return _emit(report, "") + "\n"

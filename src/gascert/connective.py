@@ -44,6 +44,23 @@ def _lam_extremes(S):
     return float(w[0]), float(w[-1])
 
 
+def _extremes(net: NetworkModel, P: dict):
+    """``(lam_min, lam_max)`` of each ``P_i`` and ``lam_min`` of each ``Q_i``.
+
+    One symmetric eigensolve per matrix, shared by the comparison matrix
+    and the offsets.
+    """
+    lam_P, lmin_Q = {}, {}
+    for sid in net.ids:
+        if sid not in P:
+            raise ValueError(f"subsystem {sid}: missing Lyapunov solution")
+        lam_P[sid] = _lam_extremes(P[sid])
+        if lam_P[sid][0] <= 0.0:
+            raise ValueError(f"subsystem {sid}: P is not positive definite")
+        lmin_Q[sid] = _lam_extremes(net.tuning[sid].Q)[0]
+    return lam_P, lmin_Q
+
+
 def comparison_matrix(net: NetworkModel, P: dict):
     """Aggregate comparison matrix ``M``.
 
@@ -52,22 +69,18 @@ def comparison_matrix(net: NetworkModel, P: dict):
     lam_min(P_j))``; zero elsewhere.  Off-diagonals are non-negative, so
     ``M`` is Metzler with negative diagonal.
     """
+    return _comparison_matrix(net, *_extremes(net, P))
+
+
+def _comparison_matrix(net, lam_P, lmin_Q):
     ids = net.ids
     index = {sid: k for k, sid in enumerate(ids)}
-    lam = {}
-    for sid in ids:
-        if sid not in P:
-            raise ValueError(f"subsystem {sid}: missing Lyapunov solution")
-        lam[sid] = _lam_extremes(P[sid])
-        if lam[sid][0] <= 0.0:
-            raise ValueError(f"subsystem {sid}: P is not positive definite")
     M = np.zeros((len(ids), len(ids)))
     for sid in ids:
-        lmin_P, lmax_P = lam[sid]
-        lmin_Q = _lam_extremes(net.tuning[sid].Q)[0]
-        M[index[sid], index[sid]] = -lmin_Q / (2.0 * lmax_P)
+        lmin_P, lmax_P = lam_P[sid]
+        M[index[sid], index[sid]] = -lmin_Q[sid] / (2.0 * lmax_P)
         for e in net.in_edges(sid):
-            lmin_Pj = lam[e.src][0]
+            lmin_Pj = lam_P[e.src][0]
             M[index[sid], index[e.src]] += (
                 lmax_P / np.sqrt(lmin_P * lmin_Pj) * e.gain()
             )
@@ -86,18 +99,19 @@ def adaptation_offsets(net: NetworkModel, P: dict, theta_max=None):
     ``theta_max`` overrides the per-subsystem tuning value when given.
     Large adaptive gains make every entry arbitrarily small.
     """
-    ids = net.ids
-    lam = {sid: _lam_extremes(P[sid]) for sid in ids}
-    out = np.zeros(len(ids))
-    for k, sid in enumerate(ids):
-        lmin_P, lmax_P = lam[sid]
-        lmin_Q = _lam_extremes(net.tuning[sid].Q)[0]
+    return _adaptation_offsets(net, *_extremes(net, P), theta_max)
+
+
+def _adaptation_offsets(net, lam_P, lmin_Q, theta_max):
+    out = np.zeros(len(net.ids))
+    for k, sid in enumerate(net.ids):
+        lmin_P, lmax_P = lam_P[sid]
         gamma_i = net.tuning[sid].gamma
         tmax = net.tuning[sid].theta_max if theta_max is None else float(theta_max)
-        term = lmin_Q / (2.0 * gamma_i * lmax_P)
+        term = lmin_Q[sid] / (2.0 * gamma_i * lmax_P)
         for e in net.out_edges(sid):
             gamma_j = net.tuning[e.dst].gamma
-            lmin_Pj = lam[e.dst][0]
+            lmin_Pj = lam_P[e.dst][0]
             term -= lmax_P * e.gain() / (gamma_j * np.sqrt(lmin_P * lmin_Pj))
         out[k] = tmax * term
     return out
@@ -219,25 +233,19 @@ def analyze(net: NetworkModel, theta_max=None, lyap_rtol=1e-10) -> ConnectiveRep
     Solves one Lyapunov equation per subsystem (independent solves), then
     assembles the comparison matrix, the offset vector, and the verdicts.
     """
-    P = {}
-    lam_min_P, lam_max_P, lam_min_Q, alpha = {}, {}, {}, {}
-    for sid in net.ids:
-        Pi = solve_lyapunov(net.desired[sid], net.tuning[sid].Q, rtol=lyap_rtol)
-        P[sid] = Pi
-        lo, hi = _lam_extremes(Pi)
-        lam_min_P[sid], lam_max_P[sid] = lo, hi
-        lam_min_Q[sid] = _lam_extremes(net.tuning[sid].Q)[0]
-        alpha[sid] = lam_min_Q[sid] / hi
-    M = comparison_matrix(net, P)
-    offsets = adaptation_offsets(net, P, theta_max=theta_max)
+    P = {sid: solve_lyapunov(net.desired[sid], net.tuning[sid].Q, rtol=lyap_rtol)
+         for sid in net.ids}
+    lam_P, lam_min_Q = _extremes(net, P)
+    M = _comparison_matrix(net, lam_P, lam_min_Q)
+    offsets = _adaptation_offsets(net, lam_P, lam_min_Q, theta_max)
     cond_diag, cond_norm, M_stable = check_conditions(M, offsets)
     return ConnectiveReport(
         ids=list(net.ids),
         P=P,
-        lambda_min_P=lam_min_P,
-        lambda_max_P=lam_max_P,
+        lambda_min_P={sid: lo for sid, (lo, _) in lam_P.items()},
+        lambda_max_P={sid: hi for sid, (_, hi) in lam_P.items()},
         lambda_min_Q=lam_min_Q,
-        alpha=alpha,
+        alpha={sid: lam_min_Q[sid] / hi for sid, (_, hi) in lam_P.items()},
         M=M,
         offsets=offsets,
         cond_diag_rows=diagonal_dominance_rows(M),

@@ -58,7 +58,10 @@ def build_reference_model(A_nom, B, C, K_x, K_xi):
         raise DimensionError("B/C rows and columns must match A_nom")
     if K_x.shape != (B.shape[1], n) or K_xi.shape != (B.shape[1], q):
         raise DimensionError("gain blocks do not match (m, n) / (m, q)")
-    Am = np.block([[A_nom - B @ K_x, B @ K_xi], [-C, np.zeros((q, q))]])
+    Am = np.zeros((n + q, n + q))
+    Am[:n, :n] = A_nom - B @ K_x
+    Am[:n, n:] = B @ K_xi
+    Am[n:, :n] = -C
     if not is_hurwitz(Am):
         raise StabilityError("constructed reference model is not Hurwitz")
     return Am

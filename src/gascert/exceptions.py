@@ -19,6 +19,11 @@ class SolverError(GascertError):
     residual/definiteness contract."""
 
 
+class NonFiniteError(GascertError, ValueError):
+    """A matrix or a report holds NaN or infinity, typically where inputs
+    too large for double precision overflowed.  Also a ``ValueError``."""
+
+
 class ConfigError(GascertError):
     """A network configuration document is malformed.  The message names
     the offending field."""

@@ -183,19 +183,27 @@ class AugmentedSubsystem:
         if E.shape[0] != n:
             raise DimensionError(f"subsystem {sid}: E has {E.shape[0]} rows, expected {n}")
         r = E.shape[1]
+        p = n + q
         A_aug = None
         if A is not None:
             A = as_matrix(A, f"subsystem {sid}: A", square=True)
             if A.shape[0] != n:
                 raise DimensionError(f"subsystem {sid}: A is {A.shape[0]}x{A.shape[0]}, expected {n}x{n}")
-            A_aug = np.block([[A, np.zeros((n, q))], [-C, np.zeros((q, q))]])
-        B_aug = np.vstack([B, np.zeros((q, m))])
-        C_aug = np.block([[C, np.zeros((q, q))], [np.zeros((q, n)), np.eye(q)]])
-        D_aug = np.vstack([D, np.zeros((q, m))])
-        E_aug = np.block([[E, np.zeros((n, q))], [np.zeros((q, r)), np.eye(q)]])
-        F = np.block(
-            [[np.zeros((n, n)), np.zeros((n, q))], [np.zeros((q, n)), np.eye(q)]]
-        )
+            A_aug = np.zeros((p, p))
+            A_aug[:n, :n] = A
+            A_aug[n:, :n] = -C
+        B_aug = np.zeros((p, m))
+        B_aug[:n] = B
+        C_aug = np.zeros((2 * q, p))
+        C_aug[:q, :n] = C
+        C_aug[q:, n:] = np.eye(q)
+        D_aug = np.zeros((2 * q, m))
+        D_aug[:q] = D
+        E_aug = np.zeros((p, r + q))
+        E_aug[:n, :r] = E
+        E_aug[n:, r:] = np.eye(q)
+        F = np.zeros((p, p))
+        F[n:, n:] = np.eye(q)
         return cls(sid=sid, A=A_aug, B=B_aug, C=C_aug, D=D_aug, E=E_aug, F=F,
                    n=n, q=q, m=m, r=r)
 

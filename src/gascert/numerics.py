@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .exceptions import DimensionError, SolverError, StabilityError
+from .exceptions import DimensionError, NonFiniteError, SolverError, StabilityError
 
 __all__ = [
     "AreSolution",
@@ -38,11 +38,13 @@ def as_matrix(M, name="matrix", square=False):
 
     Scalars become 1x1 matrices, 1-D arrays become row vectors.
     """
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if A.ndim != 2:
+    A = np.asarray(M, dtype=float)
+    if A.ndim < 2:
+        A = A.reshape(1, -1)
+    elif A.ndim > 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} has non-finite entries")
+    if not np.isfinite(A).all():
+        raise NonFiniteError(f"{name} has non-finite entries")
     if square and A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
     return A
@@ -153,9 +155,19 @@ def hamiltonian(Am, N, q):
         raise ValueError("N must be a non-negative count")
     if q < 0.0:
         raise ValueError("q must be non-negative")
-    n = Am.shape[0]
-    eye = np.eye(n)
-    return np.block([[Am, float(N) * eye], [-float(q) * eye, -Am.T]])
+    eye = np.eye(Am.shape[0])
+    return _hamiltonian(Am, float(N) * eye, float(q) * eye)
+
+
+def _hamiltonian(A, G, Q):
+    """``[[A, G], [-Q, -A']]``, assembled by slice assignment."""
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = G
+    H[n:, :n] = -Q
+    H[n:, n:] = -A.T
+    return H
 
 
 def is_hyperbolic(H, tol):
@@ -345,7 +357,7 @@ def _peak_gain(Am, M, lam, rtol, dtol=0.0):
         if dtol * g >= 1.0:
             return g, w
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
-        H = np.block([[Ab, BB / level], [-CC / level, -Ab.T]])
+        H = _hamiltonian(Ab, BB / level, CC / level)
         cand = _axis_frequencies(H, _AXIS_PREFILTER * np.linalg.norm(H))
         if cand.size == 0:
             return g, w

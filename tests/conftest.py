@@ -104,6 +104,14 @@ def spread_normal(rng):
     return Q @ D @ Q.T
 
 
+def assert_same_bits(got, want):
+    """``got`` and ``want`` are the same array to the bit (so -0.0 != 0.0)."""
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, want)
+
+
 def char_poly_3x3(A):
     """Characteristic polynomial s^3 + a2 s^2 + a1 s + a0 by cofactors."""
     A = np.asarray(A, dtype=float)

@@ -1,7 +1,11 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from gascert import ConfigError
@@ -63,6 +67,12 @@ class TestConfigParsing:
         doc = json.loads(open(TOY, "rb").read())
         doc["scenario"]["x0"]["a"] = [0.4]  # augmented state has 2 entries
         with pytest.raises(ConfigError, match=r"x0.a"):
+            parse_config(doc)
+
+    def test_duplicate_id_named(self):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["subsystems"][1]["id"] = "a"
+        with pytest.raises(ConfigError, match=r"^config\.subsystems\[1\]\.id: duplicate id 'a'$"):
             parse_config(doc)
 
     def test_scenario_wrong_theta_shape(self):
@@ -226,6 +236,72 @@ class TestExitCodes:
         assert main(["simulate", str(cfg), "--mode", "dec", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["samples"] == 11
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda sc: sc["x0"].update(a=["x", 0]), "config.scenario.x0.a: not a numeric array"),
+        (lambda sc: sc.update(xhat0={"b": [[0.1], [0.2, 0.3]]}),
+         "config.scenario.xhat0.b: not a numeric array"),
+        (lambda sc: sc["references"].update(a=["x"]), "config.scenario.references.a: "),
+        (lambda sc: sc["disturbances"].update(a=[[1.0], [2.0, 3.0]]),
+         "config.scenario.disturbances.a: "),
+        (lambda sc: sc.update(references="abc"), "config.scenario.references: expected an object"),
+        (lambda sc: sc.update(disturbances=[1.0]),
+         "config.scenario.disturbances: expected an object"),
+        (lambda sc: sc.update(theta="abc"), "config.scenario.theta: expected an object"),
+        (lambda sc: sc.update(theta_hat0=3), "config.scenario.theta_hat0: expected an object"),
+        (lambda sc: sc.update(x0=[0.4, 0.0]), "config.scenario.x0: expected an object"),
+        (lambda sc: sc.update(xhat0="x"), "config.scenario.xhat0: expected an object"),
+    ], ids=["x0_non_numeric", "xhat0_ragged", "constant_schedule_non_numeric",
+            "constant_schedule_ragged", "references_not_object", "disturbances_not_object",
+            "theta_not_object", "theta_hat0_not_object", "x0_not_object", "xhat0_not_object"])
+    def test_malformed_scenario_one_line_error(self, edit, field, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        edit(doc["scenario"])
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}"):
+            parse_config(doc)
+        for argv in (["riccati", str(cfg)],
+                     ["simulate", str(cfg), "--out", str(tmp_path / "bad.csv")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {field}")
+            assert len(captured.err.splitlines()) == 1
+
+    def test_duplicate_id_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["subsystems"][1]["id"] = "a"
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["connective", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config.subsystems[1].id: duplicate id 'a'\n"
+
+    def test_line_breaks_in_message_stay_on_one_line(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"]["theta"]["a\nb\u2028c"] = None
+        cfg = tmp_path / "nl.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config.scenario.theta.a\\nb\\nc: matrix must not be null\n"
+
+    def test_overflow_ends_in_one_line_error(self, tmp_path, capsys):
+        # squaring the coupling gain overflows: the coupling energy, and so
+        # the report, would hold an infinity
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"][1]["A"] = [[1.5e154]]
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("riccati", "smallgain"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "non-finite" in captured.err
+            assert len(captured.err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         assert main(["connective", "/nonexistent/cfg.json"]) == 1
 
@@ -248,6 +324,54 @@ class TestExitCodes:
         out = tmp_path / "t.csv"
         assert main(["simulate", TOY, "--tol", "1e-6", "--mode", "dist",
                      "--out", str(out)]) == 0
+
+
+def _field_paths(node, prefix=()):
+    """The key/index path of every field of a JSON document, nested ones too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        if isinstance(child, (dict, list)):
+            paths += _field_paths(child, prefix + (key,))
+    return paths
+
+
+TOY_DOC = json.loads(open(TOY, "rb").read())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(_field_paths(TOY_DOC)), value=JSON_VALUES)
+    def test_one_field_replaced(self, path, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(TOY_DOC))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "fuzz.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["riccati", str(cfg)])
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+        else:
+            assert json.loads(captured.out)["verdict"] in ("certified", "not-certified")
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import DC_AM, DC_A12, DC_A21, random_hurwitz
+from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, random_hurwitz
+from gascert import connective
 from gascert import (
     AugmentedSubsystem,
     Interconnection,
@@ -17,6 +18,7 @@ from gascert import (
     theta_max_bound,
     transient_bound,
 )
+from gascert.config import load_config
 
 
 def scalar_sub(sid):
@@ -134,6 +136,13 @@ class TestOffsets:
         phi1 = adaptation_offsets(fab_net(0.1), P_FAB, theta_max=2.0)
         phi2 = adaptation_offsets(fab_net(0.1, theta_max=2.0), P_FAB)
         assert np.allclose(phi1, phi2)
+
+    def test_missing_or_indefinite_P_rejected(self):
+        # the same checks as comparison_matrix, from the shared extremes
+        with pytest.raises(ValueError, match="missing"):
+            adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"]})
+        with pytest.raises(ValueError, match="positive definite"):
+            adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"], "s2": -np.eye(2)})
 
 
 class TestCheckConditions:
@@ -261,6 +270,31 @@ class TestSmallGain:
 
 
 class TestAnalyzePipeline:
+    @pytest.mark.parametrize("theta_max", [None, 0.5])
+    def test_extremes_once_per_matrix(self, theta_max, monkeypatch):
+        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        seen = []
+
+        def counted(S):
+            seen.append(S)
+            return lam_extremes(S)
+
+        lam_extremes = connective._lam_extremes
+        monkeypatch.setattr(connective, "_lam_extremes", counted)
+        rep = analyze(net, theta_max=theta_max)
+        assert len(seen) == 2 * len(net.ids)
+        monkeypatch.undo()
+        # the shared extremes give what the public functions give
+        M = comparison_matrix(net, rep.P)
+        offsets = adaptation_offsets(net, rep.P, theta_max=theta_max)
+        assert M.tobytes() == rep.M.tobytes()
+        assert offsets.tobytes() == rep.offsets.tobytes()
+        for sid in net.ids:
+            w = np.linalg.eigvalsh(rep.P[sid])
+            assert (rep.lambda_min_P[sid], rep.lambda_max_P[sid]) == (w[0], w[-1])
+            assert rep.lambda_min_Q[sid] == np.linalg.eigvalsh(net.tuning[sid].Q)[0]
+            assert rep.alpha[sid] == rep.lambda_min_Q[sid] / rep.lambda_max_P[sid]
+
     def test_weak_coupling_passes(self):
         rep = analyze(pair_net(0.02))
         assert rep.passed

@@ -59,6 +59,21 @@ class TestReferenceModel:
         assert np.array_equal(Am[:2, :2], A - B @ K_x)
         assert np.array_equal(Am[:2, 2:], B @ K_xi)
 
+    def test_slice_built_matches_np_block(self):
+        rng = np.random.default_rng(3)
+        for n, m, q in ((1, 1, 1), (3, 2, 1), (4, 2, 2), (2, 2, 0), (3, 3, 2)):
+            B = rng.normal(size=(n, m))
+            C = rng.normal(size=(q, n))
+            K_x = rng.normal(size=(m, n))
+            # A_nom - B K_x = -5 I, and K_xi = 0.1 (C B)^+ puts the integral
+            # modes near -0.02: Hurwitz by construction
+            A_nom = -5.0 * np.eye(n) + B @ K_x
+            K_xi = 0.1 * np.linalg.pinv(C @ B)
+            want = np.block([[A_nom - B @ K_x, B @ K_xi], [-C, np.zeros((q, q))]])
+            Am = build_reference_model(A_nom, B, C, K_x, K_xi)
+            assert Am.dtype == want.dtype and Am.shape == want.shape
+            assert Am.tobytes() == want.tobytes()
+
     def test_unstable_rejected(self):
         with pytest.raises(StabilityError):
             build_reference_model([[0.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import DC_AM, DC_B1, random_hurwitz
+from conftest import DC_AM, DC_B1, assert_same_bits, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -99,6 +99,48 @@ class TestAugment:
         with pytest.raises(ValueError, match="controllable"):
             Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
                       C=[[1.0, 0.0]])
+
+
+def _from_raw_by_block(B, C, A, D, E):
+    """The augmented blocks as ``np.block``/``np.vstack`` assembled them."""
+    n, m = B.shape
+    q = C.shape[0]
+    r = E.shape[1]
+    A_aug = None if A is None else np.block([[A, np.zeros((n, q))], [-C, np.zeros((q, q))]])
+    B_aug = np.vstack([B, np.zeros((q, m))])
+    C_aug = np.block([[C, np.zeros((q, q))], [np.zeros((q, n)), np.eye(q)]])
+    D_aug = np.vstack([D, np.zeros((q, m))])
+    E_aug = np.block([[E, np.zeros((n, q))], [np.zeros((q, r)), np.eye(q)]])
+    F = np.block([[np.zeros((n, n)), np.zeros((n, q))], [np.zeros((q, n)), np.eye(q)]])
+    return A_aug, B_aug, C_aug, D_aug, E_aug, F
+
+
+class TestFromRawBlocks:
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("r", [0, 2])
+    @pytest.mark.parametrize("plant", ["known", "unknown"])
+    def test_slice_built_blocks_match_np_block(self, q, r, plant):
+        rng = np.random.default_rng(100 * q + 10 * r + len(plant))
+        for n in (1, 2, 4):
+            for m in (1, 2):
+                A = rng.normal(size=(n, n)) if plant == "known" else None
+                B = rng.normal(size=(n, m))
+                C = rng.normal(size=(q, n))
+                C[:, 0] = -0.0  # signed zeros must survive the placement
+                D = rng.normal(size=(q, m))
+                E = rng.normal(size=(n, r))
+                # D and E given, then left to their zero defaults
+                for d, e in ((D, E), (None, None)):
+                    s = AugmentedSubsystem.from_raw("s", B, C, A=A, D=d, E=e)
+                    want = _from_raw_by_block(B, C, A, np.zeros((q, m)) if d is None else d,
+                                              np.zeros((n, 0)) if e is None else e)
+                    if A is None:
+                        assert s.A is None
+                    else:
+                        assert_same_bits(s.A, want[0])
+                    for got, ref in zip((s.B, s.C, s.D, s.E, s.F), want[1:]):
+                        assert_same_bits(got, ref)
+                    assert (s.n, s.m, s.q, s.r) == (n, m, q, 0 if e is None else r)
 
 
 class TestAugmentEdge:

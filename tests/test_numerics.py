@@ -5,6 +5,7 @@ from conftest import (
     DC_AM,
     DC_AM_PRINTED,
     DC_A12,
+    assert_same_bits,
     grid_distance_oracle,
     random_hurwitz,
     routh_hurwitz_3x3,
@@ -26,6 +27,7 @@ from gascert import (
     spectral_norm,
 )
 from gascert import numerics
+from gascert.numerics import as_matrix
 
 
 class TestEigenvalues:
@@ -116,7 +118,96 @@ class TestLyapunov:
             assert residual <= 1e-10 * scale
 
 
+def _as_matrix_atleast_2d(M, name="matrix", square=False):
+    """``as_matrix`` as it was written with ``np.atleast_2d``."""
+    A = np.atleast_2d(np.asarray(M, dtype=float))
+    if A.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={A.ndim}")
+    if A.size and not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} has non-finite entries")
+    if square and A.shape[0] != A.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+_F64 = np.arange(6.0)
+AS_MATRIX_INPUTS = {
+    "int": 3,
+    "float": -0.0,
+    "numpy scalar": np.float32(2.5),
+    "0-D array": np.array(7.0),
+    "bool": True,
+    "1-D list": [1, 2, 3],
+    "1-D array view": _F64,
+    "1-D empty": [],
+    "2-D empty rows": np.zeros((0, 3)),
+    "2-D empty cols": np.zeros((3, 0)),
+    "2-D list": [[1.0, 2.0], [3.0, 4.0]],
+    "2-D int array": np.arange(6).reshape(2, 3),
+    "2-D float view": _F64.reshape(3, 2),
+    "transposed": _F64.reshape(2, 3).T,
+    "nan scalar": float("nan"),
+    "inf 1-D": [1.0, float("inf")],
+    "nan 2-D": [[0.0, float("nan")]],
+    "None": None,
+    "3-D": np.zeros((2, 2, 2)),
+    "3-D empty": np.zeros((0, 2, 2)),
+    "3-D non-finite": np.full((1, 1, 1), np.inf),
+    "ragged": [[1.0], [2.0, 3.0]],
+    "string": "x",
+    "non-square": np.zeros((2, 3)),
+}
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("square", [False, True])
+    @pytest.mark.parametrize("name", sorted(AS_MATRIX_INPUTS))
+    def test_same_result_and_error_as_atleast_2d(self, name, square):
+        M = AS_MATRIX_INPUTS[name]
+        try:
+            want = _as_matrix_atleast_2d(M, "X", square=square)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                as_matrix(M, "X", square=square)
+            assert str(got.value) == str(exc)
+            return
+        got = as_matrix(M, "X", square=square)
+        assert_same_bits(got, want)
+        if isinstance(M, np.ndarray):
+            assert np.shares_memory(got, M) == np.shares_memory(want, M)
+
+    def test_shapes(self):
+        assert as_matrix(2.0).shape == (1, 1)
+        assert as_matrix([1.0, 2.0]).shape == (1, 2)
+        assert as_matrix([]).shape == (1, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix([np.nan])
+        with pytest.raises(DimensionError, match="ndim=3"):
+            as_matrix(np.zeros((1, 1, 1)))
+
+
 class TestHamiltonian:
+    @pytest.mark.parametrize("N,q", [(0, 0.0), (1, 0.0), (2, -0.0), (3, 1e-300), (1, 2.5e9)])
+    def test_slice_built_matches_np_block(self, N, q):
+        rng = np.random.default_rng(N)
+        for n in (1, 2, 5):
+            Am = random_hurwitz(rng, n)
+            Am[0, -1] = -0.0
+            eye = np.eye(n)
+            want = np.block([[Am, float(N) * eye], [-float(q) * eye, -Am.T]])
+            assert_same_bits(hamiltonian(Am, N, q), want)
+
+    def test_level_set_hamiltonian_matches_np_block(self):
+        # the level-set iteration assembles [[Ab, BB/level], [-CC/level, -Ab']]
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 6):
+            Ab = rng.normal(size=(n, n))
+            B, C = rng.normal(size=(n, n)), rng.normal(size=(2, n))
+            BB, CC = B @ B.T, C.T @ C
+            for level in (1e-3, 0.7, 3.0, 1e8):
+                want = np.block([[Ab, BB / level], [-CC / level, -Ab.T]])
+                assert_same_bits(numerics._hamiltonian(Ab, BB / level, CC / level), want)
+
     def test_scalar_blocks(self):
         H = hamiltonian([[-2.0]], 1, 1.0)
         assert np.array_equal(H, [[-2.0, 1.0], [-1.0, 2.0]])
