@@ -27,7 +27,7 @@ Am = net.desired["dgu1"]
 # ---------------------------------------------------------------------------
 # Small-gain diagnostic
 # ---------------------------------------------------------------------------
-res = small_gain_check(A12, A21, Am)
+(res,) = small_gain_check(net)  # one coupled pair: (dgu1, dgu2)
 print("coupling norms:", spectral_norm(A12), spectral_norm(A21))
 print("raw gain product:   %.6g   (needs < 1)" % res.raw_gain_product)
 print("hinf gain product:  %.6g" % res.hinf_product)

@@ -45,10 +45,8 @@ from .model import (
     AugmentedSubsystem,
     Interconnection,
     NetworkModel,
-    Subsystem,
     Tuning,
     assemble_global,
-    augment,
     augment_edge,
     check_controllability,
     closed_loop_global,

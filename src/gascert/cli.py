@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import digest, dump_report, load_config
-from .connective import analyze
+from .connective import analyze, small_gain_check
 from .exceptions import GascertError
-from .numerics import hinf_gain
 from .riccati import certify
 from .sim import export_csv, metrics, simulate
 
@@ -92,48 +91,18 @@ def cmd_riccati(args):
 
 def cmd_smallgain(args):
     net, _, data = load_config(args.config)
-    ids = sorted(net.ids)
-    edge_map = {}
-    for e in net.edges:
-        edge_map[(e.src, e.dst)] = e
-
-    def path_gain(e):
-        # worst-case transfer gain of one coupling path through the
-        # source's target dynamics
-        if e is None:
-            return 0.0, 0.0
-        Am = net.desired[e.src]
-        if e.A is not None:
-            return hinf_gain(e.A, Am), e.gain()
-        # bound-only edge: submultiplicative bound through the resolvent
-        return e.norm_bound * hinf_gain(np.eye(Am.shape[0]), Am), e.gain()
-
-    pairs = []
-    worst_h, worst_raw = 0.0, 0.0
-    all_pass = True
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            i, j = ids[a], ids[b]
-            fwd = edge_map.get((j, i))
-            back = edge_map.get((i, j))
-            if fwd is None and back is None:
-                continue
-            h1, r1 = path_gain(fwd)
-            h2, r2 = path_gain(back)
-            hprod, rprod = h1 * h2, r1 * r2
-            passed = bool(hprod < 1.0)
-            all_pass = all_pass and passed
-            worst_h = max(worst_h, hprod)
-            worst_raw = max(worst_raw, rprod)
-            pairs.append({"pair": [i, j], "hinf_product": hprod,
-                          "raw_gain_product": rprod, "pass": passed})
+    results = small_gain_check(net)
+    passed = all(r.passed for r in results)
     doc = _base_report("small-gain", data)
-    doc["verdict"] = "pass" if all_pass else "fail"
-    doc["hinf_product"] = worst_h
-    doc["raw_gain_product"] = worst_raw
-    doc["pairs"] = pairs
+    doc["verdict"] = "pass" if passed else "fail"
+    # worst pair, 0 without coupled pairs
+    doc["hinf_product"] = max([0.0] + [r.hinf_product for r in results])
+    doc["raw_gain_product"] = max([0.0] + [r.raw_gain_product for r in results])
+    doc["pairs"] = [{"pair": list(r.pair), "hinf_product": r.hinf_product,
+                     "raw_gain_product": r.raw_gain_product, "pass": r.passed}
+                    for r in results]
     sys.stdout.write(dump_report(doc))
-    return 0 if all_pass else 2
+    return 0 if passed else 2
 
 
 def cmd_simulate(args):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
 from .numerics import as_matrix, is_hurwitz, spectral_norm
@@ -27,10 +28,8 @@ __all__ = [
     "AugmentedSubsystem",
     "Interconnection",
     "NetworkModel",
-    "Subsystem",
     "Tuning",
     "assemble_global",
-    "augment",
     "augment_edge",
     "check_controllability",
     "closed_loop_global",
@@ -58,61 +57,8 @@ def check_controllability(A, B):
 
 
 @dataclass(frozen=True)
-class Subsystem:
-    """Raw state-space block of one subsystem.
-
-    ``A`` is (n, n), ``B`` (n, m), ``C`` (q, n), ``D`` (q, m), ``E`` (n, r).
-    The pair (A, B) must be controllable.
-    """
-
-    sid: str
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray = None
-    E: np.ndarray = None
-
-    def __post_init__(self):
-        A = as_matrix(self.A, f"subsystem {self.sid}: A", square=True)
-        n = A.shape[0]
-        B = as_matrix(self.B, f"subsystem {self.sid}: B")
-        C = as_matrix(self.C, f"subsystem {self.sid}: C")
-        if B.shape[0] != n:
-            raise DimensionError(f"subsystem {self.sid}: B has {B.shape[0]} rows, expected {n}")
-        if C.shape[1] != n:
-            raise DimensionError(f"subsystem {self.sid}: C has {C.shape[1]} cols, expected {n}")
-        m, q = B.shape[1], C.shape[0]
-        D = np.zeros((q, m)) if self.D is None else as_matrix(self.D, f"subsystem {self.sid}: D")
-        E = np.zeros((n, 0)) if self.E is None else as_matrix(self.E, f"subsystem {self.sid}: E")
-        if D.shape != (q, m):
-            raise DimensionError(f"subsystem {self.sid}: D has shape {D.shape}, expected {(q, m)}")
-        if E.shape[0] != n:
-            raise DimensionError(f"subsystem {self.sid}: E has {E.shape[0]} rows, expected {n}")
-        if not check_controllability(A, B):
-            raise ValueError(f"subsystem {self.sid}: (A, B) is not controllable")
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def q(self):
-        return self.C.shape[0]
-
-    @property
-    def r(self):
-        return self.E.shape[1]
-
-
-@dataclass(frozen=True)
 class AugmentedSubsystem:
-    """Integral-augmented subsystem blocks.
+    """Integral-augmented subsystem blocks; build them with ``from_raw``.
 
     ``A`` may be None when the plant state matrix is unknown (analysis and
     simulation only need the desired dynamics and the input/output blocks);
@@ -168,7 +114,9 @@ class AugmentedSubsystem:
     def from_raw(cls, sid, B, C, A=None, D=None, E=None):
         """Build the augmented blocks from raw (A, B, C, D, E).
 
-        ``A`` may be omitted for an unknown plant.
+        ``A`` is (n, n), ``B`` (n, m), ``C`` (q, n), ``D`` (q, m), ``E``
+        (n, r).  A given ``A`` must make (A, B) controllable; ``A`` may be
+        omitted for an unknown plant, which leaves nothing to test.
         """
         B = as_matrix(B, f"subsystem {sid}: B")
         C = as_matrix(C, f"subsystem {sid}: C")
@@ -189,6 +137,8 @@ class AugmentedSubsystem:
             A = as_matrix(A, f"subsystem {sid}: A", square=True)
             if A.shape[0] != n:
                 raise DimensionError(f"subsystem {sid}: A is {A.shape[0]}x{A.shape[0]}, expected {n}x{n}")
+            if not check_controllability(A, B):
+                raise ValueError(f"subsystem {sid}: (A, B) is not controllable")
             A_aug = np.zeros((p, p))
             A_aug[:n, :n] = A
             A_aug[n:, :n] = -C
@@ -206,11 +156,6 @@ class AugmentedSubsystem:
         F[n:, n:] = np.eye(q)
         return cls(sid=sid, A=A_aug, B=B_aug, C=C_aug, D=D_aug, E=E_aug, F=F,
                    n=n, q=q, m=m, r=r)
-
-
-def augment(s: Subsystem) -> AugmentedSubsystem:
-    """Augment a raw subsystem with one integral state per output."""
-    return AugmentedSubsystem.from_raw(s.sid, s.B, s.C, A=s.A, D=s.D, E=s.E)
 
 
 def augment_edge(A_ij, q_to, q_from):
@@ -315,7 +260,11 @@ class NetworkModel:
         if not ids:
             raise ValueError("network has no subsystems")
         self._by_id = {s.sid: s for s in self.subsystems}
+        pairs = set()
         for e in self.edges:
+            if (e.src, e.dst) in pairs:
+                raise ValueError(f"edge {e.src}->{e.dst}: repeated edge; declare each pair once")
+            pairs.add((e.src, e.dst))
             if e.src not in self._by_id:
                 raise ValueError(f"edge {e.src}->{e.dst}: unknown source id")
             if e.dst not in self._by_id:
@@ -372,27 +321,16 @@ class NetworkModel:
         return len(self.in_edges(sid))
 
 
-def _block_assemble(dims, diag, off):
-    """Place square diagonal blocks and (i, j) off-diagonal blocks."""
-    total = sum(dims)
-    out = np.zeros((total, total))
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    for k, blk in enumerate(diag):
-        i0, i1 = offsets[k], offsets[k + 1]
-        out[i0:i1, i0:i1] = blk
-    for (i, j), blk in off.items():
-        out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
-    return out
-
-
-def _block_diag(blocks, rows, cols):
-    total_r, total_c = sum(rows), sum(cols)
-    out = np.zeros((total_r, total_c))
-    r0 = c0 = 0
-    for blk, r, c in zip(blocks, rows, cols):
-        out[r0:r0 + r, c0:c0 + c] = blk
-        r0 += r
-        c0 += c
+def _coupled_block_diag(net: NetworkModel, diag):
+    """Block-diagonal ``diag`` with each edge's block at (destination, source)."""
+    out = block_diag(*diag)
+    offsets = np.cumsum([0] + [s.dim for s in net.subsystems])
+    index = {sid: k for k, sid in enumerate(net.ids)}
+    for e in net.edges:
+        if e.A is None:
+            raise ValueError(f"edge {e.src}->{e.dst}: bound-only edge cannot be assembled")
+        i, j = index[e.dst], index[e.src]
+        out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = e.A
     return out
 
 
@@ -403,25 +341,17 @@ def assemble_global(net: NetworkModel):
     coupling blocks off-diagonal; ``B, C, D, E`` are block-diagonal.
     Subsystem order follows ``net.subsystems``.
     """
-    index = {sid: k for k, sid in enumerate(net.ids)}
-    dims = [s.dim for s in net.subsystems]
-    for s in net.subsystems:
+    subs = net.subsystems
+    for s in subs:
         if s.A is None:
             raise ValueError(
                 f"subsystem {s.sid}: state matrix unknown; open-loop assembly needs it"
             )
-    off = {}
-    for e in net.edges:
-        if e.A is None:
-            raise ValueError(f"edge {e.src}->{e.dst}: bound-only edge cannot be assembled")
-        off[(index[e.dst], index[e.src])] = e.A
-    A = _block_assemble(dims, [s.A for s in net.subsystems], off)
-    B = _block_diag([s.B for s in net.subsystems], dims, [s.m for s in net.subsystems])
-    C = _block_diag([s.C for s in net.subsystems], [2 * s.q for s in net.subsystems], dims)
-    D = _block_diag([s.D for s in net.subsystems],
-                    [2 * s.q for s in net.subsystems], [s.m for s in net.subsystems])
-    E = _block_diag([s.E for s in net.subsystems], dims,
-                    [s.r + s.q for s in net.subsystems])
+    A = _coupled_block_diag(net, [s.A for s in subs])
+    B = block_diag(*[s.B for s in subs])
+    C = block_diag(*[s.C for s in subs])
+    D = block_diag(*[s.D for s in subs])
+    E = block_diag(*[s.E for s in subs])
     return A, B, C, D, E
 
 
@@ -431,11 +361,4 @@ def closed_loop_global(net: NetworkModel):
     Block-diagonal desired dynamics plus the off-diagonal coupling blocks;
     the decomposition into those two parts is exact by construction.
     """
-    index = {sid: k for k, sid in enumerate(net.ids)}
-    dims = [s.dim for s in net.subsystems]
-    off = {}
-    for e in net.edges:
-        if e.A is None:
-            raise ValueError(f"edge {e.src}->{e.dst}: bound-only edge cannot be assembled")
-        off[(index[e.dst], index[e.src])] = e.A
-    return _block_assemble(dims, [net.desired[sid] for sid in net.ids], off)
+    return _coupled_block_diag(net, [net.desired[sid] for sid in net.ids])

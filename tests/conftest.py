@@ -23,27 +23,6 @@ def random_hurwitz(rng, n, scale=1.0):
     return A - (shift + margin) * np.eye(n)
 
 
-def grid_distance_oracle(A, points=2000):
-    """Brute-force min over w of sigma_min(A - jwI): dense grid + refine."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    eye = np.eye(n)
-
-    def smin(w):
-        return np.linalg.svd(A - 1j * w * eye, compute_uv=False)[-1]
-
-    hi = 2.0 * np.linalg.norm(A, 2)
-    grid = np.linspace(0.0, hi, points)
-    vals = np.array([smin(w) for w in grid])
-    k = int(np.argmin(vals))
-    lo_w = grid[max(k - 1, 0)]
-    hi_w = grid[min(k + 1, points - 1)]
-    res = minimize_scalar(smin, bounds=(lo_w, hi_w), method="bounded",
-                          options={"xatol": 1e-12})
-    return min(float(vals[k]), float(res.fun))
-
-
-
 def _sweep_extremum(f, A, sign, points=2000):
     """Minimise ``sign * f(w)`` over ``w >= 0``: log grid, then local refinement.
 

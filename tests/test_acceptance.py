@@ -23,7 +23,6 @@ from conftest import (
     DC_AM,
     DC_A12,
     DC_A21,
-    grid_distance_oracle,
     random_hurwitz,
     spread_normal,
     sweep_distance_oracle,
@@ -49,6 +48,7 @@ from gascert import (
     spectral_norm,
 )
 from gascert.cli import main
+from gascert.config import load_config
 
 
 def _report(n, ok, detail):
@@ -56,8 +56,13 @@ def _report(n, ok, detail):
 
 
 def test_criterion_1_small_gain_regression():
+    net = load_config(CONFIG_DIR / "dc_pair.json")[0]
+    assert np.array_equal(net.in_edges("dgu1")[0].A, DC_A12)
+    assert np.array_equal(net.in_edges("dgu2")[0].A, DC_A21)
+    assert np.array_equal(net.desired["dgu1"], DC_AM)
+    assert np.array_equal(net.desired["dgu2"], DC_AM)
     t0 = time.perf_counter()
-    res = small_gain_check(DC_A12, DC_A21, DC_AM)
+    (res,) = small_gain_check(net)
     elapsed = time.perf_counter() - t0
     ok = (abs(res.raw_gain_product - 2.0588e9) <= 1e-3 * 2.0588e9
           and not res.passed and elapsed < 1.0)
@@ -147,7 +152,7 @@ def test_criterion_4_bisection_vs_brute_force():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         A = random_hurwitz(rng, n)
-        oracle = grid_distance_oracle(A)
+        oracle = sweep_distance_oracle(A)
         d = distance_to_instability(A, 1, tol)
         err = abs(d - oracle)
         assert err <= max(tol, 1e-4 * oracle)
@@ -163,7 +168,7 @@ def test_criterion_4_bisection_vs_brute_force():
         assert err <= max(tol, 1e-4 * oracle)
         worst = max(worst, err / max(tol, 1e-4 * oracle))
     assert distance_to_instability(DC_AM, 1, tol) == pytest.approx(
-        grid_distance_oracle(DC_AM), rel=1e-8)
+        sweep_distance_oracle(DC_AM), rel=1e-8)
     # boundary case: level exactly at the distance must report failure
     d = distance_to_instability([[-1.0]], 1, 1e-12)
     assert not d > 1.0

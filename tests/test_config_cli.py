@@ -276,6 +276,44 @@ class TestExitCodes:
         assert main(["connective", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: config.subsystems[1].id: duplicate id 'a'\n"
 
+    @pytest.mark.parametrize("k,edit", [
+        (0, {"A": [[0.0]], "B": [[0.0]]}),
+        (1, {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0], [0.0]], "C": [[1.0, 0.0]],
+             "E": [[1.0], [0.0]]}),
+    ], ids=["zero_input", "unreachable_mode"])
+    def test_uncontrollable_plant_one_line_error(self, k, edit, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["subsystems"][k].update(edit)
+        cfg = tmp_path / "uncontrollable.json"
+        cfg.write_text(json.dumps(doc))
+        sid = doc["subsystems"][k]["id"]
+        for command in ("riccati", "connective", "smallgain"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: config.subsystems[{k}]: subsystem {sid}: "
+                                    "(A, B) is not controllable\n")
+
+    def test_unknown_plant_skips_controllability(self, tmp_path, capsys):
+        # with A null there is no pair (A, B) to test, even for B = 0
+        doc = json.loads(open(TOY, "rb").read())
+        doc["subsystems"][0].update(A=None, B=[[0.0]])
+        cfg = tmp_path / "unknown_plant.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
+
+    def test_repeated_edge_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"].append({"from": "b", "to": "a", "A": [[0.2]]})
+        cfg = tmp_path / "repeated_edge.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("riccati", "connective", "smallgain"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: config: edge b->a: repeated edge; declare each pair once\n"
+
     def test_line_breaks_in_message_stay_on_one_line(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["scenario"]["theta"]["a\nb\u2028c"] = None
@@ -347,11 +385,17 @@ JSON_VALUES = st.recursive(
 )
 
 
+VERDICTS = {"riccati": ("certified", "not-certified"), "connective": ("pass", "fail"),
+            "smallgain": ("pass", "fail")}
+
+
 class TestConfigFuzz:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+    # about 200 examples per command
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(path=st.sampled_from(_field_paths(TOY_DOC)), value=JSON_VALUES)
-    def test_one_field_replaced(self, path, value, tmp_path, capsys):
+    @given(command=st.sampled_from(sorted(VERDICTS)), path=st.sampled_from(_field_paths(TOY_DOC)),
+           value=JSON_VALUES)
+    def test_one_field_replaced(self, command, path, value, tmp_path, capsys):
         doc = json.loads(json.dumps(TOY_DOC))
         node = doc
         for key in path[:-1]:
@@ -362,7 +406,7 @@ class TestConfigFuzz:
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main(["riccati", str(cfg)])
+            rc = main([command, str(cfg)])
         assert not caught, [str(w.message) for w in caught]
         captured = capsys.readouterr()
         assert rc in (0, 1, 2)
@@ -371,7 +415,7 @@ class TestConfigFuzz:
             assert captured.err.startswith("error: ")
             assert len(captured.err.splitlines()) == 1
         else:
-            assert json.loads(captured.out)["verdict"] in ("certified", "not-certified")
+            assert json.loads(captured.out)["verdict"] in VERDICTS[command]
 
 
 class TestDeterminism:

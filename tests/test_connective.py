@@ -43,7 +43,8 @@ P_FAB = {"s1": np.diag([1.0, 2.0]), "s2": np.diag([1.0, 2.0])}
 
 def fab_net(coupling=0.1, gamma=1.0, theta_max=1.0):
     def sub(sid):
-        return AugmentedSubsystem.from_raw(sid, B=[[1.0], [0.0]], C=np.zeros((0, 2)),
+        # the input reaches both modes, so (A, B) is controllable
+        return AugmentedSubsystem.from_raw(sid, B=[[1.0], [1.0]], C=np.zeros((0, 2)),
                                            A=[[-1.0, 0.0], [0.0, -2.0]])
 
     tun = Tuning(Q=np.eye(2), gamma=gamma, theta_max=theta_max, eps0=0.1)
@@ -249,24 +250,66 @@ class TestTransientBound:
         assert np.all(np.diff(rho) < 0.0)
 
 
+def path_net(*edges, subsystems=("s1", "s2")):
+    """Scalar subsystems with desired dynamics -1 and edges ``(src, dst, gain)``."""
+    tun = Tuning(Q=np.eye(1), gamma=1.0, theta_max=1.0, eps0=0.1)
+    return NetworkModel(
+        subsystems=[scalar_sub(sid) for sid in subsystems],
+        edges=[Interconnection(src=src, dst=dst, A=[[g]]) for src, dst, g in edges],
+        desired={sid: [[-1.0]] for sid in subsystems},
+        tuning={sid: tun for sid in subsystems})
+
+
 class TestSmallGain:
     def test_benchmark_products(self):
-        res = small_gain_check(DC_A12, DC_A21, DC_AM)
+        net, _, _ = load_config(CONFIG_DIR / "dc_pair.json")
+        # the config holds the fixture's matrices
+        assert np.array_equal(net.in_edges("dgu1")[0].A, DC_A12)
+        assert np.array_equal(net.in_edges("dgu2")[0].A, DC_A21)
+        assert np.array_equal(net.desired["dgu1"], DC_AM)
+        assert np.array_equal(net.desired["dgu2"], DC_AM)
+        (res,) = small_gain_check(net)
+        assert res.pair == ("dgu1", "dgu2")
         assert res.raw_gain_product == pytest.approx(5.32e4 * 3.87e4, rel=1e-12)
         assert res.raw_gain_product == pytest.approx(2.0588e9, rel=1e-3)
         assert not res.passed
 
     def test_zero_coupling(self):
-        res = small_gain_check(np.zeros((1, 1)), np.zeros((1, 1)), [[-1.0]])
+        # one direction only: the missing path has gain 0
+        (res,) = small_gain_check(path_net(("s2", "s1", 0.5)))
         assert res.hinf_product == 0.0
         assert res.raw_gain_product == 0.0
         assert res.passed
 
     def test_scalar_quarter(self):
         # first-order paths peak at w=0 with gain 0.5 each
-        res = small_gain_check([[0.5]], [[0.5]], [[-1.0]])
+        (res,) = small_gain_check(path_net(("s2", "s1", 0.5), ("s1", "s2", 0.5)))
         assert res.hinf_product == pytest.approx(0.25, rel=1e-6)
+        assert res.raw_gain_product == 0.25
         assert res.passed
+
+    def test_bound_only_path(self):
+        # norm_bound * ||(sI + 1)^-1||_inf = 0.5 * 1
+        net = path_net(("s2", "s1", 0.5))
+        bound = Interconnection(src="s1", dst="s2", bound_only=True, norm_bound=0.5)
+        net = NetworkModel(subsystems=net.subsystems, edges=net.edges + [bound],
+                           desired=net.desired, tuning=net.tuning)
+        (res,) = small_gain_check(net)
+        assert res.hinf_product == pytest.approx(0.25, rel=1e-6)
+        assert res.raw_gain_product == 0.25
+
+    def test_uncoupled_network_has_no_pairs(self):
+        assert small_gain_check(path_net()) == []
+
+    def test_pairs_in_sorted_id_order(self):
+        net = path_net(("c", "a", 0.5), ("b", "c", 2.0), ("c", "b", 1.0),
+                       subsystems=("c", "b", "a"))
+        res = small_gain_check(net)
+        assert [r.pair for r in res] == [("a", "c"), ("b", "c")]
+        # (b, c): path c -> b times path b -> c
+        assert res[1].raw_gain_product == 2.0
+        assert res[1].hinf_product == pytest.approx(2.0, rel=1e-6)
+        assert [r.passed for r in res] == [True, False]
 
 
 class TestAnalyzePipeline:

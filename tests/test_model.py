@@ -8,10 +8,8 @@ from gascert import (
     Interconnection,
     NetworkModel,
     StabilityError,
-    Subsystem,
     Tuning,
     assemble_global,
-    augment,
     augment_edge,
     check_controllability,
     closed_loop_global,
@@ -48,23 +46,20 @@ class TestControllability:
 
 class TestAugment:
     def test_state_block_placement(self):
-        s = Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
-                      C=[[1.0, 0.0]])
-        aug = augment(s)
+        aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
+                                          A=np.diag([-1.0, -2.0]))
         expected = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [-1.0, 0.0, 0.0]])
         assert np.array_equal(aug.A, expected)
 
     def test_input_zero_padding(self):
-        s = Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
-                      C=[[1.0, 0.0]])
-        aug = augment(s)
+        aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
+                                          A=np.diag([-1.0, -2.0]))
         assert np.array_equal(aug.B, np.array([[1.0], [1.0], [0.0]]))
 
     def test_disturbance_block(self):
         E = np.array([[2.0], [3.0]])
-        s = Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
-                      C=[[1.0, 0.0]], E=E)
-        aug = augment(s)
+        aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
+                                          A=np.diag([-1.0, -2.0]), E=E)
         expected = np.array([[2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
         assert np.array_equal(aug.E, expected)
         # the selector keeps only the reference rows
@@ -72,9 +67,8 @@ class TestAugment:
                               np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
 
     def test_output_block(self):
-        s = Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
-                      C=[[1.0, 0.0]])
-        aug = augment(s)
+        aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
+                                          A=np.diag([-1.0, -2.0]))
         assert np.array_equal(aug.C, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
     def test_structural_invariants_random(self):
@@ -87,18 +81,27 @@ class TestAugment:
             B = rng.normal(size=(n, m))
             C = rng.normal(size=(q, n))
             try:
-                s = Subsystem(sid="s", A=A, B=B, C=C)
+                aug = AugmentedSubsystem.from_raw("s", B, C, A=A)
             except ValueError:
                 continue  # rare non-controllable draw
-            aug = augment(s)
             assert np.array_equal(aug.A[n:, :n], -C)
             assert np.all(aug.A[:, n:] == 0.0)
             assert np.all(aug.B[n:, :] == 0.0)
 
     def test_uncontrollable_rejected(self):
         with pytest.raises(ValueError, match="controllable"):
-            Subsystem(sid="s", A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
-                      C=[[1.0, 0.0]])
+            AugmentedSubsystem.from_raw("s", B=[[1.0], [0.0]], C=[[1.0, 0.0]],
+                                        A=np.diag([-1.0, -2.0]))
+
+    def test_zero_input_rejected(self):
+        with pytest.raises(ValueError, match=r"subsystem s: \(A, B\) is not controllable"):
+            AugmentedSubsystem.from_raw("s", B=[[0.0]], C=[[1.0]], A=[[0.0]])
+
+    def test_unknown_plant_not_tested(self):
+        # without A there is no pair to test, so even B = 0 is accepted
+        aug = AugmentedSubsystem.from_raw("s", B=[[0.0]], C=[[1.0]])
+        assert aug.A is None
+        assert aug.dim == 2
 
 
 def _from_raw_by_block(B, C, A, D, E):
@@ -182,45 +185,70 @@ def two_sub_net(coupling=0.5, heterogeneous=False):
     )
 
 
+def single_net():
+    aug = AugmentedSubsystem.from_raw("only", B=[[2.0]], C=[[1.0]], A=[[-1.0]])
+    return NetworkModel(subsystems=[aug], edges=[],
+                        desired={"only": [[-2.0, 1.0], [-1.0, 0.0]]},
+                        tuning={"only": toy_tuning(2)})
+
+
+def one_edge_net():
+    net = two_sub_net(coupling=0.0)
+    net.edges.append(Interconnection(src="s2", dst="s1", A=[[0.7]]))
+    return net
+
+
+def round_trip_net():
+    """Two mixed-shape subsystems and one coupling edge; returns (net, raw edge)."""
+    rng = np.random.default_rng(17)
+    subs, desired, tuning = [], {}, {}
+    for sid, n, m, q in (("x", 2, 1, 1), ("y", 3, 2, 1)):
+        while True:
+            A = random_hurwitz(rng, n)
+            B = rng.normal(size=(n, m))
+            if check_controllability(A, B):
+                break
+        C = rng.normal(size=(q, n))
+        E = rng.normal(size=(n, 1))
+        subs.append(AugmentedSubsystem.from_raw(sid, B, C, A=A, E=E))
+        desired[sid] = random_hurwitz(rng, n + q)
+        tuning[sid] = toy_tuning(n + q)
+    e_xy = rng.normal(size=(2, 3))
+    edge = Interconnection(src="y", dst="x", A=augment_edge(e_xy, 1, 1))
+    return NetworkModel(subsystems=subs, edges=[edge], desired=desired, tuning=tuning), e_xy
+
+
+def benchmark_pair_net():
+    from conftest import DC_A12, DC_A21
+
+    subs = [
+        AugmentedSubsystem.from_raw("dgu1", B=DC_B1[:2], C=[[0.0, 1.0]]),
+        AugmentedSubsystem.from_raw("dgu2", B=[[4.25e6], [-5.6e5]], C=[[0.0, 1.0]]),
+    ]
+    edges = [Interconnection(src="dgu2", dst="dgu1", A=DC_A12),
+             Interconnection(src="dgu1", dst="dgu2", A=DC_A21)]
+    return NetworkModel(subsystems=subs, edges=edges,
+                        desired={"dgu1": DC_AM, "dgu2": DC_AM},
+                        tuning={"dgu1": toy_tuning(3), "dgu2": toy_tuning(3)})
+
+
 class TestAssembleGlobal:
     def test_single_subsystem(self):
-        s = Subsystem(sid="only", A=[[-1.0]], B=[[2.0]], C=[[1.0]])
-        aug = augment(s)
-        net = NetworkModel(subsystems=[aug], edges=[],
-                           desired={"only": [[-2.0, 1.0], [-1.0, 0.0]]},
-                           tuning={"only": toy_tuning(2)})
+        net = single_net()
+        aug = net.subsystem("only")
         A, B, C, D, E = assemble_global(net)
         assert np.array_equal(A, aug.A)
         assert np.array_equal(B, aug.B)
         assert np.array_equal(C, aug.C)
 
     def test_one_directed_edge(self):
-        net = two_sub_net(coupling=0.0)
-        net.edges.append(Interconnection(src="s2", dst="s1", A=[[0.7]]))
-        A, *_ = assemble_global(net)
+        A, *_ = assemble_global(one_edge_net())
         assert A[0, 1] == 0.7
         assert A[1, 0] == 0.0
 
     def test_round_trip_exact(self):
-        rng = np.random.default_rng(17)
-        subs, desired, tuning = [], {}, {}
-        raws = {}
-        for sid, n, m, q in (("x", 2, 1, 1), ("y", 3, 2, 1)):
-            while True:
-                A = random_hurwitz(rng, n)
-                B = rng.normal(size=(n, m))
-                if check_controllability(A, B):
-                    break
-            C = rng.normal(size=(q, n))
-            E = rng.normal(size=(n, 1))
-            s = Subsystem(sid=sid, A=A, B=B, C=C, E=E)
-            raws[sid] = s
-            subs.append(augment(s))
-            desired[sid] = random_hurwitz(rng, n + q)
-            tuning[sid] = toy_tuning(n + q)
-        e_xy = rng.normal(size=(2, 3))
-        edge = Interconnection(src="y", dst="x", A=augment_edge(e_xy, 1, 1))
-        net = NetworkModel(subsystems=subs, edges=[edge], desired=desired, tuning=tuning)
+        net, e_xy = round_trip_net()
+        subs, edge = net.subsystems, net.edges[0]
         A, B, C, D, E = assemble_global(net)
         dx, dy = subs[0].dim, subs[1].dim
         assert np.array_equal(A[:dx, :dx], subs[0].A)
@@ -259,16 +287,7 @@ class TestClosedLoopGlobal:
     def test_benchmark_pair_spectrum(self):
         from conftest import DC_A12, DC_A21
 
-        subs = [
-            AugmentedSubsystem.from_raw("dgu1", B=DC_B1[:2], C=[[0.0, 1.0]]),
-            AugmentedSubsystem.from_raw("dgu2", B=[[4.25e6], [-5.6e5]], C=[[0.0, 1.0]]),
-        ]
-        edges = [Interconnection(src="dgu2", dst="dgu1", A=DC_A12),
-                 Interconnection(src="dgu1", dst="dgu2", A=DC_A21)]
-        net = NetworkModel(subsystems=subs, edges=edges,
-                           desired={"dgu1": DC_AM, "dgu2": DC_AM},
-                           tuning={"dgu1": toy_tuning(3), "dgu2": toy_tuning(3)})
-        A = closed_loop_global(net)
+        A = closed_loop_global(benchmark_pair_net())
         assert A.shape == (6, 6)
         assert np.array_equal(A[:3, 3:], DC_A12)
         assert np.array_equal(A[3:, :3], DC_A21)
@@ -276,6 +295,66 @@ class TestClosedLoopGlobal:
         oracle = np.linalg.eigvals(np.block([[DC_AM, DC_A12], [DC_A21, DC_AM]]))
         ours = np.linalg.eigvals(A)
         assert np.allclose(np.sort_complex(ours), np.sort_complex(oracle))
+
+
+def _slice_block_diag(blocks, rows, cols):
+    """Block-diagonal placement by explicit slices (the pre-scipy assembly)."""
+    out = np.zeros((sum(rows), sum(cols)))
+    r0 = c0 = 0
+    for blk, r, c in zip(blocks, rows, cols):
+        out[r0:r0 + r, c0:c0 + c] = blk
+        r0 += r
+        c0 += c
+    return out
+
+
+def _slice_assembly(net, diag):
+    """Square diagonal blocks, then every edge block at (dst, src), by slices."""
+    dims = [s.dim for s in net.subsystems]
+    out = _slice_block_diag(diag, dims, dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    index = {sid: k for k, sid in enumerate(net.ids)}
+    for e in net.edges:
+        i, j = index[e.dst], index[e.src]
+        out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = e.A
+    return out
+
+
+ASSEMBLY_NETS = {
+    "single": single_net,
+    "uncoupled": lambda: two_sub_net(coupling=0.0, heterogeneous=True),
+    "coupled": lambda: two_sub_net(coupling=0.5),
+    "one_edge": one_edge_net,
+    "round_trip": lambda: round_trip_net()[0],
+    "benchmark_pair": benchmark_pair_net,
+}
+
+
+class TestAssemblyBits:
+    """``scipy.linalg.block_diag`` plus edge placement against the slice assembly."""
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_NETS))
+    def test_closed_loop(self, name):
+        net = ASSEMBLY_NETS[name]()
+        want = _slice_assembly(net, [net.desired[sid] for sid in net.ids])
+        assert_same_bits(closed_loop_global(net), want)
+
+    @pytest.mark.parametrize("name", sorted(set(ASSEMBLY_NETS) - {"benchmark_pair"}))
+    def test_open_loop(self, name):
+        net = ASSEMBLY_NETS[name]()
+        subs = net.subsystems
+        dims = [s.dim for s in subs]
+        m = [s.m for s in subs]
+        q2 = [2 * s.q for s in subs]
+        want = (
+            _slice_assembly(net, [s.A for s in subs]),
+            _slice_block_diag([s.B for s in subs], dims, m),
+            _slice_block_diag([s.C for s in subs], q2, dims),
+            _slice_block_diag([s.D for s in subs], q2, m),
+            _slice_block_diag([s.E for s in subs], dims, [s.r + s.q for s in subs]),
+        )
+        for got, ref in zip(assemble_global(net), want):
+            assert_same_bits(got, ref)
 
 
 class TestNetworkValidation:
@@ -298,6 +377,13 @@ class TestNetworkValidation:
         with pytest.raises(DimensionError):
             NetworkModel(subsystems=net.subsystems,
                          edges=[Interconnection(src="s2", dst="s1", A=np.ones((2, 2)))],
+                         desired=net.desired, tuning=net.tuning)
+
+    def test_repeated_edge_rejected(self):
+        net = two_sub_net(coupling=0.5)
+        with pytest.raises(ValueError, match=r"edge s1->s2: repeated edge"):
+            NetworkModel(subsystems=net.subsystems,
+                         edges=net.edges + [Interconnection(src="s1", dst="s2", A=[[0.2]])],
                          desired=net.desired, tuning=net.tuning)
 
     def test_zero_edge_rejected(self):

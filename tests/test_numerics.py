@@ -6,7 +6,6 @@ from conftest import (
     DC_AM_PRINTED,
     DC_A12,
     assert_same_bits,
-    grid_distance_oracle,
     random_hurwitz,
     routh_hurwitz_3x3,
     spread_normal,
@@ -313,10 +312,10 @@ class TestDistance:
 
     def test_shear_matrix_vs_oracle(self):
         # analytic check at w=0: sigma_min^2 is the small root of
-        # x^2 - 102 x + 1, i.e. ~9.902e-2; the grid oracle confirms the
+        # x^2 - 102 x + 1, i.e. ~9.902e-2; the sweep oracle confirms the
         # minimum sits at w=0
         A = np.array([[-1.0, 10.0], [0.0, -1.0]])
-        oracle = grid_distance_oracle(A)
+        oracle = sweep_distance_oracle(A)
         smin0 = np.sqrt((102.0 - np.sqrt(102.0**2 - 4.0)) / 2.0)
         assert oracle == pytest.approx(smin0, rel=1e-9)
         d = distance_to_instability(A, 1, 1e-8)
@@ -341,14 +340,13 @@ class TestDistance:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             A = random_hurwitz(rng, n)
-            oracle = grid_distance_oracle(A)
+            oracle = sweep_distance_oracle(A)
             d = distance_to_instability(A, 1, 1e-8)
             assert abs(d - oracle) <= max(1e-8, 1e-4 * oracle)
 
     def test_benchmark_matches_sweep(self):
         # slow mode near 1e-2 beside a fast one near 3.5e6
         d = distance_to_instability(DC_AM, 1, 1e-12 * spectral_norm(DC_AM))
-        assert d == pytest.approx(grid_distance_oracle(DC_AM), rel=1e-8)
         assert d == pytest.approx(sweep_distance_oracle(DC_AM), rel=1e-8)
         assert d == pytest.approx(0.013980367771379707, rel=1e-8)
 
