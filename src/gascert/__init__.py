@@ -46,7 +46,6 @@ from .model import (
     Interconnection,
     NetworkModel,
     Tuning,
-    assemble_global,
     augment_edge,
     check_controllability,
     closed_loop_global,
@@ -69,7 +68,6 @@ from .riccati import (
     certify,
     epsilon_margin,
     interconnection_energy,
-    stability_margin,
 )
 from .sim import (
     NetworkState,

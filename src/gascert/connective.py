@@ -73,8 +73,7 @@ def comparison_matrix(net: NetworkModel, P: dict):
 
 
 def _comparison_matrix(net, lam_P, lmin_Q):
-    ids = net.ids
-    index = {sid: k for k, sid in enumerate(ids)}
+    ids, index = net.ids, net.index
     M = np.zeros((len(ids), len(ids)))
     for sid in ids:
         lmin_P, lmax_P = lam_P[sid]
@@ -87,7 +86,7 @@ def _comparison_matrix(net, lam_P, lmin_Q):
     return M
 
 
-def adaptation_offsets(net: NetworkModel, P: dict, theta_max=None):
+def adaptation_offsets(net: NetworkModel, P: dict):
     """Offset vector (the diagonal of the aggregate offset term).
 
     For subsystem i::
@@ -96,18 +95,18 @@ def adaptation_offsets(net: NetworkModel, P: dict, theta_max=None):
                 - sum over out-edges i->j of
                   lam_max(P_i) ||A_ji|| / (Gamma_j sqrt(lam_min(P_i) lam_min(P_j))) )
 
-    ``theta_max`` overrides the per-subsystem tuning value when given.
-    Large adaptive gains make every entry arbitrarily small.
+    with ``theta_max`` the subsystem's tuning value.  Large adaptive gains
+    make every entry arbitrarily small.
     """
-    return _adaptation_offsets(net, *_extremes(net, P), theta_max)
+    return _adaptation_offsets(net, *_extremes(net, P))
 
 
-def _adaptation_offsets(net, lam_P, lmin_Q, theta_max):
+def _adaptation_offsets(net, lam_P, lmin_Q):
     out = np.zeros(len(net.ids))
     for k, sid in enumerate(net.ids):
         lmin_P, lmax_P = lam_P[sid]
         gamma_i = net.tuning[sid].gamma
-        tmax = net.tuning[sid].theta_max if theta_max is None else float(theta_max)
+        tmax = net.tuning[sid].theta_max
         term = lmin_Q[sid] / (2.0 * gamma_i * lmax_P)
         for e in net.out_edges(sid):
             gamma_j = net.tuning[e.dst].gamma
@@ -254,7 +253,7 @@ class ConnectiveReport:
     passed: bool
 
 
-def analyze(net: NetworkModel, theta_max=None, lyap_rtol=1e-10) -> ConnectiveReport:
+def analyze(net: NetworkModel, lyap_rtol=1e-10) -> ConnectiveReport:
     """Run the full aggregate pipeline on a network.
 
     Solves one Lyapunov equation per subsystem (independent solves), then
@@ -264,7 +263,7 @@ def analyze(net: NetworkModel, theta_max=None, lyap_rtol=1e-10) -> ConnectiveRep
          for sid in net.ids}
     lam_P, lam_min_Q = _extremes(net, P)
     M = _comparison_matrix(net, lam_P, lam_min_Q)
-    offsets = _adaptation_offsets(net, lam_P, lam_min_Q, theta_max)
+    offsets = _adaptation_offsets(net, lam_P, lam_min_Q)
     cond_diag, cond_norm, M_stable = check_conditions(M, offsets)
     return ConnectiveReport(
         ids=list(net.ids),

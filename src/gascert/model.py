@@ -1,5 +1,5 @@
 """Network data model: subsystem blocks, integral augmentation,
-interconnection edges, and global block assembly.
+interconnection edges, and the closed-loop global matrix.
 
 A raw subsystem is the usual state-space quintuple (A, B, C, D, E).  For
 reference tracking it is augmented with one integral state per controlled
@@ -22,14 +22,13 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import as_matrix, is_hurwitz, spectral_norm
+from .numerics import as_matrix, eigenvalues, is_hurwitz, spectral_norm
 
 __all__ = [
     "AugmentedSubsystem",
     "Interconnection",
     "NetworkModel",
     "Tuning",
-    "assemble_global",
     "augment_edge",
     "check_controllability",
     "closed_loop_global",
@@ -37,32 +36,32 @@ __all__ = [
 
 
 def check_controllability(A, B):
-    """Kalman rank test: rank([B, AB, ..., A^(n-1) B]) == n.
+    """PBH test: ``[A - lam I, B]`` has full row rank at every eigenvalue of A.
 
-    Rank is measured by singular values with a relative tolerance of
-    1e-10 against the largest one, so verdicts are reproducible.
+    Rank is judged by the smallest singular value against ``1e-10 *
+    max(||A||_2, ||B||_2)``, so the verdict does not depend on how the
+    pair is scaled and no power of ``A`` is formed.
     """
     A = as_matrix(A, "A", square=True)
     B = as_matrix(B, "B")
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return n == 0
-    return bool(np.sum(sv > 1e-10 * sv[0]) == n)
+    if n == 0:
+        return True
+    pencil = np.empty((n, n, n + B.shape[1]), dtype=complex)
+    pencil[:, :, :n] = A - eigenvalues(A)[:, None, None] * np.eye(n)
+    pencil[:, :, n:] = B
+    smin = np.linalg.svd(pencil, compute_uv=False)[:, -1]
+    return bool(np.all(smin > 1e-10 * max(spectral_norm(A), spectral_norm(B))))
 
 
 @dataclass(frozen=True)
 class AugmentedSubsystem:
     """Integral-augmented subsystem blocks; build them with ``from_raw``.
 
-    ``A`` may be None when the plant state matrix is unknown (analysis and
-    simulation only need the desired dynamics and the input/output blocks);
-    global open-loop assembly then refuses to run.
+    ``A`` may be None when the plant state matrix is unknown: analysis and
+    simulation only need the desired dynamics and the input/output blocks.
     """
 
     sid: str
@@ -239,27 +238,36 @@ class Tuning:
         object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkModel:
     """Subsystems, coupling edges, desired dynamics, and tuning.
 
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
+    ``subsystems`` and ``edges`` are stored as tuples and checked once;
+    ``index`` maps each id to its position in ``subsystems``, and the in-
+    and out-edges of every id are tabulated at construction.
     """
 
-    subsystems: list
-    edges: list
+    subsystems: tuple
+    edges: tuple
     desired: dict
     tuning: dict
     baseline: dict = field(default_factory=dict)
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        object.__setattr__(self, "edges", tuple(self.edges))
         ids = [s.sid for s in self.subsystems]
         if len(set(ids)) != len(ids):
             raise ValueError("subsystem ids must be unique")
         if not ids:
             raise ValueError("network has no subsystems")
-        self._by_id = {s.sid: s for s in self.subsystems}
+        object.__setattr__(self, "index", {sid: k for k, sid in enumerate(ids)})
+        object.__setattr__(self, "_by_id", {s.sid: s for s in self.subsystems})
+        incoming = {sid: [] for sid in ids}
+        outgoing = {sid: [] for sid in ids}
         pairs = set()
         for e in self.edges:
             if (e.src, e.dst) in pairs:
@@ -275,6 +283,10 @@ class NetworkModel:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
+            incoming[e.dst].append(e)
+            outgoing[e.src].append(e)
+        object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
+        object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
         for sid in ids:
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
@@ -312,10 +324,10 @@ class NetworkModel:
 
     def in_edges(self, sid):
         """Edges whose coupling enters subsystem ``sid`` (its neighbour set)."""
-        return [e for e in self.edges if e.dst == sid]
+        return self._in.get(sid, ())
 
     def out_edges(self, sid):
-        return [e for e in self.edges if e.src == sid]
+        return self._out.get(sid, ())
 
     def neighbor_count(self, sid):
         return len(self.in_edges(sid))
@@ -325,34 +337,12 @@ def _coupled_block_diag(net: NetworkModel, diag):
     """Block-diagonal ``diag`` with each edge's block at (destination, source)."""
     out = block_diag(*diag)
     offsets = np.cumsum([0] + [s.dim for s in net.subsystems])
-    index = {sid: k for k, sid in enumerate(net.ids)}
     for e in net.edges:
         if e.A is None:
             raise ValueError(f"edge {e.src}->{e.dst}: bound-only edge cannot be assembled")
-        i, j = index[e.dst], index[e.src]
+        i, j = net.index[e.dst], net.index[e.src]
         out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = e.A
     return out
-
-
-def assemble_global(net: NetworkModel):
-    """Assemble the open-loop global matrices (A, B, C, D, E).
-
-    ``A`` carries the subsystem state blocks on the diagonal and the
-    coupling blocks off-diagonal; ``B, C, D, E`` are block-diagonal.
-    Subsystem order follows ``net.subsystems``.
-    """
-    subs = net.subsystems
-    for s in subs:
-        if s.A is None:
-            raise ValueError(
-                f"subsystem {s.sid}: state matrix unknown; open-loop assembly needs it"
-            )
-    A = _coupled_block_diag(net, [s.A for s in subs])
-    B = block_diag(*[s.B for s in subs])
-    C = block_diag(*[s.C for s in subs])
-    D = block_diag(*[s.D for s in subs])
-    E = block_diag(*[s.E for s in subs])
-    return A, B, C, D, E
 
 
 def closed_loop_global(net: NetworkModel):

@@ -1,11 +1,11 @@
 """Dense real-matrix kernels that the rest of the package builds on.
 
-Spectra, norms, Lyapunov and Riccati solves, Hamiltonian hyperbolicity
-tests, and one level-set Hamiltonian iteration that gives both the
-H-infinity gain and the distance to instability.  All functions are
-pure: they keep no state and are safe to call concurrently on shared
-read-only inputs.  Intended problem sizes are small (n up to a few tens);
-everything is dense.
+Spectra, norms, Lyapunov and Riccati solves, one imaginary-axis crossing
+test for the Riccati Hamiltonian (shared with the Riccati solve), and one
+level-set Hamiltonian iteration that gives both the H-infinity gain and
+the distance to instability.  All functions are pure: they keep no state
+and are safe to call concurrently on shared read-only inputs.  Intended
+problem sizes are small (n up to a few tens); everything is dense.
 """
 
 from __future__ import annotations
@@ -170,24 +170,14 @@ def _hamiltonian(A, G, Q):
     return H
 
 
-def is_hyperbolic(H, tol):
-    """True iff no eigenvalue of ``H`` lies within ``tol`` of the imaginary axis.
-
-    The verdict is ``min_k |Re lambda_k| > tol`` (strict).
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    w = eigenvalues(H)
-    return bool(np.min(np.abs(w.real)) > tol)
-
-
-# Level-set kernel settings.  In the kernel a Hamiltonian eigenvalue within
-# _AXIS_PREFILTER * ||H||_F of the imaginary axis is a candidate crossing;
-# there and in solve_are a candidate is confirmed when the level is reached
-# at its frequency up to a relative _LEVEL_SLACK.  _HINF_RTOL is the
-# relative accuracy of the H-infinity gain, _DIST_RTOL a floor under the
-# level step of the distance.
+# Crossing and level-set kernel settings.  A Hamiltonian eigenvalue within
+# _AXIS_PREFILTER * ||H||_F (level-set kernel) or _CROSSING_PREFILTER *
+# ||H||_2 (is_hyperbolic) of the imaginary axis is a candidate crossing; a
+# candidate is confirmed when the level is reached at its frequency up to
+# a relative _LEVEL_SLACK.  _HINF_RTOL is the relative accuracy of the
+# H-infinity gain, _DIST_RTOL a floor under the level step of the distance.
 _AXIS_PREFILTER = 1e-6
+_CROSSING_PREFILTER = 1e-8
 _LEVEL_SLACK = 1e-6
 _HINF_RTOL = 1e-12
 _DIST_RTOL = 1e-13
@@ -219,6 +209,24 @@ def _smin_shifted(Am, ws):
     return np.linalg.svd(R, compute_uv=False)[:, -1]
 
 
+def is_hyperbolic(Am, N, q):
+    """True iff ``hamiltonian(Am, N, q)`` has no imaginary-axis eigenvalue.
+
+    ``jw`` is an eigenvalue exactly when ``sqrt(N q)`` is a singular value
+    of ``Am - jwI``, so for a Hurwitz ``Am`` the verdict is the distance
+    condition ``gamma > sqrt(N q)`` (Byers 1988), under which the Riccati
+    equation of ``solve_are`` has its stabilizing solution.  Eigenvalues
+    within ``_CROSSING_PREFILTER * ||H||_2`` of the axis are only
+    candidates; one is a crossing when ``sigma_min(Am - jwI) <= sqrt(N q)``
+    at its frequency ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow
+    modes of a badly scaled ``Am`` are not mistaken for axis eigenvalues.
+    """
+    Am = as_matrix(Am, "Am", square=True)
+    H = hamiltonian(Am, N, q)
+    ws = _axis_frequencies(H, _CROSSING_PREFILTER * spectral_norm(H))
+    return not np.any(_smin_shifted(Am, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
+
+
 @dataclass(frozen=True)
 class AreSolution:
     """Stabilizing Riccati solution with its quality figures.
@@ -239,7 +247,7 @@ class AreSolution:
     closed_loop_spectrum: np.ndarray
 
 
-def solve_are(Am, N, q, eig_tol_scale=1e-8):
+def solve_are(Am, N, q):
     """Solve ``Am'P + P Am + N P^2 + q I = 0`` for the stabilizing P.
 
     The solution is extracted from the stable invariant subspace of the
@@ -255,18 +263,13 @@ def solve_are(Am, N, q, eig_tol_scale=1e-8):
         Non-negative count scaling the quadratic term.
     q : float
         Non-negative constant-term weight.
-    eig_tol_scale : float
-        Pre-filter for imaginary-axis eigenvalues, relative to the
-        Hamiltonian spectral norm.  An eigenvalue ``lambda`` within it of
-        the axis is confirmed directly: it counts when
-        ``sigma_min(Am - j Im(lambda) I) <= sqrt(N q)``, so slow modes of a
-        badly scaled ``Am`` are not mistaken for axis eigenvalues.
 
     Raises
     ------
     StabilityError
-        If ``Am`` is not Hurwitz, or the Hamiltonian has imaginary-axis
-        eigenvalues (distance condition violated: no solution exists).
+        If ``Am`` is not Hurwitz, or ``is_hyperbolic`` finds an
+        imaginary-axis eigenvalue (distance condition violated: no
+        solution exists).
     SolverError
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
@@ -275,15 +278,13 @@ def solve_are(Am, N, q, eig_tol_scale=1e-8):
     n = Am.shape[0]
     if not is_hurwitz(Am):
         raise StabilityError("Am is not Hurwitz")
-    H = hamiltonian(Am, N, q)
-    ws = _axis_frequencies(H, eig_tol_scale * spectral_norm(H))
-    if np.any(_smin_shifted(Am, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q)):
+    if not is_hyperbolic(Am, N, q):
         raise StabilityError(
             "Hamiltonian has imaginary-axis eigenvalues: the distance "
             "condition is violated and the Riccati equation has no "
             "stabilizing solution"
         )
-    T, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    T, Z, sdim = sla.schur(hamiltonian(Am, N, q), output="real", sort="lhp")
     if sdim != n:
         raise SolverError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -400,7 +401,7 @@ def hinf_gain(M, Am):
     return _peak_gain(Am, M, lam, rtol=_HINF_RTOL)[0]
 
 
-def distance_to_instability(Am, N=1, tol=1e-9):
+def distance_to_instability(Am, tol=1e-9):
     """Distance from a Hurwitz matrix to the nearest marginally unstable one.
 
     The distance ``min over real w of sigma_min(Am - j w I)`` equals
@@ -408,9 +409,6 @@ def distance_to_instability(Am, N=1, tol=1e-9):
     finds the maximising frequency ``w*`` of that gain, and the distance
     is reported as ``sigma_min(Am - j w* I)`` evaluated there: an attained
     value, within ``tol`` (absolute) above the true distance.
-
-    ``N`` is accepted for callers that pass their neighbour count and is
-    ignored: the distance does not depend on it.
     """
     Am = as_matrix(Am, "Am", square=True)
     if not tol > 0.0:

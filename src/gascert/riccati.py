@@ -2,10 +2,12 @@
 
 Each subsystem is certified independently: its incoming coupling energy is
 summed, the distance from its target dynamics to instability is computed
-by a level-set Hamiltonian iteration, and when the distance exceeds the
-coupling level a slack margin is picked and the Riccati equation solved.
-The network is certified when every subsystem passes; failures are
-collected, never raised mid-run.
+by a level-set Hamiltonian iteration, and the margin of the distance
+condition ``gamma > sqrt(N * Xi2)`` is formed once.  When it is positive
+a slack is picked and the Riccati equation solved; ``solve_are`` confirms
+the same condition through ``numerics.is_hyperbolic``.  The network is
+certified when every subsystem passes; failures are collected, never
+raised mid-run.
 """
 
 from __future__ import annotations
@@ -24,51 +26,33 @@ __all__ = [
     "certify",
     "epsilon_margin",
     "interconnection_energy",
-    "stability_margin",
 ]
 
 
-def interconnection_energy(net: NetworkModel, sid, symmetric=False):
+def interconnection_energy(net: NetworkModel, sid):
     """Total incoming coupling energy: sum of squared edge gains.
 
     Each incoming edge contributes the square of its spectral norm (the
     largest eigenvalue of ``A_ij' A_ij``); bound-only edges contribute
-    their declared worst-case bound squared.  With ``symmetric=True`` the
-    bound is read as direction-independent: when the reverse edge exists,
-    the larger of the two gains is used.
+    their declared worst-case bound squared.
     """
-    if sid not in net.ids:
+    if sid not in net.index:
         raise ValueError(f"unknown subsystem id {sid!r}")
-    back = {}
-    if symmetric:
-        for e in net.out_edges(sid):
-            back[e.dst] = max(back.get(e.dst, 0.0), e.gain())
     total = 0.0
     for e in net.in_edges(sid):
-        gain = max(e.gain(), back.get(e.src, 0.0))
+        gain = e.gain()
         total += gain * gain
     return total
 
 
-def stability_margin(A_m, n_neighbors, coupling_energy, tol=1e-9):
-    """Margin ``gamma - sqrt(N * Xi2)`` of the distance condition.
-
-    Positive means the subsystem can absorb its declared coupling;
-    the certificate requires strict positivity.
-    """
-    if coupling_energy < 0.0:
-        raise ValueError("coupling energy must be non-negative")
-    gamma = distance_to_instability(A_m, max(int(n_neighbors), 1), tol)
-    return gamma - np.sqrt(max(int(n_neighbors), 0) * coupling_energy)
-
-
-def epsilon_margin(A_m, n_neighbors, coupling_energy, distance=None, tol=1e-9):
+def epsilon_margin(distance, n_neighbors, coupling_energy):
     """Slack added to the coupling energy in the Riccati equation.
 
-    Half the available gap: ``eps = (gamma^2 / N - Xi2) / 2``, which keeps
-    the augmented Hamiltonian hyperbolic whenever the margin is positive
-    (then ``N (Xi2 + eps) < gamma^2``).  A decoupled subsystem (N = 0) has
-    no gap to split; the convention there is ``eps = gamma^2 / 2``.
+    Half the available gap: ``eps = (gamma^2 / N - Xi2) / 2`` for the
+    distance ``gamma``, which keeps the augmented Hamiltonian hyperbolic
+    whenever the margin is positive (then ``N (Xi2 + eps) < gamma^2``).  A
+    decoupled subsystem (N = 0) has no gap to split; the convention there
+    is ``eps = gamma^2 / 2``.
 
     Raises
     ------
@@ -76,16 +60,11 @@ def epsilon_margin(A_m, n_neighbors, coupling_energy, distance=None, tol=1e-9):
         If the margin is not positive (no admissible slack exists).
     """
     N = int(n_neighbors)
-    gamma = (
-        distance
-        if distance is not None
-        else distance_to_instability(A_m, max(N, 1), tol)
-    )
     if N == 0:
-        return 0.5 * gamma * gamma
-    if gamma - np.sqrt(N * coupling_energy) <= 0.0:
+        return 0.5 * distance * distance
+    if distance - np.sqrt(N * coupling_energy) <= 0.0:
         raise StabilityError("margin is not positive: no admissible slack exists")
-    return 0.5 * (gamma * gamma / N - coupling_energy)
+    return 0.5 * (distance * distance / N - coupling_energy)
 
 
 @dataclass(frozen=True)
@@ -125,7 +104,7 @@ class GasCertificate:
         return self.record(sid).P
 
 
-def certify(net: NetworkModel, tol=None, symmetric=False) -> GasCertificate:
+def certify(net: NetworkModel, tol=None) -> GasCertificate:
     """Certify the network subsystem by subsystem.
 
     For each subsystem: coupling energy, distance to instability (absolute
@@ -137,9 +116,9 @@ def certify(net: NetworkModel, tol=None, symmetric=False) -> GasCertificate:
     for sid in sorted(net.ids):
         A_m = net.desired[sid]
         N = net.neighbor_count(sid)
-        xi2 = interconnection_energy(net, sid, symmetric=symmetric)
+        xi2 = interconnection_energy(net, sid)
         tol_i = tol if tol is not None else 1e-12 * max(1.0, spectral_norm(A_m))
-        gamma = distance_to_instability(A_m, max(N, 1), tol_i)
+        gamma = distance_to_instability(A_m, tol_i)
         margin = gamma - np.sqrt(N * xi2)
         if margin <= 0.0:
             records.append(SubsystemCertificate(
@@ -147,7 +126,7 @@ def certify(net: NetworkModel, tol=None, symmetric=False) -> GasCertificate:
                 margin=margin, epsilon=None, P=None, are_residual=None,
                 ok=False, reason="margin is not positive"))
             continue
-        eps = epsilon_margin(A_m, N, xi2, distance=gamma)
+        eps = epsilon_margin(gamma, N, xi2)
         try:
             if N == 0:
                 P = solve_lyapunov(A_m, eps * np.eye(A_m.shape[0]))

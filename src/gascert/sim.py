@@ -204,8 +204,7 @@ class _Kernel:
             # g(theta) = ((eps0 + 1) |theta|^2 - theta_max^2) / (eps0 theta_max^2)
             self.g_scale = ((eps0 + 1.0) / (eps0 * tmax ** 2))[:, None]
             self.g_shift = (1.0 / eps0)[:, None]
-        index = {sid: k for k, sid in enumerate(self.ids)}
-        self.src = np.array([index[e.src] for e in net.edges], dtype=np.intp)
+        self.src = np.array([net.index[e.src] for e in net.edges], dtype=np.intp)
         self.A_e = np.zeros((len(net.edges), P, P))
         self.inc = np.zeros((N, len(net.edges)))
         for j, e in enumerate(net.edges):
@@ -213,7 +212,7 @@ class _Kernel:
                 raise ConfigError(f"edge {e.src}->{e.dst}: bound_only edge has no "
                                   "coupling matrix A to simulate")
             self.A_e[j, :e.A.shape[0], :e.A.shape[1]] = e.A
-            self.inc[index[e.dst], j] = 1.0
+            self.inc[net.index[e.dst], j] = 1.0
         # one forcing F E [d; r] and reference row per segment of the merged schedules
         self.breaks = np.unique(np.concatenate([s.times for s in refs + dists]))
         self.forcing = np.zeros((self.breaks.size, N, P))

@@ -38,7 +38,6 @@ from gascert import (
     certify,
     distance_to_instability,
     epsilon_margin,
-    hamiltonian,
     is_hyperbolic,
     project,
     simulate,
@@ -126,9 +125,9 @@ def test_criterion_3_are_oracle_suite():
         n = int(rng.integers(1, 5))
         A = random_hurwitz(rng, n)
         N = int(rng.integers(1, 4))
-        gamma = distance_to_instability(A, N, 1e-10)
+        gamma = distance_to_instability(A, 1e-10)
         xi2 = rng.uniform(0.02, 0.9) * gamma * gamma / N
-        eps = epsilon_margin(A, N, xi2, distance=gamma)
+        eps = epsilon_margin(gamma, N, xi2)
         sol = solve_are(A, N, xi2 + eps)
         resid = np.linalg.norm(A.T @ sol.P + sol.P @ A + N * sol.P @ sol.P
                                + (xi2 + eps) * np.eye(n))
@@ -153,7 +152,7 @@ def test_criterion_4_bisection_vs_brute_force():
         n = int(rng.integers(1, 5))
         A = random_hurwitz(rng, n)
         oracle = sweep_distance_oracle(A)
-        d = distance_to_instability(A, 1, tol)
+        d = distance_to_instability(A, tol)
         err = abs(d - oracle)
         assert err <= max(tol, 1e-4 * oracle)
         worst = max(worst, err / max(tol, 1e-4 * oracle))
@@ -163,17 +162,16 @@ def test_criterion_4_bisection_vs_brute_force():
     # resolves their slow modes
     for A in (DC_AM, spread_normal(rng)):
         oracle = sweep_distance_oracle(A)
-        d = distance_to_instability(A, 1, tol)
+        d = distance_to_instability(A, tol)
         err = abs(d - oracle)
         assert err <= max(tol, 1e-4 * oracle)
         worst = max(worst, err / max(tol, 1e-4 * oracle))
-    assert distance_to_instability(DC_AM, 1, tol) == pytest.approx(
+    assert distance_to_instability(DC_AM, tol) == pytest.approx(
         sweep_distance_oracle(DC_AM), rel=1e-8)
     # boundary case: level exactly at the distance must report failure
-    d = distance_to_instability([[-1.0]], 1, 1e-12)
+    d = distance_to_instability([[-1.0]], 1e-12)
     assert not d > 1.0
-    H = hamiltonian([[-1.0]], 1, 1.0)
-    assert not is_hyperbolic(H, 1e-8 * spectral_norm(H))
+    assert not is_hyperbolic([[-1.0]], 1, 1.0)
     elapsed = time.perf_counter() - t0
     _report(4, elapsed < 30.0,
             f"52 matrices (2 badly scaled), worst error at {worst:.2e} of "
@@ -186,24 +184,35 @@ def test_criterion_5_hyperbolicity_distance_equivalence():
     checked = 0
     disagreements = 0
     attempts = 0
+
+    def check(A, N, gamma, xi2):
+        nonlocal checked, disagreements
+        if abs(np.sqrt(N * xi2) - gamma) <= 1e-6 * max(1.0, gamma):
+            return
+        if is_hyperbolic(A, N, xi2) != (gamma > np.sqrt(N * xi2)):
+            disagreements += 1
+        checked += 1
+
     while checked < 200 and attempts < 2000:
         attempts += 1
         n = int(rng.integers(1, 5))
         A = random_hurwitz(rng, n)
         N = int(rng.integers(1, 4))
-        gamma = distance_to_instability(A, N, 1e-10)
-        xi2 = rng.uniform(0.0, 2.0) * gamma * gamma / N
-        if abs(np.sqrt(N * xi2) - gamma) <= 1e-6 * max(1.0, gamma):
-            continue
-        H = hamiltonian(A, N, xi2)
-        hyp = is_hyperbolic(H, 1e-8 * spectral_norm(H))
-        if hyp != (gamma > np.sqrt(N * xi2)):
-            disagreements += 1
-        checked += 1
-    _report(5, checked == 200 and disagreements == 0,
-            f"{checked} instances outside the boundary band, "
-            f"{disagreements} disagreements")
-    assert checked == 200
+        gamma = distance_to_instability(A, 1e-10)
+        check(A, N, gamma, rng.uniform(0.0, 2.0) * gamma * gamma / N)
+    random_checked = checked
+    # badly scaled: the benchmark reference model (slow mode near 1e-2
+    # beside a fast one near 3.5e6) and normal matrices with eigenvalues
+    # spanning 1e-2 to 1e6, on both sides of the distance
+    for A in (DC_AM, spread_normal(rng), spread_normal(rng), spread_normal(rng)):
+        gamma = distance_to_instability(A, 1e-12 * spectral_norm(A))
+        for f in (0.1, 0.5, 0.99, 1.01, 2.0):
+            check(A, 1, gamma, (f * gamma) ** 2)
+    _report(5, random_checked == 200 and checked == 220 and disagreements == 0,
+            f"{random_checked} random and {checked - random_checked} badly scaled "
+            f"instances outside the boundary band, {disagreements} disagreements")
+    assert random_checked == 200
+    assert checked == 220
     assert disagreements == 0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,11 +134,6 @@ class TestOffsets:
         # 1/(2*1*2) - 2*0.1/(1*sqrt(1*1)) = 0.25 - 0.2
         phi = adaptation_offsets(fab_net(0.1, gamma=1.0, theta_max=1.0), P_FAB)
         assert np.allclose(phi, [0.05, 0.05])
-
-    def test_override_scalar(self):
-        phi1 = adaptation_offsets(fab_net(0.1), P_FAB, theta_max=2.0)
-        phi2 = adaptation_offsets(fab_net(0.1, theta_max=2.0), P_FAB)
-        assert np.allclose(phi1, phi2)
 
     def test_missing_or_indefinite_P_rejected(self):
         # the same checks as comparison_matrix, from the shared extremes
@@ -292,7 +289,7 @@ class TestSmallGain:
         # norm_bound * ||(sI + 1)^-1||_inf = 0.5 * 1
         net = path_net(("s2", "s1", 0.5))
         bound = Interconnection(src="s1", dst="s2", bound_only=True, norm_bound=0.5)
-        net = NetworkModel(subsystems=net.subsystems, edges=net.edges + [bound],
+        net = NetworkModel(subsystems=net.subsystems, edges=(*net.edges, bound),
                            desired=net.desired, tuning=net.tuning)
         (res,) = small_gain_check(net)
         assert res.hinf_product == pytest.approx(0.25, rel=1e-6)
@@ -316,6 +313,10 @@ class TestAnalyzePipeline:
     @pytest.mark.parametrize("theta_max", [None, 0.5])
     def test_extremes_once_per_matrix(self, theta_max, monkeypatch):
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        if theta_max is not None:
+            tuning = {sid: replace(t, theta_max=theta_max) for sid, t in net.tuning.items()}
+            net = NetworkModel(subsystems=net.subsystems, edges=net.edges,
+                               desired=net.desired, tuning=tuning, baseline=net.baseline)
         seen = []
 
         def counted(S):
@@ -324,12 +325,12 @@ class TestAnalyzePipeline:
 
         lam_extremes = connective._lam_extremes
         monkeypatch.setattr(connective, "_lam_extremes", counted)
-        rep = analyze(net, theta_max=theta_max)
+        rep = analyze(net)
         assert len(seen) == 2 * len(net.ids)
         monkeypatch.undo()
         # the shared extremes give what the public functions give
         M = comparison_matrix(net, rep.P)
-        offsets = adaptation_offsets(net, rep.P, theta_max=theta_max)
+        offsets = adaptation_offsets(net, rep.P)
         assert M.tobytes() == rep.M.tobytes()
         assert offsets.tobytes() == rep.offsets.tobytes()
         for sid in net.ids:

@@ -228,21 +228,43 @@ class TestHamiltonian:
 class TestHyperbolic:
     def test_clear_case(self):
         # characteristic polynomial s^2 - 3 = 0: eigenvalues +-sqrt(3)
-        assert is_hyperbolic(hamiltonian([[-2.0]], 1, 1.0), 1e-8)
+        assert is_hyperbolic([[-2.0]], 1, 1.0)
 
     def test_boundary_case(self):
         # s^2 = 0: double eigenvalue at the origin
-        assert not is_hyperbolic(hamiltonian([[-1.0]], 1, 1.0), 1e-8)
+        assert not is_hyperbolic([[-1.0]], 1, 1.0)
 
     def test_zero_q_hurwitz(self):
         # block-triangular: spectrum of A union -A', off-axis for Hurwitz A
         rng = np.random.default_rng(3)
         A = random_hurwitz(rng, 3)
-        assert is_hyperbolic(hamiltonian(A, 2, 0.0), 1e-10)
+        assert is_hyperbolic(A, 2, 0.0)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_hyperbolic(np.eye(2), 0.0)
+    def test_decoupled(self):
+        # N = 0 is block-triangular too, whatever the coupling weight
+        rng = np.random.default_rng(4)
+        A = random_hurwitz(rng, 3)
+        assert is_hyperbolic(A, 0, 5.0)
+
+    def test_badly_scaled_reference_model(self):
+        # the slow Hamiltonian eigenvalues of the benchmark model sit far
+        # inside 1e-8 * ||H|| of the axis; only the sigma_min check tells
+        # them from crossings
+        gamma = distance_to_instability(DC_AM, 1e-12)
+        for f in (0.1, 0.5, 0.99):
+            assert is_hyperbolic(DC_AM, 1, (f * gamma) ** 2)
+        for f in (1.01, 2.0):
+            assert not is_hyperbolic(DC_AM, 1, (f * gamma) ** 2)
+
+    def test_solve_are_shares_the_test(self, monkeypatch):
+        calls = []
+        real = numerics.is_hyperbolic
+        monkeypatch.setattr(numerics, "is_hyperbolic",
+                            lambda *a: calls.append(a) or real(*a))
+        solve_are([[-2.0]], 1, 1.0)
+        with pytest.raises(StabilityError, match="imaginary-axis"):
+            solve_are([[-1.0]], 1, 1.0)
+        assert calls == [([[-2.0]], 1, 1.0), ([[-1.0]], 1, 1.0)]
 
 
 class TestSolveAre:
@@ -272,7 +294,7 @@ class TestSolveAre:
         # the slow Hamiltonian eigenvalues sit at |Re| ~ 0.0146, well inside
         # 1e-8 * ||H||; the direct sigma_min check must tell them from
         # imaginary-axis eigenvalues
-        gamma = distance_to_instability(DC_AM, 1, 1e-12)
+        gamma = distance_to_instability(DC_AM, 1e-12)
         q = (0.1 * gamma) ** 2
         sol = solve_are(DC_AM, 1, q)
         resid = np.linalg.norm(DC_AM.T @ sol.P + sol.P @ DC_AM + sol.P @ sol.P
@@ -291,7 +313,7 @@ class TestSolveAre:
             n = int(rng.integers(1, 5))
             A = random_hurwitz(rng, n)
             N = int(rng.integers(1, 4))
-            gamma = distance_to_instability(A, N, 1e-10)
+            gamma = distance_to_instability(A, 1e-10)
             q = rng.uniform(0.05, 0.8) * gamma * gamma / N
             sol = solve_are(A, N, q)
             resid = np.linalg.norm(A.T @ sol.P + sol.P @ A + N * sol.P @ sol.P
@@ -307,7 +329,7 @@ class TestSolveAre:
 
 class TestDistance:
     def test_normal_matrix(self):
-        d = distance_to_instability(np.diag([-1.0, -2.0]), 1, 1e-10)
+        d = distance_to_instability(np.diag([-1.0, -2.0]), 1e-10)
         assert d == pytest.approx(1.0, abs=1e-9)
 
     def test_shear_matrix_vs_oracle(self):
@@ -318,22 +340,15 @@ class TestDistance:
         oracle = sweep_distance_oracle(A)
         smin0 = np.sqrt((102.0 - np.sqrt(102.0**2 - 4.0)) / 2.0)
         assert oracle == pytest.approx(smin0, rel=1e-9)
-        d = distance_to_instability(A, 1, 1e-8)
+        d = distance_to_instability(A, 1e-8)
         assert d == pytest.approx(oracle, abs=max(1e-8, 1e-4 * oracle))
 
     def test_scalar(self):
-        assert distance_to_instability([[-5.0]], 1, 1e-10) == pytest.approx(5.0, abs=1e-9)
-
-    def test_independent_of_count(self):
-        rng = np.random.default_rng(5)
-        A = random_hurwitz(rng, 3)
-        d1 = distance_to_instability(A, 1, 1e-10)
-        d2 = distance_to_instability(A, 3, 1e-10)
-        assert d1 == pytest.approx(d2, abs=1e-9)
+        assert distance_to_instability([[-5.0]], 1e-10) == pytest.approx(5.0, abs=1e-9)
 
     def test_not_hurwitz_rejected(self):
         with pytest.raises(StabilityError):
-            distance_to_instability([[1.0]], 1, 1e-6)
+            distance_to_instability([[1.0]], 1e-6)
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(31)
@@ -341,12 +356,12 @@ class TestDistance:
             n = int(rng.integers(1, 5))
             A = random_hurwitz(rng, n)
             oracle = sweep_distance_oracle(A)
-            d = distance_to_instability(A, 1, 1e-8)
+            d = distance_to_instability(A, 1e-8)
             assert abs(d - oracle) <= max(1e-8, 1e-4 * oracle)
 
     def test_benchmark_matches_sweep(self):
         # slow mode near 1e-2 beside a fast one near 3.5e6
-        d = distance_to_instability(DC_AM, 1, 1e-12 * spectral_norm(DC_AM))
+        d = distance_to_instability(DC_AM, 1e-12 * spectral_norm(DC_AM))
         assert d == pytest.approx(sweep_distance_oracle(DC_AM), rel=1e-8)
         assert d == pytest.approx(0.013980367771379707, rel=1e-8)
 
@@ -355,7 +370,7 @@ class TestDistance:
         rng = np.random.default_rng(37)
         for _ in range(3):
             A = spread_normal(rng)
-            d = distance_to_instability(A, 1, 1e-14)
+            d = distance_to_instability(A, 1e-14)
             assert d == pytest.approx(1e-2, rel=1e-8)
             assert d == pytest.approx(sweep_distance_oracle(A), rel=1e-8)
 
@@ -364,13 +379,13 @@ class TestDistance:
         for _ in range(40):
             n = int(rng.integers(1, 7))
             A = random_hurwitz(rng, n)
-            d = distance_to_instability(A, 1, 1e-14)
+            d = distance_to_instability(A, 1e-14)
             assert d == pytest.approx(1.0 / hinf_gain(np.eye(n), A), rel=1e-12)
 
     def test_tol_must_be_positive(self):
         for tol in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError):
-                distance_to_instability([[-1.0]], 1, tol)
+                distance_to_instability([[-1.0]], tol)
 
     def test_eigensolves_per_call(self, monkeypatch):
         # the level-set iteration converges quadratically: the Hurwitz
@@ -385,7 +400,7 @@ class TestDistance:
         worst = 0
         for A in cases:
             calls.clear()
-            distance_to_instability(A, 1, 1e-12 * max(1.0, spectral_norm(A)))
+            distance_to_instability(A, 1e-12 * max(1.0, spectral_norm(A)))
             worst = max(worst, len(calls))
         assert worst <= 10
 
@@ -398,13 +413,12 @@ class TestHyperbolicityDistanceEquivalence:
             n = int(rng.integers(1, 5))
             A = random_hurwitz(rng, n)
             N = int(rng.integers(1, 4))
-            gamma = distance_to_instability(A, N, 1e-10)
+            gamma = distance_to_instability(A, 1e-10)
             xi2 = rng.uniform(0.0, 2.0) * gamma * gamma / N
             # skip the tolerance band around the boundary
             if abs(np.sqrt(N * xi2) - gamma) <= 1e-6 * max(1.0, gamma):
                 continue
-            H = hamiltonian(A, N, xi2)
-            hyp = is_hyperbolic(H, 1e-8 * spectral_norm(H))
+            hyp = is_hyperbolic(A, N, xi2)
             assert hyp == (gamma > np.sqrt(N * xi2))
             checked += 1
         assert checked >= 50
@@ -412,9 +426,8 @@ class TestHyperbolicityDistanceEquivalence:
     def test_boundary_scalar(self):
         # a = -1, N = 1, coupling level exactly at the distance: both
         # formulations must report failure (the inequality is strict)
-        H = hamiltonian([[-1.0]], 1, 1.0)
-        assert not is_hyperbolic(H, 1e-8 * spectral_norm(H))
-        d = distance_to_instability([[-1.0]], 1, 1e-10)
+        assert not is_hyperbolic([[-1.0]], 1, 1.0)
+        d = distance_to_instability([[-1.0]], 1e-10)
         assert not d > 1.0
 
 

@@ -12,7 +12,6 @@ from gascert import (
     distance_to_instability,
     epsilon_margin,
     interconnection_energy,
-    stability_margin,
 )
 
 
@@ -54,54 +53,62 @@ class TestInterconnectionEnergy:
         net = scalar_net({("s2", "s1"): {"bound_only": True, "norm_bound": 3.0}})
         assert interconnection_energy(net, "s1") == pytest.approx(9.0)
 
-    def test_symmetric_mode_takes_worse_direction(self):
+    def test_reverse_edge_not_counted(self):
         net = scalar_net({("s2", "s1"): 0.1, ("s1", "s2"): 0.4})
         assert interconnection_energy(net, "s1") == pytest.approx(0.01)
-        assert interconnection_energy(net, "s1", symmetric=True) == pytest.approx(0.16)
 
 
 class TestStabilityMargin:
+    """The margin ``gamma - sqrt(N * Xi2)`` that ``certify`` records."""
+
+    @staticmethod
+    def margin(a, gain):
+        net = scalar_net({("s2", "s1"): {"bound_only": True, "norm_bound": gain}}, a=a)
+        return certify(net).record("s1").margin
+
     def test_positive(self):
-        assert stability_margin([[-2.0]], 1, 1.0, tol=1e-10) == pytest.approx(1.0, abs=1e-9)
+        assert self.margin(-2.0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_negative(self):
-        assert stability_margin([[-2.0]], 1, 9.0, tol=1e-10) == pytest.approx(-1.0, abs=1e-9)
+        assert self.margin(-2.0, 3.0) == pytest.approx(-1.0, abs=1e-9)
 
     def test_boundary_is_not_positive(self):
-        m = stability_margin([[-1.0]], 1, 1.0, tol=1e-12)
-        assert not m > 0.0
+        assert not self.margin(-1.0, 1.0) > 0.0
 
     def test_not_hurwitz_rejected(self):
         with pytest.raises(StabilityError):
-            stability_margin([[0.2]], 1, 0.5)
+            self.margin(0.2, np.sqrt(0.5))
 
 
 class TestEpsilonMargin:
     def test_half_gap(self):
-        eps = epsilon_margin([[-2.0]], 1, 1.0, tol=1e-12)
+        eps = epsilon_margin(distance_to_instability([[-2.0]], 1e-12), 1, 1.0)
         assert eps == pytest.approx(1.5, abs=1e-9)
 
     def test_small_gap(self):
-        eps = epsilon_margin([[-2.0]], 1, 3.9, tol=1e-12)
+        eps = epsilon_margin(distance_to_instability([[-2.0]], 1e-12), 1, 3.9)
         assert eps == pytest.approx(0.05, abs=1e-9)
+
+    def test_decoupled_convention(self):
+        # N = 0: no gap to split, eps = gamma^2 / 2
+        assert epsilon_margin(2.0, 0, 0.0) == 2.0
 
     def test_no_margin_rejected(self):
         with pytest.raises(StabilityError):
-            epsilon_margin([[-2.0]], 1, 9.0)
+            epsilon_margin(distance_to_instability([[-2.0]]), 1, 9.0)
 
     def test_keeps_hyperbolicity(self):
-        from gascert import hamiltonian, is_hyperbolic, spectral_norm
+        from gascert import is_hyperbolic
 
         rng = np.random.default_rng(43)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             A = random_hurwitz(rng, n)
             N = int(rng.integers(1, 4))
-            gamma = distance_to_instability(A, N, 1e-10)
+            gamma = distance_to_instability(A, 1e-10)
             xi2 = rng.uniform(0.05, 0.95) * gamma * gamma / N
-            eps = epsilon_margin(A, N, xi2, distance=gamma)
-            H = hamiltonian(A, N, xi2 + eps)
-            assert is_hyperbolic(H, 1e-8 * spectral_norm(H))
+            eps = epsilon_margin(gamma, N, xi2)
+            assert is_hyperbolic(A, N, xi2 + eps)
 
 
 class TestCertify:
@@ -140,7 +147,7 @@ class TestCertify:
     def test_monotone_margin_in_coupling(self):
         margins = []
         for xi2 in (0.0, 0.5, 1.0, 2.0, 4.0):
-            margins.append(stability_margin([[-2.0]], 1, xi2, tol=1e-12))
+            margins.append(TestStabilityMargin.margin(-2.0, np.sqrt(xi2)))
         assert all(np.diff(margins) < 0.0)
 
     def test_edge_deletion_keeps_certificate(self):
@@ -155,7 +162,7 @@ class TestCertify:
         for _ in range(15):
             n = int(rng.integers(1, 4))
             A = random_hurwitz(rng, n)
-            gamma = distance_to_instability(A, 1, 1e-10)
+            gamma = distance_to_instability(A, 1e-10)
             gain = np.sqrt(rng.uniform(0.05, 0.8)) * gamma
             subs = [AugmentedSubsystem.from_raw(sid, B=np.eye(n)[:, :1],
                                                 C=np.zeros((0, n)), A=None)
