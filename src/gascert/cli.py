@@ -8,16 +8,16 @@ Subcommands::
     gascert simulate   <cfg> --mode {dec,dist} --out <csv>
 
 Exit codes: 0 pass/certified/finite, 1 usage or input/solver error,
-2 condition failed, 3 divergence.  Reports go to stdout as deterministic
-JSON (sorted keys, 17-digit floats).  The environment variable
-GASCERT_SEED is reserved; every computation here is deterministic and no
-randomness is used.
+2 condition failed, 3 divergence.  Every error, a usage error included,
+is one ``error:`` line on stderr.  No subcommand takes a tolerance: the
+solver bounds are fixed and stated in ``numerics``.  Reports go to stdout
+as deterministic JSON (sorted keys, 17-digit floats); nothing here uses
+randomness.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -38,10 +38,7 @@ def _base_report(method, data):
 
 def cmd_connective(args):
     net, _, data = load_config(args.config)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["lyap_rtol"] = args.tol
-    report = analyze(net, **kwargs)
+    report = analyze(net)
     doc = _base_report("connective", data)
     doc["verdict"] = "pass" if report.passed else "fail"
     doc["conditions"] = {
@@ -68,7 +65,7 @@ def cmd_connective(args):
 
 def cmd_riccati(args):
     net, _, data = load_config(args.config)
-    cert = certify(net, tol=args.tol)
+    cert = certify(net)
     doc = _base_report("riccati", data)
     doc["verdict"] = "certified" if cert.certified else "not-certified"
     doc["failing"] = cert.failing
@@ -124,8 +121,13 @@ def cmd_simulate(args):
     return 3 if trace.diverged else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error ends in main's one error line
+        raise GascertError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gascert",
         description="Stability certification and simulation for networks of "
                     "linear MIMO subsystems under adaptive control.",
@@ -136,8 +138,6 @@ def build_parser():
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="network configuration document (JSON)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the solver tolerance where the command uses one")
         p.set_defaults(fn=fn)
         return p
 
@@ -152,12 +152,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-        print(f"error: --tol must be a positive finite number, got {args.tol}",
-              file=sys.stderr)
-        return 1
     try:
+        # --help and --version still print and exit with 0
+        args = build_parser().parse_args(argv)
         # an overflow shows as a non-finite value, which ends in the error
         # line below; numpy's floating-point warnings would only add lines
         with np.errstate(all="ignore"):

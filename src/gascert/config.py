@@ -4,8 +4,8 @@ Configs are JSON.  Matrices are nested row-major arrays.  Subsystems give
 raw (A, B, C, D, E) blocks; A may be null for an unknown plant.  The
 reference model is either an explicit augmented matrix or gain blocks
 {"A_nominal", "K_x", "K_xi"}, shared at top level or per subsystem.
-Edges carry raw coupling blocks (augmented internally), or a bound-only
-declaration with a spectral-norm bound.
+Edges carry a raw coupling block "A" (augmented internally) or a
+spectral-norm bound "norm_bound", not both; unknown keys are ignored.
 
 Reports are emitted by a small deterministic serializer: keys sorted,
 floats at 17 significant digits, so byte-identical inputs give
@@ -209,7 +209,6 @@ def parse_config(doc):
         for sid, role in ((src, "from"), (dst, "to")):
             if not isinstance(sid, str) or sid not in raw:
                 raise ConfigError(f"{path}.{role}: unknown subsystem id {sid!r}")
-        bound_only = bool(edge.get("bound_only", False))
         norm_bound = edge.get("norm_bound")
         if norm_bound is not None:
             norm_bound = _scalar(norm_bound, f"{path}.norm_bound")
@@ -221,18 +220,15 @@ def parse_config(doc):
                 raise ConfigError(f"{path}.A: shape {A_raw.shape} does not match "
                                   f"destination x source raw dims {want}")
             A_edge = augment_edge(A_raw, raw[dst]["q"], raw[src]["q"])
-        elif not bound_only:
+        elif norm_bound is None:
             raise ConfigError(f"{path}.A: missing required field")
         try:
-            edges.append(Interconnection(src=src, dst=dst, A=A_edge,
-                                         bound_only=bound_only, norm_bound=norm_bound))
+            edges.append(Interconnection(src=src, dst=dst, A=A_edge, norm_bound=norm_bound))
         except Exception as exc:
             raise ConfigError(f"{path}: {exc}") from None
     try:
         net = NetworkModel(subsystems=subsystems, edges=edges, desired=desired,
                            tuning=tuning, baseline=baseline)
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"config: {exc}") from None
     scenario = None

@@ -253,14 +253,13 @@ class ConnectiveReport:
     passed: bool
 
 
-def analyze(net: NetworkModel, lyap_rtol=1e-10) -> ConnectiveReport:
+def analyze(net: NetworkModel) -> ConnectiveReport:
     """Run the full aggregate pipeline on a network.
 
     Solves one Lyapunov equation per subsystem (independent solves), then
     assembles the comparison matrix, the offset vector, and the verdicts.
     """
-    P = {sid: solve_lyapunov(net.desired[sid], net.tuning[sid].Q, rtol=lyap_rtol)
-         for sid in net.ids}
+    P = {sid: solve_lyapunov(net.desired[sid], net.tuning[sid].Q) for sid in net.ids}
     lam_P, lam_min_Q = _extremes(net, P)
     M = _comparison_matrix(net, lam_P, lam_min_Q)
     offsets = _adaptation_offsets(net, lam_P, lam_min_Q)

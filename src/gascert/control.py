@@ -26,6 +26,9 @@ __all__ = [
     "update_projection",
 ]
 
+# regularization of the normalized law at zero error, shared with sim
+ERR_FLOOR = 1e-12
+
 
 def baseline_control(K, x):
     """Baseline state feedback ``u = -K x``."""
@@ -94,28 +97,26 @@ def predictor_rate(A_m, B, x_pred, u, theta_hat, x_plant, forced,
     return rate
 
 
-def update_normalized(err, P, B, regressor, gain, err_floor=1e-12):
+def update_normalized(err, P, B, regressor, gain):
     """Normalized adaptation law.
 
     Returns::
 
         -gain * outer(regressor, err' P B) / (2 sqrt(err' P err))
 
-    The rate is zero whenever ``err' P err <= err_floor**2``; the raw law
+    The rate is zero whenever ``err' P err <= ERR_FLOOR**2``; the raw law
     is 0/0 at zero error, and the floor is the regularization of that
     singularity.  Away from the floor the rate is homogeneous of degree
     zero in ``err`` (scaling the error does not scale the rate), which is
     why adaptation under this law never slows down on its own.
     """
-    if err_floor <= 0.0:
-        raise ValueError("err_floor must be positive")
     err = np.asarray(err, dtype=float)
     P = np.asarray(P, dtype=float)
     B = np.asarray(B, dtype=float)
     regressor = np.asarray(regressor, dtype=float)
     w = float(err @ P @ err)
     m = B.shape[1] if B.ndim == 2 else 1
-    if w <= err_floor * err_floor:
+    if w <= ERR_FLOOR * ERR_FLOOR:
         return np.zeros((regressor.shape[0], m))
     return -gain * np.outer(regressor, err @ P @ B) / (2.0 * np.sqrt(w))
 

@@ -11,12 +11,15 @@ output; the augmented blocks follow the fixed layout
 
 so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
-disturbance).  Values are immutable after construction.
+disturbance).  Values are immutable after construction.  An edge has a
+coupling matrix or a declared bound on its norm, never both.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -177,40 +180,34 @@ def augment_edge(A_ij, q_to, q_from):
 class Interconnection:
     """Directed coupling edge: the state of ``src`` enters subsystem ``dst``.
 
-    ``A`` is the augmented coupling block (dim_dst x dim_src).  An edge can
-    be declared bound-only, with a worst-case spectral-norm bound instead
-    of (or in addition to) an explicit matrix.
+    It has exactly one of ``A``, the augmented coupling block (dim_dst x
+    dim_src), or ``norm_bound``, a declared bound on its spectral norm;
+    only the aggregate bounds can use a bound-only edge (``A is None``).
     """
 
     src: str
     dst: str
     A: np.ndarray | None = None
-    bound_only: bool = False
     norm_bound: float | None = None
     _gain: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.A is None and not self.bound_only:
-            raise ValueError(f"edge {self.src}->{self.dst}: matrix required unless bound_only")
-        if self.bound_only and self.norm_bound is None:
-            raise ValueError(f"edge {self.src}->{self.dst}: bound_only edge needs norm_bound")
-        if self.norm_bound is not None and self.norm_bound < 0.0:
-            raise ValueError(f"edge {self.src}->{self.dst}: norm_bound must be >= 0")
-        if self.A is not None:
-            A = as_matrix(self.A, f"edge {self.src}->{self.dst}: A")
+        name = f"edge {self.src}->{self.dst}"
+        if (self.A is None) == (self.norm_bound is None):
+            raise ValueError(f"{name}: give a coupling matrix A or a norm_bound, not "
+                             + ("both" if self.A is not None else "neither"))
+        if self.A is None:
+            if not self.norm_bound >= 0.0:
+                raise ValueError(f"{name}: norm_bound must be >= 0")
+            object.__setattr__(self, "_gain", float(self.norm_bound))
+        else:
+            A = as_matrix(self.A, f"{name}: A")
             if not np.any(A):
-                raise ValueError(
-                    f"edge {self.src}->{self.dst}: coupling matrix is zero; omit the edge"
-                )
+                raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
             object.__setattr__(self, "A", A)
 
     def gain(self):
-        """Spectral norm used in the aggregate bounds (declared bound wins).
-
-        The edge is frozen, so the norm is computed once and kept.
-        """
-        if self.bound_only:
-            return float(self.norm_bound)
+        """``norm_bound``, or ``||A||_2`` computed once (the edge is frozen)."""
         if self._gain is None:
             object.__setattr__(self, "_gain", spectral_norm(self.A))
         return self._gain
@@ -246,14 +243,15 @@ class NetworkModel:
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
     ``index`` maps each id to its position in ``subsystems``, and the in-
-    and out-edges of every id are tabulated at construction.
+    and out-edges of every id are tabulated at construction.  The checked
+    per-id values are stored in new read-only mappings.
     """
 
     subsystems: tuple
     edges: tuple
-    desired: dict
-    tuning: dict
-    baseline: dict = field(default_factory=dict)
+    desired: Mapping
+    tuning: Mapping
+    baseline: Mapping = field(default_factory=dict)
     index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -287,6 +285,7 @@ class NetworkModel:
             outgoing[e.src].append(e)
         object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
         object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
+        desired, tuning, baseline = {}, {}, {}
         for sid in ids:
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
@@ -298,10 +297,11 @@ class NetworkModel:
                 )
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            self.desired[sid] = Am
+            desired[sid] = Am
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
-            Q = self.tuning[sid].Q
+            tuning[sid] = self.tuning[sid]
+            Q = tuning[sid].Q
             if Q.shape[0] != self._by_id[sid].dim:
                 raise DimensionError(
                     f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {self._by_id[sid].dim}"
@@ -313,7 +313,9 @@ class NetworkModel:
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"
                 )
-            self.baseline[sid] = K
+            baseline[sid] = K
+        for name, value in (("desired", desired), ("tuning", tuning), ("baseline", baseline)):
+            object.__setattr__(self, name, MappingProxyType(value))
 
     @property
     def ids(self):

@@ -3,9 +3,10 @@
 Spectra, norms, Lyapunov and Riccati solves, one imaginary-axis crossing
 test for the Riccati Hamiltonian (shared with the Riccati solve), and one
 level-set Hamiltonian iteration that gives both the H-infinity gain and
-the distance to instability.  All functions are pure: they keep no state
-and are safe to call concurrently on shared read-only inputs.  Intended
-problem sizes are small (n up to a few tens); everything is dense.
+the distance to instability.  Acceptance bounds are fixed; the distance
+accuracy is the one tolerance a caller sets.  All functions are pure:
+they keep no state and are safe to call concurrently on shared read-only
+inputs.  Intended problem sizes are small (n up to a few tens).
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ def is_hurwitz(A):
     return bool(np.max(eigenvalues(A).real) < 0.0)
 
 
-def solve_lyapunov(A, Q, rtol=1e-10):
+def solve_lyapunov(A, Q):
     """Solve the continuous Lyapunov equation ``A'P + PA + Q = 0``.
+
+    Accepted when the Frobenius residual is at most
+    ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``.
 
     Parameters
     ----------
@@ -100,9 +104,6 @@ def solve_lyapunov(A, Q, rtol=1e-10):
         Hurwitz matrix.
     Q : (n, n) array_like
         Symmetric positive definite weight.
-    rtol : float
-        Residual acceptance: the Frobenius residual must not exceed
-        ``rtol * (||A||_F ||P||_F + ||Q||_F)``.
 
     Returns
     -------
@@ -133,9 +134,9 @@ def solve_lyapunov(A, Q, rtol=1e-10):
     P = 0.5 * (P + P.T)
     scale = np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
     residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    if residual > rtol * scale:
+    if residual > 1e-10 * scale:
         raise SolverError(
-            f"Lyapunov residual {residual:.3e} exceeds {rtol:.1e} * scale ({rtol * scale:.3e})"
+            f"Lyapunov residual {residual:.3e} exceeds 1e-10 * scale ({1e-10 * scale:.3e})"
         )
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise SolverError("Lyapunov solution is not positive definite")
@@ -171,27 +172,25 @@ def _hamiltonian(A, G, Q):
 
 
 # Crossing and level-set kernel settings.  A Hamiltonian eigenvalue within
-# _AXIS_PREFILTER * ||H||_F (level-set kernel) or _CROSSING_PREFILTER *
-# ||H||_2 (is_hyperbolic) of the imaginary axis is a candidate crossing; a
-# candidate is confirmed when the level is reached at its frequency up to
-# a relative _LEVEL_SLACK.  _HINF_RTOL is the relative accuracy of the
+# _AXIS_PREFILTER * ||H||_F of the imaginary axis is a candidate crossing;
+# a candidate is confirmed when the level is reached at its frequency up
+# to a relative _LEVEL_SLACK.  _HINF_RTOL is the relative accuracy of the
 # H-infinity gain, _DIST_RTOL a floor under the level step of the distance.
 _AXIS_PREFILTER = 1e-6
-_CROSSING_PREFILTER = 1e-8
 _LEVEL_SLACK = 1e-6
 _HINF_RTOL = 1e-12
 _DIST_RTOL = 1e-13
 _MAX_LEVELS = 50
 
 
-def _axis_frequencies(H, cut):
-    """Frequencies ``|Im lambda|`` of the eigenvalues of ``H`` within ``cut`` of the axis.
+def _axis_frequencies(H):
+    """Frequencies ``|Im lambda|`` of the eigenvalues of ``H`` near the axis.
 
-    Returned ascending and unique.  They are only candidates for
-    imaginary-axis eigenvalues: callers confirm each one by evaluating the
-    frequency response directly.
+    Near is within ``_AXIS_PREFILTER * ||H||_F``; returned ascending and
+    unique.  Only candidates: callers confirm each one directly.
     """
     lam = eigenvalues(H)
+    cut = _AXIS_PREFILTER * np.linalg.norm(H)
     return np.unique(np.abs(lam.imag[np.abs(lam.real) <= cut]))
 
 
@@ -216,14 +215,14 @@ def is_hyperbolic(Am, N, q):
     of ``Am - jwI``, so for a Hurwitz ``Am`` the verdict is the distance
     condition ``gamma > sqrt(N q)`` (Byers 1988), under which the Riccati
     equation of ``solve_are`` has its stabilizing solution.  Eigenvalues
-    within ``_CROSSING_PREFILTER * ||H||_2`` of the axis are only
-    candidates; one is a crossing when ``sigma_min(Am - jwI) <= sqrt(N q)``
-    at its frequency ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow
-    modes of a badly scaled ``Am`` are not mistaken for axis eigenvalues.
+    near the axis (``_axis_frequencies``) are only candidates; one is a
+    crossing when ``sigma_min(Am - jwI) <= sqrt(N q)`` at its frequency
+    ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow modes of a badly
+    scaled ``Am`` are not mistaken for axis eigenvalues.
     """
     Am = as_matrix(Am, "Am", square=True)
     H = hamiltonian(Am, N, q)
-    ws = _axis_frequencies(H, _CROSSING_PREFILTER * spectral_norm(H))
+    ws = _axis_frequencies(H)
     return not np.any(_smin_shifted(Am, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
 
 
@@ -359,7 +358,7 @@ def _peak_gain(Am, M, lam, rtol, dtol=0.0):
             return g, w
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
         H = _hamiltonian(Ab, BB / level, CC / level)
-        cand = _axis_frequencies(H, _AXIS_PREFILTER * np.linalg.norm(H))
+        cand = _axis_frequencies(H)
         if cand.size == 0:
             return g, w
         gains = _gains(Am, M, cand)

@@ -13,6 +13,7 @@ raised mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +33,9 @@ __all__ = [
 def interconnection_energy(net: NetworkModel, sid):
     """Total incoming coupling energy: sum of squared edge gains.
 
-    Each incoming edge contributes the square of its spectral norm (the
-    largest eigenvalue of ``A_ij' A_ij``); bound-only edges contribute
-    their declared worst-case bound squared.
+    Each incoming edge contributes the square of its gain: the spectral
+    norm of its matrix (the largest singular value of ``A_ij``), or the
+    declared bound of a bound-only edge.
     """
     if sid not in net.index:
         raise ValueError(f"unknown subsystem id {sid!r}")
@@ -104,27 +105,26 @@ class GasCertificate:
         return self.record(sid).P
 
 
-def certify(net: NetworkModel, tol=None) -> GasCertificate:
+def certify(net: NetworkModel) -> GasCertificate:
     """Certify the network subsystem by subsystem.
 
     For each subsystem: coupling energy, distance to instability (absolute
-    accuracy ``tol``, default ``1e-12 * max(1, ||A_m||_2)``), margin, and
-    on a positive margin the slack pick and the Riccati solve.  Failures
-    are recorded per subsystem; the run never aborts early.
+    accuracy ``1e-12 * max(1, ||A_m||_2)``, so it scales with the matrix),
+    margin, and on a positive margin the slack pick and the Riccati solve.
+    Failures are recorded per subsystem; the run never aborts early.
     """
     records = []
     for sid in sorted(net.ids):
         A_m = net.desired[sid]
         N = net.neighbor_count(sid)
         xi2 = interconnection_energy(net, sid)
-        tol_i = tol if tol is not None else 1e-12 * max(1.0, spectral_norm(A_m))
-        gamma = distance_to_instability(A_m, tol_i)
+        gamma = distance_to_instability(A_m, 1e-12 * max(1.0, spectral_norm(A_m)))
         margin = gamma - np.sqrt(N * xi2)
+        record = partial(SubsystemCertificate, sid=sid, n_neighbors=N,
+                         coupling_energy=xi2, distance=gamma, margin=margin)
         if margin <= 0.0:
-            records.append(SubsystemCertificate(
-                sid=sid, n_neighbors=N, coupling_energy=xi2, distance=gamma,
-                margin=margin, epsilon=None, P=None, are_residual=None,
-                ok=False, reason="margin is not positive"))
+            records.append(record(epsilon=None, P=None, are_residual=None, ok=False,
+                                  reason="margin is not positive"))
             continue
         eps = epsilon_margin(gamma, N, xi2)
         try:
@@ -136,13 +136,9 @@ def certify(net: NetworkModel, tol=None) -> GasCertificate:
                 sol = solve_are(A_m, N, xi2 + eps)
                 P, residual = sol.P, sol.residual_norm
         except GascertError as exc:
-            records.append(SubsystemCertificate(
-                sid=sid, n_neighbors=N, coupling_energy=xi2, distance=gamma,
-                margin=margin, epsilon=eps, P=None, are_residual=None,
-                ok=False, reason=str(exc)))
+            records.append(record(epsilon=eps, P=None, are_residual=None, ok=False,
+                                  reason=str(exc)))
             continue
-        records.append(SubsystemCertificate(
-            sid=sid, n_neighbors=N, coupling_energy=xi2, distance=gamma,
-            margin=margin, epsilon=eps, P=P, are_residual=residual, ok=True))
+        records.append(record(epsilon=eps, P=P, are_residual=residual, ok=True))
     return GasCertificate(subsystems=records,
                           certified=bool(all(c.ok for c in records)))

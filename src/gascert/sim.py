@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, SolverError
+from .control import ERR_FLOOR
+from .exceptions import ConfigError, DimensionError, GascertError, NonFiniteError, SolverError
 from .model import NetworkModel
 from .numerics import solve_lyapunov
 
@@ -49,8 +50,6 @@ __all__ = [
     "step",
 ]
 
-# regularization of the normalized law at zero error (as in control.update_normalized)
-_ERR_FLOOR = 1e-12
 # trace values gathered per block of the CSV export (512 kB)
 _CSV_BLOCK = 1 << 16
 
@@ -64,6 +63,10 @@ class Schedule:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if values.ndim > 2:
+            raise DimensionError(f"schedule values must be at most 2-D, got ndim={values.ndim}")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise NonFiniteError("schedule times and values must be finite")
         if values.shape[0] != times.shape[0]:
             raise DimensionError(
                 f"schedule has {times.shape[0]} breakpoints but {values.shape[0]} rows"
@@ -293,7 +296,7 @@ class _Kernel:
             rate = self._project(th, (self.neg_gamma * x)[:, :, None] * ePB[:, None, :])
         else:
             w = np.einsum("np,npq,nq->n", err, self.Pc, err)
-            live = w > _ERR_FLOOR * _ERR_FLOOR
+            live = w > ERR_FLOOR * ERR_FLOOR
             scale = np.where(live, -self.gamma / (2.0 * np.sqrt(np.where(live, w, 1.0))), 0.0)
             rate = (scale[:, None] * xh)[:, :, None] * ePB[:, None, :]
         return np.concatenate([lin.ravel(), rate.ravel()])
@@ -353,10 +356,14 @@ def simulate(net, scenario: Scenario, mode="distributed",
     """
     kern = _Kernel(net, scenario, mode, certificate)
     n_steps, dt = int(round(scenario.horizon / scenario.dt)), scenario.dt
+    try:
+        Z = np.empty((n_steps + 1, kern.size))
+    except (ValueError, MemoryError):
+        raise GascertError(f"scenario needs {n_steps:.6g} steps of dt {dt!r}: the state "
+                           "history cannot be allocated") from None
     t_grid = np.arange(n_steps + 1) * dt
     t0 = t_grid[:-1]
     stages = kern.segment(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1))
-    Z = np.empty((n_steps + 1, kern.size))
     Z[0] = kern.pack(NetworkState(scenario.x0, scenario.xhat0, scenario.theta_hat0))
     last, diverged_at = n_steps, None
     # states beyond 1e150 count as divergent: the derived quadratics

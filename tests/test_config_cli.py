@@ -11,6 +11,7 @@ from conftest import CONFIG_DIR
 from gascert import ConfigError
 from gascert.cli import main
 from gascert.config import dump_report, load_config, parse_config
+from gascert.riccati import certify
 from gascert.sim import simulate
 
 DC = str(CONFIG_DIR / "dc_pair.json")
@@ -250,9 +251,21 @@ class TestExitCodes:
         (lambda sc: sc.update(theta_hat0=3), "config.scenario.theta_hat0: expected an object"),
         (lambda sc: sc.update(x0=[0.4, 0.0]), "config.scenario.x0: expected an object"),
         (lambda sc: sc.update(xhat0="x"), "config.scenario.xhat0: expected an object"),
+        (lambda sc: sc["references"]["a"].update(values=[[[1.0]]]),
+         "config.scenario.references.a: schedule values must be at most 2-D"),
+        (lambda sc: sc["disturbances"].update(a=[[None]]),
+         "config.scenario.disturbances.a: schedule values must be at most 2-D"),
+        (lambda sc: sc["disturbances"].update(a=[None]),
+         "config.scenario.disturbances.a: schedule times and values must be finite"),
+        (lambda sc: sc["references"]["b"].update(values=[[0.5], [None]]),
+         "config.scenario.references.b: schedule times and values must be finite"),
+        (lambda sc: sc["references"]["b"].update(times=[0.0, None]),
+         "config.scenario.references.b: schedule times and values must be finite"),
     ], ids=["x0_non_numeric", "xhat0_ragged", "constant_schedule_non_numeric",
             "constant_schedule_ragged", "references_not_object", "disturbances_not_object",
-            "theta_not_object", "theta_hat0_not_object", "x0_not_object", "xhat0_not_object"])
+            "theta_not_object", "theta_hat0_not_object", "x0_not_object", "xhat0_not_object",
+            "schedule_values_3d", "constant_schedule_3d", "constant_schedule_null",
+            "schedule_null_value", "schedule_null_time"])
     def test_malformed_scenario_one_line_error(self, edit, field, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         edit(doc["scenario"])
@@ -346,22 +359,80 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["riccati", "connective", "smallgain"])
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_rejected(self, command, tol, capsys):
+        # no subcommand takes a tolerance: --tol is an unknown option
         assert main([command, TOY, "--tol", tol]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --tol")
+        assert captured.err.startswith("error: ")
+        assert f"--tol {tol}" in captured.err
         assert len(captured.err.splitlines()) == 1
 
-    def test_tol_override_accepted_everywhere(self, tmp_path, capsys):
-        assert main(["riccati", TOY, "--tol", "1e-6"]) == 0
-        capsys.readouterr()
-        assert main(["connective", WEAK, "--tol", "1e-9"]) == 0
-        capsys.readouterr()
-        assert main(["smallgain", WEAK, "--tol", "1e-6"]) == 0
-        capsys.readouterr()
-        out = tmp_path / "t.csv"
-        assert main(["simulate", TOY, "--tol", "1e-6", "--mode", "dist",
-                     "--out", str(out)]) == 0
+    @pytest.mark.parametrize("argv", [
+        [], ["riccati"], ["bogus", TOY], ["riccati", TOY, "--bogus"],
+        ["simulate", TOY, "--mode", "dist"], ["simulate", TOY, "--mode", "x", "--out", "t.csv"],
+        ["riccati", TOY, "--tol", "abc"], ["riccati", TOY, "--tol", "1e-6"],
+    ], ids=["no_command", "no_config", "unknown_command", "unknown_option", "missing_out",
+            "bad_mode", "tol_not_a_number", "tol_removed"])
+    def test_usage_error_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gascert")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["riccati", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(("usage: gascert", "gascert "))
+
+    def test_matrix_and_bound_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"][1]["norm_bound"] = 0.05
+        cfg = tmp_path / "both.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("riccati", "connective", "smallgain"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: config.edges[1]: edge a->b: give a coupling "
+                                    "matrix A or a norm_bound, not both\n")
+
+    def test_bound_only_key_ignored(self, tmp_path, capsys):
+        # the edge is bound-only because it has no matrix, whatever the key says
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"][0] = {"from": "b", "to": "a", "norm_bound": 0.1, "bound_only": False}
+        doc["edges"][1]["bound_only"] = True
+        cfg = tmp_path / "key.json"
+        cfg.write_text(json.dumps(doc))
+        net, _, _ = load_config(cfg)
+        assert net.in_edges("a")[0].A is None
+        assert net.in_edges("b")[0].A is not None
+        assert main(["riccati", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
+
+    def test_unallocatable_step_count_one_line_error(self, tmp_path, capsys):
+        # numpy refuses 1e300 steps without allocating anything
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"].update(horizon=1.0, dt=1e-300)
+        cfg = tmp_path / "steps.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "steps.csv"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: scenario needs 1e+300 steps of dt 1e-300: "
+                                "the state history cannot be allocated\n")
+        assert not out.exists()
+
+    def test_network_maps_read_only_after_load(self):
+        net, _, _ = load_config(TOY)
+        with pytest.raises(TypeError):
+            net.desired["a"] = np.eye(2)
+        assert certify(net).certified
 
 
 def _field_paths(node, prefix=()):
@@ -383,6 +454,12 @@ JSON_VALUES = st.recursive(
                                                                 max_size=3),
     max_leaves=10,
 )
+
+
+SIM_DOC = json.loads(json.dumps(TOY_DOC))
+SIM_DOC["scenario"]["horizon"] = 0.01
+SIM_PATHS = [p for p in _field_paths(SIM_DOC)
+             if p not in (("scenario", "horizon"), ("scenario", "dt"))]
 
 
 VERDICTS = {"riccati": ("certified", "not-certified"), "connective": ("pass", "fail"),
@@ -416,6 +493,37 @@ class TestConfigFuzz:
             assert len(captured.err.splitlines()) == 1
         else:
             assert json.loads(captured.out)["verdict"] in VERDICTS[command]
+
+    # about 100 examples per mode; horizon and dt keep their short-run
+    # values, since large valid ones mean long runs, not errors
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(["dec", "dist"]), path=st.sampled_from(SIM_PATHS),
+           value=JSON_VALUES)
+    def test_one_field_replaced_simulate(self, mode, path, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(SIM_DOC))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
+        cfg.write_text(json.dumps(doc))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", str(cfg), "--mode", mode, "--out", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 3)
+        if rc == 1:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+        else:
+            report = json.loads(captured.out)
+            assert report["metrics"]["diverged"] is (rc == 3)
+            assert out.exists()
 
 
 class TestDeterminism:

@@ -288,7 +288,7 @@ class TestSmallGain:
     def test_bound_only_path(self):
         # norm_bound * ||(sI + 1)^-1||_inf = 0.5 * 1
         net = path_net(("s2", "s1", 0.5))
-        bound = Interconnection(src="s1", dst="s2", bound_only=True, norm_bound=0.5)
+        bound = Interconnection(src="s1", dst="s2", norm_bound=0.5)
         net = NetworkModel(subsystems=net.subsystems, edges=(*net.edges, bound),
                            desired=net.desired, tuning=net.tuning)
         (res,) = small_gain_check(net)

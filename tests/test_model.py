@@ -371,8 +371,43 @@ class TestNetworkValidation:
             Interconnection(src="a", dst="b", A=[[0.0]])
 
     def test_bound_only_edge(self):
-        e = Interconnection(src="a", dst="b", bound_only=True, norm_bound=2.5)
+        e = Interconnection(src="a", dst="b", norm_bound=2.5)
         assert e.gain() == 2.5
+
+    def test_matrix_and_bound_rejected(self):
+        # one gain per edge: a bound next to a matrix would be ignored by
+        # the simulator or by the certificates
+        with pytest.raises(ValueError, match=r"^edge a->b: .*not both$"):
+            Interconnection(src="a", dst="b", A=[[3.0]], norm_bound=0.1)
+
+    def test_neither_matrix_nor_bound_rejected(self):
+        with pytest.raises(ValueError, match=r"^edge a->b: .*neither$"):
+            Interconnection(src="a", dst="b")
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan")])
+    def test_bad_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="norm_bound must be >= 0"):
+            Interconnection(src="a", dst="b", norm_bound=bound)
+
+    def test_maps_read_only(self):
+        net = two_sub_net(coupling=0.5)
+        for name in ("desired", "tuning", "baseline"):
+            with pytest.raises(TypeError):
+                getattr(net, name)["s1"] = getattr(net, name)["s2"]
+        assert sorted(net.baseline) == ["s1", "s2"]
+
+    def test_caller_dicts_untouched(self):
+        net = two_sub_net(coupling=0.0)
+        desired = {"s1": [[-1.0]], "s2": [[-2.0]]}
+        tuning = dict(net.tuning)
+        baseline = {"s1": [[0.5]]}
+        built = NetworkModel(subsystems=net.subsystems, edges=[], desired=desired,
+                             tuning=tuning, baseline=baseline)
+        assert desired == {"s1": [[-1.0]], "s2": [[-2.0]]}
+        assert baseline == {"s1": [[0.5]]}
+        assert tuning == dict(net.tuning)
+        assert isinstance(built.desired["s1"], np.ndarray)
+        assert np.array_equal(built.baseline["s2"], np.zeros((1, 1)))
 
     def test_edges_frozen(self):
         # an edge added after construction would skip every check above

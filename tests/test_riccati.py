@@ -50,7 +50,7 @@ class TestInterconnectionEnergy:
         assert interconnection_energy(net, "s1") == pytest.approx(2.0)
 
     def test_bound_only_edge_uses_declared_bound(self):
-        net = scalar_net({("s2", "s1"): {"bound_only": True, "norm_bound": 3.0}})
+        net = scalar_net({("s2", "s1"): {"norm_bound": 3.0}})
         assert interconnection_energy(net, "s1") == pytest.approx(9.0)
 
     def test_reverse_edge_not_counted(self):
@@ -63,7 +63,7 @@ class TestStabilityMargin:
 
     @staticmethod
     def margin(a, gain):
-        net = scalar_net({("s2", "s1"): {"bound_only": True, "norm_bound": gain}}, a=a)
+        net = scalar_net({("s2", "s1"): {"norm_bound": gain}}, a=a)
         return certify(net).record("s1").margin
 
     def test_positive(self):
