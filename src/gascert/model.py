@@ -160,6 +160,13 @@ class AugmentedSubsystem:
                    n=n, q=q, m=m, r=r)
 
 
+def _read_only(A):
+    """A read-only copy of ``A``: later edits to the caller's array change nothing."""
+    A = np.array(A, dtype=float)
+    A.flags.writeable = False
+    return A
+
+
 def augment_edge(A_ij, q_to, q_from):
     """Zero-pad a raw coupling block to augmented coordinates.
 
@@ -181,8 +188,9 @@ class Interconnection:
     """Directed coupling edge: the state of ``src`` enters subsystem ``dst``.
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
-    dim_src), or ``norm_bound``, a declared bound on its spectral norm;
-    only the aggregate bounds can use a bound-only edge (``A is None``).
+    dim_src, stored as a read-only copy), or ``norm_bound``, a declared
+    bound on its spectral norm; only the aggregate bounds can use a
+    bound-only edge (``A is None``).
     """
 
     src: str
@@ -204,7 +212,7 @@ class Interconnection:
             A = as_matrix(self.A, f"{name}: A")
             if not np.any(A):
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
-            object.__setattr__(self, "A", A)
+            object.__setattr__(self, "A", _read_only(A))
 
     def gain(self):
         """``norm_bound``, or ``||A||_2`` computed once (the edge is frozen)."""
@@ -244,7 +252,8 @@ class NetworkModel:
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
     ``index`` maps each id to its position in ``subsystems``, and the in-
     and out-edges of every id are tabulated at construction.  The checked
-    per-id values are stored in new read-only mappings.
+    per-id values are stored in new read-only mappings, and the desired
+    and baseline matrices (like an edge's ``A``) as read-only copies.
     """
 
     subsystems: tuple
@@ -297,7 +306,7 @@ class NetworkModel:
                 )
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            desired[sid] = Am
+            desired[sid] = _read_only(Am)
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]
@@ -313,7 +322,7 @@ class NetworkModel:
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"
                 )
-            baseline[sid] = K
+            baseline[sid] = _read_only(K)
         for name, value in (("desired", desired), ("tuning", tuning), ("baseline", baseline)):
             object.__setattr__(self, name, MappingProxyType(value))
 

@@ -14,17 +14,18 @@ so the scenario's true ``theta`` is the single source of plant-model
 mismatch.  Outputs are ``C_aug @ x`` (feedthrough is carried in the model
 but excluded from tracking error).
 
-One stacked kernel evaluates the right-hand side of all N subsystems.
-Each is padded with zero blocks to the largest state dimension P and input
+One stacked kernel evaluates the right-hand side of all N subsystems,
+each padded with zero blocks to the largest state dimension P and input
 count M; the state is ``[xbar (N, P) | xhat (N, P) | theta_hat (N, P, M)]``
-flattened and every term is one ``einsum`` over the subsystem axis.  Padded
-rows of ``A_m``, ``B``, forcing and coupling are zero and a zero estimate
-column lies inside the projection set, so padded entries stay exactly 0.
-Coupling is gathered by edge and summed with a dense incidence matrix; the
-forcing is tabulated per schedule segment.  A run keeps only the state
-history and derives controls, outputs, references, error norms and the
-Lyapunov value from it afterwards.  The scalar laws in ``control`` are the
-reference the kernel is tested against.
+flattened.  The linear terms are (P, P) blocks over the coupling graph:
+``A_m`` for each plant and predictor row and one per in-edge (predictors:
+distributed mode only), summed by one gather, one stacked product and one
+segment sum.  Padded table entries are zero and a zero estimate column
+lies inside the projection set, so padded state entries stay exactly 0.
+The forcing is tabulated per schedule segment.  A run keeps only the
+state history and derives the controls, outputs, references, error norms
+and Lyapunov value from it afterwards.  The scalar laws in ``control``
+are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -85,12 +86,8 @@ class Schedule:
         return cls(times=[0.0], values=[np.atleast_1d(np.asarray(value, dtype=float))])
 
     def at(self, t):
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[max(k, 0)]
-
-    @property
-    def width(self):
-        return self.values.shape[1]
+        """Value at time ``t``, or one row per time of an array ``t``."""
+        return self.values[np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)]
 
 
 @dataclass
@@ -113,9 +110,9 @@ class Scenario:
             raise ValueError("dt must be positive")
         if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError("horizon must be non-negative")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
-            raise ValueError(f"horizon {self.horizon!r} is not a whole number of "
+        steps = float(self.horizon) / float(self.dt)
+        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
+            raise ValueError(f"horizon {self.horizon!r} is not a finite, whole number of "
                              f"steps of dt {self.dt!r}")
 
 
@@ -159,8 +156,8 @@ def _schedule(sched, width, sid, kind):
         return Schedule(times=[0.0], values=np.zeros((1, width)))
     if not isinstance(sched, Schedule):
         sched = Schedule.constant(sched)
-    if sched.width != width:
-        raise DimensionError(f"subsystem {sid}: {kind} schedule is {sched.width}-wide, "
+    if sched.values.shape[1] != width:
+        raise DimensionError(f"subsystem {sid}: {kind} schedule is {sched.values.shape[1]}-wide, "
                              f"expected {width}")
     return sched
 
@@ -177,7 +174,7 @@ class _Kernel:
         self.dims, self.ms, self.qs = ([getattr(s, a) for s in subs] for a in ("dim", "m", "q"))
         self.shape = N, P, M = len(subs), max(self.dims), max(self.ms)
         Q = max(self.qs)
-        self.A_m, self.Pc = np.zeros((N, P, P)), np.zeros((N, P, P))
+        self.Pc = np.zeros((N, P, P))
         self.B, self.theta = np.zeros((N, P, M)), np.zeros((N, P, M))
         self.K, self.C = np.zeros((N, M, P)), np.zeros((N, 2 * Q, P))
         tunings = [net.tuning[sid] for sid in self.ids]
@@ -196,37 +193,43 @@ class _Kernel:
                     f"subsystem {sid}: true theta has shape {th.shape}, expected {(p, m)}")
             Pk = None if certificate is None else certificate.P(sid)
             self.Pc[k, :p, :p] = solve_lyapunov(net.desired[sid], tn.Q) if Pk is None else Pk
-            self.A_m[k, :p, :p] = net.desired[sid]
             self.B[k, :p, :m], self.theta[k, :p, :m] = s.B, th
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
             refs.append(_schedule(scenario.references.get(sid), s.q, sid, "reference"))
             dists.append(_schedule(scenario.disturbances.get(sid), s.r, sid, "disturbance"))
-        self.PB = self.Pc @ self.B
-        self.neg_gamma = -self.gamma[:, None]
+        # -gamma folded into P B for the projection law (positively homogeneous,
+        # so gamma > 0 commutes with it), -gamma / 2 for the normalized law
+        gain = -self.gamma if mode == "distributed" else -0.5 * self.gamma
+        self.PB = gain[:, None, None] * (self.Pc @ self.B)
         if mode == "distributed":
             # g(theta) = ((eps0 + 1) |theta|^2 - theta_max^2) / (eps0 theta_max^2)
             self.g_scale = ((eps0 + 1.0) / (eps0 * tmax ** 2))[:, None]
             self.g_shift = (1.0 / eps0)[:, None]
-        self.src = np.array([net.index[e.src] for e in net.edges], dtype=np.intp)
-        self.A_e = np.zeros((len(net.edges), P, P))
-        self.inc = np.zeros((N, len(net.edges)))
-        for j, e in enumerate(net.edges):
+        # (source row, block) terms of the 2N rows, plants then predictors: the
+        # row's A_m, then one per in-edge (predictor rows only when distributed)
+        rows = [[(r, net.desired[sid])] for r, sid in enumerate(self.ids * 2)]
+        for e in net.edges:
             if e.A is None:
                 raise ConfigError(f"edge {e.src}->{e.dst}: bound_only edge has no "
                                   "coupling matrix A to simulate")
-            self.A_e[j, :e.A.shape[0], :e.A.shape[1]] = e.A
-            self.inc[net.index[e.dst], j] = 1.0
+            for h in (0, N) if mode == "distributed" else (0,):
+                rows[h + net.index[e.dst]].append((h + net.index[e.src], e.A))
+        terms = [term for row in rows for term in row]
+        self.W = np.zeros((len(terms), P, P))
+        for w, (_, A) in zip(self.W, terms):
+            w[:A.shape[0], :A.shape[1]] = A
+        # flat index into z of each block's source state; first term of each row
+        self.gather = (np.array([r for r, _ in terms])[:, None] * P + np.arange(P))[:, :, None]
+        self.starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
         # one forcing F E [d; r] and reference row per segment of the merged schedules
         self.breaks = np.unique(np.concatenate([s.times for s in refs + dists]))
         self.forcing = np.zeros((self.breaks.size, N, P))
         self.reference = np.zeros((self.breaks.size, N, Q))
-        for j, t in enumerate(self.breaks):
-            for k, s in enumerate(subs):
-                r = refs[k].at(t)
-                self.forcing[j, k, :s.dim] = (s.F @ s.E) @ np.concatenate([dists[k].at(t), r])
-                self.reference[j, k, :s.q] = r
+        for k, s in enumerate(subs):
+            d, r = dists[k].at(self.breaks), refs[k].at(self.breaks)
+            self.forcing[:, k, :s.dim] = np.concatenate([d, r], axis=1) @ (s.F @ s.E).T
+            self.reference[:, k, :s.q] = r
         self.n1, self.n2 = N * P, 2 * N * P
-        self.coupled = 2 if mode == "distributed" else 1   # predictors exchange states
         self.size = N * P * (2 + M)
 
     def segment(self, t):
@@ -262,44 +265,41 @@ class _Kernel:
                     slot[...] = np.asarray(value, dtype=float).reshape(slot.shape)
         return z
 
-    def _couple(self, xx):
-        """Incoming coupling of state blocks ``xx (k, N, P)``."""
-        return self.inc @ np.einsum("epq,keq->kep", self.A_e, xx[:, self.src])
-
     def _project(self, th, y):
-        # control.project per column: grad(g) is parallel to theta, so the
-        # outward case removes theta (theta'y) g / |theta|^2 from y
+        # control.project per column, in place: grad(g) is parallel to theta,
+        # so the outward case removes theta (theta'y) g / |theta|^2 from y
         tt = np.einsum("npm,npm->nm", th, th)
         g = self.g_scale * tt - self.g_shift
-        if not (g >= 0.0).any():
-            return y
+        if not g.max() >= 0.0:
+            return
         ty = np.einsum("npm,npm->nm", th, y)
         active = (g >= 0.0) & (ty > 0.0)
         if np.any(active & (tt == 0.0)):
             raise SolverError("projection hit g >= 0 with zero gradient (theta == 0)")
         scale = np.where(active, g * ty / np.where(active, tt, 1.0), 0.0)
-        return np.where(active[:, None, :], y - th * scale[:, None, :], y)
+        np.subtract(y, th * scale[:, None, :], out=y, where=active[:, None, :])
 
     def rhs(self, z, force):
         N, P, M = self.shape
-        xx = z[:self.n2].reshape(2, N, P)            # plant and predictor states
-        x, xh = xx
+        out = np.empty(self.size)
+        lin = out[:self.n2].reshape(2, N, P, 1)
+        np.add.reduceat(self.W @ z[self.gather], self.starts, out=lin.reshape(2 * N, P, 1))
+        lin[..., 0] += force
+        x, xh = z[:self.n2].reshape(2, N, 1, P)          # row vectors
         th = z[self.n2:].reshape(N, P, M)
-        lin = np.einsum("npq,knq->knp", self.A_m, xx) + force
-        lin[:self.coupled] += self._couple(xx[:self.coupled])
         # B (u + theta' x) under u = -theta_hat' x; it vanishes in the predictor
-        lin[0] += np.einsum("npm,nm->np", self.B, np.einsum("npm,np->nm", self.theta - th, x))
-        err = xh - x
-        ePB = np.einsum("np,npm->nm", err, self.PB)
+        lin[0] += self.B @ (x @ (self.theta - th)).transpose(0, 2, 1)
+        err = xh - x      # one difference before any product: xhat ~ xbar would cancel
+        ePB = err @ self.PB
+        rate = out[self.n2:].reshape(N, P, M)
         if self.mode == "distributed":
-            # gamma > 0 commutes with the (positively homogeneous) projection
-            rate = self._project(th, (self.neg_gamma * x)[:, :, None] * ePB[:, None, :])
+            np.multiply(x.transpose(0, 2, 1), ePB, out=rate)
+            self._project(th, rate)
         else:
-            w = np.einsum("np,npq,nq->n", err, self.Pc, err)
-            live = w > ERR_FLOOR * ERR_FLOOR
-            scale = np.where(live, -self.gamma / (2.0 * np.sqrt(np.where(live, w, 1.0))), 0.0)
-            rate = (scale[:, None] * xh)[:, :, None] * ePB[:, None, :]
-        return np.concatenate([lin.ravel(), rate.ravel()])
+            w = err @ self.Pc @ err.transpose(0, 2, 1)
+            scale = (w > ERR_FLOOR ** 2) / np.sqrt(np.maximum(w, ERR_FLOOR ** 2))
+            np.multiply(xh.transpose(0, 2, 1) * scale, ePB, out=rate)
+        return out
 
     def rk4(self, z, dt, seg):
         """One step; ``seg`` holds the forcing rows at t, t + dt/2 and t + dt."""

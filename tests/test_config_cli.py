@@ -428,6 +428,20 @@ class TestExitCodes:
                                 "the state history cannot be allocated\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["riccati", "simulate"])
+    def test_infinite_step_count_one_line_error(self, cmd, tmp_path, capsys):
+        # horizon / dt overflows to inf before any step count is rounded
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"].update(horizon=1e300, dt=1e-300)
+        cfg = tmp_path / "steps.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "steps.csv"
+        assert main([cmd, str(cfg)] + (["--out", str(out)] if cmd == "simulate" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: config.scenario: horizon 1e+300 is not a finite, "
+                                "whole number of steps of dt 1e-300\n")
+
     def test_network_maps_read_only_after_load(self):
         net, _, _ = load_config(TOY)
         with pytest.raises(TypeError):

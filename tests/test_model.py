@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import DC_AM, DC_B1, assert_same_bits, random_hurwitz
+from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -11,8 +11,10 @@ from gascert import (
     Tuning,
     augment_edge,
     check_controllability,
+    certify,
     closed_loop_global,
 )
+from gascert.config import load_config
 
 
 def toy_tuning(dim):
@@ -408,6 +410,28 @@ class TestNetworkValidation:
         assert tuning == dict(net.tuning)
         assert isinstance(built.desired["s1"], np.ndarray)
         assert np.array_equal(built.baseline["s2"], np.zeros((1, 1)))
+
+    def test_caller_arrays_copied_read_only(self):
+        # a network keeps copies: the caller editing its arrays afterwards
+        # changes nothing, and the stored ones refuse in-place writes
+        net, _, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        desired = {sid: np.array(net.desired[sid]) for sid in net.ids}
+        baseline = {sid: np.array(net.baseline[sid]) for sid in net.ids}
+        coupling = [np.array(e.A) for e in net.edges]
+        edges = [Interconnection(src=e.src, dst=e.dst, A=A) for e, A in zip(net.edges, coupling)]
+        built = NetworkModel(subsystems=net.subsystems, edges=edges, desired=desired,
+                             tuning=net.tuning, baseline=baseline)
+        for a in [*desired.values(), *baseline.values(), *coupling]:
+            a[0, 0] = 5.0
+        for sid in net.ids:
+            assert np.array_equal(built.desired[sid], net.desired[sid])
+            assert np.array_equal(built.baseline[sid], net.baseline[sid])
+        for got, want in zip(built.edges, net.edges):
+            assert np.array_equal(got.A, want.A)
+        assert certify(built).certified
+        for stored in (built.desired["a"], built.baseline["a"], built.edges[0].A):
+            with pytest.raises(ValueError):
+                stored[0, 0] = 5.0
 
     def test_edges_frozen(self):
         # an edge added after construction would skip every check above

@@ -1,10 +1,12 @@
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import CONFIG_DIR, random_hurwitz
+from conftest import CONFIG_DIR, assert_same_bits, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     Interconnection,
@@ -14,6 +16,7 @@ from gascert import (
     Schedule,
     Tuning,
     certify,
+    closed_loop_global,
     control,
     export_csv,
     metrics,
@@ -236,6 +239,21 @@ def boundary_state(net, rng):
     return NetworkState(xbar=xbar, xhat=xhat, theta_hat=theta)
 
 
+def lookup_tables(net, sc):
+    """Breaks, forcing and reference tables by one ``Schedule.at`` per break and subsystem."""
+    scheds = [(sc.references[sid], sc.disturbances[sid]) for sid in net.ids]
+    breaks = np.unique(np.concatenate([s.times for pair in scheds for s in pair]))
+    subs = [net.subsystem(sid) for sid in net.ids]
+    forcing = np.zeros((breaks.size, len(subs), max(s.dim for s in subs)))
+    reference = np.zeros((breaks.size, len(subs), max(s.q for s in subs)))
+    for j, t in enumerate(breaks):
+        for k, (s, (ref, dist)) in enumerate(zip(subs, scheds)):
+            r = ref.at(t)
+            forcing[j, k, :s.dim] = (s.F @ s.E) @ np.concatenate([dist.at(t), r])
+            reference[j, k, :s.q] = r
+    return breaks, forcing, reference
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
     @pytest.mark.parametrize("seed", range(6))
@@ -287,6 +305,69 @@ class TestStackedKernel:
             z = kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
             assert np.all(z[pad] == 0.0)
         assert np.all(np.isfinite(z)) and np.any(z[~pad] != 0.0)
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_operator_matches_closed_loop_global(self, mode, seed):
+        # with theta_hat = theta and no forcing only the linear terms act:
+        # the plant rate is A_cl xbar, the predictor rate A_cl xhat when
+        # predictors exchange states and blkdiag(A_m) xhat when they do not
+        rng = np.random.default_rng(300 + seed)
+        net, sc = mixed_net(rng, int(rng.integers(2, 7)), with_edges=True)
+        kern = _Kernel(net, Scenario(horizon=0.0, dt=1e-3, theta=sc.theta), mode)
+        x, xh = ({sid: rng.normal(size=net.subsystem(sid).dim) for sid in net.ids}
+                 for _ in range(2))
+        state = NetworkState(xbar=x, xhat=xh, theta_hat=dict(sc.theta))
+        got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+        A_cl = closed_loop_global(net)
+        local = sla.block_diag(*[net.desired[sid] for sid in net.ids])
+        for name, op, vec in (("xbar", A_cl, x),
+                              ("xhat", A_cl if mode == "distributed" else local, xh)):
+            want = op @ np.concatenate([vec[sid] for sid in net.ids])
+            rate = np.concatenate([getattr(got, name)[sid] for sid in net.ids])
+            assert np.max(np.abs(rate - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("case", ["mixed_net", "interleaved"])
+    def test_forcing_tables_match_schedule_lookup(self, case):
+        rng = np.random.default_rng(11)
+        net, sc = mixed_net(rng, 5, with_edges=False)
+        if case == "interleaved":
+            # 50 breaks per schedule, drawn independently, so segments interleave
+            def draw(width):
+                times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.2, 49))])
+                return Schedule(times=times, values=rng.normal(size=(50, width)))
+            subs = [net.subsystem(sid) for sid in net.ids]
+            sc = Scenario(horizon=0.2, dt=1e-3,
+                          references={s.sid: draw(s.q) for s in subs},
+                          disturbances={s.sid: draw(s.r) for s in subs})
+        kern = _Kernel(net, sc, "distributed")
+        breaks, forcing, reference = lookup_tables(net, sc)
+        assert_same_bits(kern.breaks, breaks)
+        assert_same_bits(kern.forcing, forcing)
+        assert_same_bits(kern.reference, reference)
+
+    def test_tables_scale_with_nodes_and_edges(self):
+        # a 1024-leaf star (P = 2): tables sized N x E, or padded to the hub's
+        # in-degree for every row, take megabytes; O((N + E) P^2) does not
+        leaves = [f"l{k}" for k in range(1024)]
+        ids = ["hub", *leaves]
+        tun = Tuning(Q=np.eye(2), gamma=20.0, theta_max=1.5, eps0=0.1)
+        net = NetworkModel(
+            subsystems=[make_sub(sid) for sid in ids],
+            edges=[Interconnection(src=sid, dst="hub", A=0.01 * np.eye(2)) for sid in leaves],
+            desired=dict.fromkeys(ids, AM), tuning=dict.fromkeys(ids, tun))
+        unit_weights = SimpleNamespace(P=lambda sid: np.eye(2))   # skips 1025 Lyapunov solves
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kern = _Kernel(net, Scenario(horizon=0.0, dt=1e-3), "distributed", unit_weights)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2e6
+        state = NetworkState(xbar=dict.fromkeys(leaves, [1.0, 0.0]), xhat={}, theta_hat={})
+        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+        assert np.allclose(rate.xbar["hub"], [10.24, 0.0], rtol=1e-12)
 
     def test_simulate_mixed_network_matches_step(self):
         rng = np.random.default_rng(8)
