@@ -18,6 +18,7 @@ randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -126,7 +127,9 @@ class _Parser(argparse.ArgumentParser):
         raise GascertError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and kept for the process."""
     parser = _Parser(
         prog="gascert",
         description="Stability certification and simulation for networks of "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .model import NetworkModel
-from .numerics import eigenvalues, hinf_gain, solve_lyapunov
+from .numerics import eigenvalues, hinf_gain
 
 __all__ = [
     "ConnectiveReport",
@@ -256,10 +256,11 @@ class ConnectiveReport:
 def analyze(net: NetworkModel) -> ConnectiveReport:
     """Run the full aggregate pipeline on a network.
 
-    Solves one Lyapunov equation per subsystem (independent solves), then
-    assembles the comparison matrix, the offset vector, and the verdicts.
+    Reads each subsystem's Lyapunov weight (``net.lyapunov``, solved once
+    per network), then assembles the comparison matrix, the offset vector,
+    and the verdicts.
     """
-    P = {sid: solve_lyapunov(net.desired[sid], net.tuning[sid].Q) for sid in net.ids}
+    P = {sid: net.lyapunov(sid) for sid in net.ids}
     lam_P, lam_min_Q = _extremes(net, P)
     M = _comparison_matrix(net, lam_P, lam_min_Q)
     offsets = _adaptation_offsets(net, lam_P, lam_min_Q)

@@ -12,7 +12,9 @@ output; the augmented blocks follow the fixed layout
 so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
 disturbance).  Values are immutable after construction.  An edge has a
-coupling matrix or a declared bound on its norm, never both.
+coupling matrix or a declared bound on its norm, never both.  A network
+solves each subsystem's Lyapunov weight once, on first read, for every
+analysis and simulation of it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import as_matrix, eigenvalues, is_hurwitz, spectral_norm
+from .numerics import as_matrix, eigenvalues, is_hurwitz, solve_lyapunov, spectral_norm
 
 __all__ = [
     "AugmentedSubsystem",
@@ -223,7 +225,8 @@ class Interconnection:
 
 @dataclass(frozen=True)
 class Tuning:
-    """Per-subsystem analysis/adaptation tuning."""
+    """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
+    as a read-only copy."""
 
     Q: np.ndarray
     gamma: float
@@ -240,7 +243,7 @@ class Tuning:
             raise ValueError("theta_max must be non-negative")
         if self.eps0 <= 0.0:
             raise ValueError("eps0 must be positive")
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
+        object.__setattr__(self, "Q", _read_only(0.5 * (Q + Q.T)))
 
 
 @dataclass(frozen=True)
@@ -254,6 +257,8 @@ class NetworkModel:
     and out-edges of every id are tabulated at construction.  The checked
     per-id values are stored in new read-only mappings, and the desired
     and baseline matrices (like an edge's ``A``) as read-only copies.
+    ``lyapunov(sid)`` solves that subsystem's Lyapunov weight on its first
+    call and returns the same read-only array after.
     """
 
     subsystems: tuple
@@ -294,6 +299,7 @@ class NetworkModel:
             outgoing[e.src].append(e)
         object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
         object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
+        object.__setattr__(self, "_lyapunov", {})
         desired, tuning, baseline = {}, {}, {}
         for sid in ids:
             if sid not in self.desired:
@@ -342,6 +348,15 @@ class NetworkModel:
 
     def neighbor_count(self, sid):
         return len(self.in_edges(sid))
+
+    def lyapunov(self, sid):
+        """``P_i`` solving ``A_m' P + P A_m + Q_i = 0`` for the desired dynamics
+        and tuning weight of ``sid``; solved on the first call only."""
+        P = self._lyapunov.get(sid)
+        if P is None:
+            P = _read_only(solve_lyapunov(self.desired[sid], self.tuning[sid].Q))
+            self._lyapunov[sid] = P
+        return P
 
 
 def _coupled_block_diag(net: NetworkModel, diag):

@@ -86,20 +86,21 @@ class SubsystemCertificate:
 
 @dataclass
 class GasCertificate:
-    """Network-wide verdict with per-subsystem records (sorted by id)."""
+    """Network-wide verdict with per-subsystem records (sorted by id),
+    indexed by id at construction."""
 
     subsystems: list
     certified: bool
+
+    def __post_init__(self):
+        self._by_sid = {c.sid: c for c in self.subsystems}
 
     @property
     def failing(self):
         return [c.sid for c in self.subsystems if not c.ok]
 
     def record(self, sid) -> SubsystemCertificate:
-        for c in self.subsystems:
-            if c.sid == sid:
-                return c
-        raise KeyError(sid)
+        return self._by_sid[sid]
 
     def P(self, sid):
         return self.record(sid).P

@@ -22,10 +22,15 @@ flattened.  The linear terms are (P, P) blocks over the coupling graph:
 distributed mode only), summed by one gather, one stacked product and one
 segment sum.  Padded table entries are zero and a zero estimate column
 lies inside the projection set, so padded state entries stay exactly 0.
-The forcing is tabulated per schedule segment.  A run keeps only the
-state history and derives the controls, outputs, references, error norms
-and Lyapunov value from it afterwards.  The scalar laws in ``control``
-are the reference the kernel is tested against.
+The forcing is tabulated per schedule segment, tiled over the plant and
+predictor rows.  A run pays for its RK4 steps and little else: each
+subsystem's Lyapunov weight is solved once per network
+(``NetworkModel.lyapunov``), and every stage writes into buffers, and
+through views of them, that the kernel builds once.  The projection skips
+its exact test when every estimate column lies strictly inside the bound.
+A run keeps only the state history and derives the controls, outputs,
+references, error norms and Lyapunov value from it afterwards.  The
+scalar laws in ``control`` are the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, NonFiniteError, SolverError
 from .model import NetworkModel
-from .numerics import solve_lyapunov
 
 __all__ = [
     "NetworkState",
@@ -56,14 +60,17 @@ _CSV_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise-constant signal: value k holds on [times[k], times[k+1])."""
+    """Piecewise-constant signal: value k holds on [times[k], times[k+1]).
+
+    ``times`` and ``values`` are stored as read-only copies.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        times = np.array(self.times, dtype=float).ravel()
+        values = np.atleast_2d(np.array(self.values, dtype=float))
         if values.ndim > 2:
             raise DimensionError(f"schedule values must be at most 2-D, got ndim={values.ndim}")
         if not (np.isfinite(times).all() and np.isfinite(values).all()):
@@ -78,8 +85,9 @@ class Schedule:
             raise ValueError("schedule breakpoints must be strictly increasing")
         if times[0] != 0.0:
             raise ValueError("schedules start at t = 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        for name, a in (("times", times), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def constant(cls, value):
@@ -163,7 +171,9 @@ def _schedule(sched, width, sid, kind):
 
 
 class _Kernel:
-    """The network padded to (N, P, M) blocks, with one stacked RHS."""
+    """The network padded to (N, P, M) blocks, with one stacked RHS that
+    runs in buffers built with the kernel: one kernel serves one caller at
+    a time."""
 
     def __init__(self, net: NetworkModel, scenario: Scenario, mode, certificate=None):
         if mode not in ("decentralized", "distributed"):
@@ -192,7 +202,7 @@ class _Kernel:
                 raise DimensionError(
                     f"subsystem {sid}: true theta has shape {th.shape}, expected {(p, m)}")
             Pk = None if certificate is None else certificate.P(sid)
-            self.Pc[k, :p, :p] = solve_lyapunov(net.desired[sid], tn.Q) if Pk is None else Pk
+            self.Pc[k, :p, :p] = net.lyapunov(sid) if Pk is None else Pk
             self.B[k, :p, :m], self.theta[k, :p, :m] = s.B, th
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
             refs.append(_schedule(scenario.references.get(sid), s.q, sid, "reference"))
@@ -205,6 +215,11 @@ class _Kernel:
             # g(theta) = ((eps0 + 1) |theta|^2 - theta_max^2) / (eps0 theta_max^2)
             self.g_scale = ((eps0 + 1.0) / (eps0 * tmax ** 2))[:, None]
             self.g_shift = (1.0 / eps0)[:, None]
+            # g >= 0 iff |theta|^2 >= theta_max^2 / (eps0 + 1) = g_shift / g_scale;
+            # below this bound every computed g is negative (the 1e-12 margin
+            # covers the rounding of g_scale, g_shift and their product with
+            # |theta|^2), so _project returns without the exact test
+            self.interior = float(np.min(tmax ** 2 / (eps0 + 1.0))) * (1.0 - 1e-12)
         # (source row, block) terms of the 2N rows, plants then predictors: the
         # row's A_m, then one per in-edge (predictor rows only when distributed)
         rows = [[(r, net.desired[sid])] for r, sid in enumerate(self.ids * 2)]
@@ -221,16 +236,36 @@ class _Kernel:
         # flat index into z of each block's source state; first term of each row
         self.gather = (np.array([r for r, _ in terms])[:, None] * P + np.arange(P))[:, :, None]
         self.starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
-        # one forcing F E [d; r] and reference row per segment of the merged schedules
+        # one forcing F E [d; r] and reference row per segment of the merged
+        # schedules, tiled over the plant and predictor rows
         self.breaks = np.unique(np.concatenate([s.times for s in refs + dists]))
-        self.forcing = np.zeros((self.breaks.size, N, P))
+        self.tiled = np.zeros((self.breaks.size, 2, N, P))
+        self.forcing = self.tiled[:, 0]
         self.reference = np.zeros((self.breaks.size, N, Q))
         for k, s in enumerate(subs):
             d, r = dists[k].at(self.breaks), refs[k].at(self.breaks)
             self.forcing[:, k, :s.dim] = np.concatenate([d, r], axis=1) @ (s.F @ s.E).T
             self.reference[:, k, :s.q] = r
+        self.tiled[:, 1] = self.forcing
         self.n1, self.n2 = N * P, 2 * N * P
         self.size = N * P * (2 + M)
+        # a stage reads the state in _z and writes its rate into _k, through
+        # views made here; _acc sums the RK4 stages
+        self._z, self._k, self._acc = np.empty(self.size), np.empty(self.size), np.empty(self.size)
+        self._x, self._xh = self._z[:self.n2].reshape(2, N, 1, P)      # row vectors
+        self._th = self._z[self.n2:].reshape(N, P, M)
+        self._lin = self._k[:self.n2].reshape(2 * N, P, 1)
+        self._forced = self._k[:self.n2].reshape(2, N, P)
+        self._plant = self._lin[:N]
+        self._rate = self._k[self.n2:].reshape(N, P, M)
+        self._Wz = np.empty((len(terms), P, 1))
+        self._dth, self._xdth = np.empty((N, P, M)), np.empty((N, 1, M))
+        self._Bu, self._err, self._ePB = np.empty((N, P, 1)), np.empty((N, 1, P)), np.empty((N, 1, M))
+        if mode == "distributed":
+            self._tt = np.empty((N, M))
+        else:
+            self._eP, self._w, self._s = np.empty((N, 1, P)), np.empty((N, 1, 1)), np.empty((N, 1, 1))
+            self._above, self._xs = np.empty((N, 1, 1), dtype=bool), np.empty((N, P, 1))
 
     def segment(self, t):
         """Forcing-table row of time(s) ``t`` (``Schedule.at`` semantics)."""
@@ -268,7 +303,9 @@ class _Kernel:
     def _project(self, th, y):
         # control.project per column, in place: grad(g) is parallel to theta,
         # so the outward case removes theta (theta'y) g / |theta|^2 from y
-        tt = np.einsum("npm,npm->nm", th, th)
+        tt = np.einsum("npm,npm->nm", th, th, out=self._tt)
+        if tt.max() < self.interior:
+            return
         g = self.g_scale * tt - self.g_shift
         if not g.max() >= 0.0:
             return
@@ -279,36 +316,60 @@ class _Kernel:
         scale = np.where(active, g * ty / np.where(active, tt, 1.0), 0.0)
         np.subtract(y, th * scale[:, None, :], out=y, where=active[:, None, :])
 
-    def rhs(self, z, force):
-        N, P, M = self.shape
-        out = np.empty(self.size)
-        lin = out[:self.n2].reshape(2, N, P, 1)
-        np.add.reduceat(self.W @ z[self.gather], self.starts, out=lin.reshape(2 * N, P, 1))
-        lin[..., 0] += force
-        x, xh = z[:self.n2].reshape(2, N, 1, P)          # row vectors
-        th = z[self.n2:].reshape(N, P, M)
-        # B (u + theta' x) under u = -theta_hat' x; it vanishes in the predictor
-        lin[0] += self.B @ (x @ (self.theta - th)).transpose(0, 2, 1)
-        err = xh - x      # one difference before any product: xhat ~ xbar would cancel
-        ePB = err @ self.PB
-        rate = out[self.n2:].reshape(N, P, M)
-        if self.mode == "distributed":
-            np.multiply(x.transpose(0, 2, 1), ePB, out=rate)
-            self._project(th, rate)
-        else:
-            w = err @ self.Pc @ err.transpose(0, 2, 1)
-            scale = (w > ERR_FLOOR ** 2) / np.sqrt(np.maximum(w, ERR_FLOOR ** 2))
-            np.multiply(xh.transpose(0, 2, 1) * scale, ePB, out=rate)
-        return out
+    def _stage(self, force):
+        """Rate at the state in ``_z``, written into ``_k`` and returned.
 
-    def rk4(self, z, dt, seg):
-        """One step; ``seg`` holds the forcing rows at t, t + dt/2 and t + dt."""
-        f1, f2, f4 = self.forcing[seg]
-        k1 = self.rhs(z, f1)
-        k2 = self.rhs(z + 0.5 * dt * k1, f2)
-        k3 = self.rhs(z + 0.5 * dt * k2, f2)
-        k4 = self.rhs(z + dt * k3, f4)
-        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ``force`` is a forcing row (N, P), or a row of ``tiled`` (2, N, P).
+        """
+        np.matmul(self.W, self._z[self.gather], out=self._Wz)
+        np.add.reduceat(self._Wz, self.starts, out=self._lin)
+        np.add(self._forced, force, out=self._forced)
+        x, xh, th = self._x, self._xh, self._th
+        # B (u + theta' x) under u = -theta_hat' x; it vanishes in the predictor
+        xdth = np.matmul(x, np.subtract(self.theta, th, out=self._dth), out=self._xdth)
+        np.add(self._plant, np.matmul(self.B, xdth.transpose(0, 2, 1), out=self._Bu),
+               out=self._plant)
+        # one difference before any product: xhat ~ xbar would cancel
+        err = np.subtract(xh, x, out=self._err)
+        ePB = np.matmul(err, self.PB, out=self._ePB)
+        if self.mode == "distributed":
+            np.multiply(x.transpose(0, 2, 1), ePB, out=self._rate)
+            self._project(th, self._rate)
+        else:
+            w = np.matmul(np.matmul(err, self.Pc, out=self._eP), err.transpose(0, 2, 1),
+                          out=self._w)
+            # scale = (w > floor^2) / sqrt(max(w, floor^2))
+            s = np.sqrt(np.maximum(w, ERR_FLOOR ** 2, out=self._s), out=self._s)
+            np.divide(np.greater(w, ERR_FLOOR ** 2, out=self._above), s, out=s)
+            np.multiply(np.multiply(xh.transpose(0, 2, 1), s, out=self._xs), ePB,
+                        out=self._rate)
+        return self._k
+
+    def rhs(self, z, force):
+        """Joint rate at state ``z`` as a new array; ``force`` as in ``_stage``."""
+        self._z[:] = z
+        return self._stage(force).copy()
+
+    def rk4(self, z, dt, seg, out=None):
+        """One step from ``z`` into ``out`` (a new array by default); ``seg``
+        holds the forcing rows at t, t + dt/2 and t + dt.
+
+        The stages run in the kernel's buffers; the weighted sum
+        ``z + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` is formed left to right.
+        """
+        f1, f2, f4 = self.tiled[seg]
+        zs, k, acc = self._z, self._k, self._acc
+        zs[:] = z
+        np.copyto(acc, self._stage(f1))
+        np.add(z, np.multiply(k, 0.5 * dt, out=zs), out=zs)
+        self._stage(f2)
+        np.add(z, np.multiply(k, 0.5 * dt, out=zs), out=zs)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        self._stage(f2)
+        np.add(z, np.multiply(k, dt, out=zs), out=zs)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        np.add(acc, self._stage(f4), out=acc)
+        return np.add(z, np.multiply(acc, dt / 6.0, out=acc), out=out)
 
     def trace(self, Z, t, with_lyapunov, diverged_at):
         """Derive every recorded series from the state history ``Z``."""
@@ -370,11 +431,10 @@ def simulate(net, scenario: Scenario, mode="distributed",
     # (Lyapunov value, control signals) would overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for i, seg in enumerate(stages):
-            z = kern.rk4(Z[i], dt, seg)
-            if not np.max(np.abs(z)) < 1e150:
+            z = kern.rk4(Z[i], dt, seg, out=Z[i + 1])
+            if not np.abs(z).max() < 1e150:
                 last, diverged_at = i, float(t_grid[i + 1])
                 break
-            Z[i + 1] = z
     return kern.trace(Z[:last + 1], t_grid[:last + 1], certificate is not None, diverged_at)
 
 

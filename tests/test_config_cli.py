@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from gascert import ConfigError
-from gascert.cli import main
+from gascert.cli import build_parser, main
 from gascert.config import dump_report, load_config, parse_config
 from gascert.riccati import certify
 from gascert.sim import simulate
@@ -388,6 +391,25 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(("usage: gascert", "gascert "))
+
+    def test_parser_built_once_on_first_call(self, capsys):
+        # importing the CLI builds no parser; main builds one on its first call
+        code = ("import gascert.cli as cli; before = cli.build_parser.cache_info().currsize; "
+                "cli.main(['--bogus']); print(before, cli.build_parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1] / "src")})
+        assert done.stdout.split() == ["0", "1"]
+        assert done.stderr.startswith("error: gascert")
+        assert len(done.stderr.splitlines()) == 1
+        # later calls reuse it, after a usage error and --help as well
+        parser = build_parser()
+        assert main(["riccati", TOY, "--bogus"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["riccati", TOY]) == 0
+        assert build_parser() is parser
 
     def test_matrix_and_bound_one_line_error(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())

@@ -433,6 +433,15 @@ class TestNetworkValidation:
             with pytest.raises(ValueError):
                 stored[0, 0] = 5.0
 
+    def test_tuning_Q_read_only_copy(self):
+        # the network's Lyapunov memo rests on Q: it must not change under it
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        tu = Tuning(Q=Q, gamma=1.0, theta_max=1.0, eps0=0.1)
+        Q[0, 0] = -5.0
+        assert np.array_equal(tu.Q, [[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError):
+            tu.Q[0, 0] = -5.0
+
     def test_edges_frozen(self):
         # an edge added after construction would skip every check above
         net = two_sub_net(coupling=0.5)

@@ -188,6 +188,15 @@ class TestCertify:
         cert = certify(net)
         assert [c.sid for c in cert.subsystems] == ["s1", "s2", "s3"]
 
+    def test_records_indexed_by_id(self):
+        net = scalar_net({("s1", "s2"): 0.1}, n_subs=3)
+        cert = certify(net)
+        for c in cert.subsystems:
+            assert cert.record(c.sid) is c
+            assert cert.P(c.sid) is c.P
+        with pytest.raises(KeyError):
+            cert.record("nope")
+
 
 class TestDecouplingInequality:
     def test_psd_random_pairs(self):

@@ -1,4 +1,5 @@
 import io
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import CONFIG_DIR, assert_same_bits, random_hurwitz
+import gascert.model
 from gascert import (
     AugmentedSubsystem,
     Interconnection,
@@ -15,6 +17,7 @@ from gascert import (
     Scenario,
     Schedule,
     Tuning,
+    analyze,
     certify,
     closed_loop_global,
     control,
@@ -56,6 +59,17 @@ class TestSchedule:
         assert s.at(0.999)[0] == 0.0
         assert s.at(1.0)[0] == 1.0
         assert s.at(3.0)[0] == -3.0
+
+    def test_arrays_are_read_only_copies(self):
+        times, values = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+        s = Schedule(times=times, values=values)
+        times[1], values[0, 0] = -1.0, 7.0
+        assert s.at(0.5)[0] == 1.0
+        assert s.at(1.5)[0] == 2.0
+        with pytest.raises(ValueError):
+            s.times[1] = -1.0
+        with pytest.raises(ValueError):
+            s.values[0, 0] = 7.0
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
@@ -379,6 +393,193 @@ class TestStackedKernel:
         for sid in net.ids:
             assert np.array_equal(state.xbar[sid], trace.xbar[sid][3])
             assert np.array_equal(state.theta_hat[sid], trace.theta_hat[sid][3])
+
+
+class TestLyapunovWeights:
+    def test_solved_once_per_subsystem(self, monkeypatch):
+        # analyze and three runs without a certificate read one memo per network
+        calls = []
+
+        def counting(A, Q):
+            calls.append(1)
+            return solve_lyapunov(A, Q)
+
+        # at every name the solver is bound to, so no module escapes the count
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("gascert") \
+                    and getattr(module, "solve_lyapunov", None) is solve_lyapunov:
+                monkeypatch.setattr(module, "solve_lyapunov", counting)
+        assert gascert.model.solve_lyapunov is counting
+        net, sc = mixed_net(np.random.default_rng(31), 4, with_edges=True)
+        assert calls == []
+        analyze(net)
+        for _ in range(3):
+            simulate(net, Scenario(horizon=0.01, dt=1e-3, theta=sc.theta), mode="decentralized")
+        assert len(calls) == len(net.ids)
+
+    def test_memo_is_the_solution_read_only(self):
+        net = pair_net()
+        P = net.lyapunov("a")
+        assert net.lyapunov("a") is P
+        assert_same_bits(P, solve_lyapunov(net.desired["a"], net.tuning["a"].Q))
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
+        # a new network of the same parts solves afresh
+        assert pair_net().lyapunov("a") is not P
+
+
+def allocating_rhs(kern, z, force, stats):
+    """The stacked RHS as it was before the stage buffers: every product a
+    new array, the forcing broadcast over the plant and predictor rows and
+    the exact g test in every distributed stage."""
+    N, P, M = kern.shape
+    out = np.empty(kern.size)
+    lin = out[:kern.n2].reshape(2, N, P, 1)
+    np.add.reduceat(kern.W @ z[kern.gather], kern.starts, out=lin.reshape(2 * N, P, 1))
+    lin[..., 0] += force
+    x, xh = z[:kern.n2].reshape(2, N, 1, P)
+    th = z[kern.n2:].reshape(N, P, M)
+    lin[0] += kern.B @ (x @ (kern.theta - th)).transpose(0, 2, 1)
+    err = xh - x
+    ePB = err @ kern.PB
+    rate = out[kern.n2:].reshape(N, P, M)
+    if kern.mode == "distributed":
+        np.multiply(x.transpose(0, 2, 1), ePB, out=rate)
+        tt = np.einsum("npm,npm->nm", th, th)
+        stats["tt_max"] = max(stats["tt_max"], float(tt.max()))
+        g = kern.g_scale * tt - kern.g_shift
+        if not g.max() >= 0.0:
+            return out
+        ty = np.einsum("npm,npm->nm", th, rate)
+        active = (g >= 0.0) & (ty > 0.0)
+        stats["active"] += int(active.sum())
+        scale = np.where(active, g * ty / np.where(active, tt, 1.0), 0.0)
+        np.subtract(rate, th * scale[:, None, :], out=rate, where=active[:, None, :])
+    else:
+        w = err @ kern.Pc @ err.transpose(0, 2, 1)
+        scale = (w > control.ERR_FLOOR ** 2) / np.sqrt(np.maximum(w, control.ERR_FLOOR ** 2))
+        np.multiply(xh.transpose(0, 2, 1) * scale, ePB, out=rate)
+    return out
+
+
+def allocating_rk4(kern, z, dt, seg, stats):
+    f1, f2, f4 = kern.forcing[seg]
+    k1 = allocating_rhs(kern, z, f1, stats)
+    k2 = allocating_rhs(kern, z + 0.5 * dt * k1, f2, stats)
+    k3 = allocating_rhs(kern, z + 0.5 * dt * k2, f2, stats)
+    k4 = allocating_rhs(kern, z + dt * k3, f4, stats)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestStageBuffers:
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    @pytest.mark.parametrize("start", ["boundary", "interior"])
+    def test_rk4_bit_identical_to_allocating_oracle(self, mode, start):
+        # "boundary" starts with estimate columns on the projection layer;
+        # "interior" starts from zero estimates and small states, unforced,
+        # so the estimates stay strictly inside the early-exit bound
+        rng = np.random.default_rng(21)
+        net, sc = mixed_net(rng, 5, with_edges=True)
+        state = boundary_state(net, rng)
+        if start == "interior":
+            sc = Scenario(horizon=sc.horizon, dt=sc.dt, theta=sc.theta)
+            state = NetworkState(xbar={sid: 0.01 * x for sid, x in state.xbar.items()},
+                                 xhat={sid: 0.01 * x for sid, x in state.xhat.items()},
+                                 theta_hat={})
+        kern = _Kernel(net, sc, mode)
+        z = want = kern.pack(state)
+        stats = {"active": 0, "tt_max": 0.0}
+        dt = 1e-3
+        for i in range(200):
+            t = i * dt
+            seg = kern.segment([t, t + 0.5 * dt, t + dt])
+            want = allocating_rk4(kern, want, dt, seg, stats)
+            z = kern.rk4(z, dt, seg)
+            assert_same_bits(z, want)
+        assert np.all(np.isfinite(z))
+        if mode == "distributed" and start == "boundary":
+            assert stats["active"] > 0
+        if mode == "distributed" and start == "interior":
+            assert 0.0 < stats["tt_max"] < kern.interior
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_rhs_bit_identical_to_allocating_oracle(self, mode):
+        # rhs takes a forcing row, untiled or tiled, and returns a new array
+        rng = np.random.default_rng(22)
+        net, sc = mixed_net(rng, 4, with_edges=True)
+        kern = _Kernel(net, sc, mode)
+        stats = {"active": 0, "tt_max": 0.0}
+        z = kern.pack(boundary_state(net, rng))
+        got = [kern.rhs(z, kern.forcing[j]) for j in range(kern.breaks.size)]
+        for j, rate in enumerate(got):
+            assert_same_bits(rate, allocating_rhs(kern, z, kern.forcing[j], stats))
+            assert_same_bits(kern.rhs(z, kern.tiled[j]), rate)
+
+    def test_projection_around_early_exit_bound(self):
+        # estimate columns along their update direction with |theta|^2 just
+        # below, at and above the early-exit bound, and around each
+        # subsystem's own g = 0 threshold: the rate matches control.project
+        rng = np.random.default_rng(23)
+        net, sc = mixed_net(rng, 4, with_edges=True)
+        kern = _Kernel(net, sc, "distributed")
+        base = boundary_state(net, rng)
+        u = np.finfo(float).eps
+        levels = {"below_bound": lambda thr: kern.interior * (1.0 - 4 * u),
+                  "at_bound": lambda thr: kern.interior,
+                  "above_bound": lambda thr: kern.interior * (1.0 + 4 * u),
+                  "below_threshold": lambda thr: thr * (1.0 - 4 * u),
+                  "at_threshold": lambda thr: thr,
+                  "above_threshold": lambda thr: thr * (1.0 + 4 * u),
+                  "outside": lambda thr: 1.02 * thr}
+        active = {}
+        for name, level in levels.items():
+            theta = {}
+            for sid in net.ids:
+                tun, s = net.tuning[sid], net.subsystem(sid)
+                err = base.xhat[sid] - base.xbar[sid]
+                drive = -np.outer(base.xbar[sid], err @ net.lyapunov(sid) @ s.B)
+                d = drive / np.linalg.norm(drive, axis=0)
+                theta[sid] = d * np.sqrt(level(tun.theta_max ** 2 / (1.0 + tun.eps0)))
+            state = NetworkState(xbar=base.xbar, xhat=base.xhat, theta_hat=theta)
+            got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+            want = reference_rhs(net, sc, "distributed", state, 0.0)
+            # the largest |theta|^2 of the stage against the bound: only
+            # "below_bound" takes the early exit
+            assert (kern._tt.max() < kern.interior) == (name == "below_bound"), name
+            active[name] = 0
+            for sid in net.ids:
+                w = want[sid][2]
+                assert np.max(np.abs(got.theta_hat[sid] - w)) <= 1e-13 * np.max(np.abs(w)), name
+                tun = net.tuning[sid]
+                # each column points along its update, so it is projected iff g >= 0
+                active[name] += sum(control.boundary_function(col, tun.theta_max, tun.eps0) >= 0.0
+                                    for col in theta[sid].T)
+        for name in ("below_bound", "at_bound", "above_bound", "below_threshold"):
+            assert active[name] == 0, name
+        assert active["outside"] == sum(net.subsystem(sid).m for sid in net.ids)
+
+    def test_kernels_stepped_alternately_match_alone(self):
+        rng = np.random.default_rng(24)
+        runs = []
+        for mode in ("distributed", "decentralized"):
+            net, sc = mixed_net(rng, 3, with_edges=True)
+            kern = _Kernel(net, sc, mode)
+            runs.append((kern, kern.pack(boundary_state(net, rng))))
+
+        def advance(kern, z, i, dt=1e-3):
+            t = i * dt
+            return kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
+
+        alone = []
+        for kern, z in runs:
+            for i in range(50):
+                z = advance(kern, z, i)
+            alone.append(z)
+        together = [z for _, z in runs]
+        for i in range(50):
+            together = [advance(kern, z, i) for (kern, _), z in zip(runs, together)]
+        for got, want in zip(together, alone):
+            assert_same_bits(got, want)
 
 
 class TestTraceMechanics:
