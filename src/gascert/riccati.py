@@ -84,16 +84,21 @@ class SubsystemCertificate:
     reason: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GasCertificate:
-    """Network-wide verdict with per-subsystem records (sorted by id),
-    indexed by id at construction."""
+    """Network-wide verdict with per-subsystem records (sorted by id).
 
-    subsystems: list
+    ``subsystems`` is stored as a tuple and indexed by id at construction;
+    on a repeated id the first record is the one found.
+    """
+
+    subsystems: tuple
     certified: bool
 
     def __post_init__(self):
-        self._by_sid = {c.sid: c for c in self.subsystems}
+        object.__setattr__(self, "subsystems", tuple(self.subsystems))
+        object.__setattr__(self, "_by_sid",
+                           {c.sid: c for c in reversed(self.subsystems)})
 
     @property
     def failing(self):

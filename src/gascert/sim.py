@@ -26,11 +26,10 @@ The forcing is tabulated per schedule segment, tiled over the plant and
 predictor rows.  A run pays for its RK4 steps and little else: each
 subsystem's Lyapunov weight is solved once per network
 (``NetworkModel.lyapunov``), and every stage writes into buffers, and
-through views of them, that the kernel builds once.  The projection skips
-its exact test when every estimate column lies strictly inside the bound.
-A run keeps only the state history and derives the controls, outputs,
-references, error norms and Lyapunov value from it afterwards.  The
-scalar laws in ``control`` are the reference the kernel is tested against.
+through views of them, that the kernel builds once.  A run keeps only the
+state history and derives the controls, outputs, references, error norms
+and Lyapunov value from it afterwards.  The scalar laws in ``control`` are
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -215,11 +214,6 @@ class _Kernel:
             # g(theta) = ((eps0 + 1) |theta|^2 - theta_max^2) / (eps0 theta_max^2)
             self.g_scale = ((eps0 + 1.0) / (eps0 * tmax ** 2))[:, None]
             self.g_shift = (1.0 / eps0)[:, None]
-            # g >= 0 iff |theta|^2 >= theta_max^2 / (eps0 + 1) = g_shift / g_scale;
-            # below this bound every computed g is negative (the 1e-12 margin
-            # covers the rounding of g_scale, g_shift and their product with
-            # |theta|^2), so _project returns without the exact test
-            self.interior = float(np.min(tmax ** 2 / (eps0 + 1.0))) * (1.0 - 1e-12)
         # (source row, block) terms of the 2N rows, plants then predictors: the
         # row's A_m, then one per in-edge (predictor rows only when distributed)
         rows = [[(r, net.desired[sid])] for r, sid in enumerate(self.ids * 2)]
@@ -304,8 +298,6 @@ class _Kernel:
         # control.project per column, in place: grad(g) is parallel to theta,
         # so the outward case removes theta (theta'y) g / |theta|^2 from y
         tt = np.einsum("npm,npm->nm", th, th, out=self._tt)
-        if tt.max() < self.interior:
-            return
         g = self.g_scale * tt - self.g_shift
         if not g.max() >= 0.0:
             return

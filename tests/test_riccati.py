@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_hurwitz
 from gascert import (
     AugmentedSubsystem,
+    GasCertificate,
     Interconnection,
     NetworkModel,
     StabilityError,
@@ -196,6 +199,30 @@ class TestCertify:
             assert cert.P(c.sid) is c.P
         with pytest.raises(KeyError):
             cert.record("nope")
+
+    def test_records_fixed_after_construction(self):
+        # the index cannot fall out of step with the records: the fields
+        # cannot be reassigned, the records cannot be edited in place, and
+        # editing the caller's list changes nothing
+        records = list(certify(scalar_net({("s1", "s2"): 0.1}, n_subs=3)).subsystems)
+        cert = GasCertificate(subsystems=records, certified=True)
+        first = records[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.subsystems = records[:1]
+        with pytest.raises(TypeError):
+            cert.subsystems[0] = records[1]
+        with pytest.raises(AttributeError):
+            cert.subsystems.append(records[1])
+        records[0] = records[1]
+        records.append(dataclasses.replace(first, sid="s4"))
+        assert cert.subsystems == (first, *records[1:3])
+        assert cert.record("s1") is first
+        with pytest.raises(KeyError):
+            cert.record("s4")
+        # on a repeated id the first record is found, as a scan would find it
+        twice = GasCertificate(subsystems=[first, dataclasses.replace(first, P=None)],
+                               certified=False)
+        assert twice.record("s1") is first
 
 
 class TestDecouplingInequality:

@@ -477,7 +477,7 @@ class TestStageBuffers:
     def test_rk4_bit_identical_to_allocating_oracle(self, mode, start):
         # "boundary" starts with estimate columns on the projection layer;
         # "interior" starts from zero estimates and small states, unforced,
-        # so the estimates stay strictly inside the early-exit bound
+        # so every estimate column stays where g < 0
         rng = np.random.default_rng(21)
         net, sc = mixed_net(rng, 5, with_edges=True)
         state = boundary_state(net, rng)
@@ -500,7 +500,7 @@ class TestStageBuffers:
         if mode == "distributed" and start == "boundary":
             assert stats["active"] > 0
         if mode == "distributed" and start == "interior":
-            assert 0.0 < stats["tt_max"] < kern.interior
+            assert 0.0 < stats["tt_max"] < np.min(kern.g_shift / kern.g_scale)
 
     @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
     def test_rhs_bit_identical_to_allocating_oracle(self, mode):
@@ -515,19 +515,16 @@ class TestStageBuffers:
             assert_same_bits(rate, allocating_rhs(kern, z, kern.forcing[j], stats))
             assert_same_bits(kern.rhs(z, kern.tiled[j]), rate)
 
-    def test_projection_around_early_exit_bound(self):
+    def test_projection_around_g_threshold(self):
         # estimate columns along their update direction with |theta|^2 just
-        # below, at and above the early-exit bound, and around each
-        # subsystem's own g = 0 threshold: the rate matches control.project
+        # below, at and above each subsystem's g = 0 threshold, and outside
+        # it: the rate matches control.project
         rng = np.random.default_rng(23)
         net, sc = mixed_net(rng, 4, with_edges=True)
         kern = _Kernel(net, sc, "distributed")
         base = boundary_state(net, rng)
         u = np.finfo(float).eps
-        levels = {"below_bound": lambda thr: kern.interior * (1.0 - 4 * u),
-                  "at_bound": lambda thr: kern.interior,
-                  "above_bound": lambda thr: kern.interior * (1.0 + 4 * u),
-                  "below_threshold": lambda thr: thr * (1.0 - 4 * u),
+        levels = {"below_threshold": lambda thr: thr * (1.0 - 4 * u),
                   "at_threshold": lambda thr: thr,
                   "above_threshold": lambda thr: thr * (1.0 + 4 * u),
                   "outside": lambda thr: 1.02 * thr}
@@ -543,9 +540,6 @@ class TestStageBuffers:
             state = NetworkState(xbar=base.xbar, xhat=base.xhat, theta_hat=theta)
             got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
             want = reference_rhs(net, sc, "distributed", state, 0.0)
-            # the largest |theta|^2 of the stage against the bound: only
-            # "below_bound" takes the early exit
-            assert (kern._tt.max() < kern.interior) == (name == "below_bound"), name
             active[name] = 0
             for sid in net.ids:
                 w = want[sid][2]
@@ -554,8 +548,7 @@ class TestStageBuffers:
                 # each column points along its update, so it is projected iff g >= 0
                 active[name] += sum(control.boundary_function(col, tun.theta_max, tun.eps0) >= 0.0
                                     for col in theta[sid].T)
-        for name in ("below_bound", "at_bound", "above_bound", "below_threshold"):
-            assert active[name] == 0, name
+        assert active["below_threshold"] == 0
         assert active["outside"] == sum(net.subsystem(sid).m for sid in net.ids)
 
     def test_kernels_stepped_alternately_match_alone(self):
