@@ -77,7 +77,6 @@ from .sim import (
     export_csv,
     metrics,
     simulate,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

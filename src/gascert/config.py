@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .control import build_reference_model
-from .exceptions import ConfigError, NonFiniteError
+from .exceptions import ConfigError, GascertError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
 from .sim import Scenario, Schedule
 
@@ -86,7 +86,7 @@ def _scalar(value, path):
     return float(value)
 
 
-def _reference_model(spec, sub, path):
+def _reference_model(spec, B, C, path):
     if isinstance(spec, list):
         return _matrix(spec, path)
     if isinstance(spec, dict):
@@ -94,7 +94,7 @@ def _reference_model(spec, sub, path):
         K_x = _matrix(_require(spec, "K_x", path), f"{path}.K_x")
         K_xi = _matrix(_require(spec, "K_xi", path), f"{path}.K_xi")
         try:
-            return build_reference_model(A_nom, sub["B"], sub["C"], K_x, K_xi)
+            return build_reference_model(A_nom, B, C, K_x, K_xi)
         except Exception as exc:
             raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}: expected a matrix or gain blocks")
@@ -123,7 +123,7 @@ def _schedule(spec, path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _scenario(spec, subs_by_id, path):
+def _scenario(spec, path):
     horizon = _scalar(_require(spec, "horizon", path), f"{path}.horizon")
     dt = _scalar(_require(spec, "dt", path), f"{path}.dt")
     kwargs = {"horizon": horizon, "dt": dt}
@@ -136,25 +136,6 @@ def _scenario(spec, subs_by_id, path):
     for key in ("x0", "xhat0"):
         kwargs[key] = {sid: _vector(v, f"{path}.{key}.{sid}")
                        for sid, v in _section(spec, key, path).items()}
-    for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
-        for sid in kwargs[key]:
-            if sid not in subs_by_id:
-                raise ConfigError(f"{path}.{key}.{sid}: unknown subsystem id")
-    for key in ("x0", "xhat0"):
-        for sid, vec in kwargs[key].items():
-            dim = subs_by_id[sid]["n"] + subs_by_id[sid]["q"]
-            if vec.shape[0] != dim:
-                raise ConfigError(
-                    f"{path}.{key}.{sid}: expected {dim} entries, got {vec.shape[0]}"
-                )
-    for key in ("theta", "theta_hat0"):
-        for sid, mat in kwargs[key].items():
-            want = (subs_by_id[sid]["n"] + subs_by_id[sid]["q"],
-                    subs_by_id[sid]["B"].shape[1])
-            if mat.shape != want:
-                raise ConfigError(
-                    f"{path}.{key}.{sid}: expected shape {want}, got {mat.shape}"
-                )
     try:
         return Scenario(**kwargs)
     except Exception as exc:
@@ -168,30 +149,27 @@ def parse_config(doc):
         raise ConfigError("config.subsystems: expected a non-empty array")
     shared_rm = doc.get("reference_model")
     shared_tuning = doc.get("tuning")
-    subsystems, desired, tuning, baseline = [], {}, {}, {}
-    raw = {}
+    subs, desired, tuning, baseline = {}, {}, {}, {}
     for k, sub in enumerate(subs_spec):
         path = f"config.subsystems[{k}]"
         sid = _require(sub, "id", path)
         if not isinstance(sid, str) or not sid:
             raise ConfigError(f"{path}.id: expected a non-empty string")
-        if sid in raw:
+        if sid in subs:
             raise ConfigError(f"{path}.id: duplicate id {sid!r}")
         B = _matrix(_require(sub, "B", path), f"{path}.B")
         C = _matrix(_require(sub, "C", path), f"{path}.C")
         A = _matrix(sub.get("A"), f"{path}.A", allow_null=True)
         D = _matrix(sub.get("D"), f"{path}.D", allow_null=True)
         E = _matrix(sub.get("E"), f"{path}.E", allow_null=True)
-        raw[sid] = {"B": B, "C": C, "n": B.shape[0], "q": C.shape[0]}
         try:
-            aug = AugmentedSubsystem.from_raw(sid, B, C, A=A, D=D, E=E)
+            subs[sid] = AugmentedSubsystem.from_raw(sid, B, C, A=A, D=D, E=E)
         except Exception as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        subsystems.append(aug)
         rm_spec = sub.get("reference_model", shared_rm)
         if rm_spec is None:
             raise ConfigError(f"{path}.reference_model: missing (no shared default)")
-        desired[sid] = _reference_model(rm_spec, raw[sid], f"{path}.reference_model")
+        desired[sid] = _reference_model(rm_spec, B, C, f"{path}.reference_model")
         tn_spec = sub.get("tuning", shared_tuning)
         if tn_spec is None:
             raise ConfigError(f"{path}.tuning: missing (no shared default)")
@@ -207,7 +185,7 @@ def parse_config(doc):
         src = _require(edge, "from", path)
         dst = _require(edge, "to", path)
         for sid, role in ((src, "from"), (dst, "to")):
-            if not isinstance(sid, str) or sid not in raw:
+            if not isinstance(sid, str) or sid not in subs:
                 raise ConfigError(f"{path}.{role}: unknown subsystem id {sid!r}")
         norm_bound = edge.get("norm_bound")
         if norm_bound is not None:
@@ -215,11 +193,11 @@ def parse_config(doc):
         A_edge = None
         if edge.get("A") is not None:
             A_raw = _matrix(edge["A"], f"{path}.A")
-            want = (raw[dst]["n"], raw[src]["n"])
+            want = (subs[dst].n, subs[src].n)
             if A_raw.shape != want:
                 raise ConfigError(f"{path}.A: shape {A_raw.shape} does not match "
                                   f"destination x source raw dims {want}")
-            A_edge = augment_edge(A_raw, raw[dst]["q"], raw[src]["q"])
+            A_edge = augment_edge(A_raw, subs[dst].q, subs[src].q)
         elif norm_bound is None:
             raise ConfigError(f"{path}.A: missing required field")
         try:
@@ -227,13 +205,17 @@ def parse_config(doc):
         except Exception as exc:
             raise ConfigError(f"{path}: {exc}") from None
     try:
-        net = NetworkModel(subsystems=subsystems, edges=edges, desired=desired,
+        net = NetworkModel(subsystems=list(subs.values()), edges=edges, desired=desired,
                            tuning=tuning, baseline=baseline)
     except Exception as exc:
         raise ConfigError(f"config: {exc}") from None
     scenario = None
     if doc.get("scenario") is not None:
-        scenario = _scenario(doc["scenario"], raw, "config.scenario")
+        scenario = _scenario(doc["scenario"], "config.scenario")
+        try:
+            scenario.check(net)
+        except GascertError as exc:
+            raise ConfigError(f"config.scenario.{exc}") from None
     return net, scenario
 
 

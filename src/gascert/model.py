@@ -65,8 +65,9 @@ def check_controllability(A, B):
 class AugmentedSubsystem:
     """Integral-augmented subsystem blocks; build them with ``from_raw``.
 
-    ``A`` may be None when the plant state matrix is unknown: analysis and
-    simulation only need the desired dynamics and the input/output blocks.
+    The blocks are stored as read-only copies.  ``A`` may be None when the
+    plant state matrix is unknown: analysis and simulation only need the
+    desired dynamics and the input/output blocks.
     """
 
     sid: str
@@ -106,8 +107,10 @@ class AugmentedSubsystem:
                     raise ValueError(
                         f"subsystem {self.sid}: augmented A integral columns must be zero"
                     )
-            object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+            object.__setattr__(self, "A", _read_only(A))
+        object.__setattr__(self, "B", _read_only(B))
+        for name in ("C", "D", "E", "F"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def dim(self):
@@ -277,7 +280,6 @@ class NetworkModel:
         if not ids:
             raise ValueError("network has no subsystems")
         object.__setattr__(self, "index", {sid: k for k, sid in enumerate(ids)})
-        object.__setattr__(self, "_by_id", {s.sid: s for s in self.subsystems})
         incoming = {sid: [] for sid in ids}
         outgoing = {sid: [] for sid in ids}
         pairs = set()
@@ -285,12 +287,12 @@ class NetworkModel:
             if (e.src, e.dst) in pairs:
                 raise ValueError(f"edge {e.src}->{e.dst}: repeated edge; declare each pair once")
             pairs.add((e.src, e.dst))
-            if e.src not in self._by_id:
+            if e.src not in self.index:
                 raise ValueError(f"edge {e.src}->{e.dst}: unknown source id")
-            if e.dst not in self._by_id:
+            if e.dst not in self.index:
                 raise ValueError(f"edge {e.src}->{e.dst}: unknown destination id")
             if e.A is not None:
-                want = (self._by_id[e.dst].dim, self._by_id[e.src].dim)
+                want = (self.subsystem(e.dst).dim, self.subsystem(e.src).dim)
                 if e.A.shape != want:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
@@ -301,14 +303,14 @@ class NetworkModel:
         object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
         object.__setattr__(self, "_lyapunov", {})
         desired, tuning, baseline = {}, {}, {}
-        for sid in ids:
+        for sid, s in zip(ids, self.subsystems):
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
             Am = as_matrix(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
-            if Am.shape[0] != self._by_id[sid].dim:
+            if Am.shape[0] != s.dim:
                 raise DimensionError(
                     f"subsystem {sid}: desired dynamics is {Am.shape[0]}x{Am.shape[0]}, "
-                    f"expected {self._by_id[sid].dim}"
+                    f"expected {s.dim}"
                 )
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
@@ -317,11 +319,10 @@ class NetworkModel:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]
             Q = tuning[sid].Q
-            if Q.shape[0] != self._by_id[sid].dim:
+            if Q.shape[0] != s.dim:
                 raise DimensionError(
-                    f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {self._by_id[sid].dim}"
+                    f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {s.dim}"
                 )
-            s = self._by_id[sid]
             K = self.baseline.get(sid)
             K = np.zeros((s.m, s.dim)) if K is None else as_matrix(K, f"subsystem {sid}: baseline gain")
             if K.shape != (s.m, s.dim):
@@ -337,7 +338,7 @@ class NetworkModel:
         return [s.sid for s in self.subsystems]
 
     def subsystem(self, sid) -> AugmentedSubsystem:
-        return self._by_id[sid]
+        return self.subsystems[self.index[sid]]
 
     def in_edges(self, sid):
         """Edges whose coupling enters subsystem ``sid`` (its neighbour set)."""

@@ -30,6 +30,10 @@ through views of them, that the kernel builds once.  A run keeps only the
 state history and derives the controls, outputs, references, error norms
 and Lyapunov value from it afterwards.  The scalar laws in ``control`` are
 the reference the kernel is tested against.
+
+``simulate`` is the one entry point.  Its kernel first runs
+``Scenario.check``, the one check that a scenario fits its network, which
+``config`` also runs when it loads a document.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "export_csv",
     "metrics",
     "simulate",
-    "step",
 ]
 
 # trace values gathered per block of the CSV export (512 kB)
@@ -100,8 +103,9 @@ class Schedule:
 @dataclass
 class Scenario:
     """Simulation scenario: horizon, step, input schedules, truth, and
-    initial conditions.  Missing entries default to zeros.  The horizon
-    must be a whole number of steps (to 1e-9 relative)."""
+    initial conditions, each a dict keyed by subsystem id.  Missing entries
+    default to zeros.  The horizon must be a whole number of steps (to 1e-9
+    relative); ``check`` tests the entries against a network."""
 
     horizon: float
     dt: float
@@ -121,6 +125,35 @@ class Scenario:
         if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
             raise ValueError(f"horizon {self.horizon!r} is not a finite, whole number of "
                              f"steps of dt {self.dt!r}")
+
+    def check(self, net: NetworkModel):
+        """Check every entry against the subsystem of ``net`` that it names.
+
+        Each key must be a subsystem id.  ``x0`` and ``xhat0`` have ``dim``
+        entries, ``theta`` and ``theta_hat0`` shape ``(dim, m)``, and the
+        references and disturbances are ``Schedule``s ``q`` and ``r`` wide;
+        a None entry counts as missing.  Errors name ``<field>.<sid>``.
+        """
+        for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
+            for sid, value in getattr(self, key).items():
+                if sid not in net.index:
+                    raise GascertError(f"{key}.{sid}: unknown subsystem id")
+                if value is None:
+                    continue
+                s = net.subsystem(sid)
+                if key in ("references", "disturbances"):
+                    if not isinstance(value, Schedule):
+                        raise TypeError(f"{key}.{sid}: expected a Schedule")
+                    got, want = value.values.shape[1], s.q if key == "references" else s.r
+                    fault = f"schedule is {got} wide, expected {want}"
+                elif key in ("theta", "theta_hat0"):
+                    got, want = np.shape(value), (s.dim, s.m)
+                    fault = f"expected shape {want}, got {got}"
+                else:
+                    got, want = np.size(value), s.dim
+                    fault = f"expected {want} entries, got {got}"
+                if got != want:
+                    raise DimensionError(f"{key}.{sid}: {fault}")
 
 
 @dataclass
@@ -158,15 +191,9 @@ class SimTrace:
     mode: str
 
 
-def _schedule(sched, width, sid, kind):
-    if sched is None:
-        return Schedule(times=[0.0], values=np.zeros((1, width)))
-    if not isinstance(sched, Schedule):
-        sched = Schedule.constant(sched)
-    if sched.values.shape[1] != width:
-        raise DimensionError(f"subsystem {sid}: {kind} schedule is {sched.values.shape[1]}-wide, "
-                             f"expected {width}")
-    return sched
+def _schedule(sched, width):
+    """``sched``, or a zero schedule of ``width`` columns for a missing one."""
+    return Schedule(times=[0.0], values=np.zeros((1, width))) if sched is None else sched
 
 
 class _Kernel:
@@ -177,6 +204,7 @@ class _Kernel:
     def __init__(self, net: NetworkModel, scenario: Scenario, mode, certificate=None):
         if mode not in ("decentralized", "distributed"):
             raise ValueError(f"unknown mode {mode!r}")
+        scenario.check(net)
         self.mode = mode
         self.ids = list(net.ids)
         subs = [net.subsystem(sid) for sid in self.ids]
@@ -196,16 +224,14 @@ class _Kernel:
                 raise ConfigError(f"subsystem {sid}: tuning.theta_max must be positive for "
                                   f"the distributed projection law, got {tn.theta_max!r}")
             th = scenario.theta.get(sid)
-            th = np.zeros((p, m)) if th is None else np.asarray(th, dtype=float)
-            if th.shape != (p, m):
-                raise DimensionError(
-                    f"subsystem {sid}: true theta has shape {th.shape}, expected {(p, m)}")
+            if th is not None:
+                self.theta[k, :p, :m] = th
             Pk = None if certificate is None else certificate.P(sid)
             self.Pc[k, :p, :p] = net.lyapunov(sid) if Pk is None else Pk
-            self.B[k, :p, :m], self.theta[k, :p, :m] = s.B, th
+            self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
-            refs.append(_schedule(scenario.references.get(sid), s.q, sid, "reference"))
-            dists.append(_schedule(scenario.disturbances.get(sid), s.r, sid, "disturbance"))
+            refs.append(_schedule(scenario.references.get(sid), s.q))
+            dists.append(_schedule(scenario.disturbances.get(sid), s.r))
         # -gamma folded into P B for the projection law (positively homogeneous,
         # so gamma > 0 commutes with it), -gamma / 2 for the normalized law
         gain = -self.gamma if mode == "distributed" else -0.5 * self.gamma
@@ -385,17 +411,6 @@ class _Kernel:
             lyapunov=lyap, diverged=diverged_at is not None,
             diverged_at=diverged_at, mode=self.mode,
         )
-
-
-def step(net, state: NetworkState, scenario: Scenario, t, dt,
-         mode="distributed", certificate=None) -> NetworkState:
-    """Advance the joint state by one RK4 step of length ``dt``."""
-    kern = _Kernel(net, scenario, mode, certificate)
-    t, dt = float(t), float(dt)
-    z = kern.rk4(kern.pack(state), dt, kern.segment([t, t + 0.5 * dt, t + dt]))
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError(f"state diverged during the step at t={t}")
-    return kern.unpack(z)
 
 
 def simulate(net, scenario: Scenario, mode="distributed",

@@ -284,6 +284,21 @@ class TestExitCodes:
             assert captured.err.startswith(f"error: {field}")
             assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sub", ["riccati", "connective", "smallgain", "simulate"])
+    def test_scenario_misfit_rejected_at_load(self, sub, tmp_path, capsys):
+        # a scenario that does not fit its network fails every subcommand
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"]["references"]["a"]["values"] = [[1.0, 2.0]]
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "wide.csv"
+        assert main([sub, str(cfg)] + (["--out", str(out)] if sub == "simulate" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config.scenario.references.a: "
+                                "schedule is 2 wide, expected 1\n")
+        assert not out.exists()
+
     def test_duplicate_id_one_line_error(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["subsystems"][1]["id"] = "a"

@@ -433,6 +433,21 @@ class TestNetworkValidation:
             with pytest.raises(ValueError):
                 stored[0, 0] = 5.0
 
+    def test_subsystem_blocks_read_only(self):
+        # a loaded network's blocks refuse in-place writes, so the simulator
+        # cannot integrate a plant other than the one certified
+        net, _, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        with pytest.raises(ValueError):
+            net.subsystem("a").B[:] = 0.0
+        B = np.array([[1.0], [0.5]])
+        s = AugmentedSubsystem.from_raw("s", B=B, C=[[1.0, 0.0]], A=[[0.0, 1.0], [0.0, 0.0]],
+                                        D=[[0.0]], E=[[1.0], [0.0]])
+        B[0, 0] = 5.0
+        assert s.B[0, 0] == 1.0
+        for name in ("A", "B", "C", "D", "E", "F"):
+            with pytest.raises(ValueError):
+                getattr(s, name)[0, 0] = 5.0
+
     def test_tuning_Q_read_only_copy(self):
         # the network's Lyapunov memo rests on Q: it must not change under it
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])

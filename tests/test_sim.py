@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -11,6 +12,8 @@ from conftest import CONFIG_DIR, assert_same_bits, random_hurwitz
 import gascert.model
 from gascert import (
     AugmentedSubsystem,
+    DimensionError,
+    GascertError,
     Interconnection,
     NetworkModel,
     NetworkState,
@@ -24,7 +27,6 @@ from gascert import (
     export_csv,
     metrics,
     simulate,
-    step,
 )
 from gascert.config import load_config
 from gascert.numerics import solve_lyapunov
@@ -132,48 +134,6 @@ class TestDecoupledConvergence:
         trace = simulate(net, sc, mode="decentralized")
         assert trace.error_norm["solo"][-1] < 1e-2
         assert trace.error_norm["solo"][-1] < 0.05 * np.max(trace.error_norm["solo"])
-
-
-class TestStepFunction:
-    def test_matches_simulate_first_step(self):
-        net = pair_net()
-        sc = Scenario(horizon=0.002, dt=1e-3,
-                      references={"a": Schedule.constant([1.0])},
-                      theta={"a": [[0.3], [-0.2]]},
-                      x0={"a": [0.4, 0.0]})
-        trace = simulate(net, sc, mode="distributed")
-        state0 = NetworkState(
-            xbar={"a": np.array([0.4, 0.0])}, xhat={}, theta_hat={})
-        nxt = step(net, state0, sc, 0.0, 1e-3, mode="distributed")
-        assert np.allclose(nxt.xbar["a"], trace.xbar["a"][1], atol=1e-15)
-        assert np.allclose(nxt.xbar["b"], trace.xbar["b"][1], atol=1e-15)
-        assert np.allclose(nxt.theta_hat["a"], trace.theta_hat["a"][1], atol=1e-15)
-
-    def test_distributed_coupling_matches_control_module(self):
-        # the simulator's distributed predictor must reproduce the control
-        # module's rate: decentralized rate plus the coupling replica
-        net = pair_net(coupling=0.3)
-        sc = Scenario(horizon=0.0, dt=1e-3, theta={"a": [[0.3], [-0.2]]})
-        rng = np.random.default_rng(6)
-        state = NetworkState(
-            xbar={"a": rng.normal(size=2), "b": rng.normal(size=2)},
-            xhat={"a": rng.normal(size=2), "b": rng.normal(size=2)},
-            theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
-                       "b": rng.normal(size=(2, 1)) * 0.1},
-        )
-        kern = _Kernel(net, sc, "distributed")
-        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
-        u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
-        edge = net.in_edges("a")[0]
-        expected = control.predictor_rate(
-            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
-            state.theta_hat["a"], state.xbar["a"], np.zeros(2),
-            mode="distributed", neighbor_terms=[(edge.A, state.xhat["b"])])
-        assert np.allclose(rate.xhat["a"], expected, atol=1e-14)
-        dec = control.predictor_rate(
-            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
-            state.theta_hat["a"], state.xbar["a"], np.zeros(2))
-        assert np.allclose(rate.xhat["a"] - dec, edge.A @ state.xhat["b"], atol=1e-14)
 
 
 def mixed_net(rng, n_subs, with_edges):
@@ -383,16 +343,98 @@ class TestStackedKernel:
         rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
         assert np.allclose(rate.xbar["hub"], [10.24, 0.0], rtol=1e-12)
 
-    def test_simulate_mixed_network_matches_step(self):
+    def test_simulate_rows_are_an_rk4_chain(self):
+        # simulate's rows are kern.rk4 applied step by step from the packed
+        # initial state, bit for bit
         rng = np.random.default_rng(8)
         net, sc = mixed_net(rng, 4, with_edges=True)
+        start = boundary_state(net, rng)
+        sc.x0, sc.xhat0, sc.theta_hat0 = start.xbar, start.xhat, start.theta_hat
         trace = simulate(net, sc, mode="distributed")
-        state = NetworkState(xbar={}, xhat={}, theta_hat={})
-        for i in range(3):
-            state = step(net, state, sc, trace.t[i], sc.dt, mode="distributed")
-        for sid in net.ids:
-            assert np.array_equal(state.xbar[sid], trace.xbar[sid][3])
-            assert np.array_equal(state.theta_hat[sid], trace.theta_hat[sid][3])
+        assert trace.t.size == 201 and not trace.diverged
+        kern, dt = _Kernel(net, sc, "distributed"), sc.dt
+        z = kern.pack(start)
+        for i, t in enumerate(trace.t):
+            row = kern.unpack(z)
+            for name in ("xbar", "xhat", "theta_hat"):
+                for sid in net.ids:
+                    assert_same_bits(getattr(row, name)[sid], getattr(trace, name)[sid][i])
+            z = kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
+
+    def test_distributed_coupling_matches_control_module(self):
+        # the simulator's distributed predictor must reproduce the control
+        # module's rate: decentralized rate plus the coupling replica
+        net = pair_net(coupling=0.3)
+        sc = Scenario(horizon=0.0, dt=1e-3, theta={"a": [[0.3], [-0.2]]})
+        rng = np.random.default_rng(6)
+        state = NetworkState(
+            xbar={"a": rng.normal(size=2), "b": rng.normal(size=2)},
+            xhat={"a": rng.normal(size=2), "b": rng.normal(size=2)},
+            theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
+                       "b": rng.normal(size=(2, 1)) * 0.1},
+        )
+        kern = _Kernel(net, sc, "distributed")
+        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
+        u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
+        edge = net.in_edges("a")[0]
+        expected = control.predictor_rate(
+            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
+            state.theta_hat["a"], state.xbar["a"], np.zeros(2),
+            mode="distributed", neighbor_terms=[(edge.A, state.xhat["b"])])
+        assert np.allclose(rate.xhat["a"], expected, atol=1e-14)
+        dec = control.predictor_rate(
+            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
+            state.theta_hat["a"], state.xbar["a"], np.zeros(2))
+        assert np.allclose(rate.xhat["a"] - dec, edge.A @ state.xhat["b"], atol=1e-14)
+
+
+def wide_net():
+    """One subsystem "a" with dim 3, m = 2, q = 1 and r = 1."""
+    sub = AugmentedSubsystem.from_raw("a", B=np.eye(2), C=[[1.0, 0.0]],
+                                      A=[[0.0, 1.0], [0.0, 0.0]], E=[[1.0], [0.0]])
+    tun = Tuning(Q=np.eye(3), gamma=20.0, theta_max=1.5, eps0=0.1)
+    return NetworkModel(subsystems=[sub], edges=[], desired={"a": np.diag([-1.0, -2.0, -3.0])},
+                        tuning={"a": tun})
+
+
+class TestScenarioCheck:
+    @pytest.mark.parametrize("key,value", [
+        ("references", Schedule.constant([1.0])), ("disturbances", Schedule.constant([1.0])),
+        ("theta", np.zeros((3, 2))), ("theta_hat0", np.zeros((3, 2))),
+        ("x0", np.zeros(3)), ("xhat0", np.zeros(3)),
+    ])
+    def test_unknown_id_rejected(self, key, value):
+        sc = Scenario(horizon=0.01, dt=1e-3, **{key: {"a": value, "ghost": value}})
+        with pytest.raises(GascertError, match=f"^{key}.ghost: unknown subsystem id$"):
+            simulate(wide_net(), sc)
+
+    @pytest.mark.parametrize("key,value,fault", [
+        ("theta_hat0", np.ones((2, 3)), "expected shape (3, 2), got (2, 3)"),
+        ("theta", np.ones((3, 1)), "expected shape (3, 2), got (3, 1)"),
+        ("x0", np.ones(2), "expected 3 entries, got 2"),
+        ("xhat0", np.ones(4), "expected 3 entries, got 4"),
+        ("references", Schedule.constant([1.0, 2.0]), "schedule is 2 wide, expected 1"),
+        ("disturbances", Schedule(times=[0.0], values=np.zeros((1, 0))),
+         "schedule is 0 wide, expected 1"),
+    ])
+    def test_size_mismatch_rejected(self, key, value, fault):
+        # pack would reshape the (2, 3) estimate into the (3, 2) slot
+        sc = Scenario(horizon=0.01, dt=1e-3, **{key: {"a": value}})
+        with pytest.raises(DimensionError, match=f"^{re.escape(f'{key}.a: {fault}')}$"):
+            simulate(wide_net(), sc)
+
+    def test_schedule_entries_are_schedules(self):
+        with pytest.raises(TypeError, match=r"^references\.a: expected a Schedule$"):
+            simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, references={"a": [1.0]}))
+
+    def test_fitting_scenario_runs(self):
+        sc = Scenario(horizon=0.01, dt=1e-3, references={"a": Schedule.constant([1.0])},
+                      disturbances={"a": Schedule.constant([0.5])},
+                      theta={"a": np.full((3, 2), 0.1)}, theta_hat0={"a": np.ones((3, 2))},
+                      x0={"a": [0.1, 0.2, 0.3]}, xhat0={"a": None})
+        trace = simulate(wide_net(), sc)
+        assert trace.t.size == 11 and not trace.diverged
+        assert_same_bits(trace.theta_hat["a"][0], np.ones((3, 2)))
 
 
 class TestLyapunovWeights:
