@@ -136,6 +136,50 @@ class TestDecoupledConvergence:
         assert trace.error_norm["solo"][-1] < 0.05 * np.max(trace.error_norm["solo"])
 
 
+class TestStepFunction:
+    def test_matches_simulate_first_step(self):
+        # simulate's first row after the start is one kern.rk4 step
+        net = pair_net()
+        sc = Scenario(horizon=0.002, dt=1e-3,
+                      references={"a": Schedule.constant([1.0])},
+                      theta={"a": [[0.3], [-0.2]]},
+                      x0={"a": [0.4, 0.0]})
+        trace = simulate(net, sc, mode="distributed")
+        state0 = NetworkState(
+            xbar={"a": np.array([0.4, 0.0])}, xhat={}, theta_hat={})
+        kern = _Kernel(net, sc, "distributed")
+        nxt = kern.unpack(kern.rk4(kern.pack(state0), 1e-3, kern.segment([0.0, 5e-4, 1e-3])))
+        assert np.allclose(nxt.xbar["a"], trace.xbar["a"][1], atol=1e-15)
+        assert np.allclose(nxt.xbar["b"], trace.xbar["b"][1], atol=1e-15)
+        assert np.allclose(nxt.theta_hat["a"], trace.theta_hat["a"][1], atol=1e-15)
+
+    def test_distributed_coupling_matches_control_module(self):
+        # the simulator's distributed predictor must reproduce the control
+        # module's rate: decentralized rate plus the coupling replica
+        net = pair_net(coupling=0.3)
+        sc = Scenario(horizon=0.0, dt=1e-3, theta={"a": [[0.3], [-0.2]]})
+        rng = np.random.default_rng(6)
+        state = NetworkState(
+            xbar={"a": rng.normal(size=2), "b": rng.normal(size=2)},
+            xhat={"a": rng.normal(size=2), "b": rng.normal(size=2)},
+            theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
+                       "b": rng.normal(size=(2, 1)) * 0.1},
+        )
+        kern = _Kernel(net, sc, "distributed")
+        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
+        u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
+        edge = net.in_edges("a")[0]
+        expected = control.predictor_rate(
+            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
+            state.theta_hat["a"], state.xbar["a"], np.zeros(2),
+            mode="distributed", neighbor_terms=[(edge.A, state.xhat["b"])])
+        assert np.allclose(rate.xhat["a"], expected, atol=1e-14)
+        dec = control.predictor_rate(
+            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
+            state.theta_hat["a"], state.xbar["a"], np.zeros(2))
+        assert np.allclose(rate.xhat["a"] - dec, edge.A @ state.xhat["b"], atol=1e-14)
+
+
 def mixed_net(rng, n_subs, with_edges):
     """Random network of mixed shapes: augmented dim 1-6, 1-3 inputs."""
     subs, desired, tuning, scen = [], {}, {}, {"references": {}, "disturbances": {}, "theta": {}}
@@ -343,7 +387,7 @@ class TestStackedKernel:
         rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
         assert np.allclose(rate.xbar["hub"], [10.24, 0.0], rtol=1e-12)
 
-    def test_simulate_rows_are_an_rk4_chain(self):
+    def test_simulate_mixed_network_matches_step(self):
         # simulate's rows are kern.rk4 applied step by step from the packed
         # initial state, bit for bit
         rng = np.random.default_rng(8)
@@ -360,32 +404,6 @@ class TestStackedKernel:
                 for sid in net.ids:
                     assert_same_bits(getattr(row, name)[sid], getattr(trace, name)[sid][i])
             z = kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
-
-    def test_distributed_coupling_matches_control_module(self):
-        # the simulator's distributed predictor must reproduce the control
-        # module's rate: decentralized rate plus the coupling replica
-        net = pair_net(coupling=0.3)
-        sc = Scenario(horizon=0.0, dt=1e-3, theta={"a": [[0.3], [-0.2]]})
-        rng = np.random.default_rng(6)
-        state = NetworkState(
-            xbar={"a": rng.normal(size=2), "b": rng.normal(size=2)},
-            xhat={"a": rng.normal(size=2), "b": rng.normal(size=2)},
-            theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
-                       "b": rng.normal(size=(2, 1)) * 0.1},
-        )
-        kern = _Kernel(net, sc, "distributed")
-        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
-        u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
-        edge = net.in_edges("a")[0]
-        expected = control.predictor_rate(
-            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
-            state.theta_hat["a"], state.xbar["a"], np.zeros(2),
-            mode="distributed", neighbor_terms=[(edge.A, state.xhat["b"])])
-        assert np.allclose(rate.xhat["a"], expected, atol=1e-14)
-        dec = control.predictor_rate(
-            AM, np.array([[1.0], [0.0]]), state.xhat["a"], u,
-            state.theta_hat["a"], state.xbar["a"], np.zeros(2))
-        assert np.allclose(rate.xhat["a"] - dec, edge.A @ state.xhat["b"], atol=1e-14)
 
 
 def wide_net():
