@@ -1,6 +1,10 @@
 """Network configuration documents and report serialization.
 
-Configs are JSON.  Matrices are nested row-major arrays.  Subsystems give
+Configs are JSON.  One reader reads every number, vector and matrix
+field: its numbers are JSON integers or floats, finite and within double
+range, and anything else (a string or a boolean included) is an error
+naming the field's path.  Schedules are read by ``Schedule``.  Matrices
+are nested row-major arrays, a flat one read as a column.  Subsystems give
 raw (A, B, C, D, E) blocks; A may be null for an unknown plant.  The
 reference model is either an explicit augmented matrix or gain blocks
 {"A_nominal", "K_x", "K_xi"}, shared at top level or per subsystem.
@@ -27,6 +31,7 @@ import numpy as np
 from .control import build_reference_model
 from .exceptions import ConfigError, GascertError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
+from .numerics import numeric_array
 from .sim import Scenario, Schedule
 
 __all__ = [
@@ -45,32 +50,26 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _matrix(value, path, allow_null=False):
+_KINDS = ("number", "vector", "matrix")
+
+
+def _numbers(value, path, ndim, null_ok=False):
+    """``value`` as a float ``ndim``-D array (a float for ``ndim`` 0), or None
+    for a null when ``null_ok``; a 1-D matrix is read as a column.  Numbers
+    are the integers and floats that ``numeric_array`` accepts."""
     if value is None:
-        if allow_null:
+        if null_ok:
             return None
-        raise ConfigError(f"{path}: matrix must not be null")
+        raise ConfigError(f"{path}: {_KINDS[ndim]} must not be null")
     try:
-        M = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric nested array ({exc})") from None
-    if M.ndim == 1:
+        M = numeric_array(value, path)
+    except GascertError as exc:
+        raise ConfigError(str(exc)) from None
+    if ndim == 2 and M.ndim == 1:
         M = M.reshape(-1, 1) if M.size else M.reshape(0, 0)
-    if M.ndim != 2:
-        raise ConfigError(f"{path}: expected a 2-D nested array, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
-        raise ConfigError(f"{path}: matrix has non-finite entries")
-    return M
-
-
-def _vector(value, path):
-    try:
-        vec = np.asarray(value, dtype=float).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from None
-    if not np.isfinite(vec).all():
-        raise ConfigError(f"{path}: non-finite entries")
-    return vec
+    if M.ndim != ndim:
+        raise ConfigError(f"{path}: expected a {_KINDS[ndim]}, got ndim={M.ndim}")
+    return M if ndim else float(M)
 
 
 def _section(spec, key, path):
@@ -80,19 +79,12 @@ def _section(spec, key, path):
     return entry
 
 
-def _scalar(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number")
-    return float(value)
-
-
 def _reference_model(spec, B, C, path):
     if isinstance(spec, list):
-        return _matrix(spec, path)
+        return _numbers(spec, path, 2)
     if isinstance(spec, dict):
-        A_nom = _matrix(_require(spec, "A_nominal", path), f"{path}.A_nominal")
-        K_x = _matrix(_require(spec, "K_x", path), f"{path}.K_x")
-        K_xi = _matrix(_require(spec, "K_xi", path), f"{path}.K_xi")
+        A_nom, K_x, K_xi = (_numbers(_require(spec, key, path), f"{path}.{key}", 2)
+                            for key in ("A_nominal", "K_x", "K_xi"))
         try:
             return build_reference_model(A_nom, B, C, K_x, K_xi)
         except Exception as exc:
@@ -101,10 +93,9 @@ def _reference_model(spec, B, C, path):
 
 
 def _tuning(spec, path):
-    Q = _matrix(_require(spec, "Q", path), f"{path}.Q")
-    gamma = _scalar(_require(spec, "gamma", path), f"{path}.gamma")
-    theta_max = _scalar(_require(spec, "theta_max", path), f"{path}.theta_max")
-    eps0 = _scalar(_require(spec, "eps0", path), f"{path}.eps0")
+    Q, gamma, theta_max, eps0 = (
+        _numbers(_require(spec, key, path), f"{path}.{key}", ndim)
+        for key, ndim in (("Q", 2), ("gamma", 0), ("theta_max", 0), ("eps0", 0)))
     try:
         return Tuning(Q=Q, gamma=gamma, theta_max=theta_max, eps0=eps0)
     except Exception as exc:
@@ -124,17 +115,13 @@ def _schedule(spec, path):
 
 
 def _scenario(spec, path):
-    horizon = _scalar(_require(spec, "horizon", path), f"{path}.horizon")
-    dt = _scalar(_require(spec, "dt", path), f"{path}.dt")
-    kwargs = {"horizon": horizon, "dt": dt}
+    kwargs = {key: _numbers(_require(spec, key, path), f"{path}.{key}", 0)
+              for key in ("horizon", "dt")}
     for key in ("references", "disturbances"):
         kwargs[key] = {sid: _schedule(v, f"{path}.{key}.{sid}")
                        for sid, v in _section(spec, key, path).items()}
-    for key in ("theta", "theta_hat0"):
-        kwargs[key] = {sid: _matrix(v, f"{path}.{key}.{sid}")
-                       for sid, v in _section(spec, key, path).items()}
-    for key in ("x0", "xhat0"):
-        kwargs[key] = {sid: _vector(v, f"{path}.{key}.{sid}")
+    for key, ndim in (("theta", 2), ("theta_hat0", 2), ("x0", 1), ("xhat0", 1)):
+        kwargs[key] = {sid: _numbers(v, f"{path}.{key}.{sid}", ndim)
                        for sid, v in _section(spec, key, path).items()}
     try:
         return Scenario(**kwargs)
@@ -157,11 +144,8 @@ def parse_config(doc):
             raise ConfigError(f"{path}.id: expected a non-empty string")
         if sid in subs:
             raise ConfigError(f"{path}.id: duplicate id {sid!r}")
-        B = _matrix(_require(sub, "B", path), f"{path}.B")
-        C = _matrix(_require(sub, "C", path), f"{path}.C")
-        A = _matrix(sub.get("A"), f"{path}.A", allow_null=True)
-        D = _matrix(sub.get("D"), f"{path}.D", allow_null=True)
-        E = _matrix(sub.get("E"), f"{path}.E", allow_null=True)
+        B, C = (_numbers(_require(sub, key, path), f"{path}.{key}", 2) for key in "BC")
+        A, D, E = (_numbers(sub.get(key), f"{path}.{key}", 2, null_ok=True) for key in "ADE")
         try:
             subs[sid] = AugmentedSubsystem.from_raw(sid, B, C, A=A, D=D, E=E)
         except Exception as exc:
@@ -174,32 +158,26 @@ def parse_config(doc):
         if tn_spec is None:
             raise ConfigError(f"{path}.tuning: missing (no shared default)")
         tuning[sid] = _tuning(tn_spec, f"{path}.tuning")
-        if sub.get("baseline_gain") is not None:
-            baseline[sid] = _matrix(sub["baseline_gain"], f"{path}.baseline_gain")
+        baseline[sid] = _numbers(sub.get("baseline_gain"), f"{path}.baseline_gain", 2,
+                                 null_ok=True)
     edges = []
     edges_spec = doc.get("edges", [])
     if not isinstance(edges_spec, list):
         raise ConfigError("config.edges: expected an array")
     for k, edge in enumerate(edges_spec):
         path = f"config.edges[{k}]"
-        src = _require(edge, "from", path)
-        dst = _require(edge, "to", path)
+        src, dst = _require(edge, "from", path), _require(edge, "to", path)
         for sid, role in ((src, "from"), (dst, "to")):
             if not isinstance(sid, str) or sid not in subs:
                 raise ConfigError(f"{path}.{role}: unknown subsystem id {sid!r}")
-        norm_bound = edge.get("norm_bound")
-        if norm_bound is not None:
-            norm_bound = _scalar(norm_bound, f"{path}.norm_bound")
-        A_edge = None
-        if edge.get("A") is not None:
-            A_raw = _matrix(edge["A"], f"{path}.A")
+        norm_bound = _numbers(edge.get("norm_bound"), f"{path}.norm_bound", 0, null_ok=True)
+        A_edge = _numbers(edge.get("A"), f"{path}.A", 2, null_ok=True)
+        if A_edge is not None:
             want = (subs[dst].n, subs[src].n)
-            if A_raw.shape != want:
-                raise ConfigError(f"{path}.A: shape {A_raw.shape} does not match "
+            if A_edge.shape != want:
+                raise ConfigError(f"{path}.A: shape {A_edge.shape} does not match "
                                   f"destination x source raw dims {want}")
-            A_edge = augment_edge(A_raw, subs[dst].q, subs[src].q)
-        elif norm_bound is None:
-            raise ConfigError(f"{path}.A: missing required field")
+            A_edge = augment_edge(A_edge, subs[dst].q, subs[src].q)
         try:
             edges.append(Interconnection(src=src, dst=dst, A=A_edge, norm_bound=norm_bound))
         except Exception as exc:
@@ -225,7 +203,7 @@ def load_config(path):
         data = fh.read()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from None
     net, scenario = parse_config(doc)
     return net, scenario, data

@@ -194,7 +194,7 @@ class Interconnection:
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
     dim_src, stored as a read-only copy), or ``norm_bound``, a declared
-    bound on its spectral norm; only the aggregate bounds can use a
+    finite bound on its spectral norm; only the aggregate bounds can use a
     bound-only edge (``A is None``).
     """
 
@@ -210,8 +210,8 @@ class Interconnection:
             raise ValueError(f"{name}: give a coupling matrix A or a norm_bound, not "
                              + ("both" if self.A is not None else "neither"))
         if self.A is None:
-            if not self.norm_bound >= 0.0:
-                raise ValueError(f"{name}: norm_bound must be >= 0")
+            if not 0.0 <= self.norm_bound < np.inf:
+                raise ValueError(f"{name}: norm_bound must be >= 0 and finite")
             object.__setattr__(self, "_gain", float(self.norm_bound))
         else:
             A = as_matrix(self.A, f"{name}: A")
@@ -229,7 +229,7 @@ class Interconnection:
 @dataclass(frozen=True)
 class Tuning:
     """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
-    as a read-only copy."""
+    as a read-only copy.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are finite."""
 
     Q: np.ndarray
     gamma: float
@@ -240,12 +240,12 @@ class Tuning:
         Q = as_matrix(self.Q, "Q", square=True)
         if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.theta_max < 0.0:
-            raise ValueError("theta_max must be non-negative")
-        if self.eps0 <= 0.0:
-            raise ValueError("eps0 must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0.0 <= self.theta_max < np.inf:
+            raise ValueError("theta_max must be non-negative and finite")
+        if not 0.0 < self.eps0 < np.inf:
+            raise ValueError("eps0 must be positive and finite")
         object.__setattr__(self, "Q", _read_only(0.5 * (Q + Q.T)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .exceptions import DimensionError, NonFiniteError, SolverError, StabilityError
+from .exceptions import DimensionError, GascertError, NonFiniteError, SolverError, StabilityError
 
 __all__ = [
     "AreSolution",
@@ -28,6 +28,7 @@ __all__ = [
     "hinf_gain",
     "is_hurwitz",
     "is_hyperbolic",
+    "numeric_array",
     "solve_are",
     "solve_lyapunov",
     "spectral_norm",
@@ -48,6 +49,25 @@ def as_matrix(M, name="matrix", square=False):
         raise NonFiniteError(f"{name} has non-finite entries")
     if square and A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def numeric_array(value, name="array"):
+    """``value`` as a float array with finite entries, if numpy reads it (no
+    dtype forced) as integers or floats; else a ``GascertError`` naming
+    ``name``, a ``NonFiniteError`` for NaN or infinity.  Integers beyond
+    int64 arrive as an object array, the one case read entry by entry."""
+    try:
+        A = np.asarray(value)
+        if A.dtype == object and all(isinstance(x, (int, float)) for x in A.flat):
+            A = A.astype(float)
+    except (ValueError, OverflowError) as exc:
+        raise GascertError(f"{name}: not a numeric array ({exc})") from None
+    if A.dtype.kind not in "iuf":
+        raise GascertError(f"{name}: not a numeric array")
+    A = A.astype(float, copy=False)
+    if np.count_nonzero(np.isfinite(A)) != A.size:  # cheaper than .all() on small arrays
+        raise NonFiniteError(f"{name}: non-finite entries")
     return A
 
 

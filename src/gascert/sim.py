@@ -46,6 +46,7 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, NonFiniteError, SolverError
 from .model import NetworkModel
+from .numerics import numeric_array
 
 __all__ = [
     "NetworkState",
@@ -130,9 +131,10 @@ class Scenario:
         """Check every entry against the subsystem of ``net`` that it names.
 
         Each key must be a subsystem id.  ``x0`` and ``xhat0`` have ``dim``
-        entries, ``theta`` and ``theta_hat0`` shape ``(dim, m)``, and the
-        references and disturbances are ``Schedule``s ``q`` and ``r`` wide;
-        a None entry counts as missing.  Errors name ``<field>.<sid>``.
+        entries, ``theta`` and ``theta_hat0`` shape ``(dim, m)``, all of them
+        finite numbers (``numeric_array``), and the references and
+        disturbances are ``Schedule``s ``q`` and ``r`` wide; a None entry
+        counts as missing.  Errors name ``<field>.<sid>``.
         """
         for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
             for sid, value in getattr(self, key).items():
@@ -147,10 +149,10 @@ class Scenario:
                     got, want = value.values.shape[1], s.q if key == "references" else s.r
                     fault = f"schedule is {got} wide, expected {want}"
                 elif key in ("theta", "theta_hat0"):
-                    got, want = np.shape(value), (s.dim, s.m)
+                    got, want = numeric_array(value, f"{key}.{sid}").shape, (s.dim, s.m)
                     fault = f"expected shape {want}, got {got}"
                 else:
-                    got, want = np.size(value), s.dim
+                    got, want = numeric_array(value, f"{key}.{sid}").size, s.dim
                     fault = f"expected {want} entries, got {got}"
                 if got != want:
                     raise DimensionError(f"{key}.{sid}: {fault}")

@@ -23,6 +23,34 @@ WEAK = str(CONFIG_DIR / "weak_pair.json")
 UNSTABLE = str(CONFIG_DIR / "unstable_pair.json")
 MESH = str(CONFIG_DIR / "mesh6.json")
 
+# one number field of toy_pair per kind of field, and the path its error names
+NUMBER_FIELDS = {
+    "gamma": (("tuning", "gamma"), "config.subsystems[0].tuning.gamma"),
+    "theta_max": (("tuning", "theta_max"), "config.subsystems[0].tuning.theta_max"),
+    "eps0": (("tuning", "eps0"), "config.subsystems[0].tuning.eps0"),
+    "Q_entry": (("tuning", "Q", 1, 0), "config.subsystems[0].tuning.Q"),
+    "B_entry": (("subsystems", 0, "B", 0, 0), "config.subsystems[0].B"),
+    "C_entry": (("subsystems", 1, "C", 0, 0), "config.subsystems[1].C"),
+    "reference_model_entry": (("reference_model", 0, 1), "config.subsystems[0].reference_model"),
+    "edge_A_entry": (("edges", 0, "A", 0, 0), "config.edges[0].A"),
+    "horizon": (("scenario", "horizon"), "config.scenario.horizon"),
+    "dt": (("scenario", "dt"), "config.scenario.dt"),
+    "x0_entry": (("scenario", "x0", "a", 1), "config.scenario.x0.a"),
+    "theta_entry": (("scenario", "theta", "a", 0, 0), "config.scenario.theta.a"),
+}
+NOT_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "int_beyond_double": 10 ** 400,
+               "string": "1.0", "bool_matrix": [[True]]}
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
 
 class TestConfigParsing:
     def test_loads_benchmark(self):
@@ -78,6 +106,14 @@ class TestConfigParsing:
         doc["subsystems"][1]["id"] = "a"
         with pytest.raises(ConfigError, match=r"^config\.subsystems\[1\]\.id: duplicate id 'a'$"):
             parse_config(doc)
+
+    def test_integers_within_double_range_read(self):
+        # 2**70 is beyond int64, so numpy reads it as an object array
+        doc = _replaced(TOY_DOC, ("tuning", "gamma"), 2 ** 70)
+        doc["scenario"]["x0"]["a"] = [2 ** 70, 0]
+        net, scenario = parse_config(doc)
+        assert net.tuning["a"].gamma == 2.0 ** 70
+        assert scenario.x0["a"].tolist() == [2.0 ** 70, 0.0]
 
     def test_scenario_wrong_theta_shape(self):
         doc = json.loads(open(TOY, "rb").read())
@@ -438,6 +474,52 @@ class TestExitCodes:
             assert captured.err == ("error: config.edges[1]: edge a->b: give a coupling "
                                     "matrix A or a norm_bound, not both\n")
 
+    def test_neither_matrix_nor_bound_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"][0] = {"from": "b", "to": "a", "A": None}
+        cfg = tmp_path / "neither.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("riccati", "connective", "smallgain"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: config.edges[0]: edge b->a: give a coupling "
+                                    "matrix A or a norm_bound, not neither\n")
+
+    @pytest.mark.parametrize("value", list(NOT_NUMBERS))
+    @pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+    def test_not_a_finite_number_one_line_error(self, field, value, tmp_path, capsys):
+        path, named = NUMBER_FIELDS[field]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(_replaced(TOY_DOC, path, NOT_NUMBERS[value])))
+        assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sub", ["riccati", "connective", "smallgain", "simulate"])
+    def test_int_beyond_double_one_line_error(self, sub, tmp_path, capsys):
+        doc = _replaced(TOY_DOC, ("tuning", "gamma"), 10 ** 400)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "big.csv"
+        assert main([sub, str(cfg)] + (["--out", str(out)] if sub == "simulate" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: config.subsystems[0].tuning.gamma: not a numeric array "
+                                "(int too large to convert to float)\n")
+
+    def test_deeply_nested_document_one_line_error(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"subsystems": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config: not valid JSON (maximum recursion depth")
+        assert len(captured.err.splitlines()) == 1
+
     def test_bound_only_key_ignored(self, tmp_path, capsys):
         # the edge is bound-only because it has no matrix, whatever the key says
         doc = json.loads(open(TOY, "rb").read())
@@ -499,8 +581,8 @@ def _field_paths(node, prefix=()):
 
 TOY_DOC = json.loads(open(TOY, "rb").read())
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.floats()
+    | st.integers(min_value=2 ** 1024) | st.integers(max_value=-(2 ** 1024)),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=10,
@@ -524,11 +606,7 @@ class TestConfigFuzz:
     @given(command=st.sampled_from(sorted(VERDICTS)), path=st.sampled_from(_field_paths(TOY_DOC)),
            value=JSON_VALUES)
     def test_one_field_replaced(self, command, path, value, tmp_path, capsys):
-        doc = json.loads(json.dumps(TOY_DOC))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        doc = _replaced(TOY_DOC, path, value)
         cfg = tmp_path / "fuzz.json"
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -552,11 +630,7 @@ class TestConfigFuzz:
     @given(mode=st.sampled_from(["dec", "dist"]), path=st.sampled_from(SIM_PATHS),
            value=JSON_VALUES)
     def test_one_field_replaced_simulate(self, mode, path, value, tmp_path, capsys):
-        doc = json.loads(json.dumps(SIM_DOC))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        doc = _replaced(SIM_DOC, path, value)
         cfg, out = tmp_path / "fuzz.json", tmp_path / "fuzz.csv"
         cfg.write_text(json.dumps(doc))
         out.unlink(missing_ok=True)

@@ -386,10 +386,18 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"^edge a->b: .*neither$"):
             Interconnection(src="a", dst="b")
 
-    @pytest.mark.parametrize("bound", [-1.0, float("nan")])
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf")])
     def test_bad_bound_rejected(self, bound):
         with pytest.raises(ValueError, match="norm_bound must be >= 0"):
             Interconnection(src="a", dst="b", norm_bound=bound)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["gamma", "theta_max", "eps0"])
+    def test_tuning_scalars_finite(self, name, value):
+        # written so that NaN fails the test, as it fails every comparison
+        kwargs = {"Q": np.eye(2), "gamma": 20.0, "theta_max": 1.5, "eps0": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite$"):
+            Tuning(**kwargs)
 
     def test_maps_read_only(self):
         net = two_sub_net(coupling=0.5)

@@ -14,6 +14,8 @@ from conftest import (
 )
 from gascert import (
     DimensionError,
+    GascertError,
+    NonFiniteError,
     StabilityError,
     distance_to_instability,
     eigenvalues,
@@ -26,7 +28,7 @@ from gascert import (
     spectral_norm,
 )
 from gascert import numerics
-from gascert.numerics import as_matrix
+from gascert.numerics import as_matrix, numeric_array
 
 
 class TestEigenvalues:
@@ -183,6 +185,36 @@ class TestAsMatrix:
             as_matrix([np.nan])
         with pytest.raises(DimensionError, match="ndim=3"):
             as_matrix(np.zeros((1, 1, 1)))
+
+
+class TestNumericArray:
+    @pytest.mark.parametrize("value,want", [
+        (3, np.array(3.0)), ([[1, 2.5]], np.array([[1.0, 2.5]])), ([], np.zeros(0)),
+        (2 ** 70, np.array(2.0 ** 70)), ([2 ** 64, -(2 ** 70)], np.array([2.0 ** 64, -2.0 ** 70])),
+        (np.float32(0.5), np.array(0.5)),
+    ], ids=["int", "mixed_matrix", "empty", "beyond_int64", "object_vector", "float32"])
+    def test_integers_and_floats_read(self, value, want):
+        got = numeric_array(value)
+        assert got.dtype == np.float64
+        assert_same_bits(got, want)
+
+    def test_float_array_not_copied(self):
+        A = np.ones((2, 2))
+        assert numeric_array(A) is A
+
+    @pytest.mark.parametrize("value", [
+        "1.0", ["1.0"], None, [1.0, None], True, [[True, False]], [[1.0], [1.0, 2.0]],
+        10 ** 400, [1.5, -(10 ** 400)], [{}], {}, [1j],
+    ], ids=["string", "string_entry", "null", "null_entry", "bool", "bool_matrix", "ragged",
+            "int_beyond_double", "int_beyond_double_entry", "object_entry", "object", "complex"])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(GascertError, match=r"^X: not a numeric array"):
+            numeric_array(value, "X")
+
+    @pytest.mark.parametrize("value", [np.nan, [1.0, np.inf], [[-np.inf]]])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(NonFiniteError, match=r"^X: non-finite entries$"):
+            numeric_array(value, "X")
 
 
 class TestHamiltonian:

@@ -441,6 +441,25 @@ class TestScenarioCheck:
         with pytest.raises(DimensionError, match=f"^{re.escape(f'{key}.a: {fault}')}$"):
             simulate(wide_net(), sc)
 
+    @pytest.mark.parametrize("key,value,fault", [
+        ("x0", [np.nan, 0.0, 0.0], "non-finite entries"),
+        ("xhat0", ["1", 0, 0], "not a numeric array"),
+        ("theta", np.full((3, 2), np.inf), "non-finite entries"),
+        ("theta_hat0", [[True, False]] * 3, "not a numeric array"),
+        ("x0", [10 ** 400, 0, 0], "not a numeric array (int too large to convert to float)"),
+        ("xhat0", [[0.0], [0.0, 0.0], [0.0]], "not a numeric array ("),
+    ], ids=["x0_nan", "xhat0_string", "theta_inf", "theta_hat0_bool", "x0_int_beyond_double",
+            "xhat0_ragged"])
+    def test_non_numeric_or_non_finite_rejected(self, key, value, fault):
+        # simulate would otherwise run, or report a divergence at its first step
+        sc = Scenario(horizon=0.01, dt=1e-3, **{key: {"a": value}})
+        with pytest.raises(GascertError, match=f"^{re.escape(f'{key}.a: {fault}')}"):
+            simulate(wide_net(), sc)
+
+    def test_int_beyond_int64_accepted(self):
+        trace = simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, x0={"a": [2 ** 70, 0, 0]}))
+        assert trace.xbar["a"][0, 0] == 2.0 ** 70
+
     def test_schedule_entries_are_schedules(self):
         with pytest.raises(TypeError, match=r"^references\.a: expected a Schedule$"):
             simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, references={"a": [1.0]}))
