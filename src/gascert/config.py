@@ -1,10 +1,11 @@
 """Network configuration documents and report serialization.
 
-Configs are JSON.  One reader reads every number, vector and matrix
-field: its numbers are JSON integers or floats, finite and within double
-range, and anything else (a string or a boolean included) is an error
-naming the field's path.  Schedules are read by ``Schedule``.  Matrices
-are nested row-major arrays, a flat one read as a column.  Subsystems give
+Configs are JSON.  One reader, ``numerics.numeric_array``, reads every
+number, vector and matrix field, schedules included (``Schedule`` reads
+their times and values): its numbers are JSON integers or floats, finite
+and within double range, and anything else (a string or a boolean
+included) is an error naming the field's path.  Matrices are nested
+row-major arrays, a flat one read as a column.  Subsystems give
 raw (A, B, C, D, E) blocks; A may be null for an unknown plant.  The
 reference model is either an explicit augmented matrix or gain blocks
 {"A_nominal", "K_x", "K_xi"}, shared at top level or per subsystem.
@@ -108,8 +109,7 @@ def _schedule(spec, path):
     else:
         times, values = _require(spec, "times", path), _require(spec, "values", path)
     try:
-        return Schedule(times=np.asarray(times, dtype=float),
-                        values=np.asarray(values, dtype=float))
+        return Schedule(times=times, values=values)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .model import NetworkModel
-from .numerics import eigenvalues, hinf_gain
+from .numerics import as_matrix, eigenvalues, hinf_gain, numeric_array
 
 __all__ = [
     "ConnectiveReport",
@@ -118,7 +118,7 @@ def _adaptation_offsets(net, lam_P, lmin_Q):
 
 def diagonal_dominance_rows(M):
     """Row-wise verdicts of ``|M[i][i]| > sum_j!=i M[i][j]`` (strict)."""
-    M = np.asarray(M, dtype=float)
+    M = as_matrix(M, "M")
     off = M - np.diag(np.diag(M))
     return np.abs(np.diag(M)) > np.sum(off, axis=1)
 
@@ -130,10 +130,8 @@ def check_conditions(M, offsets):
     dominance, induced-1-norm of ``M`` exceeding the largest offset
     magnitude, and all eigenvalues of ``M`` in the open left half-plane.
     """
-    M = np.asarray(M, dtype=float)
-    offsets = np.asarray(offsets, dtype=float).ravel()
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError("M must be square")
+    M = as_matrix(M, "M", square=True)
+    offsets = numeric_array(offsets, "offsets").ravel()
     if offsets.shape[0] != M.shape[0]:
         raise DimensionError("offset vector length must match M")
     cond_diag = bool(np.all(diagonal_dominance_rows(M)))
@@ -168,11 +166,11 @@ def transient_bound(P, Q, theta_max, gamma, v0, t):
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    lmin_P, lmax_P = _lam_extremes(np.asarray(P, dtype=float))
-    lmin_Q = _lam_extremes(np.asarray(Q, dtype=float))[0]
+    lmin_P, lmax_P = _lam_extremes(numeric_array(P, "P"))
+    lmin_Q = _lam_extremes(numeric_array(Q, "Q"))[0]
     if lmin_P <= 0.0 or lmin_Q <= 0.0:
         raise ValueError("P and Q must be positive definite")
-    t = np.asarray(t, dtype=float)
+    t = numeric_array(t, "t")
     if np.any(t < 0.0):
         raise ValueError("t must be non-negative")
     alpha = lmin_Q / lmax_P

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import as_matrix, eigenvalues, is_hurwitz, solve_lyapunov, spectral_norm
+from .numerics import (as_matrix, eigenvalues, is_hurwitz, numeric_array, solve_lyapunov,
+                       spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -84,15 +85,17 @@ class AugmentedSubsystem:
 
     def __post_init__(self):
         p = self.n + self.q
-        B = as_matrix(self.B, f"subsystem {self.sid}: augmented B")
-        if B.shape != (p, self.m):
+        for name in ("B", "C", "D", "E", "F"):
+            object.__setattr__(self, name, _read_only(getattr(self, name),
+                                                      f"subsystem {self.sid}: augmented {name}"))
+        if self.B.shape != (p, self.m):
             raise DimensionError(
-                f"subsystem {self.sid}: augmented B has shape {B.shape}, expected {(p, self.m)}"
+                f"subsystem {self.sid}: augmented B has shape {self.B.shape}, expected {(p, self.m)}"
             )
-        if self.q and np.any(B[self.n:, :] != 0.0):
+        if self.q and np.any(self.B[self.n:, :] != 0.0):
             raise ValueError(f"subsystem {self.sid}: augmented B must have zero integral rows")
         if self.A is not None:
-            A = as_matrix(self.A, f"subsystem {self.sid}: augmented A", square=True)
+            A = _read_only(self.A, f"subsystem {self.sid}: augmented A", square=True)
             if A.shape[0] != p:
                 raise DimensionError(
                     f"subsystem {self.sid}: augmented A is {A.shape[0]}x{A.shape[0]}, expected {p}x{p}"
@@ -107,10 +110,7 @@ class AugmentedSubsystem:
                     raise ValueError(
                         f"subsystem {self.sid}: augmented A integral columns must be zero"
                     )
-            object.__setattr__(self, "A", _read_only(A))
-        object.__setattr__(self, "B", _read_only(B))
-        for name in ("C", "D", "E", "F"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            object.__setattr__(self, "A", A)
 
     @property
     def dim(self):
@@ -165,9 +165,9 @@ class AugmentedSubsystem:
                    n=n, q=q, m=m, r=r)
 
 
-def _read_only(A):
-    """A read-only copy of ``A``: later edits to the caller's array change nothing."""
-    A = np.array(A, dtype=float)
+def _read_only(value, name, square=False):
+    """``value`` read by ``as_matrix`` into a read-only copy of its own."""
+    A = as_matrix(value, name, square).copy()
     A.flags.writeable = False
     return A
 
@@ -210,14 +210,15 @@ class Interconnection:
             raise ValueError(f"{name}: give a coupling matrix A or a norm_bound, not "
                              + ("both" if self.A is not None else "neither"))
         if self.A is None:
-            if not 0.0 <= self.norm_bound < np.inf:
-                raise ValueError(f"{name}: norm_bound must be >= 0 and finite")
-            object.__setattr__(self, "_gain", float(self.norm_bound))
+            bound = float(numeric_array(self.norm_bound, f"{name}: norm_bound"))
+            if bound < 0.0:
+                raise ValueError(f"{name}: norm_bound must be >= 0")
+            object.__setattr__(self, "norm_bound", bound)
+            object.__setattr__(self, "_gain", bound)
         else:
-            A = as_matrix(self.A, f"{name}: A")
-            if not np.any(A):
+            object.__setattr__(self, "A", _read_only(self.A, f"{name}: A"))
+            if not np.any(self.A):
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
-            object.__setattr__(self, "A", _read_only(A))
 
     def gain(self):
         """``norm_bound``, or ``||A||_2`` computed once (the edge is frozen)."""
@@ -229,7 +230,7 @@ class Interconnection:
 @dataclass(frozen=True)
 class Tuning:
     """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
-    as a read-only copy.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are finite."""
+    as a read-only copy.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
 
     Q: np.ndarray
     gamma: float
@@ -238,15 +239,17 @@ class Tuning:
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
-        if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0.0:
+        object.__setattr__(self, "Q", _read_only(0.5 * (Q + Q.T), "Q"))
+        if np.min(np.linalg.eigvalsh(self.Q)) <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0.0 <= self.theta_max < np.inf:
-            raise ValueError("theta_max must be non-negative and finite")
-        if not 0.0 < self.eps0 < np.inf:
-            raise ValueError("eps0 must be positive and finite")
-        object.__setattr__(self, "Q", _read_only(0.5 * (Q + Q.T)))
+        for name in ("gamma", "theta_max", "eps0"):
+            object.__setattr__(self, name, float(numeric_array(getattr(self, name), name)))
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        if self.theta_max < 0.0:
+            raise ValueError("theta_max must be non-negative")
+        if self.eps0 <= 0.0:
+            raise ValueError("eps0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ class NetworkModel:
         for sid, s in zip(ids, self.subsystems):
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
-            Am = as_matrix(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
+            Am = _read_only(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
             if Am.shape[0] != s.dim:
                 raise DimensionError(
                     f"subsystem {sid}: desired dynamics is {Am.shape[0]}x{Am.shape[0]}, "
@@ -314,7 +317,7 @@ class NetworkModel:
                 )
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            desired[sid] = _read_only(Am)
+            desired[sid] = Am
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]
@@ -324,12 +327,13 @@ class NetworkModel:
                     f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {s.dim}"
                 )
             K = self.baseline.get(sid)
-            K = np.zeros((s.m, s.dim)) if K is None else as_matrix(K, f"subsystem {sid}: baseline gain")
+            K = _read_only(np.zeros((s.m, s.dim)) if K is None else K,
+                           f"subsystem {sid}: baseline gain")
             if K.shape != (s.m, s.dim):
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"
                 )
-            baseline[sid] = _read_only(K)
+            baseline[sid] = K
         for name, value in (("desired", desired), ("tuning", tuning), ("baseline", baseline)):
             object.__setattr__(self, name, MappingProxyType(value))
 
@@ -355,7 +359,7 @@ class NetworkModel:
         and tuning weight of ``sid``; solved on the first call only."""
         P = self._lyapunov.get(sid)
         if P is None:
-            P = _read_only(solve_lyapunov(self.desired[sid], self.tuning[sid].Q))
+            P = _read_only(solve_lyapunov(self.desired[sid], self.tuning[sid].Q), "P")
             self._lyapunov[sid] = P
         return P
 

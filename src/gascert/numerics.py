@@ -36,27 +36,25 @@ __all__ = [
 
 
 def as_matrix(M, name="matrix", square=False):
-    """Coerce input to a 2-D float array with finite entries.
+    """``M`` read by ``numeric_array`` as a 2-D float array.
 
     Scalars become 1x1 matrices, 1-D arrays become row vectors.
     """
-    A = np.asarray(M, dtype=float)
+    A = numeric_array(M, name)
     if A.ndim < 2:
         A = A.reshape(1, -1)
     elif A.ndim > 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if not np.isfinite(A).all():
-        raise NonFiniteError(f"{name} has non-finite entries")
     if square and A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
     return A
 
 
 def numeric_array(value, name="array"):
-    """``value`` as a float array with finite entries, if numpy reads it (no
-    dtype forced) as integers or floats; else a ``GascertError`` naming
-    ``name``, a ``NonFiniteError`` for NaN or infinity.  Integers beyond
-    int64 arrive as an object array, the one case read entry by entry."""
+    """The one reader of caller numbers: ``value`` as a float array with
+    finite entries, if numpy reads it (no dtype forced) as integers or
+    floats; else a ``GascertError`` naming ``name``, a ``NonFiniteError``
+    for NaN or infinity.  Integers beyond int64 arrive as an object array."""
     try:
         A = np.asarray(value)
         if A.dtype == object and all(isinstance(x, (int, float)) for x in A.flat):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ERR_FLOOR
-from .exceptions import ConfigError, DimensionError, GascertError, NonFiniteError, SolverError
+from .exceptions import ConfigError, DimensionError, GascertError, SolverError
 from .model import NetworkModel
 from .numerics import numeric_array
 
@@ -65,19 +65,17 @@ _CSV_BLOCK = 1 << 16
 class Schedule:
     """Piecewise-constant signal: value k holds on [times[k], times[k+1]).
 
-    ``times`` and ``values`` are stored as read-only copies.
+    ``times`` and ``values`` are read by ``numeric_array`` into read-only copies.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).ravel()
-        values = np.atleast_2d(np.array(self.values, dtype=float))
+        times = numeric_array(self.times, "schedule times").flatten()
+        values = np.array(numeric_array(self.values, "schedule values"), ndmin=2)
         if values.ndim > 2:
             raise DimensionError(f"schedule values must be at most 2-D, got ndim={values.ndim}")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
-            raise NonFiniteError("schedule times and values must be finite")
         if values.shape[0] != times.shape[0]:
             raise DimensionError(
                 f"schedule has {times.shape[0]} breakpoints but {values.shape[0]} rows"
@@ -94,7 +92,7 @@ class Schedule:
 
     @classmethod
     def constant(cls, value):
-        return cls(times=[0.0], values=[np.atleast_1d(np.asarray(value, dtype=float))])
+        return cls(times=[0.0], values=[value])
 
     def at(self, t):
         """Value at time ``t``, or one row per time of an array ``t``."""
@@ -106,7 +104,7 @@ class Scenario:
     """Simulation scenario: horizon, step, input schedules, truth, and
     initial conditions, each a dict keyed by subsystem id.  Missing entries
     default to zeros.  The horizon must be a whole number of steps (to 1e-9
-    relative); ``check`` tests the entries against a network."""
+    relative) of dt, both numbers; ``check`` tests the entries against a network."""
 
     horizon: float
     dt: float
@@ -118,11 +116,13 @@ class Scenario:
     theta_hat0: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
+        self.horizon = float(numeric_array(self.horizon, "horizon"))
+        self.dt = float(numeric_array(self.dt, "dt"))
+        if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if not (np.isfinite(self.horizon) and self.horizon >= 0.0):
+        if self.horizon < 0.0:
             raise ValueError("horizon must be non-negative")
-        steps = float(self.horizon) / float(self.dt)
+        steps = self.horizon / self.dt
         if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
             raise ValueError(f"horizon {self.horizon!r} is not a finite, whole number of "
                              f"steps of dt {self.dt!r}")
@@ -193,11 +193,6 @@ class SimTrace:
     mode: str
 
 
-def _schedule(sched, width):
-    """``sched``, or a zero schedule of ``width`` columns for a missing one."""
-    return Schedule(times=[0.0], values=np.zeros((1, width))) if sched is None else sched
-
-
 class _Kernel:
     """The network padded to (N, P, M) blocks, with one stacked RHS that
     runs in buffers built with the kernel: one kernel serves one caller at
@@ -232,8 +227,8 @@ class _Kernel:
             self.Pc[k, :p, :p] = net.lyapunov(sid) if Pk is None else Pk
             self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
-            refs.append(_schedule(scenario.references.get(sid), s.q))
-            dists.append(_schedule(scenario.disturbances.get(sid), s.r))
+            refs.append(scenario.references.get(sid) or Schedule.constant(np.zeros(s.q)))
+            dists.append(scenario.disturbances.get(sid) or Schedule.constant(np.zeros(s.r)))
         # -gamma folded into P B for the projection law (positively homogeneous,
         # so gamma > 0 commutes with it), -gamma / 2 for the normalized law
         gain = -self.gamma if mode == "distributed" else -0.5 * self.gamma
@@ -319,7 +314,7 @@ class _Kernel:
             for sid, slot in getattr(slots, name).items():
                 value = getattr(state, name).get(sid)
                 if value is not None:
-                    slot[...] = np.asarray(value, dtype=float).reshape(slot.shape)
+                    slot[...] = np.reshape(value, slot.shape)
         return z
 
     def _project(self, th, y):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import gascert
 
 
@@ -18,3 +21,21 @@ def test_public_surface():
         "sim", "simulate", "small_gain_check", "solve_are", "solve_lyapunov", "spectral_norm",
         "theta_max_bound", "transient_bound", "update_normalized", "update_projection",
     ]
+
+
+def test_one_reader_of_caller_numbers():
+    # numeric_array is the one code that turns caller input into floats; a
+    # float cast elsewhere would be a second reader, with rules of its own.
+    # control's reference laws are the tests' oracle; the simulator packs
+    # tuning values that Tuning has read already.
+    allowed = {("sim.py", "np.array([getattr(tn, a) for tn in tunings], dtype=float)")}
+    casts = []
+    for path in sorted(Path(gascert.__file__).parent.glob("*.py")):
+        if path.name == "control.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.array", "np.asarray")
+                    and any(k.arg == "dtype" and ast.unparse(k.value) in ("float", "np.float64")
+                            for k in node.keywords)):
+                casts.append((path.name, ast.unparse(node)))
+    assert [c for c in casts if c not in allowed] == []

@@ -37,6 +37,11 @@ NUMBER_FIELDS = {
     "dt": (("scenario", "dt"), "config.scenario.dt"),
     "x0_entry": (("scenario", "x0", "a", 1), "config.scenario.x0.a"),
     "theta_entry": (("scenario", "theta", "a", 0, 0), "config.scenario.theta.a"),
+    "schedule_time": (("scenario", "references", "b", "times", 1), "config.scenario.references.b"),
+    "schedule_value": (("scenario", "references", "a", "values", 0, 0),
+                       "config.scenario.references.a"),
+    "disturbance_value": (("scenario", "disturbances", "a", "values", 1, 0),
+                          "config.scenario.disturbances.a"),
 }
 NOT_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "int_beyond_double": 10 ** 400,
                "string": "1.0", "bool_matrix": [[True]]}
@@ -293,13 +298,13 @@ class TestExitCodes:
         (lambda sc: sc["references"]["a"].update(values=[[[1.0]]]),
          "config.scenario.references.a: schedule values must be at most 2-D"),
         (lambda sc: sc["disturbances"].update(a=[[None]]),
-         "config.scenario.disturbances.a: schedule values must be at most 2-D"),
+         "config.scenario.disturbances.a: schedule values: not a numeric array"),
         (lambda sc: sc["disturbances"].update(a=[None]),
-         "config.scenario.disturbances.a: schedule times and values must be finite"),
+         "config.scenario.disturbances.a: schedule values: not a numeric array"),
         (lambda sc: sc["references"]["b"].update(values=[[0.5], [None]]),
-         "config.scenario.references.b: schedule times and values must be finite"),
+         "config.scenario.references.b: schedule values: not a numeric array"),
         (lambda sc: sc["references"]["b"].update(times=[0.0, None]),
-         "config.scenario.references.b: schedule times and values must be finite"),
+         "config.scenario.references.b: schedule times: not a numeric array"),
     ], ids=["x0_non_numeric", "xhat0_ragged", "constant_schedule_non_numeric",
             "constant_schedule_ragged", "references_not_object", "disturbances_not_object",
             "theta_not_object", "theta_hat0_not_object", "x0_not_object", "xhat0_not_object",

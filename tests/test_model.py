@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
+    GascertError,
     Interconnection,
     NetworkModel,
+    NonFiniteError,
     StabilityError,
     Tuning,
     augment_edge,
@@ -386,17 +390,29 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=r"^edge a->b: .*neither$"):
             Interconnection(src="a", dst="b")
 
-    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf")])
-    def test_bad_bound_rejected(self, bound):
-        with pytest.raises(ValueError, match="norm_bound must be >= 0"):
-            Interconnection(src="a", dst="b", norm_bound=bound)
+    @pytest.mark.parametrize("field,value,error,fault", [
+        ("norm_bound", -1.0, ValueError, "norm_bound must be >= 0"),
+        ("norm_bound", float("nan"), NonFiniteError, "norm_bound: non-finite entries"),
+        ("norm_bound", float("inf"), NonFiniteError, "norm_bound: non-finite entries"),
+        ("norm_bound", True, GascertError, "norm_bound: not a numeric array"),
+        ("A", [["0.5"]], GascertError, "A: not a numeric array"),
+        ("A", [[True]], GascertError, "A: not a numeric array"),
+    ], ids=["-1.0", "nan", "inf", "bool", "A_string", "A_bool"])
+    def test_bad_bound_rejected(self, field, value, error, fault):
+        # the bound and the coupling matrix are read by numeric_array
+        with pytest.raises(error, match=f"^edge a->b: {re.escape(fault)}$"):
+            Interconnection(src="a", dst="b", **{field: value})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("name", ["gamma", "theta_max", "eps0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True,
+                                       [["1", 0], [0, "1"]]],
+                             ids=["nan", "inf", "-inf", "bool", "strings"])
+    @pytest.mark.parametrize("name", ["gamma", "theta_max", "eps0", "Q"])
     def test_tuning_scalars_finite(self, name, value):
-        # written so that NaN fails the test, as it fails every comparison
+        # every tuning value is read by numeric_array, before any range check
         kwargs = {"Q": np.eye(2), "gamma": 20.0, "theta_max": 1.5, "eps0": 0.1, name: value}
-        with pytest.raises(ValueError, match=f"^{name} must be .*finite$"):
+        error, fault = ((NonFiniteError, "non-finite entries") if isinstance(value, float)
+                        else (GascertError, "not a numeric array"))
+        with pytest.raises(error, match=f"^{name}: {fault}$"):
             Tuning(**kwargs)
 
     def test_maps_read_only(self):

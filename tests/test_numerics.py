@@ -158,6 +158,18 @@ AS_MATRIX_INPUTS = {
     "string": "x",
     "non-square": np.zeros((2, 3)),
 }
+# inputs that the oracle's float cast read (a boolean, None as NaN) or
+# refused in its own words, and the reader refuses: (error, message pattern)
+AS_MATRIX_REFUSED = {
+    "bool": (GascertError, r"X: not a numeric array"),
+    "None": (GascertError, r"X: not a numeric array"),
+    "ragged": (GascertError, r"X: not a numeric array \(.+\)"),
+    "string": (GascertError, r"X: not a numeric array"),
+    "nan scalar": (NonFiniteError, r"X: non-finite entries"),
+    "inf 1-D": (NonFiniteError, r"X: non-finite entries"),
+    "nan 2-D": (NonFiniteError, r"X: non-finite entries"),
+    "3-D non-finite": (NonFiniteError, r"X: non-finite entries"),
+}
 
 
 class TestAsMatrix:
@@ -165,6 +177,12 @@ class TestAsMatrix:
     @pytest.mark.parametrize("name", sorted(AS_MATRIX_INPUTS))
     def test_same_result_and_error_as_atleast_2d(self, name, square):
         M = AS_MATRIX_INPUTS[name]
+        if name in AS_MATRIX_REFUSED:
+            error, message = AS_MATRIX_REFUSED[name]
+            with pytest.raises(error, match=f"^{message}$") as got:
+                as_matrix(M, "X", square=square)
+            assert type(got.value) is error
+            return
         try:
             want = _as_matrix_atleast_2d(M, "X", square=square)
         except Exception as exc:

@@ -2,6 +2,7 @@ import io
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from gascert import (
     Tuning,
     analyze,
     certify,
+    check_conditions,
     closed_loop_global,
     control,
     export_csv,
@@ -406,6 +408,11 @@ class TestStackedKernel:
             z = kern.rk4(z, dt, kern.segment([t, t + 0.5 * dt, t + dt]))
 
 
+def _run(**scenario):
+    """``simulate`` on ``wide_net`` for 10 steps of ``scenario``."""
+    return simulate(wide_net(), Scenario(**{"horizon": 0.01, "dt": 1e-3, **scenario}))
+
+
 def wide_net():
     """One subsystem "a" with dim 3, m = 2, q = 1 and r = 1."""
     sub = AugmentedSubsystem.from_raw("a", B=np.eye(2), C=[[1.0, 0.0]],
@@ -441,20 +448,30 @@ class TestScenarioCheck:
         with pytest.raises(DimensionError, match=f"^{re.escape(f'{key}.a: {fault}')}$"):
             simulate(wide_net(), sc)
 
-    @pytest.mark.parametrize("key,value,fault", [
-        ("x0", [np.nan, 0.0, 0.0], "non-finite entries"),
-        ("xhat0", ["1", 0, 0], "not a numeric array"),
-        ("theta", np.full((3, 2), np.inf), "non-finite entries"),
-        ("theta_hat0", [[True, False]] * 3, "not a numeric array"),
-        ("x0", [10 ** 400, 0, 0], "not a numeric array (int too large to convert to float)"),
-        ("xhat0", [[0.0], [0.0, 0.0], [0.0]], "not a numeric array ("),
+    @pytest.mark.parametrize("call,fault", [
+        (lambda: _run(x0={"a": [np.nan, 0.0, 0.0]}), "x0.a: non-finite entries"),
+        (lambda: _run(xhat0={"a": ["1", 0, 0]}), "xhat0.a: not a numeric array"),
+        (lambda: _run(theta={"a": np.full((3, 2), np.inf)}), "theta.a: non-finite entries"),
+        (lambda: _run(theta_hat0={"a": [[True, False]] * 3}), "theta_hat0.a: not a numeric array"),
+        (lambda: _run(x0={"a": [10 ** 400, 0, 0]}),
+         "x0.a: not a numeric array (int too large to convert to float)"),
+        (lambda: _run(xhat0={"a": [[0.0], [0.0, 0.0], [0.0]]}), "xhat0.a: not a numeric array ("),
+        (lambda: _run(dt="0.1"), "dt: not a numeric array"),
+        (lambda: _run(references={"a": Schedule(times=[0.0], values=[["1.0"]])}),
+         "schedule values: not a numeric array"),
+        (lambda: replace(wide_net().subsystem("a"), C=[["1", "0", "0"], ["0", "0", "1"]]),
+         "subsystem a: augmented C: not a numeric array"),
+        (lambda: replace(wide_net().subsystem("a"), E=np.full((3, 2), np.nan)),
+         "subsystem a: augmented E: non-finite entries"),
+        (lambda: check_conditions([[-1.0]], ["0.5"]), "offsets: not a numeric array"),
     ], ids=["x0_nan", "xhat0_string", "theta_inf", "theta_hat0_bool", "x0_int_beyond_double",
-            "xhat0_ragged"])
-    def test_non_numeric_or_non_finite_rejected(self, key, value, fault):
-        # simulate would otherwise run, or report a divergence at its first step
-        sc = Scenario(horizon=0.01, dt=1e-3, **{key: {"a": value}})
-        with pytest.raises(GascertError, match=f"^{re.escape(f'{key}.a: {fault}')}"):
-            simulate(wide_net(), sc)
+            "xhat0_ragged", "dt_string", "schedule_string", "subsystem_C_string",
+            "subsystem_E_nan", "offsets_string"])
+    def test_non_numeric_or_non_finite_rejected(self, call, fault):
+        # every library value is read by numeric_array, so simulate cannot run,
+        # or report a divergence at its first step, on a string, boolean or NaN
+        with pytest.raises(GascertError, match=f"^{re.escape(fault)}"):
+            call()
 
     def test_int_beyond_int64_accepted(self):
         trace = simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, x0={"a": [2 ** 70, 0, 0]}))
