@@ -200,10 +200,10 @@ def _path_gain(net: NetworkModel, e):
     """
     if e is None:
         return 0.0, 0.0
-    Am = net.desired[e.src]
+    Am = net.checked[e.src]
     if e.A is not None:
-        return hinf_gain(e.A, Am), e.gain()
-    return e.norm_bound * hinf_gain(np.eye(Am.shape[0]), Am), e.gain()
+        return hinf_gain(e.checked, Am), e.gain()
+    return e.norm_bound * hinf_gain(np.eye(Am.A.shape[0]), Am), e.gain()
 
 
 def small_gain_check(net: NetworkModel):

@@ -13,8 +13,8 @@ so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
 disturbance).  Values are immutable after construction.  An edge has a
 coupling matrix or a declared bound on its norm, never both.  A network
-solves each subsystem's Lyapunov weight once, on first read, for every
-analysis and simulation of it.
+eigen-solves each desired matrix once, takes its edge gains from one SVD
+per block shape, and solves each Lyapunov weight on its first read.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import (as_matrix, eigenvalues, is_hurwitz, numeric_array, solve_lyapunov,
-                       spectral_norm)
+from .numerics import (Checked, as_matrix, eigenvalues, is_hurwitz, numeric_scalar,
+                       solve_lyapunov, spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -86,8 +86,8 @@ class AugmentedSubsystem:
     def __post_init__(self):
         p = self.n + self.q
         for name in ("B", "C", "D", "E", "F"):
-            object.__setattr__(self, name, _read_only(getattr(self, name),
-                                                      f"subsystem {self.sid}: augmented {name}"))
+            object.__setattr__(self, name, Checked(getattr(self, name),
+                                                   f"subsystem {self.sid}: augmented {name}").A)
         if self.B.shape != (p, self.m):
             raise DimensionError(
                 f"subsystem {self.sid}: augmented B has shape {self.B.shape}, expected {(p, self.m)}"
@@ -95,7 +95,7 @@ class AugmentedSubsystem:
         if self.q and np.any(self.B[self.n:, :] != 0.0):
             raise ValueError(f"subsystem {self.sid}: augmented B must have zero integral rows")
         if self.A is not None:
-            A = _read_only(self.A, f"subsystem {self.sid}: augmented A", square=True)
+            A = Checked(self.A, f"subsystem {self.sid}: augmented A", square=True).A
             if A.shape[0] != p:
                 raise DimensionError(
                     f"subsystem {self.sid}: augmented A is {A.shape[0]}x{A.shape[0]}, expected {p}x{p}"
@@ -165,13 +165,6 @@ class AugmentedSubsystem:
                    n=n, q=q, m=m, r=r)
 
 
-def _read_only(value, name, square=False):
-    """``value`` read by ``as_matrix`` into a read-only copy of its own."""
-    A = as_matrix(value, name, square).copy()
-    A.flags.writeable = False
-    return A
-
-
 def augment_edge(A_ij, q_to, q_from):
     """Zero-pad a raw coupling block to augmented coordinates.
 
@@ -193,7 +186,7 @@ class Interconnection:
     """Directed coupling edge: the state of ``src`` enters subsystem ``dst``.
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
-    dim_src, stored as a read-only copy), or ``norm_bound``, a declared
+    dim_src, stored as ``checked.A``), or ``norm_bound``, a declared
     finite bound on its spectral norm; only the aggregate bounds can use a
     bound-only edge (``A is None``).
     """
@@ -202,6 +195,7 @@ class Interconnection:
     dst: str
     A: np.ndarray | None = None
     norm_bound: float | None = None
+    checked: Checked | None = field(default=None, init=False, repr=False, compare=False)
     _gain: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -210,40 +204,43 @@ class Interconnection:
             raise ValueError(f"{name}: give a coupling matrix A or a norm_bound, not "
                              + ("both" if self.A is not None else "neither"))
         if self.A is None:
-            bound = float(numeric_array(self.norm_bound, f"{name}: norm_bound"))
+            bound = numeric_scalar(self.norm_bound, f"{name}: norm_bound")
             if bound < 0.0:
                 raise ValueError(f"{name}: norm_bound must be >= 0")
             object.__setattr__(self, "norm_bound", bound)
             object.__setattr__(self, "_gain", bound)
         else:
-            object.__setattr__(self, "A", _read_only(self.A, f"{name}: A"))
+            object.__setattr__(self, "checked", Checked(self.A, f"{name}: A"))
+            object.__setattr__(self, "A", self.checked.A)
             if not np.any(self.A):
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
 
     def gain(self):
-        """``norm_bound``, or ``||A||_2`` computed once (the edge is frozen)."""
+        """``norm_bound``, or ``||A||_2`` computed once (by a network it is in)."""
         if self._gain is None:
-            object.__setattr__(self, "_gain", spectral_norm(self.A))
+            object.__setattr__(self, "_gain", spectral_norm(self.checked))
         return self._gain
 
 
 @dataclass(frozen=True)
 class Tuning:
     """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
-    as a read-only copy.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
+    as ``checked.A``.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
 
     Q: np.ndarray
     gamma: float
     theta_max: float
     eps0: float
+    checked: Checked = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
-        object.__setattr__(self, "Q", _read_only(0.5 * (Q + Q.T), "Q"))
+        object.__setattr__(self, "checked", Checked(0.5 * (Q + Q.T), "Q"))
+        object.__setattr__(self, "Q", self.checked.A)
         if np.min(np.linalg.eigvalsh(self.Q)) <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
         for name in ("gamma", "theta_max", "eps0"):
-            object.__setattr__(self, name, float(numeric_array(getattr(self, name), name)))
+            object.__setattr__(self, name, numeric_scalar(getattr(self, name), name))
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if self.theta_max < 0.0:
@@ -259,10 +256,10 @@ class NetworkModel:
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
-    ``index`` maps each id to its position in ``subsystems``, and the in-
-    and out-edges of every id are tabulated at construction.  The checked
-    per-id values are stored in new read-only mappings, and the desired
-    and baseline matrices (like an edge's ``A``) as read-only copies.
+    ``index`` maps each id to its position in ``subsystems``; the in- and
+    out-edges of every id and the edge gains are tabulated at construction.
+    The checked per-id values (and ``checked``, the desired matrices'
+    records) are stored in new read-only mappings, matrices as read-only copies.
     ``lyapunov(sid)`` solves that subsystem's Lyapunov weight on its first
     call and returns the same read-only array after.
     """
@@ -273,6 +270,7 @@ class NetworkModel:
     tuning: Mapping
     baseline: Mapping = field(default_factory=dict)
     index: dict = field(init=False, repr=False, compare=False)
+    checked: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
@@ -285,7 +283,7 @@ class NetworkModel:
         object.__setattr__(self, "index", {sid: k for k, sid in enumerate(ids)})
         incoming = {sid: [] for sid in ids}
         outgoing = {sid: [] for sid in ids}
-        pairs = set()
+        pairs, shapes = set(), {}
         for e in self.edges:
             if (e.src, e.dst) in pairs:
                 raise ValueError(f"edge {e.src}->{e.dst}: repeated edge; declare each pair once")
@@ -300,24 +298,29 @@ class NetworkModel:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
+                shapes.setdefault(want, []).append(e)
             incoming[e.dst].append(e)
             outgoing[e.src].append(e)
         object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
         object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
+        for group in shapes.values():  # bit for bit np.linalg.norm(A, 2) of each
+            gains = np.linalg.svd(np.stack([e.A for e in group]), compute_uv=False)[:, 0]
+            for e, g in zip(group, gains.tolist()):
+                object.__setattr__(e, "_gain", g)
         object.__setattr__(self, "_lyapunov", {})
-        desired, tuning, baseline = {}, {}, {}
+        desired, tuning, baseline, checked = {}, {}, {}, {}
         for sid, s in zip(ids, self.subsystems):
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
-            Am = _read_only(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
-            if Am.shape[0] != s.dim:
+            Am = Checked(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
+            if Am.A.shape[0] != s.dim:
                 raise DimensionError(
-                    f"subsystem {sid}: desired dynamics is {Am.shape[0]}x{Am.shape[0]}, "
+                    f"subsystem {sid}: desired dynamics is {Am.A.shape[0]}x{Am.A.shape[0]}, "
                     f"expected {s.dim}"
                 )
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            desired[sid] = Am
+            checked[sid], desired[sid] = Am, Am.A
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]
@@ -327,14 +330,15 @@ class NetworkModel:
                     f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {s.dim}"
                 )
             K = self.baseline.get(sid)
-            K = _read_only(np.zeros((s.m, s.dim)) if K is None else K,
-                           f"subsystem {sid}: baseline gain")
+            K = Checked(np.zeros((s.m, s.dim)) if K is None else K,
+                        f"subsystem {sid}: baseline gain").A
             if K.shape != (s.m, s.dim):
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"
                 )
             baseline[sid] = K
-        for name, value in (("desired", desired), ("tuning", tuning), ("baseline", baseline)):
+        for name, value in (("desired", desired), ("tuning", tuning), ("baseline", baseline),
+                            ("checked", checked)):
             object.__setattr__(self, name, MappingProxyType(value))
 
     @property
@@ -359,7 +363,7 @@ class NetworkModel:
         and tuning weight of ``sid``; solved on the first call only."""
         P = self._lyapunov.get(sid)
         if P is None:
-            P = _read_only(solve_lyapunov(self.desired[sid], self.tuning[sid].Q), "P")
+            P = Checked(solve_lyapunov(self.checked[sid], self.tuning[sid].checked), "P").A
             self._lyapunov[sid] = P
         return P
 

@@ -6,13 +6,16 @@ level-set Hamiltonian iteration that gives both the H-infinity gain and
 the distance to instability.  Acceptance bounds are fixed; the distance
 accuracy is the one tolerance a caller sets.  All functions are pure:
 they keep no state and are safe to call concurrently on shared read-only
-inputs.  Intended problem sizes are small (n up to a few tens).
+inputs.  Intended problem sizes are small (n up to a few tens).  Input
+is read where it enters: ``numeric_array`` reads every caller array and
+every matrix derived here, and a ``Checked`` record is taken as it stands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,6 +24,7 @@ from .exceptions import DimensionError, GascertError, NonFiniteError, SolverErro
 
 __all__ = [
     "AreSolution",
+    "Checked",
     "as_matrix",
     "distance_to_instability",
     "eigenvalues",
@@ -29,6 +33,7 @@ __all__ = [
     "is_hurwitz",
     "is_hyperbolic",
     "numeric_array",
+    "numeric_scalar",
     "solve_are",
     "solve_lyapunov",
     "spectral_norm",
@@ -36,11 +41,11 @@ __all__ = [
 
 
 def as_matrix(M, name="matrix", square=False):
-    """``M`` read by ``numeric_array`` as a 2-D float array.
+    """``M`` read by ``numeric_array`` (a ``Checked`` record's ``A`` as is) as a 2-D array.
 
     Scalars become 1x1 matrices, 1-D arrays become row vectors.
     """
-    A = numeric_array(M, name)
+    A = M.A if isinstance(M, Checked) else numeric_array(M, name)
     if A.ndim < 2:
         A = A.reshape(1, -1)
     elif A.ndim > 2:
@@ -67,6 +72,33 @@ def numeric_array(value, name="array"):
     if np.count_nonzero(np.isfinite(A)) != A.size:  # cheaper than .all() on small arrays
         raise NonFiniteError(f"{name}: non-finite entries")
     return A
+
+
+def numeric_scalar(value, name="value"):
+    """``numeric_array``'s reading of ``value`` as a float, if it is one number."""
+    A = numeric_array(value, name)
+    if A.ndim:
+        raise DimensionError(f"{name}: expected a number, got ndim={A.ndim}")
+    return float(A)
+
+
+@dataclass(frozen=True, eq=False)
+class Checked:
+    """A matrix read once (``A``, read-only) and its ``spectrum``, solved on first use."""
+
+    A: np.ndarray
+    name: InitVar[str] = "matrix"
+    square: InitVar[bool] = False
+
+    def __post_init__(self, name, square):
+        object.__setattr__(self, "A", as_matrix(self.A, name, square).copy())
+        self.A.flags.writeable = False
+
+    @cached_property
+    def spectrum(self):
+        w = eigenvalues(self.A)
+        w.flags.writeable = False
+        return w
 
 
 def eigenvalues(A):
@@ -97,6 +129,10 @@ def eigenvalues(A):
     return w[np.lexsort((w.imag, w.real))]
 
 
+def _spectrum(M):  # a record's kept spectrum, solved for anything else
+    return M.spectrum if isinstance(M, Checked) else eigenvalues(M)
+
+
 def spectral_norm(A):
     """Largest singular value of ``A`` (induced 2-norm)."""
     A = as_matrix(A, "A")
@@ -107,7 +143,7 @@ def spectral_norm(A):
 
 def is_hurwitz(A):
     """True iff every eigenvalue of ``A`` has strictly negative real part."""
-    return bool(np.max(eigenvalues(A).real) < 0.0)
+    return bool(np.max(_spectrum(A).real) < 0.0)
 
 
 def solve_lyapunov(A, Q):
@@ -136,15 +172,15 @@ def solve_lyapunov(A, Q):
         If the computed solution violates the residual bound or fails the
         definiteness check.
     """
-    A = as_matrix(A, "A", square=True)
+    A, given = as_matrix(A, "A", square=True), A
     Q = as_matrix(Q, "Q", square=True)
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
-    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(Q).max()))):
+    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, float(np.abs(Q).max())):
         raise ValueError("Q must be symmetric")
     if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0.0:
         raise ValueError("Q must be positive definite")
-    if not is_hurwitz(A):
+    if not is_hurwitz(given):
         raise StabilityError(
             "A is not Hurwitz: the Lyapunov equation has no positive definite solution"
         )
@@ -226,7 +262,7 @@ def _smin_shifted(Am, ws):
     return np.linalg.svd(R, compute_uv=False)[:, -1]
 
 
-def is_hyperbolic(Am, N, q):
+def is_hyperbolic(Am, N, q, *, H=None):
     """True iff ``hamiltonian(Am, N, q)`` has no imaginary-axis eigenvalue.
 
     ``jw`` is an eigenvalue exactly when ``sqrt(N q)`` is a singular value
@@ -236,12 +272,12 @@ def is_hyperbolic(Am, N, q):
     near the axis (``_axis_frequencies``) are only candidates; one is a
     crossing when ``sigma_min(Am - jwI) <= sqrt(N q)`` at its frequency
     ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow modes of a badly
-    scaled ``Am`` are not mistaken for axis eigenvalues.
+    scaled ``Am`` are not mistaken for axis eigenvalues.  ``H``, if given,
+    is that Hamiltonian already assembled (``solve_are`` passes its own).
     """
-    Am = as_matrix(Am, "Am", square=True)
-    H = hamiltonian(Am, N, q)
-    ws = _axis_frequencies(H)
-    return not np.any(_smin_shifted(Am, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
+    A = as_matrix(Am, "Am", square=True)
+    ws = _axis_frequencies(hamiltonian(Am, N, q) if H is None else H)
+    return not np.any(_smin_shifted(A, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
 
 
 @dataclass(frozen=True)
@@ -291,17 +327,18 @@ def solve_are(Am, N, q):
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
     """
-    Am = as_matrix(Am, "Am", square=True)
-    n = Am.shape[0]
+    A = as_matrix(Am, "Am", square=True)
     if not is_hurwitz(Am):
         raise StabilityError("Am is not Hurwitz")
-    if not is_hyperbolic(Am, N, q):
+    H = hamiltonian(Am, N, q)
+    if not is_hyperbolic(Am, N, q, H=H):
         raise StabilityError(
             "Hamiltonian has imaginary-axis eigenvalues: the distance "
             "condition is violated and the Riccati equation has no "
             "stabilizing solution"
         )
-    T, Z, sdim = sla.schur(hamiltonian(Am, N, q), output="real", sort="lhp")
+    n = A.shape[0]
+    T, Z, sdim = sla.schur(H, output="real", sort="lhp")
     if sdim != n:
         raise SolverError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -313,7 +350,7 @@ def solve_are(Am, N, q):
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"invariant-subspace basis is singular: {exc}") from exc
     P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(Am.T @ P + P @ Am + float(N) * P @ P + q * np.eye(n)))
+    residual = float(np.linalg.norm(A.T @ P + P @ A + float(N) * P @ P + q * np.eye(n)))
     bound = 1e-8 * max(1.0, float(np.linalg.norm(P)) ** 2)
     if residual > bound:
         raise SolverError(
@@ -322,7 +359,7 @@ def solve_are(Am, N, q):
         )
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise SolverError("Riccati solution is not positive definite")
-    closed = eigenvalues(Am + float(N) * P)
+    closed = eigenvalues(A + float(N) * P)
     if np.max(closed.real) >= 0.0:
         raise SolverError("closed-loop matrix Am + N*P is not stable")
     return AreSolution(P=P, residual_norm=residual, closed_loop_spectrum=closed)
@@ -405,17 +442,16 @@ def hinf_gain(M, Am):
     StabilityError
         If ``Am`` is not Hurwitz (the gain is unbounded).
     """
-    Am = as_matrix(Am, "Am", square=True)
+    A = as_matrix(Am, "Am", square=True)
     M = as_matrix(M, "M")
-    n = Am.shape[0]
-    if M.shape[1] != n:
-        raise DimensionError(f"M has {M.shape[1]} columns, expected {n}")
-    lam = eigenvalues(Am)
+    if M.shape[1] != A.shape[0]:
+        raise DimensionError(f"M has {M.shape[1]} columns, expected {A.shape[0]}")
+    lam = _spectrum(Am)
     if np.max(lam.real) >= 0.0:
         raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
     if not np.any(M):
         return 0.0
-    return _peak_gain(Am, M, lam, rtol=_HINF_RTOL)[0]
+    return _peak_gain(A, M, lam, rtol=_HINF_RTOL)[0]
 
 
 def distance_to_instability(Am, tol=1e-9):
@@ -427,11 +463,11 @@ def distance_to_instability(Am, tol=1e-9):
     is reported as ``sigma_min(Am - j w* I)`` evaluated there: an attained
     value, within ``tol`` (absolute) above the true distance.
     """
-    Am = as_matrix(Am, "Am", square=True)
+    A = as_matrix(Am, "Am", square=True)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lam = eigenvalues(Am)
+    lam = _spectrum(Am)
     if np.max(lam.real) >= 0.0:
         raise StabilityError("Am is not Hurwitz: the distance to instability is zero")
-    _, w = _peak_gain(Am, None, lam, rtol=_DIST_RTOL, dtol=tol)
-    return float(_smin_shifted(Am, [w])[0])
+    _, w = _peak_gain(A, None, lam, rtol=_DIST_RTOL, dtol=tol)
+    return float(_smin_shifted(A, [w])[0])

@@ -121,10 +121,10 @@ def certify(net: NetworkModel) -> GasCertificate:
     """
     records = []
     for sid in sorted(net.ids):
-        A_m = net.desired[sid]
+        checked, A_m = net.checked[sid], net.desired[sid]
         N = net.neighbor_count(sid)
         xi2 = interconnection_energy(net, sid)
-        gamma = distance_to_instability(A_m, 1e-12 * max(1.0, spectral_norm(A_m)))
+        gamma = distance_to_instability(checked, 1e-12 * max(1.0, spectral_norm(checked)))
         margin = gamma - np.sqrt(N * xi2)
         record = partial(SubsystemCertificate, sid=sid, n_neighbors=N,
                          coupling_energy=xi2, distance=gamma, margin=margin)
@@ -135,11 +135,11 @@ def certify(net: NetworkModel) -> GasCertificate:
         eps = epsilon_margin(gamma, N, xi2)
         try:
             if N == 0:
-                P = solve_lyapunov(A_m, eps * np.eye(A_m.shape[0]))
+                P = solve_lyapunov(checked, eps * np.eye(A_m.shape[0]))
                 residual = float(np.linalg.norm(
                     A_m.T @ P + P @ A_m + eps * np.eye(A_m.shape[0])))
             else:
-                sol = solve_are(A_m, N, xi2 + eps)
+                sol = solve_are(checked, N, xi2 + eps)
                 P, residual = sol.P, sol.residual_norm
         except GascertError as exc:
             records.append(record(epsilon=eps, P=None, are_residual=None, ok=False,

@@ -46,7 +46,7 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, SolverError
 from .model import NetworkModel
-from .numerics import numeric_array
+from .numerics import numeric_array, numeric_scalar
 
 __all__ = [
     "NetworkState",
@@ -116,8 +116,8 @@ class Scenario:
     theta_hat0: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.horizon = float(numeric_array(self.horizon, "horizon"))
-        self.dt = float(numeric_array(self.dt, "dt"))
+        self.horizon = numeric_scalar(self.horizon, "horizon")
+        self.dt = numeric_scalar(self.dt, "dt")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.horizon < 0.0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, random_hurwitz
+from gascert import model, numerics
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -14,9 +15,11 @@ from gascert import (
     StabilityError,
     Tuning,
     augment_edge,
+    analyze,
     check_controllability,
     certify,
     closed_loop_global,
+    small_gain_check,
 )
 from gascert.config import load_config
 
@@ -415,6 +418,17 @@ class TestNetworkValidation:
         with pytest.raises(error, match=f"^{name}: {fault}$"):
             Tuning(**kwargs)
 
+    @pytest.mark.parametrize("call,fault", [
+        (lambda: Tuning(Q=np.eye(2), gamma=[1.0], theta_max=1.0, eps0=0.1),
+         "gamma: expected a number, got ndim=1"),
+        (lambda: Interconnection(src="a", dst="b", norm_bound=[0.5]),
+         "edge a->b: norm_bound: expected a number, got ndim=1"),
+    ], ids=["tuning_gamma", "edge_norm_bound"])
+    def test_scalar_given_as_array_names_its_field(self, call, fault):
+        # numpy's own refusal of float([1.0]) named no field
+        with pytest.raises(DimensionError, match=f"^{re.escape(fault)}$"):
+            call()
+
     def test_maps_read_only(self):
         net = two_sub_net(coupling=0.5)
         for name in ("desired", "tuning", "baseline"):
@@ -506,3 +520,81 @@ class TestNetworkValidation:
             assert net.out_edges(sid) == tuple(e for e in net.edges if e.src == sid)
             assert net.neighbor_count(sid) == len(net.in_edges(sid))
         assert net.in_edges("nope") == ()
+
+
+def shapes_net(rng):
+    """Five subsystems of dimensions 1, 1, 2, 2, 3, every ordered pair
+    coupled (e -> a by a declared bound only): eight block shapes, 1x3 and
+    3x1 among them, most of them held by several edges."""
+    dims = {"a": 1, "b": 1, "c": 2, "d": 2, "e": 3}
+    subs = [AugmentedSubsystem.from_raw(sid, B=rng.normal(size=(n, 1)), C=np.zeros((0, n)))
+            for sid, n in dims.items()]
+    edges = [Interconnection(src=j, dst=i, norm_bound=0.75) if (j, i) == ("e", "a")
+             else Interconnection(src=j, dst=i, A=rng.normal(size=(dims[i], dims[j])))
+             for i in dims for j in dims if i != j]
+    return NetworkModel(subsystems=subs, edges=edges,
+                        desired={sid: random_hurwitz(rng, n) for sid, n in dims.items()},
+                        tuning={sid: toy_tuning(n) for sid, n in dims.items()})
+
+
+class TestStackedGains:
+    def test_gain_is_the_two_norm_bit_for_bit(self, monkeypatch):
+        # one SVD of the stacked blocks per shape, and every edge's gain is
+        # what np.linalg.norm(A, 2) gives that block alone
+        stacks = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: stacks.append(a.shape) or svd(a, **k))
+        monkeypatch.setattr(model, "spectral_norm", None)  # no edge asks for its own
+        net = shapes_net(np.random.default_rng(8))
+        shapes = {e.A.shape for e in net.edges if e.A is not None}
+        assert {(1, 3), (3, 1)} <= shapes and len(shapes) == 8
+        assert sorted(s[1:] for s in stacks) == sorted(shapes)
+        assert sum(s[0] for s in stacks) == len(net.edges) - 1
+        for e in net.edges:
+            if e.A is None:
+                assert e.gain() == 0.75
+            else:
+                assert type(e.gain()) is float
+                assert np.float64(e.gain()).tobytes() == np.linalg.norm(e.A, 2).tobytes()
+
+    def test_edge_outside_a_network_answers(self):
+        A = np.random.default_rng(9).normal(size=(3, 2))
+        e = Interconnection(src="x", dst="y", A=A)
+        assert np.float64(e.gain()).tobytes() == np.linalg.norm(A, 2).tobytes()
+        assert Interconnection(src="x", dst="y", norm_bound=2).gain() == 2.0
+
+
+class TestReadOnce:
+    @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
+                                      "unstable_pair"])
+    def test_desired_solved_once_and_never_reread(self, name, monkeypatch):
+        # the load eigen-solves each desired matrix once, for its Hurwitz
+        # test; the pipelines then take the model's records and neither
+        # solve a desired matrix nor read any array the model has checked
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        # (a plant equal to its desired matrix is solved for its own test)
+        assert [sum(a is net.desired[sid] for a in solved) for sid in net.ids] == \
+            [1] * len(net.ids)
+
+        def solves(sid):
+            Am = net.desired[sid]
+            return sum(a.shape == Am.shape and np.array_equal(a, Am) for a in solved)
+
+        checked = [*net.desired.values(), *net.baseline.values(),
+                   *(t.Q for t in net.tuning.values()),
+                   *(e.A for e in net.edges if e.A is not None),
+                   *(getattr(s, b) for s in net.subsystems for b in "ABCDEF"
+                     if getattr(s, b) is not None)]
+        read = []
+        real = numerics.numeric_array
+        monkeypatch.setattr(numerics, "numeric_array",
+                            lambda value, name="array": read.append(value) or real(value, name))
+        solved.clear()
+        certify(net)
+        analyze(net)
+        small_gain_check(net)
+        assert [solves(sid) for sid in net.ids] == [0] * len(net.ids)
+        assert read and not [v for v in read if any(v is a for a in checked)]

@@ -28,7 +28,7 @@ from gascert import (
     spectral_norm,
 )
 from gascert import numerics
-from gascert.numerics import as_matrix, numeric_array
+from gascert.numerics import Checked, as_matrix, numeric_array, numeric_scalar
 
 
 class TestEigenvalues:
@@ -235,6 +235,76 @@ class TestNumericArray:
             numeric_array(value, "X")
 
 
+class TestNumericScalar:
+    @pytest.mark.parametrize("value", [3, 2.5, np.float32(0.5), np.array(4.0), 2 ** 70])
+    def test_numbers_read(self, value):
+        got = numeric_scalar(value, "X")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value,ndim", [([1.0], 1), ([[1.0]], 2), (np.zeros(0), 1)])
+    def test_arrays_rejected(self, value, ndim):
+        with pytest.raises(DimensionError, match=f"^X: expected a number, got ndim={ndim}$"):
+            numeric_scalar(value, "X")
+
+    def test_read_by_numeric_array(self):
+        with pytest.raises(NonFiniteError, match=r"^X: non-finite entries$"):
+            numeric_scalar(np.nan, "X")
+        with pytest.raises(GascertError, match=r"^X: not a numeric array$"):
+            numeric_scalar("1.0", "X")
+
+
+class TestChecked:
+    def test_read_once_into_a_read_only_copy(self):
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        A_copy = A.copy()
+        rec = Checked(A, "Am", square=True)
+        A[0, 0] = 5.0
+        assert rec.A[0, 0] == -1.0
+        assert rec.spectrum is rec.spectrum  # solved once, then kept
+        assert_same_bits(rec.spectrum, eigenvalues(A_copy))
+        assert_same_bits(eigenvalues(rec), rec.spectrum)
+        for stored in (rec.A, rec.spectrum):
+            with pytest.raises(ValueError):
+                stored[0] = 5.0
+        with pytest.raises(AttributeError):
+            rec.A = A
+
+    def test_reader_errors_name_the_matrix(self):
+        with pytest.raises(DimensionError, match=r"^Am must be square"):
+            Checked([[1.0, 2.0]], "Am", square=True)
+        with pytest.raises(NonFiniteError, match=r"^Am: non-finite entries$"):
+            Checked([[np.nan]], "Am")
+
+    def test_kernels_give_what_the_array_gives(self):
+        # a record stands for its array in every kernel, to the bit
+        rng = np.random.default_rng(12)
+        A = random_hurwitz(rng, 4)
+        M = rng.normal(size=(2, 4))
+        Q = np.eye(4) + 0.1 * np.ones((4, 4))
+        rec, Mrec, Qrec = Checked(A, square=True), Checked(M), Checked(Q)
+        g = distance_to_instability(A, 1e-12)
+        assert distance_to_instability(rec, 1e-12) == g
+        assert hinf_gain(Mrec, rec) == hinf_gain(M, A)
+        assert spectral_norm(rec) == spectral_norm(A)
+        assert is_hyperbolic(rec, 1, 0.25 * g * g) and is_hyperbolic(A, 1, 0.25 * g * g)
+        assert_same_bits(solve_lyapunov(rec, Qrec), solve_lyapunov(A, Q))
+        assert_same_bits(hamiltonian(rec, 2, 0.5), hamiltonian(A, 2, 0.5))
+        got, want = solve_are(rec, 1, 0.25 * g * g), solve_are(A, 1, 0.25 * g * g)
+        assert_same_bits(got.P, want.P)
+        assert_same_bits(got.closed_loop_spectrum, want.closed_loop_spectrum)
+
+    def test_record_checks_still_run(self):
+        flat = Checked([[1.0, 2.0]], "M")
+        for call in (lambda: eigenvalues(flat), lambda: distance_to_instability(flat),
+                     lambda: solve_are(flat, 1, 1.0), lambda: hinf_gain(np.eye(2), flat)):
+            with pytest.raises(DimensionError, match="must be square"):
+                call()
+        with pytest.raises(StabilityError, match="not Hurwitz"):
+            distance_to_instability(Checked([[1.0]], square=True))
+        with pytest.raises(DimensionError, match="M has 2 columns, expected 1"):
+            hinf_gain(flat, Checked([[-1.0]]))
+
+
 class TestHamiltonian:
     @pytest.mark.parametrize("N,q", [(0, 0.0), (1, 0.0), (2, -0.0), (3, 1e-300), (1, 2.5e9)])
     def test_slice_built_matches_np_block(self, N, q):
@@ -307,14 +377,19 @@ class TestHyperbolic:
             assert not is_hyperbolic(DC_AM, 1, (f * gamma) ** 2)
 
     def test_solve_are_shares_the_test(self, monkeypatch):
+        # solve_are asks is_hyperbolic, with its own arguments, and hands
+        # it the Hamiltonian it then splits, so both see the same matrix
         calls = []
         real = numerics.is_hyperbolic
         monkeypatch.setattr(numerics, "is_hyperbolic",
-                            lambda *a: calls.append(a) or real(*a))
+                            lambda *a, **k: calls.append((a, k)) or real(*a, **k))
         solve_are([[-2.0]], 1, 1.0)
         with pytest.raises(StabilityError, match="imaginary-axis"):
             solve_are([[-1.0]], 1, 1.0)
-        assert calls == [([[-2.0]], 1, 1.0), ([[-1.0]], 1, 1.0)]
+        assert [a for a, _ in calls] == [([[-2.0]], 1, 1.0), ([[-1.0]], 1, 1.0)]
+        assert [sorted(k) for _, k in calls] == [["H"], ["H"]]
+        for (a, k) in calls:
+            assert_same_bits(k["H"], hamiltonian(*a))
 
 
 class TestSolveAre:

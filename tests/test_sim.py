@@ -473,6 +473,15 @@ class TestScenarioCheck:
         with pytest.raises(GascertError, match=f"^{re.escape(fault)}"):
             call()
 
+    @pytest.mark.parametrize("kwargs,fault", [
+        ({"horizon": 0.01, "dt": [0.1]}, "dt: expected a number, got ndim=1"),
+        ({"horizon": [[1.0]], "dt": 0.1}, "horizon: expected a number, got ndim=2"),
+    ], ids=["dt", "horizon"])
+    def test_scalar_given_as_array_names_its_field(self, kwargs, fault):
+        # numpy's own refusal of float([0.1]) named no field
+        with pytest.raises(DimensionError, match=f"^{re.escape(fault)}$"):
+            Scenario(**kwargs)
+
     def test_int_beyond_int64_accepted(self):
         trace = simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, x0={"a": [2 ** 70, 0, 0]}))
         assert trace.xbar["a"][0, 0] == 2.0 ** 70
