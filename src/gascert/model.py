@@ -314,10 +314,8 @@ class NetworkModel:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
             Am = Checked(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
             if Am.A.shape[0] != s.dim:
-                raise DimensionError(
-                    f"subsystem {sid}: desired dynamics is {Am.A.shape[0]}x{Am.A.shape[0]}, "
-                    f"expected {s.dim}"
-                )
+                raise DimensionError(f"subsystem {sid}: desired dynamics is "
+                                     f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
             checked[sid], desired[sid] = Am, Am.A

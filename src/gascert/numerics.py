@@ -6,9 +6,8 @@ level-set Hamiltonian iteration that gives both the H-infinity gain and
 the distance to instability.  Acceptance bounds are fixed; the distance
 accuracy is the one tolerance a caller sets.  All functions are pure:
 they keep no state and are safe to call concurrently on shared read-only
-inputs.  Intended problem sizes are small (n up to a few tens).  Input
-is read where it enters: ``numeric_array`` reads every caller array and
-every matrix derived here, and a ``Checked`` record is taken as it stands.
+inputs.  Intended problem sizes are small (n up to a few tens).  Caller arrays
+and derived matrices are read and checked by ``numeric_array``; ``Checked`` records are not.
 """
 
 from __future__ import annotations
@@ -133,6 +132,11 @@ def _spectrum(M):  # a record's kept spectrum, solved for anything else
     return M.spectrum if isinstance(M, Checked) else eigenvalues(M)
 
 
+def _square(M, name):  # M read as a square array, and a record or that array to hand on
+    A = as_matrix(M, name, square=True)
+    return A, (M if isinstance(M, Checked) else A)
+
+
 def spectral_norm(A):
     """Largest singular value of ``A`` (induced 2-norm)."""
     A = as_matrix(A, "A")
@@ -172,7 +176,7 @@ def solve_lyapunov(A, Q):
         If the computed solution violates the residual bound or fails the
         definiteness check.
     """
-    A, given = as_matrix(A, "A", square=True), A
+    A, given = _square(A, "A")
     Q = as_matrix(Q, "Q", square=True)
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
@@ -262,7 +266,7 @@ def _smin_shifted(Am, ws):
     return np.linalg.svd(R, compute_uv=False)[:, -1]
 
 
-def is_hyperbolic(Am, N, q, *, H=None):
+def is_hyperbolic(Am, N, q):
     """True iff ``hamiltonian(Am, N, q)`` has no imaginary-axis eigenvalue.
 
     ``jw`` is an eigenvalue exactly when ``sqrt(N q)`` is a singular value
@@ -272,11 +276,10 @@ def is_hyperbolic(Am, N, q, *, H=None):
     near the axis (``_axis_frequencies``) are only candidates; one is a
     crossing when ``sigma_min(Am - jwI) <= sqrt(N q)`` at its frequency
     ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow modes of a badly
-    scaled ``Am`` are not mistaken for axis eigenvalues.  ``H``, if given,
-    is that Hamiltonian already assembled (``solve_are`` passes its own).
+    scaled ``Am`` are not mistaken for axis eigenvalues.
     """
-    A = as_matrix(Am, "Am", square=True)
-    ws = _axis_frequencies(hamiltonian(Am, N, q) if H is None else H)
+    A, Am = _square(Am, "Am")
+    ws = _axis_frequencies(hamiltonian(Am, N, q))
     return not np.any(_smin_shifted(A, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
 
 
@@ -327,18 +330,17 @@ def solve_are(Am, N, q):
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
     """
-    A = as_matrix(Am, "Am", square=True)
+    A, Am = _square(Am, "Am")
+    n = A.shape[0]
     if not is_hurwitz(Am):
         raise StabilityError("Am is not Hurwitz")
-    H = hamiltonian(Am, N, q)
-    if not is_hyperbolic(Am, N, q, H=H):
+    if not is_hyperbolic(Am, N, q):
         raise StabilityError(
             "Hamiltonian has imaginary-axis eigenvalues: the distance "
             "condition is violated and the Riccati equation has no "
             "stabilizing solution"
         )
-    n = A.shape[0]
-    T, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    T, Z, sdim = sla.schur(hamiltonian(Am, N, q), output="real", sort="lhp")
     if sdim != n:
         raise SolverError(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -442,7 +444,7 @@ def hinf_gain(M, Am):
     StabilityError
         If ``Am`` is not Hurwitz (the gain is unbounded).
     """
-    A = as_matrix(Am, "Am", square=True)
+    A, Am = _square(Am, "Am")
     M = as_matrix(M, "M")
     if M.shape[1] != A.shape[0]:
         raise DimensionError(f"M has {M.shape[1]} columns, expected {A.shape[0]}")
@@ -463,7 +465,7 @@ def distance_to_instability(Am, tol=1e-9):
     is reported as ``sigma_min(Am - j w* I)`` evaluated there: an attained
     value, within ``tol`` (absolute) above the true distance.
     """
-    A = as_matrix(Am, "Am", square=True)
+    A, Am = _square(Am, "Am")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lam = _spectrum(Am)
