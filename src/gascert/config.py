@@ -1,16 +1,17 @@
 """Network configuration documents and report serialization.
 
-Configs are JSON.  One reader, ``numerics.numeric_array``, reads every
-number, vector and matrix field, schedules included (``Schedule`` reads
-their times and values): its numbers are JSON integers or floats, finite
-and within double range, and anything else (a string or a boolean
-included) is an error naming the field's path.  Matrices are nested
-row-major arrays, a flat one read as a column.  Subsystems give
-raw (A, B, C, D, E) blocks; A may be null for an unknown plant.  The
-reference model is either an explicit augmented matrix or gain blocks
-{"A_nominal", "K_x", "K_xi"}, shared at top level or per subsystem.
-Edges carry a raw coupling block "A" (augmented internally) or a
-spectral-norm bound "norm_bound", not both; unknown keys are ignored.
+Configs are JSON.  ``parse_config`` walks the document and reads no
+numbers: it checks objects, required keys, ids and the shared defaults, and
+hands each value unchanged to the type that holds it, which reads it with
+``numerics.numeric_array``; an error names the field's document path.
+Matrices are nested row-major arrays, a flat one read as a row.  Subsystems
+give raw (A, B, C, D, E) blocks; A may be null for an unknown plant.  The
+reference model is an explicit augmented matrix or gain blocks {"A_nominal",
+"K_x", "K_xi"}, assembled with each subsystem's own raw B and C.  It and the
+tuning may be shared at top level: a shared one is read once and its errors
+are named there (``config.tuning``, ``config.reference_model``).  Edges carry
+a raw coupling block "A" (augmented internally) or a spectral-norm bound
+"norm_bound", not both; unknown keys are ignored.
 
 Reports are emitted by a small deterministic serializer: keys sorted,
 floats at 17 significant digits, so byte-identical inputs give
@@ -30,9 +31,9 @@ import math
 import numpy as np
 
 from .control import build_reference_model
-from .exceptions import ConfigError, GascertError, NonFiniteError
+from .exceptions import ConfigError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
-from .numerics import numeric_array
+from .numerics import Checked
 from .sim import Scenario, Schedule
 
 __all__ = [
@@ -51,56 +52,42 @@ def _require(obj, key, path):
     return obj[key]
 
 
-_KINDS = ("number", "vector", "matrix")
-
-
-def _numbers(value, path, ndim, null_ok=False):
-    """``value`` as a float ``ndim``-D array (a float for ``ndim`` 0), or None
-    for a null when ``null_ok``; a 1-D matrix is read as a column.  Numbers
-    are the integers and floats that ``numeric_array`` accepts."""
-    if value is None:
-        if null_ok:
-            return None
-        raise ConfigError(f"{path}: {_KINDS[ndim]} must not be null")
+def _build(make, path, fields=(), prefix=""):
+    """``make()``, with an error named by its document path.  A value type
+    words a field's error ``[prefix]<field>: reason`` (``<field>.<id>`` for a
+    per-id entry); with ``<field>`` a key of ``fields`` it reads
+    ``path.<field>: reason``, and any other error ``path: error``."""
     try:
-        M = numeric_array(value, path)
-    except GascertError as exc:
-        raise ConfigError(str(exc)) from None
-    if ndim == 2 and M.ndim == 1:
-        M = M.reshape(-1, 1) if M.size else M.reshape(0, 0)
-    if M.ndim != ndim:
-        raise ConfigError(f"{path}: expected a {_KINDS[ndim]}, got ndim={M.ndim}")
-    return M if ndim else float(M)
+        return make()
+    except Exception as exc:
+        msg = str(exc)
+        field, sep, reason = msg.removeprefix(prefix).partition(": ")
+        if sep and field.partition(".")[0] in fields:
+            raise ConfigError(f"{path}.{field}: {reason}") from None
+        raise ConfigError(f"{path}: {msg}") from None
 
 
-def _section(spec, key, path):
-    entry = spec.get(key, {})
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path}.{key}: expected an object keyed by subsystem id")
-    return entry
-
-
-def _reference_model(spec, B, C, path):
-    if isinstance(spec, list):
-        return _numbers(spec, path, 2)
-    if isinstance(spec, dict):
-        A_nom, K_x, K_xi = (_numbers(_require(spec, key, path), f"{path}.{key}", 2)
-                            for key in ("A_nominal", "K_x", "K_xi"))
-        try:
-            return build_reference_model(A_nom, B, C, K_x, K_xi)
-        except Exception as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}: expected a matrix or gain blocks")
+def _owned(sub, doc, key, path):
+    """Section ``key`` of subsystem ``sub`` (at ``path``) and its owner's path:
+    ``sub``'s own section, or the shared default at the top of ``doc``."""
+    spec, at = (sub[key], path) if key in sub else (doc.get(key), "config")
+    if spec is None:
+        raise ConfigError(f"{path}.{key}: missing (no shared default)")
+    return spec, at
 
 
 def _tuning(spec, path):
-    Q, gamma, theta_max, eps0 = (
-        _numbers(_require(spec, key, path), f"{path}.{key}", ndim)
-        for key, ndim in (("Q", 2), ("gamma", 0), ("theta_max", 0), ("eps0", 0)))
-    try:
-        return Tuning(Q=Q, gamma=gamma, theta_max=theta_max, eps0=eps0)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    fields = {key: _require(spec, key, path) for key in ("Q", "gamma", "theta_max", "eps0")}
+    return _build(lambda: Tuning(**fields), path, spec)
+
+
+def _gain_blocks(spec, s, path):
+    """Desired matrix of subsystem ``s`` from gain blocks and its raw B and C."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a matrix or gain blocks")
+    A_nom, K_x, K_xi = (_require(spec, key, path) for key in ("A_nominal", "K_x", "K_xi"))
+    return _build(lambda: build_reference_model(A_nom, s.B[:s.n], s.C[:s.q, :s.n], K_x, K_xi),
+                  path, spec)
 
 
 def _schedule(spec, path):
@@ -108,25 +95,20 @@ def _schedule(spec, path):
         times, values = [0.0], [spec]
     else:
         times, values = _require(spec, "times", path), _require(spec, "values", path)
-    try:
-        return Schedule(times=times, values=values)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _build(lambda: Schedule(times=times, values=values), path)
 
 
-def _scenario(spec, path):
-    kwargs = {key: _numbers(_require(spec, key, path), f"{path}.{key}", 0)
-              for key in ("horizon", "dt")}
-    for key in ("references", "disturbances"):
-        kwargs[key] = {sid: _schedule(v, f"{path}.{key}.{sid}")
-                       for sid, v in _section(spec, key, path).items()}
-    for key, ndim in (("theta", 2), ("theta_hat0", 2), ("x0", 1), ("xhat0", 1)):
-        kwargs[key] = {sid: _numbers(v, f"{path}.{key}.{sid}", ndim)
-                       for sid, v in _section(spec, key, path).items()}
-    try:
-        return Scenario(**kwargs)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _scenario(spec, net, path):
+    kwargs = {key: _require(spec, key, path) for key in ("horizon", "dt")}
+    for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
+        entries = spec.get(key, {})
+        if not isinstance(entries, dict):
+            raise ConfigError(f"{path}.{key}: expected an object keyed by subsystem id")
+        kwargs[key] = ({sid: _schedule(v, f"{path}.{key}.{sid}") for sid, v in entries.items()}
+                       if key in ("references", "disturbances") else entries)
+    scenario = _build(lambda: Scenario(**kwargs), path, spec)
+    _build(lambda: scenario.check(net), path, spec)
+    return scenario
 
 
 def parse_config(doc):
@@ -134,9 +116,8 @@ def parse_config(doc):
     subs_spec = _require(doc, "subsystems", "config")
     if not isinstance(subs_spec, list) or not subs_spec:
         raise ConfigError("config.subsystems: expected a non-empty array")
-    shared_rm = doc.get("reference_model")
-    shared_tuning = doc.get("tuning")
     subs, desired, tuning, baseline = {}, {}, {}, {}
+    once = {}  # a tuning or explicit reference model by id of its section: shared, built once
     for k, sub in enumerate(subs_spec):
         path = f"config.subsystems[{k}]"
         sid = _require(sub, "id", path)
@@ -144,22 +125,24 @@ def parse_config(doc):
             raise ConfigError(f"{path}.id: expected a non-empty string")
         if sid in subs:
             raise ConfigError(f"{path}.id: duplicate id {sid!r}")
-        B, C = (_numbers(_require(sub, key, path), f"{path}.{key}", 2) for key in "BC")
-        A, D, E = (_numbers(sub.get(key), f"{path}.{key}", 2, null_ok=True) for key in "ADE")
-        try:
-            subs[sid] = AugmentedSubsystem.from_raw(sid, B, C, A=A, D=D, E=E)
-        except Exception as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        rm_spec = sub.get("reference_model", shared_rm)
-        if rm_spec is None:
-            raise ConfigError(f"{path}.reference_model: missing (no shared default)")
-        desired[sid] = _reference_model(rm_spec, B, C, f"{path}.reference_model")
-        tn_spec = sub.get("tuning", shared_tuning)
-        if tn_spec is None:
-            raise ConfigError(f"{path}.tuning: missing (no shared default)")
-        tuning[sid] = _tuning(tn_spec, f"{path}.tuning")
-        baseline[sid] = _numbers(sub.get("baseline_gain"), f"{path}.baseline_gain", 2,
-                                 null_ok=True)
+        B, C = (_require(sub, key, path) for key in "BC")
+        s = subs[sid] = _build(
+            lambda: AugmentedSubsystem.from_raw(sid, B, C, A=sub.get("A"), D=sub.get("D"),
+                                                E=sub.get("E")),
+            path, sub, f"subsystem {sid}: ")
+        if sub.get("baseline_gain") is not None:
+            baseline[sid] = _build(lambda: Checked(sub["baseline_gain"], "baseline_gain"),
+                                   path, sub)
+        spec, at = _owned(sub, doc, "tuning", path)
+        if id(spec) not in once:
+            once[id(spec)] = _tuning(spec, f"{at}.tuning")
+        tuning[sid] = once[id(spec)]
+        spec, at = _owned(sub, doc, "reference_model", path)
+        if isinstance(spec, list) and id(spec) not in once:
+            once[id(spec)] = _build(lambda: Checked(spec, "reference_model"), at,
+                                    ("reference_model",))
+        desired[sid] = (once[id(spec)] if isinstance(spec, list)
+                        else _gain_blocks(spec, s, f"{at}.reference_model"))
     edges = []
     edges_spec = doc.get("edges", [])
     if not isinstance(edges_spec, list):
@@ -170,30 +153,23 @@ def parse_config(doc):
         for sid, role in ((src, "from"), (dst, "to")):
             if not isinstance(sid, str) or sid not in subs:
                 raise ConfigError(f"{path}.{role}: unknown subsystem id {sid!r}")
-        norm_bound = _numbers(edge.get("norm_bound"), f"{path}.norm_bound", 0, null_ok=True)
-        A_edge = _numbers(edge.get("A"), f"{path}.A", 2, null_ok=True)
-        if A_edge is not None:
-            want = (subs[dst].n, subs[src].n)
-            if A_edge.shape != want:
-                raise ConfigError(f"{path}.A: shape {A_edge.shape} does not match "
+        A = edge.get("A")
+        if A is not None:
+            q_to, q_from = subs[dst].q, subs[src].q
+            A = _build(lambda: augment_edge(edge["A"], q_to, q_from), path, edge)
+            raw, want = (A.shape[0] - q_to, A.shape[1] - q_from), (subs[dst].n, subs[src].n)
+            if raw != want:
+                raise ConfigError(f"{path}.A: shape {raw} does not match "
                                   f"destination x source raw dims {want}")
-            A_edge = augment_edge(A_edge, subs[dst].q, subs[src].q)
-        try:
-            edges.append(Interconnection(src=src, dst=dst, A=A_edge, norm_bound=norm_bound))
-        except Exception as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    try:
-        net = NetworkModel(subsystems=list(subs.values()), edges=edges, desired=desired,
-                           tuning=tuning, baseline=baseline)
-    except Exception as exc:
-        raise ConfigError(f"config: {exc}") from None
+        edges.append(_build(
+            lambda: Interconnection(src=src, dst=dst, A=A, norm_bound=edge.get("norm_bound")),
+            path, edge, f"edge {src}->{dst}: "))
+    net = _build(lambda: NetworkModel(subsystems=list(subs.values()), edges=edges,
+                                      desired=desired, tuning=tuning, baseline=baseline),
+                 "config")
     scenario = None
     if doc.get("scenario") is not None:
-        scenario = _scenario(doc["scenario"], "config.scenario")
-        try:
-            scenario.check(net)
-        except GascertError as exc:
-            raise ConfigError(f"config.scenario.{exc}") from None
+        scenario = _scenario(doc["scenario"], net, "config.scenario")
     return net, scenario
 
 

@@ -134,11 +134,16 @@ def check_conditions(M, offsets):
     offsets = numeric_array(offsets, "offsets").ravel()
     if offsets.shape[0] != M.shape[0]:
         raise DimensionError("offset vector length must match M")
-    cond_diag = bool(np.all(diagonal_dominance_rows(M)))
+    return _conditions(M, offsets)[1:]
+
+
+def _conditions(M, offsets):  # M's dominance rows, then check_conditions on read arrays
+    rows = diagonal_dominance_rows(M)
+    cond_diag = bool(np.all(rows))
     norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if M.size else 0.0
     cond_norm = bool(norm1 > np.max(np.abs(offsets))) if offsets.size else True
     M_stable = bool(np.max(eigenvalues(M).real) < 0.0)
-    return cond_diag, cond_norm, M_stable
+    return rows, cond_diag, cond_norm, M_stable
 
 
 def homogeneous_condition(lmin_Q, lmax_P, lmin_P, n_neighbors, gain):
@@ -262,7 +267,7 @@ def analyze(net: NetworkModel) -> ConnectiveReport:
     lam_P, lam_min_Q = _extremes(net, P)
     M = _comparison_matrix(net, lam_P, lam_min_Q)
     offsets = _adaptation_offsets(net, lam_P, lam_min_Q)
-    cond_diag, cond_norm, M_stable = check_conditions(M, offsets)
+    rows, cond_diag, cond_norm, M_stable = _conditions(M, offsets)
     return ConnectiveReport(
         ids=list(net.ids),
         P=P,
@@ -272,7 +277,7 @@ def analyze(net: NetworkModel) -> ConnectiveReport:
         alpha={sid: lam_min_Q[sid] / hi for sid, (_, hi) in lam_P.items()},
         M=M,
         offsets=offsets,
-        cond_diag_rows=diagonal_dominance_rows(M),
+        cond_diag_rows=rows,
         cond_diag=cond_diag,
         cond_norm=cond_norm,
         M_stable=M_stable,

@@ -50,7 +50,7 @@ def build_reference_model(A_nom, B, C, K_x, K_xi):
     Returns ``[[A_nom - B K_x, B K_xi], [-C, 0]]`` and checks it is
     Hurwitz, since every downstream analysis requires that.
     """
-    A_nom = as_matrix(A_nom, "A_nom", square=True)
+    A_nom = as_matrix(A_nom, "A_nominal", square=True)
     B = as_matrix(B, "B")
     C = as_matrix(C, "C")
     K_x = as_matrix(K_x, "K_x")

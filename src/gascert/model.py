@@ -172,7 +172,7 @@ def augment_edge(A_ij, q_to, q_from):
     equations; integral states neither couple nor are coupled, so the block
     lands in the top-left corner of an (n_i+q_i) x (n_j+q_j) zero matrix.
     """
-    A_ij = as_matrix(A_ij, "A_ij")
+    A_ij = as_matrix(A_ij, "A")
     if q_to < 0 or q_from < 0:
         raise ValueError("integral-state counts must be non-negative")
     ni, nj = A_ij.shape

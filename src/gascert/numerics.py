@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,18 +55,26 @@ def as_matrix(M, name="matrix", square=False):
     return A
 
 
+def _has_bool(value, ndim):  # numpy would read a boolean among numbers as 0 or 1
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    kinds = set(map(type, value))
+    return bool in kinds or np.bool_ in kinds
+
+
 def numeric_array(value, name="array"):
     """The one reader of caller numbers: ``value`` as a float array with
     finite entries, if numpy reads it (no dtype forced) as integers or
-    floats; else a ``GascertError`` naming ``name``, a ``NonFiniteError``
-    for NaN or infinity.  Integers beyond int64 arrive as an object array."""
+    floats and a list or tuple holds no boolean; else a ``GascertError``
+    naming ``name``, a ``NonFiniteError`` for NaN or infinity.  Integers
+    beyond int64 arrive as an object array."""
     try:
         A = np.asarray(value)
         if A.dtype == object and all(isinstance(x, (int, float)) for x in A.flat):
             A = A.astype(float)
     except (ValueError, OverflowError) as exc:
         raise GascertError(f"{name}: not a numeric array ({exc})") from None
-    if A.dtype.kind not in "iuf":
+    if A.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and _has_bool(value, A.ndim):
         raise GascertError(f"{name}: not a numeric array")
     A = A.astype(float, copy=False)
     if np.count_nonzero(np.isfinite(A)) != A.size:  # cheaper than .all() on small arrays

@@ -101,10 +101,11 @@ class Schedule:
 
 @dataclass
 class Scenario:
-    """Simulation scenario: horizon, step, input schedules, truth, and
-    initial conditions, each a dict keyed by subsystem id.  Missing entries
-    default to zeros.  The horizon must be a whole number of steps (to 1e-9
-    relative) of dt, both numbers; ``check`` tests the entries against a network."""
+    """Simulation scenario: horizon, step, input schedules, the truth ``theta`` and the
+    initial ``x0``, ``xhat0``, ``theta_hat0``, each a dict keyed by subsystem id, the
+    last four read into float arrays; missing or None entries are zeros.  The horizon
+    is a whole number of steps (to 1e-9 relative) of dt.  ``check`` tests the entries
+    against a network."""
 
     horizon: float
     dt: float
@@ -118,6 +119,9 @@ class Scenario:
     def __post_init__(self):
         self.horizon = numeric_scalar(self.horizon, "horizon")
         self.dt = numeric_scalar(self.dt, "dt")
+        for key in ("theta", "theta_hat0", "x0", "xhat0"):
+            setattr(self, key, {sid: None if v is None else numeric_array(v, f"{key}.{sid}")
+                                for sid, v in getattr(self, key).items()})
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.horizon < 0.0:

@@ -27,7 +27,8 @@ def test_one_reader_of_caller_numbers():
     # numeric_array is the one code that turns caller input into floats; a
     # float cast elsewhere would be a second reader, with rules of its own.
     # control's reference laws are the tests' oracle; the simulator packs
-    # tuning values that Tuning has read already.
+    # tuning values that Tuning has read already.  config walks the document
+    # and hands each value on unchanged, so it neither imports nor calls a reader.
     allowed = {("sim.py", "np.array([getattr(tn, a) for tn in tunings], dtype=float)")}
     casts = []
     for path in sorted(Path(gascert.__file__).parent.glob("*.py")):
@@ -39,3 +40,10 @@ def test_one_reader_of_caller_numbers():
                             for k in node.keywords)):
                 casts.append((path.name, ast.unparse(node)))
     assert [c for c in casts if c not in allowed] == []
+    readers = {"numeric_array", "as_matrix", "numeric_scalar"}
+    tree = ast.parse((Path(gascert.__file__).parent / "config.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    called = {ast.unparse(node.func).rpartition(".")[2] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    assert readers.isdisjoint(imported | called)

@@ -25,13 +25,13 @@ MESH = str(CONFIG_DIR / "mesh6.json")
 
 # one number field of toy_pair per kind of field, and the path its error names
 NUMBER_FIELDS = {
-    "gamma": (("tuning", "gamma"), "config.subsystems[0].tuning.gamma"),
-    "theta_max": (("tuning", "theta_max"), "config.subsystems[0].tuning.theta_max"),
-    "eps0": (("tuning", "eps0"), "config.subsystems[0].tuning.eps0"),
-    "Q_entry": (("tuning", "Q", 1, 0), "config.subsystems[0].tuning.Q"),
+    "gamma": (("tuning", "gamma"), "config.tuning.gamma"),
+    "theta_max": (("tuning", "theta_max"), "config.tuning.theta_max"),
+    "eps0": (("tuning", "eps0"), "config.tuning.eps0"),
+    "Q_entry": (("tuning", "Q", 1, 0), "config.tuning.Q"),
     "B_entry": (("subsystems", 0, "B", 0, 0), "config.subsystems[0].B"),
     "C_entry": (("subsystems", 1, "C", 0, 0), "config.subsystems[1].C"),
-    "reference_model_entry": (("reference_model", 0, 1), "config.subsystems[0].reference_model"),
+    "reference_model_entry": (("reference_model", 0, 1), "config.reference_model"),
     "edge_A_entry": (("edges", 0, "A", 0, 0), "config.edges[0].A"),
     "horizon": (("scenario", "horizon"), "config.scenario.horizon"),
     "dt": (("scenario", "dt"), "config.scenario.dt"),
@@ -43,8 +43,9 @@ NUMBER_FIELDS = {
     "disturbance_value": (("scenario", "disturbances", "a", "values", 1, 0),
                           "config.scenario.disturbances.a"),
 }
+# "bool_entry" set at an entry puts a boolean among numbers, as in [[true, 0.0]]
 NOT_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "int_beyond_double": 10 ** 400,
-               "string": "1.0", "bool_matrix": [[True]]}
+               "string": "1.0", "bool_matrix": [[True]], "bool_entry": True}
 
 
 def _replaced(doc, path, value):
@@ -119,6 +120,59 @@ class TestConfigParsing:
         net, scenario = parse_config(doc)
         assert net.tuning["a"].gamma == 2.0 ** 70
         assert scenario.x0["a"].tolist() == [2.0 ** 70, 0.0]
+
+    def test_shared_tuning_built_once(self):
+        net, _ = parse_config(TOY_DOC)
+        assert net.tuning["a"] is net.tuning["b"]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["tuning"].update(gamma=-1.0), "config.tuning: gamma must be positive"),
+        (lambda doc: doc["tuning"].update(gamma="x"), "config.tuning.gamma: not a numeric array"),
+        (lambda doc: doc["tuning"].pop("eps0"), "config.tuning.eps0: missing required field"),
+        (lambda doc: doc["subsystems"][1].update(tuning=dict(doc["tuning"], eps0=0.0)),
+         "config.subsystems[1].tuning: eps0 must be positive"),
+        (lambda doc: doc["reference_model"][1].__setitem__(0, "x"),
+         "config.reference_model: not a numeric array"),
+        (lambda doc: doc["subsystems"][1].update(reference_model=[[-1.0, True], [-1.0, 0.0]]),
+         "config.subsystems[1].reference_model: not a numeric array"),
+        (lambda doc: doc.update(reference_model={"A_nominal": [[0.0]], "K_x": "x",
+                                                 "K_xi": [[1.0]]}),
+         "config.reference_model.K_x: not a numeric array"),
+        (lambda doc: doc.update(reference_model={"A_nominal": [[0.0]], "K_x": [[2.0]]}),
+         "config.reference_model.K_xi: missing required field"),
+        (lambda doc: doc.update(reference_model=3.0),
+         "config.reference_model: expected a matrix or gain blocks"),
+    ], ids=["tuning_value", "tuning_number", "tuning_missing", "own_tuning", "reference_model",
+            "own_reference_model", "gain_block_number", "gain_block_missing", "not_a_model"])
+    def test_section_errors_named_where_they_are(self, edit, message):
+        # a shared section is named at top level, not under the first subsystem using it
+        doc = json.loads(json.dumps(TOY_DOC))
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
+
+    def test_gain_blocks_use_each_subsystems_own_blocks(self):
+        # [[A_nominal - B K_x, B K_xi], [-C, 0]] with toy_pair's A_nominal, C and gains
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["reference_model"] = {"A_nominal": [[0.0]], "K_x": [[2.0]], "K_xi": [[1.0]]}
+        doc["subsystems"][1]["B"] = [[2.0]]
+        net, _ = parse_config(doc)
+        assert net.desired["a"].tolist() == [[-2.0, 1.0], [-1.0, 0.0]]
+        assert net.desired["b"].tolist() == [[-4.0, 2.0], [-1.0, 0.0]]
+
+    def test_flat_matrix_read_as_a_row(self, tmp_path, capsys):
+        # as as_matrix reads it everywhere: a flat C is one row, and a flat
+        # B of two entries is a 1x2 row that C's two columns do not fit
+        doc = json.loads(open(DC, "rb").read())
+        doc["subsystems"][0]["C"] = [0.0, 1.0]
+        net, _ = parse_config(doc)
+        assert net.subsystem("dgu1").C[:1, :2].tolist() == [[0.0, 1.0]]
+        doc["subsystems"][0]["B"] = [1.34e7, -8.12e5]
+        cfg = tmp_path / "flat.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: config.subsystems[0]: subsystem dgu1: "
+                                           "C has 2 cols, expected 1\n")
 
     def test_scenario_wrong_theta_shape(self):
         doc = json.loads(open(TOY, "rb").read())
@@ -393,7 +447,7 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main(["riccati", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: config.scenario.theta.a\\nb\\nc: matrix must not be null\n"
+        assert err == "error: config.scenario.theta.a\\nb\\nc: unknown subsystem id\n"
 
     def test_overflow_ends_in_one_line_error(self, tmp_path, capsys):
         # squaring the coupling gain overflows: the coupling energy, and so
@@ -512,7 +566,7 @@ class TestExitCodes:
         assert main([sub, str(cfg)] + (["--out", str(out)] if sub == "simulate" else [])) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err == ("error: config.subsystems[0].tuning.gamma: not a numeric array "
+        assert captured.err == ("error: config.tuning.gamma: not a numeric array "
                                 "(int too large to convert to float)\n")
 
     def test_deeply_nested_document_one_line_error(self, tmp_path, capsys):
@@ -591,7 +645,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=10,
-)
+) | st.lists(st.lists(st.booleans() | st.floats(-2.0, 2.0), min_size=1, max_size=3),
+             min_size=1, max_size=3)  # booleans among numbers, as in [[true, 0.0]]
 
 
 SIM_DOC = json.loads(json.dumps(TOY_DOC))

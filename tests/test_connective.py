@@ -339,6 +339,22 @@ class TestAnalyzePipeline:
             assert rep.lambda_min_Q[sid] == np.linalg.eigvalsh(net.tuning[sid].Q)[0]
             assert rep.alpha[sid] == rep.lambda_min_Q[sid] / rep.lambda_max_P[sid]
 
+    def test_dominance_rows_once(self, monkeypatch):
+        # analyze computes M's dominance rows once and does not read back, through
+        # check_conditions, the M and offsets it has just built
+        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        calls = []
+        rows = connective.diagonal_dominance_rows
+        monkeypatch.setattr(connective, "diagonal_dominance_rows",
+                            lambda M: calls.append(M) or rows(M))
+        monkeypatch.setattr(connective, "check_conditions", None)
+        rep = analyze(net)
+        assert len(calls) == 1 and calls[0] is rep.M
+        monkeypatch.undo()
+        assert check_conditions(rep.M, rep.offsets) == (rep.cond_diag, rep.cond_norm,
+                                                       rep.M_stable)
+        assert rep.cond_diag_rows.tolist() == rows(rep.M).tolist()
+
     def test_weak_coupling_passes(self):
         rep = analyze(pair_net(0.02))
         assert rep.passed

@@ -1,10 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, random_hurwitz
-from gascert import model, numerics
+from gascert import model, numerics, sim
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -114,6 +115,23 @@ class TestAugment:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError, match=r"subsystem s: \(A, B\) is not controllable"):
             AugmentedSubsystem.from_raw("s", B=[[0.0]], C=[[1.0]], A=[[0.0]])
+
+    @pytest.mark.parametrize("edit,error,message", [
+        ({"B": np.ones((2, 1))}, DimensionError, "augmented B has shape (2, 1), expected (3, 1)"),
+        ({"B": np.ones((3, 1))}, ValueError, "augmented B must have zero integral rows"),
+        ({"A": np.diag([-1.0, -2.0, 0.0])}, ValueError,
+         "augmented A integral rows must equal -C"),
+        ({"A": np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], [-1.0, 0.0, 0.0]])}, ValueError,
+         "augmented A integral columns must be zero"),
+        ({"A": -np.eye(2)}, DimensionError, "augmented A is 2x2, expected 3x3"),
+    ], ids=["B_shape", "B_integral_rows", "A_integral_rows", "A_integral_columns", "A_size"])
+    def test_direct_construction_checks_the_layout(self, edit, error, message):
+        aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
+                                          A=np.diag([-1.0, -2.0]))
+        blocks = {b: getattr(aug, b) for b in "ABCDEF"}
+        AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **blocks)  # the layout from_raw builds
+        with pytest.raises(error, match=f"^{re.escape(f'subsystem s: {message}')}$"):
+            AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **{**blocks, **edit})
 
     def test_unknown_plant_not_tested(self):
         # without A there is no pair to test, so even B = 0 is accepted
@@ -564,7 +582,44 @@ class TestStackedGains:
         assert Interconnection(src="x", dst="y", norm_bound=2).gain() == 2.0
 
 
+def _number_fields(doc):
+    """Every matrix and vector field of a config document outside the
+    schedules: the parsed lists that the load must read."""
+    fields = [sec[key] for sec in doc["subsystems"] for key in ("A", "B", "C", "D", "E",
+                                                                  "baseline_gain")
+              if sec.get(key) is not None]
+    for sec in [doc, *doc["subsystems"]]:  # explicit reference models and tunings
+        fields += [sec["reference_model"]] if sec.get("reference_model") is not None else []
+        fields += [sec["tuning"]["Q"]] if "tuning" in sec else []
+    fields += [e["A"] for e in doc.get("edges", []) if e.get("A") is not None]
+    scenario = doc.get("scenario") or {}
+    for key in ("theta", "theta_hat0", "x0", "xhat0"):
+        fields += [v for v in scenario.get(key, {}).values() if v is not None]
+    return fields
+
+
 class TestReadOnce:
+    @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
+                                      "unstable_pair"])
+    def test_each_document_field_read_once(self, name, monkeypatch):
+        # config reads no numbers: each matrix and vector field of the document
+        # reaches numeric_array once, from the value type that holds it, and a
+        # shared section is read once for all the subsystems that use it
+        docs, read = [], []
+        loads, real = json.loads, numerics.numeric_array
+        monkeypatch.setattr(json, "loads", lambda *a, **k: docs.append(loads(*a, **k)) or docs[-1])
+
+        def counted(value, name="array"):
+            read.append(value)
+            return real(value, name)
+
+        monkeypatch.setattr(numerics, "numeric_array", counted)
+        monkeypatch.setattr(sim, "numeric_array", counted)
+        load_config(CONFIG_DIR / f"{name}.json")
+        fields = _number_fields(docs[0])
+        assert len(fields) >= 3 * len(docs[0]["subsystems"])
+        assert [sum(v is f for v in read) for f in fields] == [1] * len(fields)
+
     @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
                                       "unstable_pair"])
     def test_desired_solved_once_and_never_reread(self, name, monkeypatch):

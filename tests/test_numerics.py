@@ -221,9 +221,11 @@ class TestNumericArray:
         assert numeric_array(A) is A
 
     @pytest.mark.parametrize("value", [
-        "1.0", ["1.0"], None, [1.0, None], True, [[True, False]], [[1.0], [1.0, 2.0]],
+        "1.0", ["1.0"], None, [1.0, None], True, [[True, False]], [[True, 0.0], [0.0, 1.0]],
+        [2 ** 70, False], (1.0, np.True_), [[1.0], [1.0, 2.0]],
         10 ** 400, [1.5, -(10 ** 400)], [{}], {}, [1j],
-    ], ids=["string", "string_entry", "null", "null_entry", "bool", "bool_matrix", "ragged",
+    ], ids=["string", "string_entry", "null", "null_entry", "bool", "bool_matrix",
+            "bool_among_numbers", "bool_among_big_ints", "numpy_bool_entry", "ragged",
             "int_beyond_double", "int_beyond_double_entry", "object_entry", "object", "complex"])
     def test_non_numbers_rejected(self, value):
         with pytest.raises(GascertError, match=r"^X: not a numeric array"):
