@@ -52,11 +52,11 @@ def _require(obj, key, path):
     return obj[key]
 
 
-def _build(make, path, fields=(), prefix=""):
+def _build(make, path, fields=(), prefix="", owner=""):
     """``make()``, with an error named by its document path.  A value type
     words a field's error ``[prefix]<field>: reason`` (``<field>.<id>`` for a
     per-id entry); with ``<field>`` a key of ``fields`` it reads
-    ``path.<field>: reason``, and any other error ``path: error``."""
+    ``path.<field>: reason``, and any other error ``path: [owner]error``."""
     try:
         return make()
     except Exception as exc:
@@ -64,7 +64,7 @@ def _build(make, path, fields=(), prefix=""):
         field, sep, reason = msg.removeprefix(prefix).partition(": ")
         if sep and field.partition(".")[0] in fields:
             raise ConfigError(f"{path}.{field}: {reason}") from None
-        raise ConfigError(f"{path}: {msg}") from None
+        raise ConfigError(f"{path}: {owner}{msg}") from None
 
 
 def _owned(sub, doc, key, path):
@@ -81,13 +81,14 @@ def _tuning(spec, path):
     return _build(lambda: Tuning(**fields), path, spec)
 
 
-def _gain_blocks(spec, s, path):
-    """Desired matrix of subsystem ``s`` from gain blocks and its raw B and C."""
+def _gain_blocks(spec, s, path, shared):
+    """Desired matrix of subsystem ``s`` from gain blocks and its raw B and C.
+    A ``shared`` section's misfit with ``s``'s blocks names ``s``."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected a matrix or gain blocks")
     A_nom, K_x, K_xi = (_require(spec, key, path) for key in ("A_nominal", "K_x", "K_xi"))
     return _build(lambda: build_reference_model(A_nom, s.B[:s.n], s.C[:s.q, :s.n], K_x, K_xi),
-                  path, spec)
+                  path, spec, owner=f"subsystem {s.sid}: " if shared else "")
 
 
 def _schedule(spec, path):
@@ -142,7 +143,7 @@ def parse_config(doc):
             once[id(spec)] = _build(lambda: Checked(spec, "reference_model"), at,
                                     ("reference_model",))
         desired[sid] = (once[id(spec)] if isinstance(spec, list)
-                        else _gain_blocks(spec, s, f"{at}.reference_model"))
+                        else _gain_blocks(spec, s, f"{at}.reference_model", at != path))
     edges = []
     edges_spec = doc.get("edges", [])
     if not isinstance(edges_spec, list):

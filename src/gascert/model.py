@@ -13,8 +13,9 @@ so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
 disturbance).  Values are immutable after construction.  An edge has a
 coupling matrix or a declared bound on its norm, never both.  A network
-eigen-solves each desired matrix once, takes its edge gains from one SVD
-per block shape, and solves each Lyapunov weight on its first read.
+eigen-solves each desired record once (a record shared by subsystems
+once for all), takes its edge gains from one SVD per block shape, and
+solves each Lyapunov weight on its first read.
 """
 
 from __future__ import annotations
@@ -259,7 +260,9 @@ class NetworkModel:
     ``index`` maps each id to its position in ``subsystems``; the in- and
     out-edges of every id and the edge gains are tabulated at construction.
     The checked per-id values (and ``checked``, the desired matrices'
-    records) are stored in new read-only mappings, matrices as read-only copies.
+    records) are stored in new read-only mappings, matrices as read-only copies;
+    a desired matrix given as a square ``Checked`` record of the right size
+    is kept as that record.
     ``lyapunov(sid)`` solves that subsystem's Lyapunov weight on its first
     call and returns the same read-only array after.
     """
@@ -312,7 +315,9 @@ class NetworkModel:
         for sid, s in zip(ids, self.subsystems):
             if sid not in self.desired:
                 raise ValueError(f"subsystem {sid}: missing desired dynamics")
-            Am = Checked(self.desired[sid], f"subsystem {sid}: desired dynamics", square=True)
+            Am = self.desired[sid]
+            if not (isinstance(Am, Checked) and Am.A.shape == (s.dim, s.dim)):
+                Am = Checked(Am, f"subsystem {sid}: desired dynamics", square=True)
             if Am.A.shape[0] != s.dim:
                 raise DimensionError(f"subsystem {sid}: desired dynamics is "
                                      f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")

@@ -8,6 +8,11 @@ accuracy is the one tolerance a caller sets.  All functions are pure:
 they keep no state and are safe to call concurrently on shared read-only
 inputs.  Intended problem sizes are small (n up to a few tens).  Caller arrays
 and derived matrices are read and checked by ``numeric_array``; ``Checked`` records are not.
+
+The crossing test, the level-set iteration and the Riccati solve each run
+on a stack of records of one size, one LAPACK call per step for the whole
+stack; every member's numbers are those it gets alone, and a member's
+error is its own.  The public kernels are stacks of one.
 """
 
 from __future__ import annotations
@@ -92,7 +97,8 @@ def numeric_scalar(value, name="value"):
 
 @dataclass(frozen=True, eq=False)
 class Checked:
-    """A matrix read once (``A``, read-only) and its ``spectrum``, solved on first use."""
+    """A matrix read once (``A``, read-only), its ``spectrum`` and its balancing
+    ``balanced``, each solved on first use and kept read-only."""
 
     A: np.ndarray
     name: InitVar[str] = "matrix"
@@ -107,6 +113,16 @@ class Checked:
         w = eigenvalues(self.A)
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def balanced(self):
+        """``(Ab, T, T^{-1})`` with ``Ab = T^{-1} A T`` from ``scipy.linalg.matrix_balance``;
+        the inverse is exact, ``T`` being a permuted diagonal of powers of two."""
+        Ab, T = sla.matrix_balance(self.A)
+        out = (Ab, T, np.linalg.inv(T))
+        for X in out:
+            X.flags.writeable = False
+        return out
 
 
 def eigenvalues(A):
@@ -137,13 +153,11 @@ def eigenvalues(A):
     return w[np.lexsort((w.imag, w.real))]
 
 
-def _spectrum(M):  # a record's kept spectrum, solved for anything else
-    return M.spectrum if isinstance(M, Checked) else eigenvalues(M)
-
-
-def _square(M, name):  # M read as a square array, and a record or that array to hand on
-    A = as_matrix(M, name, square=True)
-    return A, (M if isinstance(M, Checked) else A)
+def _record(M, name):  # M as a square record: itself if it is one, else read into one
+    if isinstance(M, Checked):
+        as_matrix(M, name, square=True)
+        return M
+    return Checked(M, name, square=True)
 
 
 def spectral_norm(A):
@@ -156,7 +170,7 @@ def spectral_norm(A):
 
 def is_hurwitz(A):
     """True iff every eigenvalue of ``A`` has strictly negative real part."""
-    return bool(np.max(_spectrum(A).real) < 0.0)
+    return bool(_record(A, "A").spectrum.real.max() < 0.0)
 
 
 def solve_lyapunov(A, Q):
@@ -185,7 +199,8 @@ def solve_lyapunov(A, Q):
         If the computed solution violates the residual bound or fails the
         definiteness check.
     """
-    A, given = _square(A, "A")
+    given = _record(A, "A")
+    A = given.A
     Q = as_matrix(Q, "Q", square=True)
     if Q.shape != A.shape:
         raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
@@ -210,6 +225,13 @@ def solve_lyapunov(A, Q):
     return P
 
 
+def _check_weights(N, q):
+    if N < 0:
+        raise ValueError("N must be a non-negative count")
+    if q < 0.0:
+        raise ValueError("q must be non-negative")
+
+
 def hamiltonian(Am, N, q):
     """Assemble the 2n x 2n block matrix ``[[Am, N*I], [-q*I, -Am']]``.
 
@@ -219,22 +241,20 @@ def hamiltonian(Am, N, q):
     degenerate form.
     """
     Am = as_matrix(Am, "Am", square=True)
-    if N < 0:
-        raise ValueError("N must be a non-negative count")
-    if q < 0.0:
-        raise ValueError("q must be non-negative")
+    _check_weights(N, q)
     eye = np.eye(Am.shape[0])
     return _hamiltonian(Am, float(N) * eye, float(q) * eye)
 
 
 def _hamiltonian(A, G, Q):
-    """``[[A, G], [-Q, -A']]``, assembled by slice assignment."""
-    n = A.shape[0]
-    H = np.empty((2 * n, 2 * n))
-    H[:n, :n] = A
-    H[:n, n:] = G
-    H[n:, :n] = -Q
-    H[n:, n:] = -A.T
+    """``[[A, G], [-Q, -A']]``, assembled by slice assignment; for a stack of
+    ``A``, ``G`` and ``Q``, one such matrix per member."""
+    n = A.shape[-1]
+    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    H[..., :n, :n] = A
+    H[..., :n, n:] = G
+    H[..., n:, :n] = -Q
+    H[..., n:, n:] = -np.swapaxes(A, -1, -2)
     return H
 
 
@@ -248,31 +268,92 @@ _LEVEL_SLACK = 1e-6
 _HINF_RTOL = 1e-12
 _DIST_RTOL = 1e-13
 _MAX_LEVELS = 50
+_BLOCK_BYTES = 1 << 18
+
+
+def _eigvals(H):
+    """Unsorted eigenvalues of each matrix in the stack ``H`` and ``{member: error}``.
+
+    One LAPACK call for the stack; each row holds what ``np.linalg.eigvals``
+    gives that member alone.  If numpy refuses the stack (a non-finite
+    entry, an iteration that fails), each member is solved by
+    ``eigenvalues``, and a member it refuses gets a row of NaN and the
+    error it raises.
+    """
+    try:
+        return np.linalg.eigvals(H), {}
+    except np.linalg.LinAlgError:
+        pass
+    lam, errors = np.full(H.shape[:2], np.nan, dtype=complex), {}
+    for i, h in enumerate(H):
+        try:
+            lam[i] = eigenvalues(h)
+        except GascertError as exc:
+            errors[i] = exc
+    return lam, errors
+
+
+def _unique_rows(W):
+    """``(owner, ws)``: the finite entries of each row of ``W``, unique and
+    ascending as ``np.unique`` gives them, in one array, with the row of each."""
+    W = np.sort(W, axis=1)
+    keep = np.isfinite(W)
+    keep[:, 1:] &= W[:, 1:] != W[:, :-1]
+    return np.nonzero(keep)[0], W[keep]
 
 
 def _axis_frequencies(H):
-    """Frequencies ``|Im lambda|`` of the eigenvalues of ``H`` near the axis.
+    """Frequencies ``|Im lambda|`` of the eigenvalues near the axis, for each
+    Hamiltonian of the stack ``H``.
 
-    Near is within ``_AXIS_PREFILTER * ||H||_F``; returned ascending and
-    unique.  Only candidates: callers confirm each one directly.
+    Near is within ``_AXIS_PREFILTER * ||H||_F`` of that member (its own
+    2-D Frobenius norm); each member's are unique and ascending.  Only
+    candidates: callers confirm each one directly.  Returns ``(owner, ws,
+    errors)`` as ``_unique_rows`` and ``_eigvals`` give them.
     """
-    lam = eigenvalues(H)
-    cut = _AXIS_PREFILTER * np.linalg.norm(H)
-    return np.unique(np.abs(lam.imag[np.abs(lam.real) <= cut]))
+    lam, errors = _eigvals(H)
+    cut = _AXIS_PREFILTER * np.array([np.linalg.norm(h) for h in H])
+    return (*_unique_rows(np.where(np.abs(lam.real) <= cut[:, None], np.abs(lam.imag), np.inf)),
+            errors)
 
 
-def _smin_shifted(Am, ws):
-    """``sigma_min(Am - jwI)`` for each ``w`` in ``ws``.
+def _smin_shifted(A, owner, ws):
+    """``sigma_min(A[owner[i]] - j ws[i] I)`` for a stack ``A``, one member and
+    frequency per entry.
 
-    Computed from the real form ``[[Am, wI], [-wI, Am]]``, which has the
-    singular values of ``Am - jwI``, each twice.
+    Computed from the real form ``[[A, wI], [-wI, A]]``, which has the
+    singular values of ``A - jwI``, each twice.  The forms go to the SVD
+    in blocks of at most ``_BLOCK_BYTES``, so a large stack needs no more
+    memory than a few of its members.
     """
-    n = Am.shape[0]
-    R = np.empty((len(ws), 2 * n, 2 * n))
-    R[:, :n, :n] = R[:, n:, n:] = Am
-    R[:, :n, n:] = np.asarray(ws)[:, None, None] * np.eye(n)
-    R[:, n:, :n] = -R[:, :n, n:]
-    return np.linalg.svd(R, compute_uv=False)[:, -1]
+    n = A.shape[-1]
+    step = max(1, _BLOCK_BYTES // (32 * n * n))
+    smin = np.empty(len(ws))
+    for k in range(0, len(ws), step):
+        w = ws[k:k + step]
+        R = np.empty((len(w), 2 * n, 2 * n))
+        R[:, :n, :n] = R[:, n:, n:] = A[owner[k:k + step]]
+        R[:, :n, n:] = w[:, None, None] * np.eye(n)
+        R[:, n:, :n] = -R[:, :n, n:]
+        smin[k:k + step] = np.linalg.svd(R, compute_uv=False)[:, -1]
+    return smin
+
+
+def _crossings(A, H, r):
+    """The crossing test for a stack: whether the Hamiltonian ``H[i]`` of
+    ``A[i]`` has an imaginary-axis eigenvalue, or the error of its eigensolve.
+
+    ``jw`` is an eigenvalue exactly when ``r[i]`` is a singular value of
+    ``A[i] - jwI``.  A candidate of ``_axis_frequencies`` is a crossing when
+    ``sigma_min(A[i] - jwI) <= r[i]`` at its frequency (up to
+    ``_LEVEL_SLACK``), so slow modes of a badly scaled ``A[i]`` are not
+    mistaken for axis eigenvalues.
+    """
+    owner, ws, errors = _axis_frequencies(H)
+    crossed = np.zeros(len(H), dtype=bool)
+    if ws.size:
+        crossed[owner[_smin_shifted(A, owner, ws) <= (1.0 + _LEVEL_SLACK) * r[owner]]] = True
+    return [errors.get(i, c) for i, c in enumerate(crossed.tolist())]
 
 
 def is_hyperbolic(Am, N, q):
@@ -281,15 +362,15 @@ def is_hyperbolic(Am, N, q):
     ``jw`` is an eigenvalue exactly when ``sqrt(N q)`` is a singular value
     of ``Am - jwI``, so for a Hurwitz ``Am`` the verdict is the distance
     condition ``gamma > sqrt(N q)`` (Byers 1988), under which the Riccati
-    equation of ``solve_are`` has its stabilizing solution.  Eigenvalues
-    near the axis (``_axis_frequencies``) are only candidates; one is a
-    crossing when ``sigma_min(Am - jwI) <= sqrt(N q)`` at its frequency
-    ``w = |Im lambda|`` (up to ``_LEVEL_SLACK``), so slow modes of a badly
-    scaled ``Am`` are not mistaken for axis eigenvalues.
+    equation of ``solve_are`` has its stabilizing solution.  The test is
+    ``_crossings``, on a stack of one.
     """
-    A, Am = _square(Am, "Am")
-    ws = _axis_frequencies(hamiltonian(Am, N, q))
-    return not np.any(_smin_shifted(A, ws) <= (1.0 + _LEVEL_SLACK) * math.sqrt(float(N) * q))
+    A = as_matrix(Am, "Am", square=True)
+    H = hamiltonian(A, N, q)
+    crossed = _crossings(A[None], H[None], np.array([math.sqrt(float(N) * q)]))[0]
+    if isinstance(crossed, Exception):
+        raise crossed
+    return not crossed
 
 
 @dataclass(frozen=True)
@@ -312,13 +393,117 @@ class AreSolution:
     closed_loop_spectrum: np.ndarray
 
 
+def _solve_ares(recs, N, q):
+    """``solve_are`` for each square record of one size, with its ``N[i]`` and
+    ``q[i]``: per record an ``AreSolution`` or the error ``solve_are`` raises.
+
+    Each step is one call for the members still standing, except the Schur
+    factorisation, which scipy runs per matrix.
+    """
+    out = [None] * len(recs)
+    for i, rec in enumerate(recs):
+        try:
+            if not is_hurwitz(rec):
+                raise StabilityError("Am is not Hurwitz")
+            _check_weights(N[i], q[i])
+        except (StabilityError, ValueError) as exc:
+            out[i] = exc
+    live = [i for i, o in enumerate(out) if o is None]
+    if not live:
+        return out
+    n = recs[0].A.shape[0]
+    eye = np.eye(n)
+    A = np.array([recs[i].A for i in live])
+    Nf = np.array([float(N[i]) for i in live])[:, None, None]
+    qf = np.array([float(q[i]) for i in live])[:, None, None]
+    H = _hamiltonian(A, Nf * eye, qf * eye)
+    Z, keep = [], []
+    for j, crossed in enumerate(_crossings(A, H, np.sqrt(Nf * qf).ravel())):
+        if isinstance(crossed, Exception):
+            out[live[j]] = crossed
+        elif crossed:
+            out[live[j]] = StabilityError(
+                "Hamiltonian has imaginary-axis eigenvalues: the distance "
+                "condition is violated and the Riccati equation has no "
+                "stabilizing solution"
+            )
+        else:
+            try:
+                _, Zj, sdim = sla.schur(H[j], output="real", sort="lhp")
+            except np.linalg.LinAlgError as exc:
+                out[live[j]] = exc
+                continue
+            if sdim != n:
+                out[live[j]] = SolverError(
+                    f"stable invariant subspace has dimension {sdim}, expected {n}")
+            else:
+                Z.append(Zj)
+                keep.append(j)
+    if not keep:
+        return out
+    Z = np.array(Z)
+    Ut, Vt = Z[:, :n, :n].transpose(0, 2, 1), Z[:, n:, :n].transpose(0, 2, 1)
+    try:
+        P = np.linalg.solve(Ut, Vt)
+    except np.linalg.LinAlgError:  # a basis is singular: solve each alone to tell which
+        P, solved = [], []
+        for j, u, v in zip(keep, Ut, Vt):
+            try:
+                P.append(np.linalg.solve(u, v))
+                solved.append(j)
+            except np.linalg.LinAlgError as exc:
+                out[live[j]] = SolverError(f"invariant-subspace basis is singular: {exc}")
+        if not solved:
+            return out
+        P, keep = np.array(P), solved
+    if len(keep) < len(live):
+        A, Nf, qf, live = A[keep], Nf[keep], qf[keep], [live[j] for j in keep]
+    P = P.transpose(0, 2, 1)
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    R = A.transpose(0, 2, 1) @ P + P @ A + Nf * P @ P + qf * eye
+    residuals = []
+    for j, i in enumerate(live):
+        residual = float(np.linalg.norm(R[j]))
+        bound = 1e-8 * max(1.0, float(np.linalg.norm(P[j])) ** 2)
+        if residual > bound:
+            out[i] = SolverError(
+                f"Riccati residual {residual:.3e} exceeds tolerance {bound:.3e} "
+                "(ill-conditioned invariant subspace)"
+            )
+        residuals.append(residual)
+    keep = [j for j, i in enumerate(live) if out[i] is None]
+    if not keep:
+        return out
+    if len(keep) < len(live):
+        A, Nf, P, live = A[keep], Nf[keep], P[keep], [live[j] for j in keep]
+        residuals = [residuals[j] for j in keep]
+    definite = (np.linalg.eigvalsh(P)[:, 0] > 0.0).tolist()
+    lam, errors = _eigvals(A + Nf * P)
+    for j, i in enumerate(live):
+        w = lam[j]
+        if not definite[j]:
+            out[i] = SolverError("Riccati solution is not positive definite")
+        elif j in errors:
+            out[i] = errors[j]
+        else:
+            if not np.count_nonzero(w.imag):  # as eigvals gives a member alone
+                w = w.real
+            if w.real.max() >= 0.0:
+                out[i] = SolverError("closed-loop matrix Am + N*P is not stable")
+            else:
+                out[i] = AreSolution(P=P[j], residual_norm=residuals[j],
+                                     closed_loop_spectrum=w[np.lexsort((w.imag, w.real))])
+    return out
+
+
 def solve_are(Am, N, q):
     """Solve ``Am'P + P Am + N P^2 + q I = 0`` for the stabilizing P.
 
     The solution is extracted from the stable invariant subspace of the
     Hamiltonian ``[[Am, N*I], [-q*I, -Am']]``: with an ordered real Schur
     form putting the left-half-plane eigenvalues first, the leading block
-    columns ``[U; V]`` span that subspace and ``P = V U^{-1}``.
+    columns ``[U; V]`` span that subspace and ``P = V U^{-1}``.  The
+    Hamiltonian is first put to the crossing test of ``is_hyperbolic``.
 
     Parameters
     ----------
@@ -332,153 +517,186 @@ def solve_are(Am, N, q):
     Raises
     ------
     StabilityError
-        If ``Am`` is not Hurwitz, or ``is_hyperbolic`` finds an
+        If ``Am`` is not Hurwitz, or the crossing test finds an
         imaginary-axis eigenvalue (distance condition violated: no
         solution exists).
     SolverError
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
     """
-    A, Am = _square(Am, "Am")
-    n = A.shape[0]
-    if not is_hurwitz(Am):
-        raise StabilityError("Am is not Hurwitz")
-    if not is_hyperbolic(Am, N, q):
-        raise StabilityError(
-            "Hamiltonian has imaginary-axis eigenvalues: the distance "
-            "condition is violated and the Riccati equation has no "
-            "stabilizing solution"
-        )
-    T, Z, sdim = sla.schur(hamiltonian(Am, N, q), output="real", sort="lhp")
-    if sdim != n:
-        raise SolverError(
-            f"stable invariant subspace has dimension {sdim}, expected {n}"
-        )
-    U = Z[:n, :n]
-    V = Z[n:, :n]
-    try:
-        P = np.linalg.solve(U.T, V.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"invariant-subspace basis is singular: {exc}") from exc
-    P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(A.T @ P + P @ A + float(N) * P @ P + q * np.eye(n)))
-    bound = 1e-8 * max(1.0, float(np.linalg.norm(P)) ** 2)
-    if residual > bound:
-        raise SolverError(
-            f"Riccati residual {residual:.3e} exceeds tolerance {bound:.3e} "
-            "(ill-conditioned invariant subspace)"
-        )
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise SolverError("Riccati solution is not positive definite")
-    closed = eigenvalues(A + float(N) * P)
-    if np.max(closed.real) >= 0.0:
-        raise SolverError("closed-loop matrix Am + N*P is not stable")
-    return AreSolution(P=P, residual_norm=residual, closed_loop_spectrum=closed)
+    sol = _solve_ares([_record(Am, "Am")], [N], [q])[0]
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
-def _gains(Am, M, ws):
-    """``sigma_max(M (jwI - Am)^{-1})`` for each ``w``; ``M = None`` stands for I."""
+def _gains(A, M, owner, ws):
+    """Gain ``sigma_max(M (jwI - A[owner[i]])^{-1})`` at each ``w = ws[i]``, and
+    ``sigma_min(A[owner[i]] - jwI)``, the reciprocal of the gain, when
+    ``M = None`` stands for I (else None)."""
     if M is None:
-        return 1.0 / _smin_shifted(Am, ws)
-    Z = 1j * np.asarray(ws)[:, None, None] * np.eye(Am.shape[0]) - Am
-    return np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0]
+        smin = _smin_shifted(A, owner, ws)
+        return 1.0 / smin, smin
+    Z = 1j * ws[:, None, None] * np.eye(A.shape[-1]) - A[owner]
+    return np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0], None
 
 
-def _peak_gain(Am, M, lam, rtol, dtol=0.0):
-    """Level-set iteration for ``sup_w sigma_max(M (jwI - Am)^{-1})``.
+def _segment_argmax(owner, values):
+    """``(members, at)``: each member present in ``owner`` and the index of its
+    largest value, the first one on a tie, as ``np.argmax`` picks it."""
+    order = np.lexsort((-values, owner))
+    o = owner[order]
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = o[1:] != o[:-1]
+    return o[first], order[first]
+
+
+def _peak_gains(recs, M, rtol, dtols):
+    """Level-set iteration for ``sup_w sigma_max(M (jwI - A)^{-1})``, for each
+    Hurwitz record ``A`` of one size.
 
     The quadratically convergent scheme of Boyd and Balakrishnan (1990)
-    and Bruinsma and Steinbuch (1990).  ``Am`` is Hurwitz with spectrum
-    ``lam``; ``M = None`` stands for the identity.  The estimate ``g``
-    starts as the largest gain at ``w = 0`` and at the moduli and
-    imaginary parts of ``lam``.  At each level above ``g`` the
-    imaginary-axis eigenvalues ``jw`` of the Hamiltonian
+    and Bruinsma and Steinbuch (1990).  ``M = None`` stands for the
+    identity; a given ``M`` is shared by the stack.  For each member, the
+    estimate ``g`` starts as the largest gain at ``w = 0`` and at the
+    moduli and imaginary parts of its spectrum.  At each level above ``g``
+    the imaginary-axis eigenvalues ``jw`` of the Hamiltonian
 
         [[Ab, B B' / level], [-C'C / level, -Ab']]
 
-    (``Ab = T^{-1} Am T`` balanced, ``B = T^{-1}``, ``C = M T``: the same
+    (``Ab = T^{-1} A T`` balanced, ``B = T^{-1}``, ``C = M T``: the same
     transfer function) are the frequencies where ``level`` is a singular
     value of the response.  Eigenvalues near the axis are only candidates
     (``_axis_frequencies``); one counts as a crossing when the gain at
     ``|Im lambda|`` reaches the level up to ``_LEVEL_SLACK``, so slow modes
-    of a badly scaled ``Am`` are not taken for crossings.  Because every
+    of a badly scaled ``A`` are not taken for crossings.  Because every
     gain is evaluated directly, a wrong candidate costs an evaluation but
     never lifts ``g`` above an attained gain.  ``g`` moves to the largest
     gain at the candidates and at the midpoints between consecutive
-    crossings.  The iteration stops when none of them exceeds the level
+    crossings.  A member stops when none of them exceeds its level
     ``g (1 + rtol) / (1 - dtol g)``: the peak is then within ``rtol``
     relative of ``g`` and its reciprocal within ``dtol`` of ``1 / g``.
 
-    Returns ``(g, w)`` with ``g`` the gain attained at ``w``.
+    Every step is one stacked call for the members still iterating; each
+    member meets the same frequencies in the same order as alone.  Returns,
+    per record, ``(g, w, s)`` with ``g`` the gain attained at ``w`` and
+    ``s = sigma_min(A - jwI)`` (None for a given ``M``), or the error that
+    stopped its iteration.
     """
-    Ab, T = sla.matrix_balance(Am)
-    B = np.linalg.inv(T)   # exact: T is a permuted diagonal of powers of two
+    A = np.array([r.A for r in recs])
+    Ab, T, B = (np.array(X) for X in zip(*(r.balanced for r in recs)))
     C = T if M is None else M @ T
-    BB, CC = B @ B.T, C.T @ C
-    ws = np.unique(np.concatenate(([0.0], np.abs(lam), np.abs(lam.imag))))
-    gains = _gains(Am, M, ws)
-    k = int(np.argmax(gains))
-    g, w = float(gains[k]), float(ws[k])
+    BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
+    lam = np.array([r.spectrum for r in recs])
+    owner, ws = _unique_rows(np.concatenate(
+        (np.zeros((len(recs), 1)), np.abs(lam), np.abs(lam.imag)), axis=1))
+    gains, smin = _gains(A, M, owner, ws)
+    _, at = _segment_argmax(owner, gains)
+    # the members still iterating: record, matrices, tolerance, and the
+    # estimate g attained at w, with s = sigma_min there (g again for a given M)
+    live = [np.arange(len(recs)), A, Ab, BB, CC, np.asarray(dtols), gains[at], ws[at],
+            gains[at] if smin is None else smin[at]]
+    out = [None] * len(recs)
+
+    def retire(done, errors):  # record the members done; True if none is left
+        nonlocal live
+        ids, g, w, s = live[0], *live[6:]
+        for p in done.nonzero()[0].tolist():
+            out[ids[p]] = errors.get(p) or (float(g[p]), float(w[p]),
+                                             None if M is not None else float(s[p]))
+        if np.count_nonzero(done) == len(done):
+            return True
+        live = [x[~done] for x in live]
+        return False
+
     for _ in range(_MAX_LEVELS):
-        if dtol * g >= 1.0:
-            return g, w
+        stop = live[5] * live[6] >= 1.0
+        if np.count_nonzero(stop) and retire(stop, {}):
+            return out
+        ids, A, Ab, BB, CC, dtol, g, w, s = live
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
-        H = _hamiltonian(Ab, BB / level, CC / level)
-        cand = _axis_frequencies(H)
-        if cand.size == 0:
-            return g, w
-        gains = _gains(Am, M, cand)
-        cross = cand[gains >= (1.0 - _LEVEL_SLACK) * level]
-        mids = 0.5 * (cross[:-1] + cross[1:])
-        if mids.size:
-            cand = np.concatenate((cand, mids))
-            gains = np.concatenate((gains, _gains(Am, M, mids)))
-        k = int(np.argmax(gains))
-        if gains[k] > g:
-            g, w = float(gains[k]), float(cand[k])
-        if g <= level:
-            return g, w
-    raise SolverError(f"level-set iteration did not converge in {_MAX_LEVELS} levels")
+        scale = level[:, None, None]
+        pos, cand, errors = _axis_frequencies(_hamiltonian(Ab, BB / scale, CC / scale))
+        done = np.ones(len(ids), dtype=bool)  # without a candidate the level is not reached
+        if pos.size:
+            gains, smin = _gains(A, M, pos, cand)
+            cross = gains >= (1.0 - _LEVEL_SLACK) * level[pos]
+            cpos, cw = pos[cross], cand[cross]
+            pair = cpos[1:] == cpos[:-1]
+            if np.count_nonzero(pair):  # midpoints between consecutive crossings of one member
+                mpos, mids = cpos[1:][pair], 0.5 * (cw[:-1] + cw[1:])[pair]
+                mg, ms = _gains(A, M, mpos, mids)
+                pos, cand = np.concatenate((pos, mpos)), np.concatenate((cand, mids))
+                gains = np.concatenate((gains, mg))
+                smin = None if M is not None else np.concatenate((smin, ms))
+            members, at = _segment_argmax(pos, gains)
+            up = gains[at] > g[members]
+            if np.count_nonzero(up):
+                m, a = members[up], at[up]
+                g[m], w[m] = gains[a], cand[a]
+                if M is None:
+                    s[m] = smin[a]
+            done[members] = g[members] <= level[members]
+        if np.count_nonzero(done) and retire(done, errors):
+            return out
+    for i in live[0].tolist():
+        out[i] = SolverError(f"level-set iteration did not converge in {_MAX_LEVELS} levels")
+    return out
 
 
 def hinf_gain(M, Am):
     """Peak frequency-response gain ``sup_w sigma_max(M (jwI - Am)^{-1})``.
 
-    Computed by the level-set iteration of ``_peak_gain`` to 1e-12
-    relative accuracy; the returned value is the gain attained at the
-    maximising frequency.  A zero ``M`` gives 0.0.
+    Computed by the level-set iteration of ``_peak_gains`` (a stack of
+    one) to 1e-12 relative accuracy; the returned value is the gain
+    attained at the maximising frequency.  A zero ``M`` gives 0.0.
 
     Raises
     ------
     StabilityError
         If ``Am`` is not Hurwitz (the gain is unbounded).
     """
-    A, Am = _square(Am, "Am")
+    rec = _record(Am, "Am")
     M = as_matrix(M, "M")
-    if M.shape[1] != A.shape[0]:
-        raise DimensionError(f"M has {M.shape[1]} columns, expected {A.shape[0]}")
-    lam = _spectrum(Am)
-    if np.max(lam.real) >= 0.0:
+    if M.shape[1] != rec.A.shape[0]:
+        raise DimensionError(f"M has {M.shape[1]} columns, expected {rec.A.shape[0]}")
+    if not is_hurwitz(rec):
         raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
     if not np.any(M):
         return 0.0
-    return _peak_gain(A, M, lam, rtol=_HINF_RTOL)[0]
+    peak = _peak_gains([rec], M, _HINF_RTOL, np.zeros(1))[0]
+    if isinstance(peak, Exception):
+        raise peak
+    return peak[0]
+
+
+def _distances(recs, tols):
+    """``distance_to_instability`` of each square record of one size, with
+    its tolerance ``tols[i]``: per record the distance or the error it raises."""
+    out = [None if is_hurwitz(r) else
+           StabilityError("Am is not Hurwitz: the distance to instability is zero")
+           for r in recs]
+    live = [i for i, o in enumerate(out) if o is None]
+    if live:
+        peaks = _peak_gains([recs[i] for i in live], None, _DIST_RTOL, np.asarray(tols)[live])
+        for i, peak in zip(live, peaks):
+            out[i] = peak if isinstance(peak, Exception) else peak[2]
+    return out
 
 
 def distance_to_instability(Am, tol=1e-9):
     """Distance from a Hurwitz matrix to the nearest marginally unstable one.
 
     The distance ``min over real w of sigma_min(Am - j w I)`` equals
-    ``1 / hinf_gain(I, Am)``.  The level-set iteration of ``_peak_gain``
+    ``1 / hinf_gain(I, Am)``.  The level-set iteration of ``_peak_gains``
     finds the maximising frequency ``w*`` of that gain, and the distance
     is reported as ``sigma_min(Am - j w* I)`` evaluated there: an attained
     value, within ``tol`` (absolute) above the true distance.
     """
-    A, Am = _square(Am, "Am")
+    rec = _record(Am, "Am")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    lam = _spectrum(Am)
-    if np.max(lam.real) >= 0.0:
-        raise StabilityError("Am is not Hurwitz: the distance to instability is zero")
-    _, w = _peak_gain(A, None, lam, rtol=_DIST_RTOL, dtol=tol)
-    return float(_smin_shifted(A, [w])[0])
+    d = _distances([rec], [tol])[0]
+    if isinstance(d, Exception):
+        raise d
+    return d

@@ -4,10 +4,12 @@ Each subsystem is certified independently: its incoming coupling energy is
 summed, the distance from its target dynamics to instability is computed
 by a level-set Hamiltonian iteration, and the margin of the distance
 condition ``gamma > sqrt(N * Xi2)`` is formed once.  When it is positive
-a slack is picked and the Riccati equation solved; ``solve_are`` confirms
-the same condition through ``numerics.is_hyperbolic``.  The network is
-certified when every subsystem passes; failures are collected, never
-raised mid-run.
+a slack is picked and the Riccati equation solved; the Riccati solve
+confirms the same condition through the crossing test of
+``numerics.is_hyperbolic``.  The subsystems of one size are certified
+together, one stacked kernel call per step, with the numbers each gets
+alone.  The network is certified when every subsystem passes; failures
+are collected, never raised mid-run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .exceptions import GascertError, StabilityError
 from .model import NetworkModel
-from .numerics import distance_to_instability, solve_are, solve_lyapunov, spectral_norm
+from .numerics import _distances, _solve_ares, solve_lyapunov
 
 __all__ = [
     "GasCertificate",
@@ -117,34 +119,60 @@ def certify(net: NetworkModel) -> GasCertificate:
     For each subsystem: coupling energy, distance to instability (absolute
     accuracy ``1e-12 * max(1, ||A_m||_2)``, so it scales with the matrix),
     margin, and on a positive margin the slack pick and the Riccati solve.
-    Failures are recorded per subsystem; the run never aborts early.
+    The norms, distances and Riccati solves of the subsystems of one size
+    run as stacks (``numerics._distances``, ``numerics._solve_ares``); a
+    decoupled subsystem solves its Lyapunov equation alone.  Failures are
+    recorded per subsystem; the run never aborts early.  An error that is
+    not a verdict (one of the distance, or one of the Riccati solve that
+    is not a ``GascertError``) is raised for the first such subsystem in
+    id order.
     """
+    ids = sorted(net.ids)
+    N = {sid: net.neighbor_count(sid) for sid in ids}
+    xi2 = {sid: interconnection_energy(net, sid) for sid in ids}
+    by_size = {}
+    for sid in ids:
+        by_size.setdefault(net.desired[sid].shape[0], []).append(sid)
+    gamma, margin, eps, solved = {}, {}, {}, {}
+    for group in by_size.values():
+        recs = [net.checked[sid] for sid in group]
+        # bit for bit spectral_norm of each record
+        norms = np.linalg.svd(np.array([r.A for r in recs]), compute_uv=False)[:, 0]
+        gamma.update(zip(group, _distances(recs, 1e-12 * np.maximum(1.0, norms))))
+        for sid in group:
+            if not isinstance(gamma[sid], Exception):
+                margin[sid] = gamma[sid] - np.sqrt(N[sid] * xi2[sid])
+                if margin[sid] > 0.0:
+                    eps[sid] = epsilon_margin(gamma[sid], N[sid], xi2[sid])
+        coupled = [sid for sid in group if N[sid] and sid in eps]
+        if coupled:  # a margin <= 0 never enters the Riccati stack
+            solved.update(zip(coupled, _solve_ares([net.checked[sid] for sid in coupled],
+                                                   [N[sid] for sid in coupled],
+                                                   [xi2[sid] + eps[sid] for sid in coupled])))
     records = []
-    for sid in sorted(net.ids):
-        checked, A_m = net.checked[sid], net.desired[sid]
-        N = net.neighbor_count(sid)
-        xi2 = interconnection_energy(net, sid)
-        gamma = distance_to_instability(checked, 1e-12 * max(1.0, spectral_norm(checked)))
-        margin = gamma - np.sqrt(N * xi2)
-        record = partial(SubsystemCertificate, sid=sid, n_neighbors=N,
-                         coupling_energy=xi2, distance=gamma, margin=margin)
-        if margin <= 0.0:
+    for sid in ids:
+        if isinstance(gamma[sid], Exception):
+            raise gamma[sid]
+        A_m = net.desired[sid]
+        record = partial(SubsystemCertificate, sid=sid, n_neighbors=N[sid],
+                         coupling_energy=xi2[sid], distance=gamma[sid], margin=margin[sid])
+        if margin[sid] <= 0.0:
             records.append(record(epsilon=None, P=None, are_residual=None, ok=False,
                                   reason="margin is not positive"))
             continue
-        eps = epsilon_margin(gamma, N, xi2)
         try:
-            if N == 0:
-                P = solve_lyapunov(checked, eps * np.eye(A_m.shape[0]))
+            if N[sid] == 0:
+                P = solve_lyapunov(net.checked[sid], eps[sid] * np.eye(A_m.shape[0]))
                 residual = float(np.linalg.norm(
-                    A_m.T @ P + P @ A_m + eps * np.eye(A_m.shape[0])))
+                    A_m.T @ P + P @ A_m + eps[sid] * np.eye(A_m.shape[0])))
+            elif isinstance(solved[sid], Exception):
+                raise solved[sid]
             else:
-                sol = solve_are(checked, N, xi2 + eps)
-                P, residual = sol.P, sol.residual_norm
+                P, residual = solved[sid].P, solved[sid].residual_norm
         except GascertError as exc:
-            records.append(record(epsilon=eps, P=None, are_residual=None, ok=False,
+            records.append(record(epsilon=eps[sid], P=None, are_residual=None, ok=False,
                                   reason=str(exc)))
             continue
-        records.append(record(epsilon=eps, P=P, are_residual=residual, ok=True))
+        records.append(record(epsilon=eps[sid], P=P, are_residual=residual, ok=True))
     return GasCertificate(subsystems=records,
                           certified=bool(all(c.ok for c in records)))

@@ -142,14 +142,33 @@ class TestConfigParsing:
          "config.reference_model.K_xi: missing required field"),
         (lambda doc: doc.update(reference_model=3.0),
          "config.reference_model: expected a matrix or gain blocks"),
+        (lambda doc: (doc.update(reference_model=GAIN_BLOCKS),
+                      doc["subsystems"][1].update(B=[[1.0, 1.0]])),
+         "config.reference_model: subsystem b: gain blocks do not match (m, n) / (m, q)"),
+        (lambda doc: doc["subsystems"][1].update(reference_model=GAIN_BLOCKS, B=[[1.0, 1.0]]),
+         "config.subsystems[1].reference_model: gain blocks do not match (m, n) / (m, q)"),
     ], ids=["tuning_value", "tuning_number", "tuning_missing", "own_tuning", "reference_model",
-            "own_reference_model", "gain_block_number", "gain_block_missing", "not_a_model"])
+            "own_reference_model", "gain_block_number", "gain_block_missing", "not_a_model",
+            "gain_block_misfit", "own_gain_block_misfit"])
     def test_section_errors_named_where_they_are(self, edit, message):
         # a shared section is named at top level, not under the first subsystem using it
         doc = json.loads(json.dumps(TOY_DOC))
         edit(doc)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(doc)
+
+    def test_shared_gain_block_misfit_one_line_error(self, tmp_path, capsys):
+        # a shared section that misfits one subsystem's blocks names that subsystem
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["reference_model"] = GAIN_BLOCKS
+        doc["subsystems"][1]["B"] = [[1.0, 1.0]]
+        cfg = tmp_path / "misfit.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config.reference_model: subsystem b: "
+                                "gain blocks do not match (m, n) / (m, q)\n")
 
     def test_gain_blocks_use_each_subsystems_own_blocks(self):
         # [[A_nominal - B K_x, B K_xi], [-C, 0]] with toy_pair's A_nominal, C and gains
@@ -639,6 +658,7 @@ def _field_paths(node, prefix=()):
 
 
 TOY_DOC = json.loads(open(TOY, "rb").read())
+GAIN_BLOCKS = {"A_nominal": [[0.0]], "K_x": [[2.0]], "K_xi": [[1.0]]}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.floats()
     | st.integers(min_value=2 ** 1024) | st.integers(max_value=-(2 ** 1024)),

@@ -620,6 +620,49 @@ class TestReadOnce:
         assert len(fields) >= 3 * len(docs[0]["subsystems"])
         assert [sum(v is f for v in read) for f in fields] == [1] * len(fields)
 
+    def test_shared_desired_record_solved_once(self, monkeypatch):
+        # mesh6's six subsystems share one reference model: the network keeps
+        # the one record the load hands it and eigen-solves it once
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        shared = net.checked[net.ids[0]]
+        assert len(net.ids) == 6
+        assert all(net.checked[sid] is shared and net.desired[sid] is shared.A
+                   for sid in net.ids)
+        assert sum(a.shape == shared.A.shape and np.array_equal(a, shared.A)
+                   for a in solved) == 1
+
+    def test_record_of_the_wrong_size_is_read_again(self):
+        # only a square record of the subsystem's size is kept as it is
+        sub = AugmentedSubsystem.from_raw("a", B=[[1.0]], C=np.zeros((0, 1)))
+        for given, error in ((numerics.Checked([[-1.0, 0.0], [0.0, -1.0]]),
+                              "subsystem a: desired dynamics is 2x2, expected 1"),
+                             (numerics.Checked([[-1.0, 0.0]]),
+                              "subsystem a: desired dynamics must be square")):
+            with pytest.raises(DimensionError, match=f"^{re.escape(error)}"):
+                NetworkModel(subsystems=[sub], edges=[], desired={"a": given},
+                             tuning={"a": toy_tuning(1)})
+
+    @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
+                                      "unstable_pair"])
+    def test_each_record_balanced_once(self, name, monkeypatch):
+        # certify's distances and small_gain_check's path gains balance each
+        # desired record once, on the record, however many edges leave it
+        import scipy.linalg
+        balanced = []
+        real = scipy.linalg.matrix_balance
+        monkeypatch.setattr(scipy.linalg, "matrix_balance",
+                            lambda a, **k: balanced.append(a) or real(a, **k))
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        certify(net)
+        small_gain_check(net)
+        certify(net)
+        records = {id(net.checked[sid]): net.checked[sid] for sid in net.ids}
+        assert len(balanced) == len(records)
+        assert all(any(a is r.A for a in balanced) for r in records.values())
+
     @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
                                       "unstable_pair"])
     def test_desired_solved_once_and_never_reread(self, name, monkeypatch):

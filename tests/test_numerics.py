@@ -16,6 +16,7 @@ from gascert import (
     DimensionError,
     GascertError,
     NonFiniteError,
+    SolverError,
     StabilityError,
     distance_to_instability,
     eigenvalues,
@@ -379,14 +380,18 @@ class TestHyperbolic:
             assert not is_hyperbolic(DC_AM, 1, (f * gamma) ** 2)
 
     def test_solve_are_shares_the_test(self, monkeypatch):
+        # solve_are puts its Hamiltonian to is_hyperbolic's crossing test
+        # (numerics._crossings), once, and a crossing refuses the solve
         calls = []
-        real = numerics.is_hyperbolic
-        monkeypatch.setattr(numerics, "is_hyperbolic",
-                            lambda *a: calls.append(a) or real(*a))
+        real = numerics._crossings
+        monkeypatch.setattr(numerics, "_crossings",
+                            lambda A, H, r: calls.append(real(A, H, r)) or calls[-1])
         solve_are([[-2.0]], 1, 1.0)
         with pytest.raises(StabilityError, match="imaginary-axis"):
             solve_are([[-1.0]], 1, 1.0)
-        assert calls == [([[-2.0]], 1, 1.0), ([[-1.0]], 1, 1.0)]
+        assert calls == [[False], [True]]
+        assert is_hyperbolic([[-2.0]], 1, 1.0) and not is_hyperbolic([[-1.0]], 1, 1.0)
+        assert calls[2:] == [[False], [True]]
 
 
 class TestSolveAre:
@@ -511,11 +516,14 @@ class TestDistance:
 
     def test_eigensolves_per_call(self, monkeypatch):
         # the level-set iteration converges quadratically: the Hurwitz
-        # check plus a handful of Hamiltonian eigensolves per call
+        # check plus a handful of Hamiltonian eigensolves per call (one
+        # member of a stack each, counted at numerics._eigvals)
         calls = []
-        real = numerics.eigenvalues
+        real, stacked = numerics.eigenvalues, numerics._eigvals
         monkeypatch.setattr(numerics, "eigenvalues",
                             lambda A: calls.append(1) or real(A))
+        monkeypatch.setattr(numerics, "_eigvals",
+                            lambda H: calls.extend([1] * len(H)) or stacked(H))
         rng = np.random.default_rng(47)
         cases = [random_hurwitz(rng, int(rng.integers(1, 9))) for _ in range(40)]
         cases += [DC_AM, spread_normal(rng)]
@@ -523,8 +531,81 @@ class TestDistance:
         for A in cases:
             calls.clear()
             distance_to_instability(A, 1e-12 * max(1.0, spectral_norm(A)))
+            assert len(calls) >= 2  # the spectrum and at least one level
             worst = max(worst, len(calls))
         assert worst <= 10
+
+
+class TestStackedKernels:
+    """The crossing test, the level-set iteration and the Riccati solve run
+    on a stack of records of one size; each member gets what it gets alone
+    (the public kernels are stacks of one) and keeps its own error."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_members_equal_their_single_calls(self, n):
+        rng = np.random.default_rng(60 + n)
+        recs = [Checked(random_hurwitz(rng, n, 10.0 ** rng.uniform(-2, 2)), square=True)
+                for _ in range(7)]
+        recs.append(recs[0])  # a record twice in one stack
+        tols = [1e-12 * max(1.0, spectral_norm(r)) for r in recs]
+        gammas = numerics._distances(recs, tols)
+        for r, tol, gamma in zip(recs, tols, gammas):
+            assert type(gamma) is float and gamma == distance_to_instability(r, tol)
+        N = rng.integers(1, 4, size=len(recs)).tolist()
+        q = [(f * g) ** 2 / k for f, g, k in zip(rng.uniform(0.2, 1.4, size=len(recs)),
+                                                   gammas, N)]
+        outcomes = numerics._solve_ares(recs, N, q)
+        kinds = set()
+        for r, k, qi, got in zip(recs, N, q, outcomes):
+            try:
+                want = solve_are(r, k, qi)
+            except GascertError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                kinds.add("error")
+                continue
+            assert_same_bits(got.P, want.P)
+            assert_same_bits(np.float64(got.residual_norm), np.float64(want.residual_norm))
+            assert_same_bits(got.closed_loop_spectrum, want.closed_loop_spectrum)
+            kinds.add("solved")
+        assert kinds == {"error", "solved"}
+        M = rng.normal(size=(2, n))
+        for r, (g, w, s) in zip(recs, numerics._peak_gains(recs, M, numerics._HINF_RTOL,
+                                                            np.zeros(len(recs)))):
+            assert s is None and g == hinf_gain(M, r)
+
+    def test_refused_member_gets_its_own_error(self):
+        # numpy refuses a stack with a non-finite member: each member is
+        # then solved alone, and only the refused one gets an error
+        rng = np.random.default_rng(66)
+        H = rng.normal(size=(3, 4, 4))
+        H[1, 2, 0] = np.inf
+        lam, errors = numerics._eigvals(H)
+        assert list(errors) == [1] and isinstance(errors[1], NonFiniteError)
+        assert str(errors[1]) == "A: non-finite entries"
+        for i in (0, 2):
+            assert_same_bits(lam[i], eigenvalues(H[i]).astype(complex))
+        owner, ws, errors = numerics._axis_frequencies(H)
+        assert list(errors) == [1] and 1 not in owner.tolist()
+
+    def test_failed_iteration_stays_with_its_member(self, monkeypatch):
+        # an eigensolve that fails for one member in the middle of the
+        # level-set iteration stops that member only
+        rng = np.random.default_rng(67)
+        recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(4)]
+        alone = [distance_to_instability(r, 1e-12) for r in recs]
+        real = numerics._eigvals
+
+        def failing(H):
+            lam, errors = real(H)
+            if len(H) == len(recs):
+                lam[2] = np.nan
+                errors[2] = SolverError("forced")
+            return lam, errors
+
+        monkeypatch.setattr(numerics, "_eigvals", failing)
+        got = numerics._distances(recs, [1e-12] * len(recs))
+        assert isinstance(got[2], SolverError) and str(got[2]) == "forced"
+        assert [got[i] for i in (0, 1, 3)] == [alone[i] for i in (0, 1, 3)]
 
 
 class TestHyperbolicityDistanceEquivalence:
