@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .control import build_reference_model
+from .control import _reference_model
 from .exceptions import ConfigError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
 from .numerics import Checked
@@ -81,14 +81,21 @@ def _tuning(spec, path):
     return _build(lambda: Tuning(**fields), path, spec)
 
 
-def _gain_blocks(spec, s, path, shared):
+def _gain_blocks(spec, s, path, shared, read):
     """Desired matrix of subsystem ``s`` from gain blocks and its raw B and C.
+    The blocks are read once per section, into ``read`` by the section's id.
     A ``shared`` section's misfit with ``s``'s blocks names ``s``."""
+    owner = f"subsystem {s.sid}: " if shared else ""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected a matrix or gain blocks")
-    A_nom, K_x, K_xi = (_require(spec, key, path) for key in ("A_nominal", "K_x", "K_xi"))
-    return _build(lambda: build_reference_model(A_nom, s.B[:s.n], s.C[:s.q, :s.n], K_x, K_xi),
-                  path, spec, owner=f"subsystem {s.sid}: " if shared else "")
+    if id(spec) not in read:
+        A_nom, K_x, K_xi = (_require(spec, key, path) for key in ("A_nominal", "K_x", "K_xi"))
+        read[id(spec)] = _build(lambda: (Checked(A_nom, "A_nominal", square=True).A,
+                                         Checked(K_x, "K_x").A, Checked(K_xi, "K_xi").A),
+                                path, spec, owner=owner)
+    A_nom, K_x, K_xi = read[id(spec)]
+    return _build(lambda: _reference_model(A_nom, s.B[:s.n], s.C[:s.q, :s.n], K_x, K_xi),
+                  path, spec, owner=owner)
 
 
 def _schedule(spec, path):
@@ -119,6 +126,7 @@ def parse_config(doc):
         raise ConfigError("config.subsystems: expected a non-empty array")
     subs, desired, tuning, baseline = {}, {}, {}, {}
     once = {}  # a tuning or explicit reference model by id of its section: shared, built once
+    blocks = {}  # the arrays of a gain-block section by its id: read once
     for k, sub in enumerate(subs_spec):
         path = f"config.subsystems[{k}]"
         sid = _require(sub, "id", path)
@@ -143,7 +151,7 @@ def parse_config(doc):
             once[id(spec)] = _build(lambda: Checked(spec, "reference_model"), at,
                                     ("reference_model",))
         desired[sid] = (once[id(spec)] if isinstance(spec, list)
-                        else _gain_blocks(spec, s, f"{at}.reference_model", at != path))
+                        else _gain_blocks(spec, s, f"{at}.reference_model", at != path, blocks))
     edges = []
     edges_spec = doc.get("edges", [])
     if not isinstance(edges_spec, list):

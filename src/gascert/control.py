@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionError, SolverError, StabilityError
-from .numerics import as_matrix, is_hurwitz
+from .numerics import Checked, as_matrix, is_hurwitz
 
 __all__ = [
     "baseline_control",
@@ -47,14 +47,16 @@ def mrac_control(theta_hat, x):
 def build_reference_model(A_nom, B, C, K_x, K_xi):
     """Assemble the target closed-loop dynamics of the augmented model.
 
-    Returns ``[[A_nom - B K_x, B K_xi], [-C, 0]]`` and checks it is
-    Hurwitz, since every downstream analysis requires that.
+    Returns ``[[A_nom - B K_x, B K_xi], [-C, 0]]``, read-only, and checks
+    it is Hurwitz, since every downstream analysis requires that.
     """
-    A_nom = as_matrix(A_nom, "A_nominal", square=True)
-    B = as_matrix(B, "B")
-    C = as_matrix(C, "C")
-    K_x = as_matrix(K_x, "K_x")
-    K_xi = as_matrix(K_xi, "K_xi")
+    return _reference_model(as_matrix(A_nom, "A_nominal", square=True), as_matrix(B, "B"),
+                            as_matrix(C, "C"), as_matrix(K_x, "K_x"), as_matrix(K_xi, "K_xi")).A
+
+
+def _reference_model(A_nom, B, C, K_x, K_xi):
+    """``build_reference_model`` of float arrays read already, as a ``Checked``
+    record whose spectrum its Hurwitz test solved; a network keeps it as it is."""
     n = A_nom.shape[0]
     q = C.shape[0]
     if B.shape[0] != n or C.shape[1] != n:
@@ -65,6 +67,7 @@ def build_reference_model(A_nom, B, C, K_x, K_xi):
     Am[:n, :n] = A_nom - B @ K_x
     Am[:n, n:] = B @ K_xi
     Am[n:, :n] = -C
+    Am = Checked(Am, "A", square=True)
     if not is_hurwitz(Am):
         raise StabilityError("constructed reference model is not Hurwitz")
     return Am

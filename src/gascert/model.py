@@ -11,7 +11,9 @@ output; the augmented blocks follow the fixed layout
 
 so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
-disturbance).  Values are immutable after construction.  An edge has a
+disturbance).  ``AugmentedSubsystem.from_raw`` is the one subsystem
+constructor: it reads each raw block once and makes the blocks it builds
+read-only.  Values are immutable after construction.  An edge has a
 coupling matrix or a declared bound on its norm, never both.  A network
 eigen-solves each desired record once (a record shared by subsystems
 once for all), takes its edge gains from one SVD per block shape, and
@@ -28,8 +30,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import (Checked, as_matrix, eigenvalues, is_hurwitz, numeric_scalar,
-                       solve_lyapunov, spectral_norm)
+from .numerics import (Checked, as_matrix, is_hurwitz, numeric_scalar, solve_lyapunov,
+                       spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -47,29 +49,29 @@ def check_controllability(A, B):
 
     Rank is judged by the smallest singular value against ``1e-10 *
     max(||A||_2, ||B||_2)``, so the verdict does not depend on how the
-    pair is scaled and no power of ``A`` is formed.
+    pair is scaled and no power of ``A`` is formed.  A ``Checked`` record
+    is taken as read.
     """
-    A = as_matrix(A, "A", square=True)
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
+    A, B = Checked(A, "A", square=True), Checked(B, "B")
+    n = A.A.shape[0]
+    if B.A.shape[0] != n:
+        raise DimensionError(f"B has {B.A.shape[0]} rows, expected {n}")
     if n == 0:
         return True
-    pencil = np.empty((n, n, n + B.shape[1]), dtype=complex)
-    pencil[:, :, :n] = A - eigenvalues(A)[:, None, None] * np.eye(n)
-    pencil[:, :, n:] = B
+    pencil = np.empty((n, n, n + B.A.shape[1]), dtype=complex)
+    pencil[:, :, :n] = A.A - A.spectrum[:, None, None] * np.eye(n)
+    pencil[:, :, n:] = B.A
     smin = np.linalg.svd(pencil, compute_uv=False)[:, -1]
     return bool(np.all(smin > 1e-10 * max(spectral_norm(A), spectral_norm(B))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AugmentedSubsystem:
-    """Integral-augmented subsystem blocks; build them with ``from_raw``.
+    """Integral-augmented subsystem blocks, built only by ``from_raw``.
 
-    The blocks are stored as read-only copies.  ``A`` may be None when the
-    plant state matrix is unknown: analysis and simulation only need the
-    desired dynamics and the input/output blocks.
+    The blocks are read-only.  ``A`` may be None when the plant state
+    matrix is unknown: analysis and simulation only need the desired
+    dynamics and the input/output blocks.
     """
 
     sid: str
@@ -84,34 +86,8 @@ class AugmentedSubsystem:
     m: int
     r: int
 
-    def __post_init__(self):
-        p = self.n + self.q
-        for name in ("B", "C", "D", "E", "F"):
-            object.__setattr__(self, name, Checked(getattr(self, name),
-                                                   f"subsystem {self.sid}: augmented {name}").A)
-        if self.B.shape != (p, self.m):
-            raise DimensionError(
-                f"subsystem {self.sid}: augmented B has shape {self.B.shape}, expected {(p, self.m)}"
-            )
-        if self.q and np.any(self.B[self.n:, :] != 0.0):
-            raise ValueError(f"subsystem {self.sid}: augmented B must have zero integral rows")
-        if self.A is not None:
-            A = Checked(self.A, f"subsystem {self.sid}: augmented A", square=True).A
-            if A.shape[0] != p:
-                raise DimensionError(
-                    f"subsystem {self.sid}: augmented A is {A.shape[0]}x{A.shape[0]}, expected {p}x{p}"
-                )
-            if self.q:
-                Craw = self.C[: self.q, : self.n]
-                if not np.array_equal(A[self.n:, : self.n], -Craw):
-                    raise ValueError(
-                        f"subsystem {self.sid}: augmented A integral rows must equal -C"
-                    )
-                if np.any(A[:, self.n:] != 0.0):
-                    raise ValueError(
-                        f"subsystem {self.sid}: augmented A integral columns must be zero"
-                    )
-            object.__setattr__(self, "A", A)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an AugmentedSubsystem with AugmentedSubsystem.from_raw")
 
     @property
     def dim(self):
@@ -124,11 +100,13 @@ class AugmentedSubsystem:
 
         ``A`` is (n, n), ``B`` (n, m), ``C`` (q, n), ``D`` (q, m), ``E``
         (n, r).  A given ``A`` must make (A, B) controllable; ``A`` may be
-        omitted for an unknown plant, which leaves nothing to test.
+        omitted for an unknown plant, which leaves nothing to test.  Each
+        given block is read once; the blocks built from them are new
+        arrays, made read-only in place.
         """
-        B = as_matrix(B, f"subsystem {sid}: B")
+        B = Checked(B, f"subsystem {sid}: B")  # a record: the PBH test reads it no more
         C = as_matrix(C, f"subsystem {sid}: C")
-        n, m = B.shape
+        n, m = B.A.shape
         q = C.shape[0]
         if C.shape[1] != n:
             raise DimensionError(f"subsystem {sid}: C has {C.shape[1]} cols, expected {n}")
@@ -142,16 +120,17 @@ class AugmentedSubsystem:
         p = n + q
         A_aug = None
         if A is not None:
-            A = as_matrix(A, f"subsystem {sid}: A", square=True)
-            if A.shape[0] != n:
-                raise DimensionError(f"subsystem {sid}: A is {A.shape[0]}x{A.shape[0]}, expected {n}x{n}")
+            A = Checked(A, f"subsystem {sid}: A", square=True)
+            if A.A.shape[0] != n:
+                raise DimensionError(f"subsystem {sid}: A is {A.A.shape[0]}x{A.A.shape[0]}, "
+                                     f"expected {n}x{n}")
             if not check_controllability(A, B):
                 raise ValueError(f"subsystem {sid}: (A, B) is not controllable")
             A_aug = np.zeros((p, p))
-            A_aug[:n, :n] = A
+            A_aug[:n, :n] = A.A
             A_aug[n:, :n] = -C
         B_aug = np.zeros((p, m))
-        B_aug[:n] = B
+        B_aug[:n] = B.A
         C_aug = np.zeros((2 * q, p))
         C_aug[:q, :n] = C
         C_aug[q:, n:] = np.eye(q)
@@ -162,8 +141,13 @@ class AugmentedSubsystem:
         E_aug[n:, r:] = np.eye(q)
         F = np.zeros((p, p))
         F[n:, n:] = np.eye(q)
-        return cls(sid=sid, A=A_aug, B=B_aug, C=C_aug, D=D_aug, E=E_aug, F=F,
-                   n=n, q=q, m=m, r=r)
+        blocks = {"A": A_aug, "B": B_aug, "C": C_aug, "D": D_aug, "E": E_aug, "F": F}
+        for X in blocks.values():
+            if X is not None:
+                X.flags.writeable = False
+        self = object.__new__(cls)
+        vars(self).update(sid=sid, **blocks, n=n, q=q, m=m, r=r)
+        return self
 
 
 def augment_edge(A_ij, q_to, q_from):
@@ -371,9 +355,13 @@ class NetworkModel:
         return P
 
 
-def _coupled_block_diag(net: NetworkModel, diag):
-    """Block-diagonal ``diag`` with each edge's block at (destination, source)."""
-    out = block_diag(*diag)
+def closed_loop_global(net: NetworkModel):
+    """Global matrix of the converged closed loop.
+
+    Block-diagonal desired dynamics plus the off-diagonal coupling blocks;
+    the decomposition into those two parts is exact by construction.
+    """
+    out = block_diag(*(net.desired[sid] for sid in net.ids))
     offsets = np.cumsum([0] + [s.dim for s in net.subsystems])
     for e in net.edges:
         if e.A is None:
@@ -381,12 +369,3 @@ def _coupled_block_diag(net: NetworkModel, diag):
         i, j = net.index[e.dst], net.index[e.src]
         out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = e.A
     return out
-
-
-def closed_loop_global(net: NetworkModel):
-    """Global matrix of the converged closed loop.
-
-    Block-diagonal desired dynamics plus the off-diagonal coupling blocks;
-    the decomposition into those two parts is exact by construction.
-    """
-    return _coupled_block_diag(net, [net.desired[sid] for sid in net.ids])

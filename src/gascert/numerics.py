@@ -7,7 +7,9 @@ the distance to instability.  Acceptance bounds are fixed; the distance
 accuracy is the one tolerance a caller sets.  All functions are pure:
 they keep no state and are safe to call concurrently on shared read-only
 inputs.  Intended problem sizes are small (n up to a few tens).  Caller arrays
-and derived matrices are read and checked by ``numeric_array``; ``Checked`` records are not.
+and matrices derived inside the kernels are read and checked by
+``numeric_array``; ``Checked`` records are not, and neither are the blocks
+``AugmentedSubsystem.from_raw`` builds from the raw blocks it has read.
 
 The crossing test, the level-set iteration and the Riccati solve each run
 on a stack of records of one size, one LAPACK call per step for the whole
@@ -110,7 +112,7 @@ class Checked:
 
     @cached_property
     def spectrum(self):
-        w = eigenvalues(self.A)
+        w = eigenvalues(self)
         w.flags.writeable = False
         return w
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR
-from gascert import ConfigError
+from conftest import CONFIG_DIR, random_hurwitz
+from gascert import ConfigError, numerics
 from gascert.cli import build_parser, main
 from gascert.config import dump_report, load_config, parse_config
 from gascert.riccati import certify
@@ -178,6 +179,26 @@ class TestConfigParsing:
         net, _ = parse_config(doc)
         assert net.desired["a"].tolist() == [[-2.0, 1.0], [-1.0, 0.0]]
         assert net.desired["b"].tolist() == [[-4.0, 2.0], [-1.0, 0.0]]
+
+    def test_shared_gain_blocks_read_and_solved_once(self, monkeypatch):
+        # each block of a shared section is read once for both subsystems, and
+        # each assembled desired matrix is eigen-solved once, by the network's
+        # Hurwitz test on the record the assembly hands it
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["reference_model"] = json.loads(json.dumps(GAIN_BLOCKS))
+        doc["subsystems"][1]["B"] = [[2.0]]
+        read, solved = [], []
+        real, eigvals = numerics.numeric_array, np.linalg.eigvals
+        monkeypatch.setattr(numerics, "numeric_array",
+                            lambda value, name="array": read.append(value) or real(value, name))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        net, _ = parse_config(doc)
+        blocks = doc["reference_model"]
+        assert [sum(v is blocks[key] for v in read) for key in blocks] == [1, 1, 1]
+        for sid in net.ids:
+            Am = net.desired[sid]
+            assert sum(a.shape == Am.shape and np.array_equal(a, Am) for a in solved) == 1
+            assert any(a is Am for a in solved)
 
     def test_flat_matrix_read_as_a_row(self, tmp_path, capsys):
         # as as_matrix reads it everywhere: a flat C is one row, and a flat
@@ -679,6 +700,67 @@ VERDICTS = {"riccati": ("certified", "not-certified"), "connective": ("pass", "f
             "smallgain": ("pass", "fail")}
 
 
+@st.composite
+def whole_documents(draw):
+    """A valid document: 1-4 subsystems of random n, m and q, A known or null;
+    tuning and reference model shared or per subsystem, the model explicit or
+    as gain blocks; edges as matrices or norm bounds.  Hypothesis draws the
+    structure, a seeded generator the numbers.  A shared section makes every
+    subsystem the same size, and shared gain blocks the same B and C, so
+    each assembled model is Hurwitz by construction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    N = draw(st.integers(1, 4))
+    shared_tuning, shared_model, gain_blocks = (draw(st.booleans()) for _ in range(3))
+
+    def size():
+        n = draw(st.integers(1, 3))
+        q = draw(st.integers(1, min(n, 2) if gain_blocks else 2))  # C B of full row rank q
+        return n, draw(st.integers(q if gain_blocks else 1, 3)), q
+
+    def tuning(p):
+        L = rng.normal(size=(p, p))
+        return {"Q": (L @ L.T + p * np.eye(p)).tolist(), "gamma": rng.uniform(0.5, 30.0),
+                "theta_max": rng.uniform(0.0, 3.0), "eps0": rng.uniform(0.01, 1.0)}
+
+    def model(B, C):
+        (n, m), q = B.shape, C.shape[0]
+        if not gain_blocks:
+            return random_hurwitz(rng, n + q).tolist()
+        # [[-a I, B K_xi], [-C, 0]] with C B K_xi = c I: eigenvalues -a and
+        # the roots of s^2 + a s + c
+        K_x = rng.normal(size=(m, n))
+        return {"A_nominal": (B @ K_x - rng.uniform(1.0, 5.0) * np.eye(n)).tolist(),
+                "K_x": K_x.tolist(),
+                "K_xi": (rng.uniform(0.05, 0.5) * np.linalg.pinv(C @ B)).tolist()}
+
+    sizes = [size()] * N if shared_tuning or shared_model else [size() for _ in range(N)]
+    ids, subs, BC = [f"s{k}" for k in range(N)], [], None
+    for sid, (n, m, q) in zip(ids, sizes):
+        if BC is None or not (shared_model and gain_blocks):
+            BC = rng.normal(size=(n, m)), rng.normal(size=(q, n))
+        sub = {"id": sid, "A": rng.normal(size=(n, n)).tolist() if draw(st.booleans()) else None,
+               "B": BC[0].tolist(), "C": BC[1].tolist()}
+        if draw(st.booleans()):
+            sub["E"] = rng.normal(size=(n, draw(st.integers(1, 2)))).tolist()
+        if not shared_tuning:
+            sub["tuning"] = tuning(n + q)
+        if not shared_model:
+            sub["reference_model"] = model(*BC)
+        subs.append(sub)
+    doc = {"subsystems": subs, "edges": []}
+    if shared_tuning:
+        doc["tuning"] = tuning(n + q)  # every subsystem's size
+    if shared_model:
+        doc["reference_model"] = model(*BC)
+    for (src, (n_src, _, _)), (dst, (n_dst, _, _)) in itertools.permutations(zip(ids, sizes), 2):
+        if draw(st.booleans()):
+            scale = rng.uniform(0.01, 2.0)
+            edge = ({"A": (scale * rng.normal(size=(n_dst, n_src))).tolist()}
+                    if draw(st.booleans()) else {"norm_bound": scale})
+            doc["edges"].append({"from": src, "to": dst, **edge})
+    return doc
+
+
 class TestConfigFuzz:
     # about 200 examples per command
     @settings(max_examples=600, deadline=None, derandomize=True, database=None,
@@ -729,6 +811,32 @@ class TestConfigFuzz:
             report = json.loads(captured.out)
             assert report["metrics"]["diverged"] is (rc == 3)
             assert out.exists()
+
+    # whole documents: each certification command ends in a report (exit 0
+    # or 2) or in one error line (exit 1), and a second run repeats its bytes
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=whole_documents())
+    def test_whole_generated_document(self, doc, tmp_path, capsys):
+        parse_config(doc)  # the strategy builds valid documents
+        cfg = tmp_path / "whole.json"
+        cfg.write_text(json.dumps(doc))
+        for command in sorted(VERDICTS):
+            runs = []
+            for _ in range(2):
+                capsys.readouterr()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = main([command, str(cfg)])
+                assert not caught, [str(w.message) for w in caught]
+                runs.append((rc, *capsys.readouterr()))
+            assert runs[1] == runs[0]
+            rc, out, err = runs[0]
+            if rc == 1:
+                assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+            else:
+                assert rc in (0, 2) and err == ""
+                assert json.loads(out)["verdict"] == VERDICTS[command][rc // 2]
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -116,22 +117,38 @@ class TestAugment:
         with pytest.raises(ValueError, match=r"subsystem s: \(A, B\) is not controllable"):
             AugmentedSubsystem.from_raw("s", B=[[0.0]], C=[[1.0]], A=[[0.0]])
 
-    @pytest.mark.parametrize("edit,error,message", [
-        ({"B": np.ones((2, 1))}, DimensionError, "augmented B has shape (2, 1), expected (3, 1)"),
-        ({"B": np.ones((3, 1))}, ValueError, "augmented B must have zero integral rows"),
-        ({"A": np.diag([-1.0, -2.0, 0.0])}, ValueError,
-         "augmented A integral rows must equal -C"),
-        ({"A": np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 0.0], [-1.0, 0.0, 0.0]])}, ValueError,
-         "augmented A integral columns must be zero"),
-        ({"A": -np.eye(2)}, DimensionError, "augmented A is 2x2, expected 3x3"),
-    ], ids=["B_shape", "B_integral_rows", "A_integral_rows", "A_integral_columns", "A_size"])
-    def test_direct_construction_checks_the_layout(self, edit, error, message):
+    def test_built_only_by_from_raw(self):
+        # the augmented layout exists only as from_raw builds it: there is no
+        # second constructor to hand it other blocks, and its blocks are read-only
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
                                           A=np.diag([-1.0, -2.0]))
         blocks = {b: getattr(aug, b) for b in "ABCDEF"}
-        AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **blocks)  # the layout from_raw builds
-        with pytest.raises(error, match=f"^{re.escape(f'subsystem s: {message}')}$"):
-            AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **{**blocks, **edit})
+        refused = "build an AugmentedSubsystem with AugmentedSubsystem.from_raw"
+        for call in (lambda: AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **blocks),
+                     lambda: AugmentedSubsystem("s"), lambda: AugmentedSubsystem(),
+                     lambda: dataclasses.replace(aug, B=np.ones((3, 1))),
+                     lambda: dataclasses.replace(aug)):
+            with pytest.raises(TypeError, match=f"^{re.escape(refused)}$"):
+                call()
+        for X in blocks.values():
+            assert not X.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            aug.B = np.ones((3, 1))
+
+    @pytest.mark.parametrize("given", ["BC", "ABC", "BCDE", "ABCDE"])
+    def test_from_raw_reads_each_given_block_once(self, given, monkeypatch):
+        # one numeric_array call per raw block given, and none for the blocks
+        # it builds or for the controllability test's arrays
+        raw = {"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]],
+               "D": [[0.5]], "E": [[1.0, 0.0], [0.0, 1.0]]}
+        read = []
+        real = numerics.numeric_array
+        monkeypatch.setattr(numerics, "numeric_array",
+                            lambda value, name="array": read.append(value) or real(value, name))
+        aug = AugmentedSubsystem.from_raw("s", **{b: raw[b] for b in given})
+        assert [sum(v is raw[b] for v in read) for b in given] == [1] * len(given)
+        assert len(read) == len(given)
+        assert (aug.A is None) == ("A" not in given)
 
     def test_unknown_plant_not_tested(self):
         # without A there is no pair to test, so even B = 0 is accepted

@@ -2,7 +2,6 @@ import io
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -459,10 +458,11 @@ class TestScenarioCheck:
         (lambda: _run(dt="0.1"), "dt: not a numeric array"),
         (lambda: _run(references={"a": Schedule(times=[0.0], values=[["1.0"]])}),
          "schedule values: not a numeric array"),
-        (lambda: replace(wide_net().subsystem("a"), C=[["1", "0", "0"], ["0", "0", "1"]]),
-         "subsystem a: augmented C: not a numeric array"),
-        (lambda: replace(wide_net().subsystem("a"), E=np.full((3, 2), np.nan)),
-         "subsystem a: augmented E: non-finite entries"),
+        (lambda: AugmentedSubsystem.from_raw("a", B=np.eye(2), C=[["1", "0"]]),
+         "subsystem a: C: not a numeric array"),
+        (lambda: AugmentedSubsystem.from_raw("a", B=np.eye(2), C=[[1.0, 0.0]],
+                                             E=np.full((2, 1), np.nan)),
+         "subsystem a: E: non-finite entries"),
         (lambda: check_conditions([[-1.0]], ["0.5"]), "offsets: not a numeric array"),
     ], ids=["x0_nan", "xhat0_string", "theta_inf", "theta_hat0_bool", "x0_int_beyond_double",
             "xhat0_ragged", "dt_string", "schedule_string", "subsystem_C_string",
