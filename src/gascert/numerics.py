@@ -14,12 +14,17 @@ and matrices derived inside the kernels are read and checked by
 The crossing test, the level-set iteration and the Riccati solve each run
 on a stack of records of one size, one LAPACK call per step for the whole
 stack; every member's numbers are those it gets alone, and a member's
-error is its own.  The public kernels are stacks of one.
+error is its own.  The public kernels are stacks of one.  The stacked
+kernels keep their members by one rule: the stacks hold only the members
+still standing, and one ``live`` list holds their record ids; a step that
+decides a member's outcome writes it to ``out`` once; and the stacks are
+cut (``_standing``) only after a step at which some member has left.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain
@@ -91,6 +96,8 @@ def numeric_array(value, name="array"):
 
 def numeric_scalar(value, name="value"):
     """``numeric_array``'s reading of ``value`` as a float, if it is one number."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # read without an array
+        return float(value)
     A = numeric_array(value, name)
     if A.ndim:
         raise DimensionError(f"{name}: expected a number, got ndim={A.ndim}")
@@ -227,25 +234,27 @@ def solve_lyapunov(A, Q):
     return P
 
 
-def _check_weights(N, q):
-    if N < 0:
+def _check_weights(N, q):  # the two weights, read by numeric_scalar, as floats
+    N, q = numeric_scalar(N, "N"), numeric_scalar(q, "q")
+    if N < 0.0:
         raise ValueError("N must be a non-negative count")
     if q < 0.0:
         raise ValueError("q must be non-negative")
+    return N, q
 
 
 def hamiltonian(Am, N, q):
     """Assemble the 2n x 2n block matrix ``[[Am, N*I], [-q*I, -Am']]``.
 
-    ``N`` is the neighbour count entering the quadratic term and ``q`` the
-    scalar weight of the constant term (coupling energy, optionally plus a
-    margin).  ``N = 0`` is accepted and gives the block-triangular
-    degenerate form.
+    ``N`` is the non-negative weight of the quadratic term (a number, not
+    only a neighbour count) and ``q`` the non-negative weight of the
+    constant term (coupling energy, optionally plus a margin).  ``N = 0``
+    is accepted and gives the block-triangular degenerate form.
     """
     Am = as_matrix(Am, "Am", square=True)
-    _check_weights(N, q)
+    N, q = _check_weights(N, q)
     eye = np.eye(Am.shape[0])
-    return _hamiltonian(Am, float(N) * eye, float(q) * eye)
+    return _hamiltonian(Am, N * eye, q * eye)
 
 
 def _hamiltonian(A, G, Q):
@@ -368,8 +377,8 @@ def is_hyperbolic(Am, N, q):
     ``_crossings``, on a stack of one.
     """
     A = as_matrix(Am, "Am", square=True)
-    H = hamiltonian(A, N, q)
-    crossed = _crossings(A[None], H[None], np.array([math.sqrt(float(N) * q)]))[0]
+    N, q = _check_weights(N, q)
+    crossed = _crossings(A[None], hamiltonian(A, N, q)[None], np.array([math.sqrt(N * q)]))[0]
     if isinstance(crossed, Exception):
         raise crossed
     return not crossed
@@ -395,106 +404,99 @@ class AreSolution:
     closed_loop_spectrum: np.ndarray
 
 
+def _standing(out, live, *stacks):
+    """``live`` and each stack cut to the members whose outcome ``out`` holds
+    none yet; the stacks stay as given when every member, or none, is left."""
+    keep = [j for j, i in enumerate(live) if out[i] is None]
+    if 0 < len(keep) < len(live):
+        stacks = [X[keep] for X in stacks]
+    return ([live[j] for j in keep], *stacks)
+
+
 def _solve_ares(recs, N, q):
     """``solve_are`` for each square record of one size, with its ``N[i]`` and
     ``q[i]``: per record an ``AreSolution`` or the error ``solve_are`` raises.
 
     Each step is one call for the members still standing, except the Schur
-    factorisation, which scipy runs per matrix.
+    factorisation, which scipy runs per matrix; the members are kept by the
+    module's rule.
     """
-    out = [None] * len(recs)
+    out, live, weights = [None] * len(recs), [], []
     for i, rec in enumerate(recs):
         try:
             if not is_hurwitz(rec):
                 raise StabilityError("Am is not Hurwitz")
-            _check_weights(N[i], q[i])
-        except (StabilityError, ValueError) as exc:
+            weights.append(_check_weights(N[i], q[i]))
+            live.append(i)
+        except (GascertError, ValueError) as exc:
             out[i] = exc
-    live = [i for i, o in enumerate(out) if o is None]
     if not live:
         return out
     n = recs[0].A.shape[0]
     eye = np.eye(n)
     A = np.array([recs[i].A for i in live])
-    Nf = np.array([float(N[i]) for i in live])[:, None, None]
-    qf = np.array([float(q[i]) for i in live])[:, None, None]
+    Nf, qf = (np.array(w)[:, None, None] for w in zip(*weights))
     H = _hamiltonian(A, Nf * eye, qf * eye)
-    Z, keep = [], []
+    Z = np.empty_like(H)
     for j, crossed in enumerate(_crossings(A, H, np.sqrt(Nf * qf).ravel())):
         if isinstance(crossed, Exception):
             out[live[j]] = crossed
         elif crossed:
             out[live[j]] = StabilityError(
-                "Hamiltonian has imaginary-axis eigenvalues: the distance "
-                "condition is violated and the Riccati equation has no "
-                "stabilizing solution"
-            )
+                "Hamiltonian has imaginary-axis eigenvalues: the distance condition is "
+                "violated and the Riccati equation has no stabilizing solution")
         else:
             try:
-                _, Zj, sdim = sla.schur(H[j], output="real", sort="lhp")
+                _, Z[j], sdim = sla.schur(H[j], output="real", sort="lhp")
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = exc
                 continue
             if sdim != n:
                 out[live[j]] = SolverError(
                     f"stable invariant subspace has dimension {sdim}, expected {n}")
-            else:
-                Z.append(Zj)
-                keep.append(j)
-    if not keep:
+    live, A, Nf, qf, Z = _standing(out, live, A, Nf, qf, Z)
+    if not live:
         return out
-    Z = np.array(Z)
     Ut, Vt = Z[:, :n, :n].transpose(0, 2, 1), Z[:, n:, :n].transpose(0, 2, 1)
     try:
         P = np.linalg.solve(Ut, Vt)
     except np.linalg.LinAlgError:  # a basis is singular: solve each alone to tell which
-        P, solved = [], []
-        for j, u, v in zip(keep, Ut, Vt):
+        P = np.empty(Vt.shape)
+        for j, (u, v) in enumerate(zip(Ut, Vt)):
             try:
-                P.append(np.linalg.solve(u, v))
-                solved.append(j)
+                P[j] = np.linalg.solve(u, v)
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = SolverError(f"invariant-subspace basis is singular: {exc}")
-        if not solved:
+        live, A, Nf, qf, P = _standing(out, live, A, Nf, qf, P)
+        if not live:
             return out
-        P, keep = np.array(P), solved
-    if len(keep) < len(live):
-        A, Nf, qf, live = A[keep], Nf[keep], qf[keep], [live[j] for j in keep]
     P = P.transpose(0, 2, 1)
     P = 0.5 * (P + P.transpose(0, 2, 1))
     R = A.transpose(0, 2, 1) @ P + P @ A + Nf * P @ P + qf * eye
-    residuals = []
-    for j, i in enumerate(live):
-        residual = float(np.linalg.norm(R[j]))
+    residuals = np.array([np.linalg.norm(r) for r in R])
+    for j, residual in enumerate(residuals.tolist()):
         bound = 1e-8 * max(1.0, float(np.linalg.norm(P[j])) ** 2)
         if residual > bound:
-            out[i] = SolverError(
-                f"Riccati residual {residual:.3e} exceeds tolerance {bound:.3e} "
-                "(ill-conditioned invariant subspace)"
-            )
-        residuals.append(residual)
-    keep = [j for j, i in enumerate(live) if out[i] is None]
-    if not keep:
+            out[live[j]] = SolverError(f"Riccati residual {residual:.3e} exceeds tolerance "
+                                       f"{bound:.3e} (ill-conditioned invariant subspace)")
+    live, A, Nf, P, residuals = _standing(out, live, A, Nf, P, residuals)
+    if not live:
         return out
-    if len(keep) < len(live):
-        A, Nf, P, live = A[keep], Nf[keep], P[keep], [live[j] for j in keep]
-        residuals = [residuals[j] for j in keep]
     definite = (np.linalg.eigvalsh(P)[:, 0] > 0.0).tolist()
     lam, errors = _eigvals(A + Nf * P)
     for j, i in enumerate(live):
         w = lam[j]
+        if not np.count_nonzero(w.imag):  # as eigvals gives a member alone
+            w = w.real
         if not definite[j]:
             out[i] = SolverError("Riccati solution is not positive definite")
         elif j in errors:
             out[i] = errors[j]
+        elif w.real.max() >= 0.0:
+            out[i] = SolverError("closed-loop matrix Am + N*P is not stable")
         else:
-            if not np.count_nonzero(w.imag):  # as eigvals gives a member alone
-                w = w.real
-            if w.real.max() >= 0.0:
-                out[i] = SolverError("closed-loop matrix Am + N*P is not stable")
-            else:
-                out[i] = AreSolution(P=P[j], residual_norm=residuals[j],
-                                     closed_loop_spectrum=w[np.lexsort((w.imag, w.real))])
+            out[i] = AreSolution(P=P[j], residual_norm=float(residuals[j]),
+                                 closed_loop_spectrum=w[np.lexsort((w.imag, w.real))])
     return out
 
 
@@ -511,13 +513,17 @@ def solve_are(Am, N, q):
     ----------
     Am : (n, n) array_like
         Hurwitz matrix.
-    N : int
-        Non-negative count scaling the quadratic term.
+    N : float
+        Non-negative weight of the quadratic term: a number, not only a
+        neighbour count.  ``N = 0`` gives the Lyapunov equation
+        ``Am'P + P Am + q I = 0``, solved the same way.
     q : float
         Non-negative constant-term weight.
 
     Raises
     ------
+    GascertError, ValueError
+        If a weight is not a finite number (named ``N`` or ``q``), or negative.
     StabilityError
         If ``Am`` is not Hurwitz, or the crossing test finds an
         imaginary-axis eigenvalue (distance condition violated: no
@@ -535,12 +541,13 @@ def solve_are(Am, N, q):
 def _gains(A, M, owner, ws):
     """Gain ``sigma_max(M (jwI - A[owner[i]])^{-1})`` at each ``w = ws[i]``, and
     ``sigma_min(A[owner[i]] - jwI)``, the reciprocal of the gain, when
-    ``M = None`` stands for I (else None)."""
+    ``M = None`` stands for I (else the gains again)."""
     if M is None:
         smin = _smin_shifted(A, owner, ws)
         return 1.0 / smin, smin
     Z = 1j * ws[:, None, None] * np.eye(A.shape[-1]) - A[owner]
-    return np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0], None
+    gains = np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0]
+    return gains, gains
 
 
 def _segment_argmax(owner, values):
@@ -580,8 +587,9 @@ def _peak_gains(recs, M, rtol, dtols):
     relative of ``g`` and its reciprocal within ``dtol`` of ``1 / g``.
 
     Every step is one stacked call for the members still iterating; each
-    member meets the same frequencies in the same order as alone.  Returns,
-    per record, ``(g, w, s)`` with ``g`` the gain attained at ``w`` and
+    member meets the same frequencies in the same order as alone, and the
+    members are kept by the module's rule.  Returns, per record,
+    ``(g, w, s)`` with ``g`` the gain attained at ``w`` and
     ``s = sigma_min(A - jwI)`` (None for a given ``M``), or the error that
     stopped its iteration.
     """
@@ -594,32 +602,25 @@ def _peak_gains(recs, M, rtol, dtols):
         (np.zeros((len(recs), 1)), np.abs(lam), np.abs(lam.imag)), axis=1))
     gains, smin = _gains(A, M, owner, ws)
     _, at = _segment_argmax(owner, gains)
-    # the members still iterating: record, matrices, tolerance, and the
-    # estimate g attained at w, with s = sigma_min there (g again for a given M)
-    live = [np.arange(len(recs)), A, Ab, BB, CC, np.asarray(dtols), gains[at], ws[at],
-            gains[at] if smin is None else smin[at]]
-    out = [None] * len(recs)
-
-    def retire(done, errors):  # record the members done; True if none is left
-        nonlocal live
-        ids, g, w, s = live[0], *live[6:]
-        for p in done.nonzero()[0].tolist():
-            out[ids[p]] = errors.get(p) or (float(g[p]), float(w[p]),
-                                             None if M is not None else float(s[p]))
-        if np.count_nonzero(done) == len(done):
-            return True
-        live = [x[~done] for x in live]
-        return False
-
-    for _ in range(_MAX_LEVELS):
-        stop = live[5] * live[6] >= 1.0
-        if np.count_nonzero(stop) and retire(stop, {}):
-            return out
-        ids, A, Ab, BB, CC, dtol, g, w, s = live
+    # each member's estimate g, attained at w, with s = sigma_min there
+    g, w, s, dtol = gains[at], ws[at], smin[at], np.asarray(dtols)
+    out, live = [None] * len(recs), list(range(len(recs)))
+    done, errors = np.zeros(len(recs), dtype=bool), {}
+    for levels in range(_MAX_LEVELS + 1):
+        if levels < _MAX_LEVELS:  # 1 / g within dtol of 0: no finite level above g
+            done |= dtol * g >= 1.0
+        if np.count_nonzero(done):
+            for p in np.flatnonzero(done).tolist():
+                out[live[p]] = errors.get(p) or (float(g[p]), float(w[p]),
+                                                 None if M is not None else float(s[p]))
+            live, A, Ab, BB, CC, dtol, g, w, s = _standing(out, live, A, Ab, BB, CC, dtol,
+                                                           g, w, s)
+        if not live or levels == _MAX_LEVELS:
+            break
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
         scale = level[:, None, None]
         pos, cand, errors = _axis_frequencies(_hamiltonian(Ab, BB / scale, CC / scale))
-        done = np.ones(len(ids), dtype=bool)  # without a candidate the level is not reached
+        done = np.ones(len(live), dtype=bool)  # without a candidate the level is not reached
         if pos.size:
             gains, smin = _gains(A, M, pos, cand)
             cross = gains >= (1.0 - _LEVEL_SLACK) * level[pos]
@@ -629,19 +630,14 @@ def _peak_gains(recs, M, rtol, dtols):
                 mpos, mids = cpos[1:][pair], 0.5 * (cw[:-1] + cw[1:])[pair]
                 mg, ms = _gains(A, M, mpos, mids)
                 pos, cand = np.concatenate((pos, mpos)), np.concatenate((cand, mids))
-                gains = np.concatenate((gains, mg))
-                smin = None if M is not None else np.concatenate((smin, ms))
+                gains, smin = np.concatenate((gains, mg)), np.concatenate((smin, ms))
             members, at = _segment_argmax(pos, gains)
             up = gains[at] > g[members]
             if np.count_nonzero(up):
                 m, a = members[up], at[up]
-                g[m], w[m] = gains[a], cand[a]
-                if M is None:
-                    s[m] = smin[a]
+                g[m], w[m], s[m] = gains[a], cand[a], smin[a]
             done[members] = g[members] <= level[members]
-        if np.count_nonzero(done) and retire(done, errors):
-            return out
-    for i in live[0].tolist():
+    for i in live:
         out[i] = SolverError(f"level-set iteration did not converge in {_MAX_LEVELS} levels")
     return out
 

@@ -6,10 +6,12 @@ by a level-set Hamiltonian iteration, and the margin of the distance
 condition ``gamma > sqrt(N * Xi2)`` is formed once.  When it is positive
 a slack is picked and the Riccati equation solved; the Riccati solve
 confirms the same condition through the crossing test of
-``numerics.is_hyperbolic``.  The subsystems of one size are certified
-together, one stacked kernel call per step, with the numbers each gets
-alone.  The network is certified when every subsystem passes; failures
-are collected, never raised mid-run.
+``numerics.is_hyperbolic``.  For a decoupled subsystem (N = 0) that
+equation is the Lyapunov equation ``A'P + PA + eps I = 0``, solved the
+same way: there is no Lyapunov branch.  The subsystems of one size are
+certified together, one stacked kernel call per step, with the numbers
+each gets alone.  The network is certified when every subsystem passes;
+failures are collected, never raised mid-run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .exceptions import GascertError, StabilityError
 from .model import NetworkModel
-from .numerics import _distances, _solve_ares, solve_lyapunov
+from .numerics import AreSolution, _distances, _solve_ares, numeric_scalar
 
 __all__ = [
     "GasCertificate",
@@ -55,14 +57,18 @@ def epsilon_margin(distance, n_neighbors, coupling_energy):
     distance ``gamma``, which keeps the augmented Hamiltonian hyperbolic
     whenever the margin is positive (then ``N (Xi2 + eps) < gamma^2``).  A
     decoupled subsystem (N = 0) has no gap to split; the convention there
-    is ``eps = gamma^2 / 2``.
+    is ``eps = gamma^2 / 2``.  ``N`` is a non-negative number, not only a count.
 
     Raises
     ------
+    ValueError
+        If ``N`` is negative.
     StabilityError
         If the margin is not positive (no admissible slack exists).
     """
-    N = int(n_neighbors)
+    N = numeric_scalar(n_neighbors, "N")
+    if N < 0.0:
+        raise ValueError("N must be a non-negative count")
     if N == 0:
         return 0.5 * distance * distance
     if distance - np.sqrt(N * coupling_energy) <= 0.0:
@@ -120,12 +126,11 @@ def certify(net: NetworkModel) -> GasCertificate:
     accuracy ``1e-12 * max(1, ||A_m||_2)``, so it scales with the matrix),
     margin, and on a positive margin the slack pick and the Riccati solve.
     The norms, distances and Riccati solves of the subsystems of one size
-    run as stacks (``numerics._distances``, ``numerics._solve_ares``); a
-    decoupled subsystem solves its Lyapunov equation alone.  Failures are
-    recorded per subsystem; the run never aborts early.  An error that is
-    not a verdict (one of the distance, or one of the Riccati solve that
-    is not a ``GascertError``) is raised for the first such subsystem in
-    id order.
+    run as stacks (``numerics._distances``, ``numerics._solve_ares``), a
+    decoupled subsystem's Riccati solve too.  Failures are recorded per
+    subsystem; the run never aborts early.  An error that is not a verdict
+    (one of the distance, or one of the Riccati solve that is not a
+    ``GascertError``) is raised for the first such subsystem in id order.
     """
     ids = sorted(net.ids)
     N = {sid: net.neighbor_count(sid) for sid in ids}
@@ -144,35 +149,25 @@ def certify(net: NetworkModel) -> GasCertificate:
                 margin[sid] = gamma[sid] - np.sqrt(N[sid] * xi2[sid])
                 if margin[sid] > 0.0:
                     eps[sid] = epsilon_margin(gamma[sid], N[sid], xi2[sid])
-        coupled = [sid for sid in group if N[sid] and sid in eps]
-        if coupled:  # a margin <= 0 never enters the Riccati stack
-            solved.update(zip(coupled, _solve_ares([net.checked[sid] for sid in coupled],
-                                                   [N[sid] for sid in coupled],
-                                                   [xi2[sid] + eps[sid] for sid in coupled])))
+        stack = [sid for sid in group if sid in eps]  # a margin <= 0 never enters it
+        if stack:
+            solved.update(zip(stack, _solve_ares([net.checked[sid] for sid in stack],
+                                                 [N[sid] for sid in stack],
+                                                 [xi2[sid] + eps[sid] for sid in stack])))
     records = []
     for sid in ids:
         if isinstance(gamma[sid], Exception):
             raise gamma[sid]
-        A_m = net.desired[sid]
         record = partial(SubsystemCertificate, sid=sid, n_neighbors=N[sid],
                          coupling_energy=xi2[sid], distance=gamma[sid], margin=margin[sid])
-        if margin[sid] <= 0.0:
-            records.append(record(epsilon=None, P=None, are_residual=None, ok=False,
-                                  reason="margin is not positive"))
-            continue
-        try:
-            if N[sid] == 0:
-                P = solve_lyapunov(net.checked[sid], eps[sid] * np.eye(A_m.shape[0]))
-                residual = float(np.linalg.norm(
-                    A_m.T @ P + P @ A_m + eps[sid] * np.eye(A_m.shape[0])))
-            elif isinstance(solved[sid], Exception):
-                raise solved[sid]
-            else:
-                P, residual = solved[sid].P, solved[sid].residual_norm
-        except GascertError as exc:
-            records.append(record(epsilon=eps[sid], P=None, are_residual=None, ok=False,
-                                  reason=str(exc)))
-            continue
-        records.append(record(epsilon=eps[sid], P=P, are_residual=residual, ok=True))
+        sol = solved.get(sid)
+        if isinstance(sol, AreSolution):
+            records.append(record(epsilon=eps[sid], P=sol.P, are_residual=sol.residual_norm,
+                                  ok=True))
+        elif sol is None or isinstance(sol, GascertError):
+            records.append(record(epsilon=eps.get(sid), P=None, are_residual=None, ok=False,
+                                  reason="margin is not positive" if sol is None else str(sol)))
+        else:
+            raise sol
     return GasCertificate(subsystems=records,
                           certified=bool(all(c.ok for c in records)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,21 @@ class TestNumericScalar:
         with pytest.raises(DimensionError, match=f"^X: expected a number, got ndim={ndim}$"):
             numeric_scalar(value, "X")
 
+    @pytest.mark.parametrize("value", [
+        0, -0.0, 5e-324, 2 ** 53 + 1, 2 ** 63, -(2 ** 64) - 12345, 2 ** 1023,
+        1.7976931348623157e308, 2 ** 1024 - 1, -(10 ** 400), np.inf, -np.inf, np.nan, True,
+    ])
+    def test_plain_numbers_read_as_the_array_reader_reads_them(self, value):
+        # ints and floats are read without an array; the outcome is the array reader's
+        def outcome(read):
+            try:
+                return np.float64(read()).tobytes()
+            except GascertError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: numeric_scalar(value, "X")) == outcome(
+            lambda: float(numeric_array(value, "X")))
+
     def test_read_by_numeric_array(self):
         with pytest.raises(NonFiniteError, match=r"^X: non-finite entries$"):
             numeric_scalar(np.nan, "X")
@@ -346,6 +363,41 @@ class TestHamiltonian:
         assert np.array_equal(H[:2, 2:], 2.0 * np.eye(2))
         assert np.array_equal(H[2:, :2], -3.0 * np.eye(2))
         assert np.array_equal(H[2:, 2:], np.diag([1.0, 2.0]))
+
+
+class TestWeights:
+    """``hamiltonian``, ``is_hyperbolic`` and ``solve_are`` read both weights
+    with the one number reader, named ``N`` and ``q``."""
+
+    @pytest.mark.parametrize("kernel", [hamiltonian, is_hyperbolic, solve_are])
+    @pytest.mark.parametrize("weight", ["N", "q"])
+    @pytest.mark.parametrize("value, error, message", [
+        (np.nan, NonFiniteError, "non-finite entries"),
+        (np.inf, NonFiniteError, "non-finite entries"),
+        ("1.0", GascertError, "not a numeric array"),
+        (True, GascertError, "not a numeric array"),
+    ])
+    def test_bad_weight_is_named(self, kernel, weight, value, error, message):
+        weights = {"N": 1, "q": 1.0, weight: value}
+        with pytest.raises(error, match=f"^{weight}: {message}$"):
+            kernel([[-2.0]], weights["N"], weights["q"])
+
+    @pytest.mark.parametrize("kernel", [hamiltonian, is_hyperbolic, solve_are])
+    def test_negative_weight_texts(self, kernel):
+        with pytest.raises(ValueError, match="^N must be a non-negative count$"):
+            kernel([[-2.0]], -1, 1.0)
+        with pytest.raises(ValueError, match="^q must be non-negative$"):
+            kernel([[-2.0]], 1, -1.0)
+
+    def test_real_weight_n(self):
+        # N is a weight: 2.5 is not read as 2
+        eye = np.eye(2)
+        Am = np.diag([-3.0, -4.0])
+        assert_same_bits(hamiltonian(Am, 2.5, 0.5),
+                         np.block([[Am, 2.5 * eye], [-0.5 * eye, -Am.T]]))
+        sol = solve_are([[-3.0]], 2.5, 0.5)
+        # 2.5 p^2 - 6 p + 0.5 = 0, stabilizing root (6 - sqrt(31)) / 5
+        assert sol.P[0, 0] == pytest.approx((6.0 - np.sqrt(31.0)) / 5.0, abs=1e-12)
 
 
 class TestHyperbolic:
@@ -607,6 +659,99 @@ class TestStackedKernels:
         assert isinstance(got[2], SolverError) and str(got[2]) == "forced"
         assert [got[i] for i in (0, 1, 3)] == [alone[i] for i in (0, 1, 3)]
 
+    @staticmethod
+    def assert_alone(got, want):
+        # a member's outcome in the stack is its outcome alone: the same
+        # error and message, or the same numbers to the bit
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        elif isinstance(want, numerics.AreSolution):
+            assert type(got) is numerics.AreSolution
+            for x, y in ((got.P, want.P), (got.closed_loop_spectrum, want.closed_loop_spectrum),
+                         (np.float64(got.residual_norm), np.float64(want.residual_norm))):
+                assert_same_bits(x, y)
+        else:  # a peak (g, w, s), with s None for a given output matrix
+            assert [x if x is None else np.float64(x).tobytes() for x in got] == [
+                x if x is None else np.float64(x).tobytes() for x in want]
+
+    @pytest.mark.parametrize("exit_, message", [
+        ("singular", r"^invariant-subspace basis is singular: Singular matrix$"),
+        ("residual", r"^Riccati residual \S+ exceeds tolerance \S+ "
+                     r"\(ill-conditioned invariant subspace\)$"),
+        ("indefinite", r"^Riccati solution is not positive definite$"),
+        ("unstable", r"^closed-loop matrix Am \+ N\*P is not stable$"),
+    ])
+    def test_riccati_exit_stays_with_its_member(self, monkeypatch, exit_, message):
+        # one member of a stack of four 3x3 records is forced to an exit of
+        # the Riccati solve; it gets the message it gets alone, and the
+        # others their numbers alone
+        rng = np.random.default_rng(71)
+        n = 3
+        recs = [Checked(random_hurwitz(rng, n), square=True) for _ in range(4)]
+        N = [1, 2, 1, 3]
+        q = [0.5 * distance_to_instability(r, 1e-12) ** 2 / k for r, k in zip(recs, N)]
+        victim = 1
+        P = solve_are(recs[victim], N[victim], q[victim]).P
+        schur, eigvalsh = numerics.sla.schur, np.linalg.eigvalsh
+
+        def forced_schur(H, **kw):
+            if not np.array_equal(H[:n, :n], recs[victim].A):
+                return schur(H, **kw)
+            if exit_ == "unstable":  # the anti-stabilizing P: definite, unstable closed loop
+                return schur(H, output="real", sort="rhp")
+            T, Z, sdim = schur(H, **kw)
+            Z = Z.copy()
+            if exit_ == "singular":
+                Z[:n, :n] = 0.0
+            elif exit_ == "residual":
+                Z[n:, :n] += 1e-3
+            return T, Z, sdim
+
+        def forced_eigvalsh(a, *args, **kw):
+            w = eigvalsh(a, *args, **kw)
+            if exit_ == "indefinite":
+                w[[np.array_equal(p, P) for p in a]] *= -1.0
+            return w
+
+        monkeypatch.setattr(numerics.sla, "schur", forced_schur)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forced_eigvalsh)
+        stack = numerics._solve_ares(recs, N, q)
+        alone = [numerics._solve_ares([r], [k], [qi])[0] for r, k, qi in zip(recs, N, q)]
+        assert [isinstance(o, Exception) for o in stack] == [False, True, False, False]
+        assert isinstance(stack[victim], SolverError)
+        assert re.match(message, str(stack[victim]))
+        for got, want in zip(stack, alone):
+            self.assert_alone(got, want)
+
+    def test_bad_weight_stays_with_its_member(self):
+        # a weight the number reader refuses is that member's outcome
+        rng = np.random.default_rng(72)
+        recs = [Checked(random_hurwitz(rng, 2), square=True) for _ in range(4)]
+        N, q = [1, "2", 1, 2.5], [0.1, 0.1, np.inf, 0.1]
+        stack = numerics._solve_ares(recs, N, q)
+        assert type(stack[1]) is GascertError and str(stack[1]) == "N: not a numeric array"
+        assert type(stack[2]) is NonFiniteError and str(stack[2]) == "q: non-finite entries"
+        for k in (0, 3):
+            assert type(stack[k]) is numerics.AreSolution
+            self.assert_alone(stack[k], solve_are(recs[k], N[k], q[k]))
+
+    @pytest.mark.parametrize("output", ["identity", "given"])
+    def test_unconverged_member_keeps_its_message(self, monkeypatch, output):
+        # with two levels allowed, the first of five members is not done;
+        # the others converge, each to its numbers alone
+        rng = np.random.default_rng(76)
+        recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(5)]
+        M, rtol, dtols = None, numerics._DIST_RTOL, [1e-12] * len(recs)
+        if output == "given":
+            M, rtol, dtols = rng.normal(size=(2, 3)), numerics._HINF_RTOL, [0.0] * len(recs)
+        monkeypatch.setattr(numerics, "_MAX_LEVELS", 2)
+        stack = numerics._peak_gains(recs, M, rtol, dtols)
+        alone = [numerics._peak_gains([r], M, rtol, [t])[0] for r, t in zip(recs, dtols)]
+        assert [isinstance(o, Exception) for o in stack] == [True, False, False, False, False]
+        assert isinstance(stack[0], SolverError)
+        assert str(stack[0]) == "level-set iteration did not converge in 2 levels"
+        for got, want in zip(stack, alone):
+            self.assert_alone(got, want)
 
 class TestHyperbolicityDistanceEquivalence:
     def test_random_agreement(self):

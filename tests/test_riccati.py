@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_hurwitz
+from conftest import CONFIG_DIR, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     GasCertificate,
@@ -23,6 +23,7 @@ from gascert import (
     solve_lyapunov,
     spectral_norm,
 )
+from gascert.config import load_config
 
 
 def scalar_sub(sid, a=-2.0):
@@ -107,6 +108,26 @@ class TestEpsilonMargin:
         with pytest.raises(StabilityError):
             epsilon_margin(distance_to_instability([[-2.0]]), 1, 9.0)
 
+    def test_real_neighbour_weight(self):
+        # N is read as a number, not truncated to an integer
+        assert epsilon_margin(2.0, 2.5, 0.1) == pytest.approx(0.75, abs=1e-15)
+        assert epsilon_margin(2.0, 2.5, 0.1) == 0.5 * (4.0 / 2.5 - 0.1)
+
+    def test_integer_neighbour_count_keeps_its_bits(self):
+        for N in (1, 2, 3, 7):
+            assert epsilon_margin(2.3, N, 0.01) == 0.5 * (2.3 * 2.3 / N - 0.01)
+        assert epsilon_margin(2.3, np.int64(3), 0.01) == 0.5 * (2.3 * 2.3 / 3 - 0.01)
+
+    @pytest.mark.parametrize("N", [-1, -0.5])
+    def test_negative_neighbour_weight_rejected(self, N):
+        with pytest.raises(ValueError, match="^N must be a non-negative count$"):
+            epsilon_margin(2.0, N, 0.1)
+
+    @pytest.mark.parametrize("N", [np.nan, "1", True])
+    def test_bad_neighbour_weight_is_named(self, N):
+        with pytest.raises(GascertError, match="^N: "):
+            epsilon_margin(2.0, N, 0.1)
+
     def test_keeps_hyperbolicity(self):
         from gascert import is_hyperbolic
 
@@ -144,6 +165,25 @@ class TestCertify:
         # eps = gamma^2/2 = 2 for a = -2; then -4p + 2 = 0
         assert c.epsilon == pytest.approx(2.0, abs=1e-8)
         assert c.P[0, 0] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
+                                      "unstable_pair"])
+    def test_decoupled_record_is_the_riccati_solve(self, name):
+        # with its edges dropped, every subsystem of a demo is decoupled: its
+        # record is solve_are(A_m, 0, eps), within 1e-8 relative of the
+        # Lyapunov solution of A_m'P + P A_m + eps I = 0
+        net = load_config(CONFIG_DIR / f"{name}.json")[0]
+        alone = NetworkModel(subsystems=net.subsystems, edges=[], desired=net.checked,
+                             tuning=net.tuning)
+        for c in certify(alone).subsystems:
+            rec = net.checked[c.sid]
+            eye = np.eye(rec.A.shape[0])
+            assert c.n_neighbors == 0 and c.epsilon == epsilon_margin(c.distance, 0, 0.0)
+            sol = solve_are(rec, 0, c.epsilon)
+            assert c.ok and (bits(c.P), bits(c.are_residual)) == (
+                bits(sol.P), bits(sol.residual_norm))
+            P = solve_lyapunov(rec, c.epsilon * eye)
+            assert np.linalg.norm(c.P - P) <= 1e-8 * np.linalg.norm(P)
 
     def test_failing_subsystem_reported(self):
         net = scalar_net({("s2", "s1"): 9.0, ("s1", "s2"): 0.5})
@@ -306,14 +346,9 @@ class TestStackedCertify:
             else:
                 eps = epsilon_margin(gamma, N, xi2)
                 try:
-                    if N == 0:
-                        P = solve_lyapunov(rec, eps * np.eye(rec.A.shape[0]))
-                        residual = float(np.linalg.norm(rec.A.T @ P + P @ rec.A
-                                                        + eps * np.eye(rec.A.shape[0])))
-                    else:
-                        sol = solve_are(rec, N, xi2 + eps)
-                        P, residual = sol.P, sol.residual_norm
-                    want = (bits(eps), bits(P), bits(residual), True, None)
+                    # a decoupled subsystem (N = 0, Xi2 = 0) is solve_are(rec, 0, eps)
+                    sol = solve_are(rec, N, xi2 + eps)
+                    want = (bits(eps), bits(sol.P), bits(sol.residual_norm), True, None)
                 except GascertError as exc:
                     want = (bits(eps), None, None, False, str(exc))
             got = (bits(c.epsilon), bits(c.P), bits(c.are_residual), c.ok, c.reason)
@@ -321,16 +356,23 @@ class TestStackedCertify:
 
     def test_verdicts_of_both_kinds_are_covered(self):
         # the seeds above hold, for every size, coupled subsystems that pass
-        # (through the Riccati stack) and coupled ones that fail
-        seen = {}
+        # (through the Riccati stack) and coupled ones that fail, and a
+        # decoupled subsystem (N = 0) in one Riccati stack with coupled ones
+        seen, shared = {}, set()
         for seed in range(6):
             rng = np.random.default_rng(seed)
             net = mixed_net(rng, (1, 2, 3, 5, 8), 3, coupling=10.0 ** rng.uniform(-1.5, 0.5),
                             spread=(0.0, 1.0, 2.0)[seed % 3])
+            stacks = {}
             for c in certify(net).subsystems:
+                n = net.desired[c.sid].shape[0]
                 if c.n_neighbors:
-                    seen.setdefault(net.desired[c.sid].shape[0], set()).add(c.ok)
+                    seen.setdefault(n, set()).add(c.ok)
+                if c.margin > 0.0:  # the members of the Riccati stack of size n
+                    stacks.setdefault(n, set()).add(c.n_neighbors == 0)
+            shared.update(n for n, kinds in stacks.items() if kinds == {True, False})
         assert seen == {n: {True, False} for n in (1, 2, 3, 5, 8)}
+        assert shared == {1, 2, 3, 5, 8}
 
     def test_failing_members_leave_the_others_alone(self, monkeypatch):
         # one stack of six 3x3 subsystems: one fails its margin, one has its
