@@ -9,10 +9,10 @@ Subcommands::
 
 Exit codes: 0 pass/certified/finite, 1 usage or input/solver error,
 2 condition failed, 3 divergence.  Every error, a usage error included,
-is one ``error:`` line on stderr.  No subcommand takes a tolerance: the
-solver bounds are fixed and stated in ``numerics``.  Reports go to stdout
-as deterministic JSON (sorted keys, 17-digit floats); nothing here uses
-randomness.
+is one ``error:`` line on stderr, and no warning is written.  No
+subcommand takes a tolerance: the solver bounds are fixed and stated in
+``numerics``.  Reports go to stdout as deterministic JSON (sorted keys,
+17-digit floats); nothing here uses randomness.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -159,8 +160,10 @@ def main(argv=None):
         # --help and --version still print and exit with 0
         args = build_parser().parse_args(argv)
         # an overflow shows as a non-finite value, which ends in the error
-        # line below; numpy's floating-point warnings would only add lines
-        with np.errstate(all="ignore"):
+        # line below; numpy's floating-point warnings and the solvers'
+        # Python warnings would only add lines
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             return args.fn(args)
     except (GascertError, OSError) as exc:
         # one line, whatever line breaks the ids or paths in the message hold

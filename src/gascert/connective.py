@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .model import NetworkModel
-from .numerics import as_matrix, eigenvalues, hinf_gain, numeric_array
+from .numerics import as_matrix, eigenvalues, hinf_gain, numeric_array, numeric_scalar
 
 __all__ = [
     "ConnectiveReport",
@@ -34,9 +34,10 @@ __all__ = [
 
 def theta_max_bound(theta_l1_bound):
     """Estimate bound ``4 * b**2`` from a 1-norm bound on the uncertainty."""
-    if theta_l1_bound < 0.0:
+    b = numeric_scalar(theta_l1_bound, "theta_l1_bound")
+    if b < 0.0:
         raise ValueError("the 1-norm bound must be non-negative")
-    return 4.0 * float(theta_l1_bound) ** 2
+    return 4.0 * b ** 2
 
 
 def _lam_extremes(S):
@@ -81,7 +82,7 @@ def _comparison_matrix(net, lam_P, lmin_Q):
         for e in net.in_edges(sid):
             lmin_Pj = lam_P[e.src][0]
             M[index[sid], index[e.src]] += (
-                lmax_P / np.sqrt(lmin_P * lmin_Pj) * e.gain()
+                lmax_P / (np.sqrt(lmin_P) * np.sqrt(lmin_Pj)) * e.gain()
             )
     return M
 
@@ -111,7 +112,7 @@ def _adaptation_offsets(net, lam_P, lmin_Q):
         for e in net.out_edges(sid):
             gamma_j = net.tuning[e.dst].gamma
             lmin_Pj = lam_P[e.dst][0]
-            term -= lmax_P * e.gain() / (gamma_j * np.sqrt(lmin_P * lmin_Pj))
+            term -= lmax_P * e.gain() / (gamma_j * np.sqrt(lmin_P) * np.sqrt(lmin_Pj))
         out[k] = tmax * term
     return out
 
@@ -151,6 +152,9 @@ def homogeneous_condition(lmin_Q, lmax_P, lmin_P, n_neighbors, gain):
 
     ``lam_min(Q) / (2 lam_max(P)) > (lam_max(P)/lam_min(P)) * N * ||A_ij||``
     """
+    lmin_Q, lmax_P, lmin_P, n_neighbors, gain = map(
+        numeric_scalar, (lmin_Q, lmax_P, lmin_P, n_neighbors, gain),
+        ("lmin_Q", "lmax_P", "lmin_P", "n_neighbors", "gain"))
     if min(lmin_Q, lmax_P, lmin_P) <= 0.0:
         raise ValueError("eigenvalue inputs must be positive")
     if n_neighbors < 0 or gain < 0.0:
@@ -169,6 +173,8 @@ def transient_bound(P, Q, theta_max, gamma, v0, t):
     ``t`` may be a scalar or an array.  A negative radicand (possible only
     for inconsistent inputs) raises, since the bound would be complex.
     """
+    theta_max, gamma, v0 = map(numeric_scalar, (theta_max, gamma, v0),
+                               ("theta_max", "gamma", "v0"))
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     lmin_P, lmax_P = _lam_extremes(numeric_array(P, "P"))
@@ -222,22 +228,16 @@ def small_gain_check(net: NetworkModel):
     ``hinf_product`` is < 1.
     """
     edges = {(e.src, e.dst): e for e in net.edges}
-    ids = sorted(net.ids)
     results = []
-    for a, i in enumerate(ids):
-        for j in ids[a + 1:]:
-            fwd, back = edges.get((j, i)), edges.get((i, j))
-            if fwd is None and back is None:
-                continue
-            h1, r1 = _path_gain(net, fwd)
-            h2, r2 = _path_gain(net, back)
-            results.append(SmallGainResult(pair=(i, j), hinf_product=h1 * h2,
-                                           raw_gain_product=r1 * r2,
-                                           passed=bool(h1 * h2 < 1.0)))
+    for i, j in sorted({tuple(sorted(pair)) for pair in edges}):
+        h1, r1 = _path_gain(net, edges.get((j, i)))
+        h2, r2 = _path_gain(net, edges.get((i, j)))
+        results.append(SmallGainResult(pair=(i, j), hinf_product=h1 * h2,
+                                       raw_gain_product=r1 * r2, passed=bool(h1 * h2 < 1.0)))
     return results
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectiveReport:
     """Everything the aggregate test produced, per subsystem and global."""
 

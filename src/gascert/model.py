@@ -13,7 +13,8 @@ so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
 reference rows (the baseline loop is assumed to reject the physical
 disturbance).  ``AugmentedSubsystem.from_raw`` is the one subsystem
 constructor: it reads each raw block once and makes the blocks it builds
-read-only.  Values are immutable after construction.  An edge has a
+read-only.  Values are immutable after construction and, holding arrays,
+compare by identity.  An edge joins two distinct subsystems and has a
 coupling matrix or a declared bound on its norm, never both.  A network
 eigen-solves each desired record once (a record shared by subsystems
 once for all), takes its edge gains from one SVD per block shape, and
@@ -65,7 +66,7 @@ def check_controllability(A, B):
     return bool(np.all(smin > 1e-10 * max(spectral_norm(A), spectral_norm(B))))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class AugmentedSubsystem:
     """Integral-augmented subsystem blocks, built only by ``from_raw``.
 
@@ -166,9 +167,10 @@ def augment_edge(A_ij, q_to, q_from):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interconnection:
-    """Directed coupling edge: the state of ``src`` enters subsystem ``dst``.
+    """Directed coupling edge: the state of ``src`` enters subsystem ``dst``,
+    another subsystem.
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
     dim_src, stored as ``checked.A``), or ``norm_bound``, a declared
@@ -180,11 +182,13 @@ class Interconnection:
     dst: str
     A: np.ndarray | None = None
     norm_bound: float | None = None
-    checked: Checked | None = field(default=None, init=False, repr=False, compare=False)
-    _gain: float | None = field(default=None, init=False, repr=False, compare=False)
+    checked: Checked | None = field(default=None, init=False, repr=False)
+    _gain: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         name = f"edge {self.src}->{self.dst}"
+        if self.src == self.dst:
+            raise ValueError(f"{name}: a subsystem cannot be coupled to itself")
         if (self.A is None) == (self.norm_bound is None):
             raise ValueError(f"{name}: give a coupling matrix A or a norm_bound, not "
                              + ("both" if self.A is not None else "neither"))
@@ -207,7 +211,7 @@ class Interconnection:
         return self._gain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tuning:
     """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
     as ``checked.A``.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
@@ -216,7 +220,7 @@ class Tuning:
     gamma: float
     theta_max: float
     eps0: float
-    checked: Checked = field(default=None, init=False, repr=False, compare=False)
+    checked: Checked = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
@@ -234,7 +238,7 @@ class Tuning:
             raise ValueError("eps0 must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Subsystems, coupling edges, desired dynamics, and tuning.
 
@@ -256,8 +260,8 @@ class NetworkModel:
     desired: Mapping
     tuning: Mapping
     baseline: Mapping = field(default_factory=dict)
-    index: dict = field(init=False, repr=False, compare=False)
-    checked: Mapping = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False)
+    checked: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))

@@ -13,8 +13,10 @@ and matrices derived inside the kernels are read and checked by
 
 The crossing test, the level-set iteration and the Riccati solve each run
 on a stack of records of one size, one LAPACK call per step for the whole
-stack; every member's numbers are those it gets alone, and a member's
-error is its own.  The public kernels are stacks of one.  The stacked
+stack, except the Riccati Schur factorisation and the solve of the basis
+it yields, which run per member; every member's numbers are those it gets
+alone, and a member's error is its own.  The public kernels are stacks of
+one, each finished by ``_alone``.  The stacked
 kernels keep their members by one rule: the stacks hold only the members
 still standing, and one ``live`` list holds their record ids; a step that
 decides a member's outcome writes it to ``out`` once; and the stacks are
@@ -186,7 +188,8 @@ def solve_lyapunov(A, Q):
     """Solve the continuous Lyapunov equation ``A'P + PA + Q = 0``.
 
     Accepted when the Frobenius residual is at most
-    ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``.
+    ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``, with P and Q scaled by one power
+    of two so that no norm overflows.
 
     Parameters
     ----------
@@ -223,12 +226,14 @@ def solve_lyapunov(A, Q):
         )
     P = sla.solve_continuous_lyapunov(A.T, -Q)
     P = 0.5 * (P + P.T)
-    scale = np.linalg.norm(A) * np.linalg.norm(P) + np.linalg.norm(Q)
-    residual = np.linalg.norm(A.T @ P + P @ A + Q)
-    if residual > 1e-10 * scale:
-        raise SolverError(
-            f"Lyapunov residual {residual:.3e} exceeds 1e-10 * scale ({1e-10 * scale:.3e})"
-        )
+    # the test on P and Q scaled by one power of two, which is exact: no norm overflows
+    k = -int(np.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1])
+    Ps, Qs = np.ldexp(P, k), np.ldexp(Q, k)
+    scale = np.linalg.norm(A) * np.linalg.norm(Ps) + np.linalg.norm(Qs)
+    residual = np.linalg.norm(A.T @ Ps + Ps @ A + Qs)
+    if not residual <= 1e-10 * scale:
+        raise SolverError(f"Lyapunov residual {np.ldexp(residual, -k):.3e} exceeds "
+                          f"1e-10 * scale ({np.ldexp(1e-10 * scale, -k):.3e})")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise SolverError("Lyapunov solution is not positive definite")
     return P
@@ -378,13 +383,11 @@ def is_hyperbolic(Am, N, q):
     """
     A = as_matrix(Am, "Am", square=True)
     N, q = _check_weights(N, q)
-    crossed = _crossings(A[None], hamiltonian(A, N, q)[None], np.array([math.sqrt(N * q)]))[0]
-    if isinstance(crossed, Exception):
-        raise crossed
-    return not crossed
+    return not _alone(_crossings(A[None], hamiltonian(A, N, q)[None],
+                                 np.array([math.sqrt(N * q)])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AreSolution:
     """Stabilizing Riccati solution with its quality figures.
 
@@ -404,6 +407,14 @@ class AreSolution:
     closed_loop_spectrum: np.ndarray
 
 
+def _alone(results):
+    """The result of a stack of one, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _standing(out, live, *stacks):
     """``live`` and each stack cut to the members whose outcome ``out`` holds
     none yet; the stacks stay as given when every member, or none, is left."""
@@ -418,8 +429,10 @@ def _solve_ares(recs, N, q):
     ``q[i]``: per record an ``AreSolution`` or the error ``solve_are`` raises.
 
     Each step is one call for the members still standing, except the Schur
-    factorisation, which scipy runs per matrix; the members are kept by the
-    module's rule.
+    factorisation, which scipy runs per matrix, and the solve of the basis
+    ``[U; V]`` it yields for ``P = V U^{-1}``, run right after it: a singular
+    basis is that member's error where it arises.  The members are kept by
+    the module's rule.
     """
     out, live, weights = [None] * len(recs), [], []
     for i, rec in enumerate(recs):
@@ -437,7 +450,7 @@ def _solve_ares(recs, N, q):
     A = np.array([recs[i].A for i in live])
     Nf, qf = (np.array(w)[:, None, None] for w in zip(*weights))
     H = _hamiltonian(A, Nf * eye, qf * eye)
-    Z = np.empty_like(H)
+    P = np.empty_like(A)
     for j, crossed in enumerate(_crossings(A, H, np.sqrt(Nf * qf).ravel())):
         if isinstance(crossed, Exception):
             out[live[j]] = crossed
@@ -447,30 +460,21 @@ def _solve_ares(recs, N, q):
                 "violated and the Riccati equation has no stabilizing solution")
         else:
             try:
-                _, Z[j], sdim = sla.schur(H[j], output="real", sort="lhp")
+                _, Z, sdim = sla.schur(H[j], output="real", sort="lhp")
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = exc
                 continue
             if sdim != n:
                 out[live[j]] = SolverError(
                     f"stable invariant subspace has dimension {sdim}, expected {n}")
-    live, A, Nf, qf, Z = _standing(out, live, A, Nf, qf, Z)
-    if not live:
-        return out
-    Ut, Vt = Z[:, :n, :n].transpose(0, 2, 1), Z[:, n:, :n].transpose(0, 2, 1)
-    try:
-        P = np.linalg.solve(Ut, Vt)
-    except np.linalg.LinAlgError:  # a basis is singular: solve each alone to tell which
-        P = np.empty(Vt.shape)
-        for j, (u, v) in enumerate(zip(Ut, Vt)):
-            try:
-                P[j] = np.linalg.solve(u, v)
+                continue
+            try:  # P = V U^{-1}, solved as U' P' = V'
+                P[j] = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = SolverError(f"invariant-subspace basis is singular: {exc}")
-        live, A, Nf, qf, P = _standing(out, live, A, Nf, qf, P)
-        if not live:
-            return out
-    P = P.transpose(0, 2, 1)
+    live, A, Nf, qf, P = _standing(out, live, A, Nf, qf, P)
+    if not live:
+        return out
     P = 0.5 * (P + P.transpose(0, 2, 1))
     R = A.transpose(0, 2, 1) @ P + P @ A + Nf * P @ P + qf * eye
     residuals = np.array([np.linalg.norm(r) for r in R])
@@ -532,10 +536,7 @@ def solve_are(Am, N, q):
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
     """
-    sol = _solve_ares([_record(Am, "Am")], [N], [q])[0]
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
+    return _alone(_solve_ares([_record(Am, "Am")], [N], [q]))
 
 
 def _gains(A, M, owner, ws):
@@ -662,10 +663,7 @@ def hinf_gain(M, Am):
         raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
     if not np.any(M):
         return 0.0
-    peak = _peak_gains([rec], M, _HINF_RTOL, np.zeros(1))[0]
-    if isinstance(peak, Exception):
-        raise peak
-    return peak[0]
+    return _alone(_peak_gains([rec], M, _HINF_RTOL, np.zeros(1)))[0]
 
 
 def _distances(recs, tols):
@@ -694,7 +692,4 @@ def distance_to_instability(Am, tol=1e-9):
     rec = _record(Am, "Am")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    d = _distances([rec], [tol])[0]
-    if isinstance(d, Exception):
-        raise d
-    return d
+    return _alone(_distances([rec], [tol]))

@@ -76,7 +76,7 @@ def epsilon_margin(distance, n_neighbors, coupling_energy):
     return 0.5 * (distance * distance / N - coupling_energy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsystemCertificate:
     """Per-subsystem certification record."""
 
@@ -92,7 +92,7 @@ class SubsystemCertificate:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GasCertificate:
     """Network-wide verdict with per-subsystem records (sorted by id).
 

@@ -61,7 +61,7 @@ __all__ = [
 # trace values gathered per block of the CSV export (512 kB)
 _CSV_BLOCK = 1 << 16
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Piecewise-constant signal: value k holds on [times[k], times[k+1]).
 
@@ -99,7 +99,7 @@ class Schedule:
         return self.values[np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)]
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     """Simulation scenario: horizon, step, input schedules, the truth ``theta`` and the
     initial ``x0``, ``xhat0``, ``theta_hat0``, each a dict keyed by subsystem id, the
@@ -162,7 +162,7 @@ class Scenario:
                     raise DimensionError(f"{key}.{sid}: {fault}")
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkState:
     """Snapshot of the joint simulation state."""
 
@@ -171,7 +171,7 @@ class NetworkState:
     theta_hat: dict
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Time-indexed record of one run.
 

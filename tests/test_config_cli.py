@@ -480,6 +480,48 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == "error: config: edge b->a: repeated edge; declare each pair once\n"
 
+    def test_self_edge_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"].append({"from": "a", "to": "a", "A": [[0.1]]})
+        cfg = tmp_path / "self_edge.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["riccati"], ["connective"], ["smallgain"],
+                     ["simulate", "--out", str(tmp_path / "t.csv")]):
+            assert main([argv[0], str(cfg), *argv[1:]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: config.edges[2]: edge a->a: "
+                                    "a subsystem cannot be coupled to itself\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_overflowing_lyapunov_norms_one_line_error(self, tmp_path, capsys):
+        # the true P is about 1.7e300; scipy's 1.7e-100 passed a residual
+        # test whose norms had overflowed, and the report read pass
+        doc = json.loads(open(TOY, "rb").read())
+        doc["reference_model"] = (np.array(doc["reference_model"]) * 1e-100).tolist()
+        doc["tuning"]["Q"] = (np.array(doc["tuning"]["Q"]) * 1e200).tolist()
+        cfg = tmp_path / "lyapunov_overflow.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["connective", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Lyapunov residual ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_solver_warning_not_written(self, tmp_path):
+        # scipy warns of an eigenvalue pair summing to nearly zero before
+        # the definiteness check fails; stderr holds the error line alone
+        doc = json.loads(open(TOY, "rb").read())
+        doc["reference_model"] = (np.array(doc["reference_model"]) * 1e-300).tolist()
+        cfg = tmp_path / "tiny_reference_model.json"
+        cfg.write_text(json.dumps(doc))
+        done = subprocess.run([sys.executable, "-m", "gascert.cli", "connective", str(cfg)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1] / "src")})
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: Lyapunov solution is not positive definite\n"
+
     def test_line_breaks_in_message_stay_on_one_line(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["scenario"]["theta"]["a\nb\u2028c"] = None

@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,10 @@ from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, random_hurwitz
 from gascert import connective
 from gascert import (
     AugmentedSubsystem,
+    GascertError,
     Interconnection,
     NetworkModel,
+    NonFiniteError,
     Tuning,
     adaptation_offsets,
     analyze,
@@ -20,7 +24,7 @@ from gascert import (
     theta_max_bound,
     transient_bound,
 )
-from gascert.config import load_config
+from gascert.config import load_config, parse_config
 
 
 def scalar_sub(sid):
@@ -210,6 +214,55 @@ class TestScalingInvariance:
         assert lhs1 / rhs1 == pytest.approx(lhs2 / rhs2, rel=1e-10)
 
 
+class TestQScale:
+    # the aggregate test is invariant under Q -> cQ; the products
+    # lam_min(P_i) lam_min(P_j) overflowed or underflowed at |k| >= 160
+    @pytest.mark.parametrize("k", [-200, -170, -100, -10, 10, 100, 160, 200])
+    @pytest.mark.parametrize("name", ["toy_pair", "mesh6", "weak_pair"])
+    def test_verdict_and_aggregate_unchanged(self, name, k):
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        base = analyze(parse_config(doc)[0])
+        doc["tuning"]["Q"] = (np.array(doc["tuning"]["Q"]) * 10.0 ** k).tolist()
+        with np.errstate(all="raise"):
+            got = analyze(parse_config(doc)[0])
+        verdicts = [(r.passed, r.cond_diag, r.cond_norm, r.M_stable) for r in (got, base)]
+        assert verdicts[0] == verdicts[1]
+        np.testing.assert_allclose(got.M, base.M, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.offsets, base.offsets, rtol=1e-12, atol=0.0)
+
+
+# each scalar argument of the three formulas, and its valid value
+FORMULA_SCALARS = {
+    "theta_max_bound": (theta_max_bound, {"theta_l1_bound": 0.5}),
+    "homogeneous_condition": (homogeneous_condition, {
+        "lmin_Q": 1.0, "lmax_P": 1.0, "lmin_P": 1.0, "n_neighbors": 1, "gain": 0.1}),
+    "transient_bound": (lambda **kw: transient_bound(np.eye(2), np.eye(2), t=0.5, **kw),
+                        {"theta_max": 1.0, "gamma": 2.0, "v0": 1.0}),
+}
+
+
+class TestFormulaScalars:
+    @pytest.mark.parametrize("value,error,fault", [
+        (math.nan, NonFiniteError, "non-finite entries"),
+        (math.inf, NonFiniteError, "non-finite entries"),
+        ("1", GascertError, "not a numeric array"),
+        (True, GascertError, "not a numeric array"),
+    ], ids=["nan", "inf", "string", "bool"])
+    @pytest.mark.parametrize("formula,arg", [(f, a) for f, (_, kw) in FORMULA_SCALARS.items()
+                                             for a in kw])
+    def test_read_by_the_number_reader(self, formula, arg, value, error, fault):
+        # NaN returned False or nan, and a string raised a raw TypeError
+        fn, kwargs = FORMULA_SCALARS[formula]
+        with pytest.raises(error, match=f"^{arg}: {fault}$"):
+            fn(**{**kwargs, arg: value})
+
+    def test_range_texts_kept(self):
+        with pytest.raises(ValueError, match="^neighbour count and gain must be non-negative$"):
+            homogeneous_condition(1.0, 1.0, 1.0, -1, 0.1)
+        with pytest.raises(ValueError, match="^gamma must be positive$"):
+            transient_bound(np.eye(2), np.eye(2), 1.0, 0.0, 1.0, 0.5)
+
+
 class TestHomogeneous:
     def test_passing(self):
         assert homogeneous_condition(1.0, 2.0, 1.0, 1, 0.1)
@@ -307,6 +360,53 @@ class TestSmallGain:
         assert res[1].raw_gain_product == 2.0
         assert res[1].hinf_product == pytest.approx(2.0, rel=1e-6)
         assert [r.passed for r in res] == [True, False]
+
+
+def nested_small_gain(net):
+    """The oracle of the pair walk: every id pair i < j probed, in sorted order."""
+    edges = {(e.src, e.dst): e for e in net.edges}
+    ids = sorted(net.ids)
+    out = []
+    for a, i in enumerate(ids):
+        for j in ids[a + 1:]:
+            fwd, back = edges.get((j, i)), edges.get((i, j))
+            if fwd is not None or back is not None:
+                h1, r1 = connective._path_gain(net, fwd)
+                h2, r2 = connective._path_gain(net, back)
+                out.append(((i, j), h1 * h2, r1 * r2))
+    return out
+
+
+def graph_edges(rng, kind, n):
+    """``(src, dst, gain)`` edges of a ring, a grid mesh (both ways) or a random
+    graph with one-way edges, on ids ``s0``.. whose string order is not numeric."""
+    if kind == "ring":
+        pairs = [(k, (k + 1) % n) for k in range(n)]
+    elif kind == "mesh":
+        side = math.isqrt(n)
+        pairs = [(k, k + d) for k in range(n) for d in (1, side)
+                 if k + d < n and (d == side or (k + 1) % side)]
+    else:
+        pairs = [(k, int(j)) for k in range(n)
+                 for j in rng.choice([j for j in range(n) if j != k], 2, replace=False)]
+    both = kind != "random"
+    edges = {(f"s{a}", f"s{b}") for a, b in pairs} | {(f"s{b}", f"s{a}") for a, b in pairs if both}
+    return [(src, dst, float(rng.uniform(0.1, 2.0))) for src, dst in sorted(edges)]
+
+
+class TestSmallGainWalk:
+    @pytest.mark.parametrize("kind,n", [("ring", 12), ("mesh", 16), ("random", 12)])
+    def test_pairs_and_products_as_the_nested_loop_gives(self, kind, n):
+        rng = np.random.default_rng([41, n])
+        ids = [f"s{k}" for k in rng.permutation(n)]
+        net = path_net(*graph_edges(rng, kind, n), subsystems=ids)
+        if kind == "random":  # some pairs are coupled one way only
+            assert any((e.dst, e.src) not in {(f.src, f.dst) for f in net.edges}
+                       for e in net.edges)
+        want = nested_small_gain(net)
+        assert want
+        assert [(r.pair, r.hinf_product, r.raw_gain_product)
+                for r in small_gain_check(net)] == want
 
 
 class TestAnalyzePipeline:

@@ -22,6 +22,7 @@ from gascert import (
     certify,
     closed_loop_global,
     small_gain_check,
+    solve_are,
 )
 from gascert.config import load_config
 
@@ -410,6 +411,15 @@ class TestNetworkValidation:
                          edges=(*net.edges, Interconnection(src="s1", dst="s2", A=[[0.2]])),
                          desired=net.desired, tuning=net.tuning)
 
+    @pytest.mark.parametrize("kwargs", [{"A": [[0.1]]}, {"norm_bound": 0.1}],
+                             ids=["matrix", "bound"])
+    def test_self_edge_rejected(self, kwargs):
+        # the paper's interconnections join distinct subsystems; a self-edge
+        # was taken as a desired block, a neighbour and nothing by the three tests
+        with pytest.raises(ValueError,
+                           match="^edge a->a: a subsystem cannot be coupled to itself$"):
+            Interconnection(src="a", dst="a", **kwargs)
+
     def test_zero_edge_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             Interconnection(src="a", dst="b", A=[[0.0]])
@@ -713,3 +723,35 @@ class TestReadOnce:
         small_gain_check(net)
         assert [solves(sid) for sid in net.ids] == [0] * len(net.ids)
         assert read and not [v for v in read if any(v is a for a in checked)]
+
+
+# two calls of each give equal values in distinct objects
+VALUE_OBJECTS = {
+    "AugmentedSubsystem": lambda: AugmentedSubsystem.from_raw("a", B=[[1.0]], C=[[1.0]],
+                                                              A=[[0.0]]),
+    "Interconnection": lambda: Interconnection(src="a", dst="b", A=[[0.5]]),
+    "Tuning": lambda: toy_tuning(2),
+    "NetworkModel": lambda: two_sub_net(),
+    "AreSolution": lambda: solve_are([[-1.0]], 1.0, 0.5),
+    "SubsystemCertificate": lambda: certify(two_sub_net()).subsystems[0],
+    "GasCertificate": lambda: certify(two_sub_net()),
+    "ConnectiveReport": lambda: analyze(two_sub_net()),
+    "Schedule": lambda: sim.Schedule.constant([1.0]),
+    "Scenario": lambda: sim.Scenario(horizon=0.002, dt=0.001, x0={"s1": [0.5]}),
+    "NetworkState": lambda: sim.NetworkState(xbar={"s1": np.zeros(1)}, xhat={"s1": np.zeros(1)},
+                                             theta_hat={"s1": np.zeros((1, 1))}),
+    "SimTrace": lambda: sim.simulate(two_sub_net(), sim.Scenario(horizon=0.002, dt=0.001)),
+}
+
+
+class TestIdentityEquality:
+    """Value objects holding arrays compare and hash by identity, as ``Checked`` does."""
+
+    @pytest.mark.parametrize("make", VALUE_OBJECTS.values(), ids=VALUE_OBJECTS.keys())
+    def test_equal_values_are_distinct_objects(self, make):
+        # a generated __eq__ compared the arrays inside a tuple and raised,
+        # and a frozen one hashed them
+        x, y = make(), make()
+        assert x == x and x != y
+        assert x in [y, x] and y not in [x]
+        assert len({x, y, x}) == 2

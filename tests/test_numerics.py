@@ -107,6 +107,18 @@ class TestLyapunov:
         with pytest.raises(DimensionError):
             solve_lyapunov(-np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("A,Q", [([[-1e-100]], [[1e200]]), ([[-0.4]], [[1e308]])],
+                             ids=["P_5e299", "P_1.25e308"])
+    def test_overflowing_norms_reject_a_wrong_solution(self, A, Q):
+        # scipy answers about 5e-101 and 1.25e-308; unscaled, the residual test
+        # read inf > 1e-10 * inf and let them pass
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match="Lyapunov residual"):
+            solve_lyapunov(A, Q)
+
+    def test_huge_solution_accepted(self):
+        P = solve_lyapunov([[-1.0]], [[1e300]])
+        assert P[0, 0] == pytest.approx(5e299, rel=1e-12)
+
     def test_residual_and_definiteness_random(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
