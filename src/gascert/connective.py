@@ -41,25 +41,37 @@ def theta_max_bound(theta_l1_bound):
 
 
 def _lam_extremes(S):
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
+    w = np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)
     return float(w[0]), float(w[-1])
 
 
-def _extremes(net: NetworkModel, P: dict):
-    """``(lam_min, lam_max)`` of each ``P_i`` and ``lam_min`` of each ``Q_i``.
+def _extremes(net: NetworkModel, P: dict, read=True):
+    """``lam_min`` and ``lam_max`` of each ``P_i`` and ``lam_min`` of each
+    ``Q_i``: three arrays in ``net.ids`` order.
 
     One symmetric eigensolve per matrix, shared by the comparison matrix
-    and the offsets.
+    and the offsets.  With ``read``, each ``P[sid]`` is a caller's value,
+    read as a square matrix; it must be of its subsystem's size.
     """
-    lam_P, lmin_Q = {}, {}
-    for sid in net.ids:
+    ext = np.empty((3, len(net.subsystems)))
+    for k, (sid, s) in enumerate(zip(net.ids, net.subsystems)):
         if sid not in P:
             raise ValueError(f"subsystem {sid}: missing Lyapunov solution")
-        lam_P[sid] = _lam_extremes(P[sid])
-        if lam_P[sid][0] <= 0.0:
+        P_i = as_matrix(P[sid], f"P.{sid}", square=True) if read else P[sid]
+        if P_i.shape[0] != s.dim:
+            raise DimensionError(f"P.{sid} is {P_i.shape}, expected {(s.dim, s.dim)}")
+        ext[:2, k] = _lam_extremes(P_i)
+        if ext[0, k] <= 0.0:
             raise ValueError(f"subsystem {sid}: P is not positive definite")
-        lmin_Q[sid] = _lam_extremes(net.tuning[sid].Q)[0]
-    return lam_P, lmin_Q
+        ext[2, k] = _lam_extremes(net.tuning[sid].Q)[0]
+    return ext
+
+
+def _edge_table(net: NetworkModel):
+    """Source position, destination position (by ``net.index``) and gain of
+    each edge, three arrays in ``net.edges`` order."""
+    pos = np.array([(net.index[e.src], net.index[e.dst]) for e in net.edges], dtype=np.intp)
+    return *pos.reshape(-1, 2).T, np.array([e.gain() for e in net.edges])
 
 
 def comparison_matrix(net: NetworkModel, P: dict):
@@ -68,22 +80,15 @@ def comparison_matrix(net: NetworkModel, P: dict):
     ``M[i][i] = -lam_min(Q_i) / (2 lam_max(P_i))`` and, for each edge
     j -> i, ``M[i][j] = lam_max(P_i) ||A_ij|| / sqrt(lam_min(P_i)
     lam_min(P_j))``; zero elsewhere.  Off-diagonals are non-negative, so
-    ``M`` is Metzler with negative diagonal.
+    ``M`` is Metzler with negative diagonal.  Each ``P[sid]`` is read as
+    a square matrix of its subsystem's size.
     """
-    return _comparison_matrix(net, *_extremes(net, P))
+    return _comparison_matrix(*_extremes(net, P), *_edge_table(net))
 
 
-def _comparison_matrix(net, lam_P, lmin_Q):
-    ids, index = net.ids, net.index
-    M = np.zeros((len(ids), len(ids)))
-    for sid in ids:
-        lmin_P, lmax_P = lam_P[sid]
-        M[index[sid], index[sid]] = -lmin_Q[sid] / (2.0 * lmax_P)
-        for e in net.in_edges(sid):
-            lmin_Pj = lam_P[e.src][0]
-            M[index[sid], index[e.src]] += (
-                lmax_P / (np.sqrt(lmin_P) * np.sqrt(lmin_Pj)) * e.gain()
-            )
+def _comparison_matrix(lmin_P, lmax_P, lmin_Q, src, dst, gain):
+    M = np.diag(-lmin_Q / (2.0 * lmax_P))
+    M[dst, src] = lmax_P[dst] / (np.sqrt(lmin_P[dst]) * np.sqrt(lmin_P[src])) * gain
     return M
 
 
@@ -97,24 +102,19 @@ def adaptation_offsets(net: NetworkModel, P: dict):
                   lam_max(P_i) ||A_ji|| / (Gamma_j sqrt(lam_min(P_i) lam_min(P_j))) )
 
     with ``theta_max`` the subsystem's tuning value.  Large adaptive gains
-    make every entry arbitrarily small.
+    make every entry arbitrarily small.  Each ``P[sid]`` is read as a
+    square matrix of its subsystem's size.
     """
-    return _adaptation_offsets(net, *_extremes(net, P))
+    return _adaptation_offsets(net, *_extremes(net, P), *_edge_table(net))
 
 
-def _adaptation_offsets(net, lam_P, lmin_Q):
-    out = np.zeros(len(net.ids))
-    for k, sid in enumerate(net.ids):
-        lmin_P, lmax_P = lam_P[sid]
-        gamma_i = net.tuning[sid].gamma
-        tmax = net.tuning[sid].theta_max
-        term = lmin_Q[sid] / (2.0 * gamma_i * lmax_P)
-        for e in net.out_edges(sid):
-            gamma_j = net.tuning[e.dst].gamma
-            lmin_Pj = lam_P[e.dst][0]
-            term -= lmax_P * e.gain() / (gamma_j * np.sqrt(lmin_P) * np.sqrt(lmin_Pj))
-        out[k] = tmax * term
-    return out
+def _adaptation_offsets(net, lmin_P, lmax_P, lmin_Q, src, dst, gain):
+    # one edge at a time, in edge order, so each offset rounds as the per-edge sum did
+    gamma, tmax = np.array([(t.gamma, t.theta_max) for t in map(net.tuning.get, net.ids)]).T
+    term = lmin_Q / (2.0 * gamma * lmax_P)
+    np.subtract.at(term, src, lmax_P[src] * gain
+                   / (gamma[dst] * np.sqrt(lmin_P[src]) * np.sqrt(lmin_P[dst])))
+    return tmax * term
 
 
 def diagonal_dominance_rows(M):
@@ -264,17 +264,19 @@ def analyze(net: NetworkModel) -> ConnectiveReport:
     and the verdicts.
     """
     P = {sid: net.lyapunov(sid) for sid in net.ids}
-    lam_P, lam_min_Q = _extremes(net, P)
-    M = _comparison_matrix(net, lam_P, lam_min_Q)
-    offsets = _adaptation_offsets(net, lam_P, lam_min_Q)
+    lmin_P, lmax_P, lmin_Q = ext = _extremes(net, P, read=False)
+    edges = _edge_table(net)
+    M = _comparison_matrix(*ext, *edges)
+    offsets = _adaptation_offsets(net, *ext, *edges)
     rows, cond_diag, cond_norm, M_stable = _conditions(M, offsets)
+    ids = list(net.ids)
     return ConnectiveReport(
-        ids=list(net.ids),
+        ids=ids,
         P=P,
-        lambda_min_P={sid: lo for sid, (lo, _) in lam_P.items()},
-        lambda_max_P={sid: hi for sid, (_, hi) in lam_P.items()},
-        lambda_min_Q=lam_min_Q,
-        alpha={sid: lam_min_Q[sid] / hi for sid, (_, hi) in lam_P.items()},
+        lambda_min_P=dict(zip(ids, lmin_P.tolist())),
+        lambda_max_P=dict(zip(ids, lmax_P.tolist())),
+        lambda_min_Q=dict(zip(ids, lmin_Q.tolist())),
+        alpha=dict(zip(ids, (lmin_Q / lmax_P).tolist())),
         M=M,
         offsets=offsets,
         cond_diag_rows=rows,

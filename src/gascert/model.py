@@ -31,8 +31,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import (Checked, as_matrix, is_hurwitz, numeric_scalar, solve_lyapunov,
-                       spectral_norm)
+from .numerics import (Checked, _rebuilt, as_matrix, is_hurwitz, numeric_scalar,
+                       solve_lyapunov, spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -142,13 +142,16 @@ class AugmentedSubsystem:
         E_aug[n:, r:] = np.eye(q)
         F = np.zeros((p, p))
         F[n:, n:] = np.eye(q)
-        blocks = {"A": A_aug, "B": B_aug, "C": C_aug, "D": D_aug, "E": E_aug, "F": F}
-        for X in blocks.values():
-            if X is not None:
-                X.flags.writeable = False
         self = object.__new__(cls)
-        vars(self).update(sid=sid, **blocks, n=n, q=q, m=m, r=r)
+        self.__setstate__(dict(sid=sid, A=A_aug, B=B_aug, C=C_aug, D=D_aug, E=E_aug, F=F,
+                               n=n, q=q, m=m, r=r))
         return self
+
+    def __setstate__(self, fields):  # from_raw's, and a copy's: the blocks made read-only
+        vars(self).update(fields)
+        for X in fields.values():
+            if isinstance(X, np.ndarray):
+                X.flags.writeable = False
 
 
 def augment_edge(A_ij, q_to, q_from):
@@ -159,8 +162,9 @@ def augment_edge(A_ij, q_to, q_from):
     lands in the top-left corner of an (n_i+q_i) x (n_j+q_j) zero matrix.
     """
     A_ij = as_matrix(A_ij, "A")
-    if q_to < 0 or q_from < 0:
-        raise ValueError("integral-state counts must be non-negative")
+    for name, count in (("q_to", q_to), ("q_from", q_from)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"{name}: integral-state counts must be non-negative integers")
     ni, nj = A_ij.shape
     out = np.zeros((ni + q_to, nj + q_from))
     out[:ni, :nj] = A_ij
@@ -204,6 +208,8 @@ class Interconnection:
             if not np.any(self.A):
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
 
+    __reduce__ = _rebuilt
+
     def gain(self):
         """``norm_bound``, or ``||A||_2`` computed once (by a network it is in)."""
         if self._gain is None:
@@ -224,7 +230,7 @@ class Tuning:
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
-        object.__setattr__(self, "checked", Checked(0.5 * (Q + Q.T), "Q"))
+        object.__setattr__(self, "checked", Checked(0.5 * Q + 0.5 * Q.T, "Q"))
         object.__setattr__(self, "Q", self.checked.A)
         if np.min(np.linalg.eigvalsh(self.Q)) <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
@@ -237,6 +243,8 @@ class Tuning:
         if self.eps0 <= 0.0:
             raise ValueError("eps0 must be positive")
 
+    __reduce__ = _rebuilt
+
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
@@ -245,14 +253,17 @@ class NetworkModel:
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
-    ``index`` maps each id to its position in ``subsystems``; the in- and
-    out-edges of every id and the edge gains are tabulated at construction.
+    ``index`` maps each id to its position in ``subsystems``; the in-edges
+    of every id and the edge gains are tabulated at construction, and
+    ``out_edges`` filters ``edges`` when called.
     The checked per-id values (and ``checked``, the desired matrices'
     records) are stored in new read-only mappings, matrices as read-only copies;
     a desired matrix given as a square ``Checked`` record of the right size
     is kept as that record.
     ``lyapunov(sid)`` solves that subsystem's Lyapunov weight on its first
-    call and returns the same read-only array after.
+    call, makes the solution read-only in place and returns it after.
+    A copy (``pickle``, ``copy.deepcopy``) is rebuilt through the
+    constructors, so it passes the same checks and holds read-only arrays.
     """
 
     subsystems: tuple
@@ -273,7 +284,6 @@ class NetworkModel:
             raise ValueError("network has no subsystems")
         object.__setattr__(self, "index", {sid: k for k, sid in enumerate(ids)})
         incoming = {sid: [] for sid in ids}
-        outgoing = {sid: [] for sid in ids}
         pairs, shapes = set(), {}
         for e in self.edges:
             if (e.src, e.dst) in pairs:
@@ -291,9 +301,7 @@ class NetworkModel:
                     )
                 shapes.setdefault(want, []).append(e)
             incoming[e.dst].append(e)
-            outgoing[e.src].append(e)
         object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
-        object.__setattr__(self, "_out", {sid: tuple(v) for sid, v in outgoing.items()})
         for group in shapes.values():  # bit for bit np.linalg.norm(A, 2) of each
             gains = np.linalg.svd(np.stack([e.A for e in group]), compute_uv=False)[:, 0]
             for e, g in zip(group, gains.tolist()):
@@ -332,6 +340,10 @@ class NetworkModel:
                             ("checked", checked)):
             object.__setattr__(self, name, MappingProxyType(value))
 
+    def __reduce__(self):  # rebuilt through the constructor, which keeps the desired records
+        return NetworkModel, (self.subsystems, self.edges, dict(self.checked), dict(self.tuning),
+                              dict(self.baseline))
+
     @property
     def ids(self):
         return [s.sid for s in self.subsystems]
@@ -344,7 +356,8 @@ class NetworkModel:
         return self._in.get(sid, ())
 
     def out_edges(self, sid):
-        return self._out.get(sid, ())
+        """Edges whose coupling leaves subsystem ``sid``, filtered from ``edges``."""
+        return tuple(e for e in self.edges if e.src == sid)
 
     def neighbor_count(self, sid):
         return len(self.in_edges(sid))
@@ -354,8 +367,8 @@ class NetworkModel:
         and tuning weight of ``sid``; solved on the first call only."""
         P = self._lyapunov.get(sid)
         if P is None:
-            P = Checked(solve_lyapunov(self.checked[sid], self.tuning[sid].checked), "P").A
-            self._lyapunov[sid] = P
+            P = self._lyapunov[sid] = solve_lyapunov(self.checked[sid], self.tuning[sid].checked)
+            P.flags.writeable = False
         return P
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 from itertools import chain
 
@@ -106,6 +106,10 @@ def numeric_scalar(value, name="value"):
     return float(A)
 
 
+def _rebuilt(value):  # a frozen dataclass's __reduce__: its constructor on its init fields
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
 class Checked:
     """A matrix read once (``A``, read-only), its ``spectrum`` and its balancing
@@ -118,6 +122,8 @@ class Checked:
     def __post_init__(self, name, square):
         object.__setattr__(self, "A", as_matrix(self.A, name, square).copy())
         self.A.flags.writeable = False
+
+    __reduce__ = _rebuilt  # a copy is read and checked again; its spectrum solved on use
 
     @cached_property
     def spectrum(self):
@@ -218,7 +224,7 @@ def solve_lyapunov(A, Q):
         raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
     if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, float(np.abs(Q).max())):
         raise ValueError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) <= 0.0:
+    if np.min(np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T)) <= 0.0:
         raise ValueError("Q must be positive definite")
     if not is_hurwitz(given):
         raise StabilityError(
@@ -690,6 +696,7 @@ def distance_to_instability(Am, tol=1e-9):
     value, within ``tol`` (absolute) above the true distance.
     """
     rec = _record(Am, "Am")
+    tol = numeric_scalar(tol, "tol")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     return _alone(_distances([rec], [tol]))

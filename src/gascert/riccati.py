@@ -57,18 +57,23 @@ def epsilon_margin(distance, n_neighbors, coupling_energy):
     distance ``gamma``, which keeps the augmented Hamiltonian hyperbolic
     whenever the margin is positive (then ``N (Xi2 + eps) < gamma^2``).  A
     decoupled subsystem (N = 0) has no gap to split; the convention there
-    is ``eps = gamma^2 / 2``.  ``N`` is a non-negative number, not only a count.
+    is ``eps = gamma^2 / 2``.  ``N`` is a non-negative number, not only a count;
+    the distance and the coupling energy are non-negative numbers.
 
     Raises
     ------
     ValueError
-        If ``N`` is negative.
+        If ``N``, the distance or the coupling energy is negative.
     StabilityError
         If the margin is not positive (no admissible slack exists).
     """
     N = numeric_scalar(n_neighbors, "N")
     if N < 0.0:
         raise ValueError("N must be a non-negative count")
+    distance = numeric_scalar(distance, "distance")
+    coupling_energy = numeric_scalar(coupling_energy, "coupling_energy")
+    if distance < 0.0 or coupling_energy < 0.0:
+        raise ValueError("distance and coupling_energy must be non-negative")
     if N == 0:
         return 0.5 * distance * distance
     if distance - np.sqrt(N * coupling_energy) <= 0.0:

@@ -46,7 +46,7 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, SolverError
 from .model import NetworkModel
-from .numerics import numeric_array, numeric_scalar
+from .numerics import _rebuilt, numeric_array, numeric_scalar
 
 __all__ = [
     "NetworkState",
@@ -93,6 +93,8 @@ class Schedule:
     @classmethod
     def constant(cls, value):
         return cls(times=[0.0], values=[value])
+
+    __reduce__ = _rebuilt
 
     def at(self, t):
         """Value at time ``t``, or one row per time of an array ``t``."""

@@ -200,6 +200,33 @@ class TestConfigParsing:
             assert sum(a.shape == Am.shape and np.array_equal(a, Am) for a in solved) == 1
             assert any(a is Am for a in solved)
 
+    def test_baseline_gain_reaches_the_simulation(self):
+        # a subsystem's baseline_gain is its state-feedback gain: u_bl = -K xbar
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["subsystems"][0]["baseline_gain"] = [[0.5, 0.25]]
+        net, sc = parse_config(doc)
+        assert net.baseline["a"].tolist() == [[0.5, 0.25]]
+        assert net.baseline["b"].tolist() == [[0.0, 0.0]]
+        trace = simulate(net, sc, mode="decentralized")
+        assert np.allclose(trace.u_bl["a"], -trace.xbar["a"] @ net.baseline["a"].T,
+                           rtol=1e-15, atol=0.0)
+        assert np.any(trace.u_bl["a"]) and not np.any(trace.u_bl["b"])
+
+    @pytest.mark.parametrize("gain,message", [
+        ([[float("nan"), 0.0]], "config.subsystems[0].baseline_gain: non-finite entries"),
+        ([["0.5", 0.0]], "config.subsystems[0].baseline_gain: not a numeric array"),
+        ([[0.5]], "config: subsystem a: baseline gain is (1, 1), expected (1, 2)"),
+    ], ids=["nan", "string", "wrong_shape"])
+    def test_bad_baseline_gain_one_line_error(self, gain, message, tmp_path, capsys):
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["subsystems"][0]["baseline_gain"] = gain
+        cfg = tmp_path / "baseline.json"
+        cfg.write_text(json.dumps(doc, allow_nan=True))
+        assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_flat_matrix_read_as_a_row(self, tmp_path, capsys):
         # as as_matrix reads it everywhere: a flat C is one row, and a flat
         # B of two entries is a 1x2 row that C's two columns do not fit

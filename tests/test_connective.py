@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, random_hurwitz
 from gascert import connective
 from gascert import (
     AugmentedSubsystem,
+    DimensionError,
     GascertError,
     Interconnection,
     NetworkModel,
@@ -145,6 +148,116 @@ class TestOffsets:
             adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"]})
         with pytest.raises(ValueError, match="positive definite"):
             adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"], "s2": -np.eye(2)})
+
+
+
+def loop_comparison(net, P):
+    """The oracle of the edge table: ``M`` filled one in-edge at a time."""
+    ids, index = net.ids, net.index
+    lam = {sid: np.linalg.eigvalsh(P[sid])[[0, -1]].tolist() for sid in ids}
+    M = np.zeros((len(ids), len(ids)))
+    for sid in ids:
+        lmin_P, lmax_P = lam[sid]
+        M[index[sid], index[sid]] = -np.linalg.eigvalsh(net.tuning[sid].Q)[0] / (2.0 * lmax_P)
+        for e in net.in_edges(sid):
+            M[index[sid], index[e.src]] += (
+                lmax_P / (np.sqrt(lmin_P) * np.sqrt(lam[e.src][0])) * e.gain())
+    return M
+
+
+def loop_offsets(net, P):
+    """The oracle of the edge table: each offset summed over its out-edges."""
+    lam = {sid: np.linalg.eigvalsh(P[sid])[[0, -1]].tolist() for sid in net.ids}
+    out = np.zeros(len(net.ids))
+    for k, sid in enumerate(net.ids):
+        lmin_P, lmax_P = lam[sid]
+        t = net.tuning[sid]
+        term = np.linalg.eigvalsh(t.Q)[0] / (2.0 * t.gamma * lmax_P)
+        for e in net.out_edges(sid):
+            term -= lmax_P * e.gain() / (net.tuning[e.dst].gamma * np.sqrt(lmin_P)
+                                         * np.sqrt(lam[e.dst][0]))
+        out[k] = t.theta_max * term
+    return out
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("kind,n", [("ring", 9), ("mesh", 16), ("random", 12)])
+    def test_as_the_edge_loops_give(self, kind, n):
+        # M and the offsets come from one edge table; every entry is the one the
+        # per-edge loops give, bit for bit, with each source's out-edge terms
+        # subtracted in edge order
+        rng = np.random.default_rng([43, n])
+        ids = [f"s{k}" for k in rng.permutation(n)]
+        base = path_net(*graph_edges(rng, kind, n), subsystems=ids)
+        tuning = {sid: Tuning(Q=[[rng.uniform(0.5, 2.0)]], gamma=rng.uniform(0.5, 5.0),
+                              theta_max=rng.uniform(0.0, 2.0), eps0=0.1) for sid in ids}
+        desired = {sid: [[-rng.uniform(0.5, 3.0)]] for sid in ids}
+        net = NetworkModel(subsystems=base.subsystems, edges=base.edges, desired=desired,
+                           tuning=tuning)
+        rep = analyze(net)
+        assert rep.M.tobytes() == loop_comparison(net, rep.P).tobytes()
+        assert rep.offsets.tobytes() == loop_offsets(net, rep.P).tobytes()
+
+    @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
+                                      "unstable_pair"])
+    def test_demos_as_the_edge_loops_give(self, name):
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        P = {sid: net.lyapunov(sid) for sid in net.ids}
+        assert comparison_matrix(net, P).tobytes() == loop_comparison(net, P).tobytes()
+        assert adaptation_offsets(net, P).tobytes() == loop_offsets(net, P).tobytes()
+
+    def test_no_edges(self):
+        net = pair_net(0.0)
+        P = {sid: net.lyapunov(sid) for sid in net.ids}
+        assert comparison_matrix(net, P).tobytes() == loop_comparison(net, P).tobytes()
+        assert adaptation_offsets(net, P).tobytes() == loop_offsets(net, P).tobytes()
+
+
+PUBLIC_FORMULAS = {"comparison_matrix": comparison_matrix,
+                   "adaptation_offsets": adaptation_offsets}
+
+
+class TestCallerP:
+    """``comparison_matrix`` and ``adaptation_offsets`` read the caller's ``P``."""
+
+    @pytest.mark.parametrize("formula", PUBLIC_FORMULAS.values(), ids=PUBLIC_FORMULAS.keys())
+    def test_nested_lists_read(self, formula):
+        # a list raised AttributeError: 'list' object has no attribute 'T'
+        want = formula(fab_net(0.1), P_FAB)
+        got = formula(fab_net(0.1), {sid: P.tolist() for sid, P in P_FAB.items()})
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("P,error,fault", [
+        (np.full((2, 2), np.nan), NonFiniteError, "P.s2: non-finite entries"),
+        ([["1", 0], [0, "2"]], GascertError, "P.s2: not a numeric array"),
+        (np.eye(3), DimensionError, "P.s2 is (3, 3), expected (2, 2)"),
+        (np.ones((2, 3)), DimensionError, "P.s2 must be square, got shape (2, 3)"),
+    ], ids=["nan", "strings", "wrong_size", "not_square"])
+    @pytest.mark.parametrize("formula", PUBLIC_FORMULAS.values(), ids=PUBLIC_FORMULAS.keys())
+    def test_bad_P_rejected(self, formula, P, error, fault):
+        # an all-NaN P gave an all-NaN M, and a P of the wrong size was used as it was
+        with pytest.raises(error, match=f"^{re.escape(fault)}$"):
+            formula(fab_net(0.1), {"s1": P_FAB["s1"], "s2": P})
+
+    def test_analyze_does_not_read_the_weights_again(self, monkeypatch):
+        # analyze passes the network's own Lyapunov weights, read-only arrays it
+        # solved: they are not read again
+        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        names = []
+        real = connective.as_matrix
+        monkeypatch.setattr(connective, "as_matrix",
+                            lambda M, name="matrix", square=False:
+                            names.append(name) or real(M, name, square))
+        analyze(net)
+        assert not [name for name in names if name.startswith("P.")]
+
+    def test_huge_symmetric_P_does_not_overflow(self):
+        # P + P' overflowed to infinity for entries above about 9e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, rho = transient_bound([[1e308]], [[1.0]], 0.0, 1.0, 1.0, 0.0)
+        assert alpha == 1.0 / 1e308
+        assert rho == math.sqrt(1.0 / 1e308)
 
 
 class TestCheckConditions:

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +223,19 @@ class TestAugmentEdge:
         expected = np.zeros((3, 3))
         expected[1, 1] = 5.32e4
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("count", [1.5, "1", True, -1, None],
+                             ids=["float", "string", "bool", "negative", "none"])
+    @pytest.mark.parametrize("field", ["q_to", "q_from"])
+    def test_counts_are_non_negative_integers(self, field, count):
+        # 1.5 and "1" raised raw TypeErrors, and True was taken as 1
+        counts = {"q_to": 1, "q_from": 1, field: count}
+        with pytest.raises(ValueError, match=f"^{field}: integral-state counts must be "
+                                             "non-negative integers$"):
+            augment_edge([[5.0]], **counts)
+
+    def test_numpy_integer_counts(self):
+        assert augment_edge([[5.0]], np.int64(1), np.int32(0)).shape == (2, 1)
 
 
 def two_sub_net(coupling=0.5, heterogeneous=False):
@@ -565,6 +581,107 @@ class TestNetworkValidation:
             assert net.out_edges(sid) == tuple(e for e in net.edges if e.src == sid)
             assert net.neighbor_count(sid) == len(net.in_edges(sid))
         assert net.in_edges("nope") == ()
+
+    def test_lyapunov_kept_as_solved(self, monkeypatch):
+        # the solution is made read-only in place: no second read, no copy
+        net = two_sub_net(coupling=0.5)
+        solved = []
+        real = model.solve_lyapunov
+        monkeypatch.setattr(model, "solve_lyapunov",
+                            lambda A, Q: solved.append(real(A, Q)) or solved[-1])
+        P = net.lyapunov("s1")
+        assert len(solved) == 1 and P is solved[0]
+        assert not P.flags.writeable
+        assert net.lyapunov("s1") is P
+
+    def test_huge_Q_accepted(self):
+        # Q + Q' overflowed, and a finite positive definite weight was rejected
+        # as non-finite, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tu = Tuning(Q=[[1e308, 0.0], [0.0, 1e308]], gamma=1.0, theta_max=1.0, eps0=0.1)
+        assert tu.Q.tolist() == [[1e308, 0.0], [0.0, 1e308]]
+
+
+def _held_arrays(net):
+    """Every array a network holds, its subsystems', edges' and tunings' too."""
+    out = [*net.desired.values(), *net.baseline.values()]
+    out += [rec.A for rec in net.checked.values()]
+    for s in net.subsystems:
+        out += [getattr(s, name) for name in "ABCDEF" if getattr(s, name) is not None]
+    for e in net.edges:
+        out += [] if e.A is None else [e.A, e.checked.A]
+    for t in net.tuning.values():
+        out += [t.Q, t.checked.A]
+    return out + [net.lyapunov(sid) for sid in net.ids]
+
+
+DEMOS = ["toy_pair", "dc_pair", "mesh6", "weak_pair", "unstable_pair"]
+COPIES = {"pickle": lambda net: pickle.loads(pickle.dumps(net)), "deepcopy": copy.deepcopy}
+
+
+class TestCopies:
+    """A copied network is rebuilt through the constructors."""
+
+    @pytest.mark.parametrize("how", COPIES.values(), ids=COPIES.keys())
+    @pytest.mark.parametrize("name", DEMOS)
+    def test_copy_certifies_as_the_original(self, name, how):
+        # pickle and deepcopy raised TypeError: cannot pickle 'mappingproxy' object
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        copied = how(net)
+        assert copied is not net and copied.ids == net.ids
+        want, got = certify(net), certify(copied)
+        assert got.certified == want.certified
+        for a, b in zip(want.subsystems, got.subsystems):
+            assert (b.sid, b.ok, b.reason, b.n_neighbors) == (a.sid, a.ok, a.reason,
+                                                               a.n_neighbors)
+            for field in ("coupling_energy", "distance", "margin", "epsilon", "are_residual"):
+                assert repr(getattr(b, field)) == repr(getattr(a, field))
+            if a.P is None:
+                assert b.P is None
+            else:
+                assert_same_bits(b.P, a.P)
+        assert_same_bits(analyze(copied).M, analyze(net).M)
+
+    @pytest.mark.parametrize("how", COPIES.values(), ids=COPIES.keys())
+    @pytest.mark.parametrize("name", DEMOS)
+    def test_copy_holds_read_only_arrays(self, name, how):
+        # an unpickled subsystem B, edge A or tuning Q was writable
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        copied = how(net)
+        held = _held_arrays(copied)
+        assert len(held) == len(_held_arrays(net))
+        assert not [a for a in held if a.flags.writeable]
+        for s in net.subsystems:  # a subsystem copied on its own too
+            blocks = [X for X in vars(how(s)).values() if isinstance(X, np.ndarray)]
+            assert blocks and not [X for X in blocks if X.flags.writeable]
+        for mapping in (copied.desired, copied.tuning, copied.baseline, copied.checked):
+            with pytest.raises(TypeError):
+                mapping[copied.ids[0]] = None
+
+    def test_shared_values_stay_shared(self):
+        # mesh6's subsystems share one desired record and one tuning
+        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        for how in COPIES.values():
+            copied = how(net)
+            assert len({id(r) for r in copied.checked.values()}) == 1
+            assert len({id(t) for t in copied.tuning.values()}) == 1
+
+    @pytest.mark.parametrize("how", COPIES.values(), ids=COPIES.keys())
+    def test_copy_goes_through_the_constructors(self, how, monkeypatch):
+        # each value is rebuilt by its constructor, whose checks run again
+        net, _, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        built = []
+        for cls in (NetworkModel, Interconnection, Tuning, numerics.Checked):
+            def counted(self, *args, _real=cls.__post_init__):
+                built.append(type(self).__name__)
+                _real(self, *args)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        how(net)
+        # one network, two edges with their records, one shared tuning with its
+        # record, the shared desired record and the two baseline gains' records
+        assert sorted(built) == sorted(["NetworkModel", *["Interconnection"] * 2, "Tuning",
+                                        *["Checked"] * 6])
 
 
 def shapes_net(rng):

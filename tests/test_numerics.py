@@ -1,4 +1,7 @@
+import copy
+import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +121,20 @@ class TestLyapunov:
     def test_huge_solution_accepted(self):
         P = solve_lyapunov([[-1.0]], [[1e300]])
         assert P[0, 0] == pytest.approx(5e299, rel=1e-12)
+
+    def test_huge_indefinite_Q_rejected(self):
+        # Q + Q' overflowed: this indefinite Q passed the definiteness check and
+        # failed later, as "Lyapunov solution is not positive definite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Q must be positive definite$"):
+                solve_lyapunov(-np.eye(2), [[1e308, 0.0], [0.0, -1e308]])
+
+    def test_huge_definite_Q_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = solve_lyapunov(-np.eye(2), [[1e308, 0.0], [0.0, 1e308]])
+        assert P.tolist() == [[5e307, 0.0], [0.0, 5e307]]
 
     def test_residual_and_definiteness_random(self):
         rng = np.random.default_rng(11)
@@ -336,6 +353,17 @@ class TestChecked:
         with pytest.raises(DimensionError, match="M has 2 columns, expected 1"):
             hinf_gain(flat, Checked([[-1.0]]))
 
+    def test_copy_read_again(self):
+        # a pickled or deep-copied record is rebuilt through the constructor: a
+        # read-only copy of the same bits, whose spectrum is solved again on use
+        rec = Checked([[-1.0, 2.0], [0.0, -3.0]], "Am", square=True)
+        want = rec.spectrum
+        for copied in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+            assert copied is not rec and not copied.A.flags.writeable
+            assert_same_bits(copied.A, rec.A)
+            assert "spectrum" not in vars(copied)
+            assert_same_bits(copied.spectrum, want)
+
 
 class TestHamiltonian:
     @pytest.mark.parametrize("N,q", [(0, 0.0), (1, 0.0), (2, -0.0), (3, 1e-300), (1, 2.5e9)])
@@ -519,6 +547,22 @@ class TestSolveAre:
 
 
 class TestDistance:
+    @pytest.mark.parametrize("tol,error,fault", [
+        ("1e-9", GascertError, "tol: not a numeric array"),
+        (True, GascertError, "tol: not a numeric array"),
+        (np.nan, NonFiniteError, "tol: non-finite entries"),
+        ([1e-9], DimensionError, "tol: expected a number, got ndim=1"),
+        (0.0, ValueError, "tol must be positive"),
+    ], ids=["string", "bool", "nan", "array", "zero"])
+    def test_tol_read_by_the_number_reader(self, tol, error, fault):
+        # a string raised a raw TypeError, and True was taken as 1.0
+        with pytest.raises(error, match=f"^{re.escape(fault)}$"):
+            distance_to_instability([[-5.0]], tol)
+
+    def test_integer_tol(self):
+        assert distance_to_instability([[-5.0]], np.int64(1)) == distance_to_instability(
+            [[-5.0]], 1.0)
+
     def test_normal_matrix(self):
         d = distance_to_instability(np.diag([-1.0, -2.0]), 1e-10)
         assert d == pytest.approx(1.0, abs=1e-9)
@@ -794,6 +838,12 @@ class TestHyperbolicityDistanceEquivalence:
 class TestHinfGain:
     def test_first_order_unity(self):
         assert hinf_gain([[1.0]], [[-1.0]]) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("M", [np.zeros((1, 2)), np.zeros((3, 2)), Checked(np.zeros((2, 2)))],
+                             ids=["row", "tall", "record"])
+    def test_zero_M_gives_zero(self, M):
+        # no path through M: the gain is 0.0, without a level-set iteration
+        assert hinf_gain(M, [[-1.0, 3.0], [0.0, -2.0]]) == 0.0
 
     def test_linear_scaling(self):
         c = 3.7

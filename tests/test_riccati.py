@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from conftest import CONFIG_DIR, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
+    DimensionError,
     GasCertificate,
     GascertError,
     Interconnection,
     NetworkModel,
+    NonFiniteError,
     SolverError,
     StabilityError,
     Tuning,
@@ -127,6 +131,30 @@ class TestEpsilonMargin:
     def test_bad_neighbour_weight_is_named(self, N):
         with pytest.raises(GascertError, match="^N: "):
             epsilon_margin(2.0, N, 0.1)
+
+    @pytest.mark.parametrize("args,error,fault", [
+        ((1.0, 1, np.nan), NonFiniteError, "coupling_energy: non-finite entries"),
+        ((np.nan, 1, 0.1), NonFiniteError, "distance: non-finite entries"),
+        ((np.inf, 1, 0.1), NonFiniteError, "distance: non-finite entries"),
+        ((1.0, 1, -5.0), ValueError, "distance and coupling_energy must be non-negative"),
+        ((-1.0, 0, 0.0), ValueError, "distance and coupling_energy must be non-negative"),
+        (("1", 1, 0.1), GascertError, "distance: not a numeric array"),
+        ((True, 1, 0.1), GascertError, "distance: not a numeric array"),
+        ((1.0, 1, [0.1]), DimensionError, "coupling_energy: expected a number, got ndim=1"),
+    ], ids=["nan_energy", "nan_distance", "inf_distance", "negative_energy",
+            "negative_distance", "string_distance", "bool_distance", "array_energy"])
+    def test_distance_and_energy_read_by_the_number_reader(self, args, error, fault):
+        # these returned nan, inf, 3.0 (with a RuntimeWarning), 0.5 and 0.45,
+        # or raised a raw UFuncTypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{re.escape(fault)}$"):
+                epsilon_margin(*args)
+
+    def test_margin_text_kept(self):
+        with pytest.raises(StabilityError, match="^margin is not positive: no admissible "
+                                                 "slack exists$"):
+            epsilon_margin(1.0, 1, 1.0)
 
     def test_keeps_hyperbolicity(self):
         from gascert import is_hyperbolic

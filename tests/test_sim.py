@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import re
 import sys
 import tracemalloc
@@ -74,6 +76,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             s.values[0, 0] = 7.0
 
+    def test_copy_rebuilt_read_only(self):
+        s = Schedule(times=[0.0, 1.0], values=[[1.0], [2.0]])
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied is not s
+            for got, want in ((copied.times, s.times), (copied.values, s.values)):
+                assert_same_bits(got, want)
+                assert not got.flags.writeable
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             Schedule(times=[0.0, 2.0, 1.0], values=[[0.0], [1.0], [2.0]])
@@ -102,6 +112,21 @@ class TestEquilibrium:
         assert entry["settling_time"] == 0.0
         assert entry["steady_state_error"] == 0.0
         assert not m["diverged"]
+
+    def test_subsystem_without_outputs(self):
+        # a library-built subsystem may have no outputs (C with 0 rows): nothing
+        # to track, so settling time and steady-state error read 0.0
+        sub = AugmentedSubsystem.from_raw("s", B=[[1.0]], C=np.zeros((0, 1)), A=[[-1.0]])
+        net = NetworkModel(subsystems=[sub], edges=[], desired={"s": [[-1.0]]},
+                           tuning={"s": Tuning(Q=np.eye(1), gamma=5.0, theta_max=1.0,
+                                               eps0=0.1)})
+        sc = Scenario(horizon=0.05, dt=1e-3, theta={"s": [[0.3]]}, x0={"s": [0.5]})
+        trace = simulate(net, sc, mode="distributed")
+        assert trace.reference["s"].shape == (trace.t.size, 0)
+        entry = metrics(trace)["per_subsystem"]["s"]
+        assert entry["max_error_norm"] > 0.0
+        assert entry["settling_time"] == 0.0
+        assert entry["steady_state_error"] == 0.0
 
 
 class TestDecoupledConvergence:
