@@ -16,7 +16,10 @@ on a stack of records of one size, one LAPACK call per step for the whole
 stack, except the Riccati Schur factorisation and the solve of the basis
 it yields, which run per member; every member's numbers are those it gets
 alone, and a member's error is its own.  The public kernels are stacks of
-one, each finished by ``_alone``.  The stacked
+one, each finished by ``_alone``.  The level-set iteration takes one
+output matrix per member, so ``small_gain_check`` runs the path gains of
+all edges of one block shape as one stack, and it starts each member from
+``w = 0`` and the distinct ``|Im lambda|`` of its spectrum.  The stacked
 kernels keep their members by one rule: the stacks hold only the members
 still standing, and one ``live`` list holds their record ids; a step that
 decides a member's outcome writes it to ``out`` once; and the stacks are
@@ -423,10 +426,11 @@ def _alone(results):
 
 def _standing(out, live, *stacks):
     """``live`` and each stack cut to the members whose outcome ``out`` holds
-    none yet; the stacks stay as given when every member, or none, is left."""
+    none yet; the stacks stay as given when every member, or none, is left,
+    and a ``None`` stack (no stack at all) stays ``None``."""
     keep = [j for j, i in enumerate(live) if out[i] is None]
     if 0 < len(keep) < len(live):
-        stacks = [X[keep] for X in stacks]
+        stacks = [X if X is None else X[keep] for X in stacks]
     return ([live[j] for j in keep], *stacks)
 
 
@@ -546,14 +550,14 @@ def solve_are(Am, N, q):
 
 
 def _gains(A, M, owner, ws):
-    """Gain ``sigma_max(M (jwI - A[owner[i]])^{-1})`` at each ``w = ws[i]``, and
-    ``sigma_min(A[owner[i]] - jwI)``, the reciprocal of the gain, when
-    ``M = None`` stands for I (else the gains again)."""
+    """Gain ``sigma_max(M[owner[i]] (jwI - A[owner[i]])^{-1})`` at each
+    ``w = ws[i]``, and ``sigma_min(A[owner[i]] - jwI)``, the reciprocal of the
+    gain, when ``M = None`` stands for I (else the gains again)."""
     if M is None:
         smin = _smin_shifted(A, owner, ws)
         return 1.0 / smin, smin
     Z = 1j * ws[:, None, None] * np.eye(A.shape[-1]) - A[owner]
-    gains = np.linalg.svd(M @ np.linalg.inv(Z), compute_uv=False)[:, 0]
+    gains = np.linalg.svd(M[owner] @ np.linalg.inv(Z), compute_uv=False)[:, 0]
     return gains, gains
 
 
@@ -568,15 +572,21 @@ def _segment_argmax(owner, values):
 
 
 def _peak_gains(recs, M, rtol, dtols):
-    """Level-set iteration for ``sup_w sigma_max(M (jwI - A)^{-1})``, for each
-    Hurwitz record ``A`` of one size.
+    """Level-set iteration for ``sup_w sigma_max(M[i] (jwI - A)^{-1})``, for
+    each Hurwitz record ``A = recs[i]`` of one size.
 
     The quadratically convergent scheme of Boyd and Balakrishnan (1990)
     and Bruinsma and Steinbuch (1990).  ``M = None`` stands for the
-    identity; a given ``M`` is shared by the stack.  For each member, the
-    estimate ``g`` starts as the largest gain at ``w = 0`` and at the
-    moduli and imaginary parts of its spectrum.  At each level above ``g``
-    the imaginary-axis eigenvalues ``jw`` of the Hamiltonian
+    identity; a given ``M`` is a stack of shape ``(k, p, n)``, one output
+    matrix per record (a shared one passed as a broadcast stack).  For
+    each member, the estimate ``g`` starts as the largest gain at ``w = 0``
+    and at the distinct ``|Im lambda|`` of its spectrum.  Since
+    ``sigma_min(A - jwI) <= |lambda - jw|``, which is ``|Re lambda|`` at
+    ``w = Im lambda``, these are where a lightly damped pole lifts the
+    gain; the moduli ``|lambda|`` of Bruinsma and Steinbuch lie next to
+    them for such a pole and are not added.  The iteration converges from
+    any start below the peak, under the same stopping rule.  At each level
+    above ``g`` the imaginary-axis eigenvalues ``jw`` of the Hamiltonian
 
         [[Ab, B B' / level], [-C'C / level, -Ab']]
 
@@ -605,8 +615,8 @@ def _peak_gains(recs, M, rtol, dtols):
     C = T if M is None else M @ T
     BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
     lam = np.array([r.spectrum for r in recs])
-    owner, ws = _unique_rows(np.concatenate(
-        (np.zeros((len(recs), 1)), np.abs(lam), np.abs(lam.imag)), axis=1))
+    owner, ws = _unique_rows(np.concatenate((np.zeros((len(recs), 1)), np.abs(lam.imag)),
+                                            axis=1))
     gains, smin = _gains(A, M, owner, ws)
     _, at = _segment_argmax(owner, gains)
     # each member's estimate g, attained at w, with s = sigma_min there
@@ -620,8 +630,8 @@ def _peak_gains(recs, M, rtol, dtols):
             for p in np.flatnonzero(done).tolist():
                 out[live[p]] = errors.get(p) or (float(g[p]), float(w[p]),
                                                  None if M is not None else float(s[p]))
-            live, A, Ab, BB, CC, dtol, g, w, s = _standing(out, live, A, Ab, BB, CC, dtol,
-                                                           g, w, s)
+            live, A, M, Ab, BB, CC, dtol, g, w, s = _standing(out, live, A, M, Ab, BB, CC,
+                                                              dtol, g, w, s)
         if not live or levels == _MAX_LEVELS:
             break
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
@@ -669,7 +679,7 @@ def hinf_gain(M, Am):
         raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
     if not np.any(M):
         return 0.0
-    return _alone(_peak_gains([rec], M, _HINF_RTOL, np.zeros(1)))[0]
+    return _alone(_peak_gains([rec], M[None], _HINF_RTOL, np.zeros(1)))[0]
 
 
 def _distances(recs, tols):

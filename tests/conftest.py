@@ -1,4 +1,5 @@
-"""Shared test helpers: random stable matrices and independent oracles.
+"""Shared test helpers: random stable matrices and networks, and
+independent oracles.
 
 The oracles here deliberately avoid the code paths they check: the
 distance and peak-gain oracles scan dense frequency grids, the Hurwitz
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from gascert import AugmentedSubsystem, Interconnection, NetworkModel, Tuning
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
@@ -21,6 +24,33 @@ def random_hurwitz(rng, n, scale=1.0):
     margin = rng.uniform(0.2, 2.0) * scale
     shift = np.max(np.linalg.eigvals(A).real)
     return A - (shift + margin) * np.eye(n)
+
+
+def mixed_net(rng, sizes, per_size, coupling, spread=0.0):
+    """Subsystems of each state size in ``sizes``, ``per_size`` of each in
+    shuffled id order, with random desired dynamics (entries scaled by up
+    to ``10**spread``) and random couplings of scale ``coupling``; about
+    one edge in ten is bound-only."""
+    dims = rng.permutation(np.repeat(sizes, per_size)).tolist()
+    ids = [f"s{k:02d}" for k in range(len(dims))]
+    dim = dict(zip(ids, dims))
+    subs = [AugmentedSubsystem.from_raw(sid, B=np.eye(n)[:, :1], C=np.zeros((0, n)))
+            for sid, n in dim.items()]
+    desired = {sid: random_hurwitz(rng, n, 10.0 ** rng.uniform(-spread, spread))
+               for sid, n in dim.items()}
+    edges = []
+    for i in ids:
+        for j in ids:
+            if i != j and rng.uniform() < 0.15:
+                if rng.uniform() < 0.1:
+                    edges.append(Interconnection(src=j, dst=i,
+                                                 norm_bound=coupling * rng.uniform()))
+                else:
+                    edges.append(Interconnection(src=j, dst=i,
+                                                 A=coupling * rng.normal(size=(dim[i], dim[j]))))
+    tuning = {sid: Tuning(Q=np.eye(n), gamma=1.0, theta_max=1.0, eps0=0.1)
+              for sid, n in dim.items()}
+    return NetworkModel(subsystems=subs, edges=edges, desired=desired, tuning=tuning)
 
 
 def _sweep_extremum(f, A, sign, points=2000):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, random_hurwitz
+from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, mixed_net, random_hurwitz
 from gascert import connective
 from gascert import (
     AugmentedSubsystem,
@@ -21,6 +21,7 @@ from gascert import (
     analyze,
     check_conditions,
     comparison_matrix,
+    hinf_gain,
     homogeneous_condition,
     small_gain_check,
     solve_lyapunov,
@@ -412,6 +413,19 @@ class TestTransientBound:
         assert rho.shape == (3,)
         assert np.all(np.diff(rho) < 0.0)
 
+    @pytest.mark.parametrize("field", ["P", "Q"])
+    @pytest.mark.parametrize("value,message", [
+        ([[1.0, 2.0, 3.0]], r"must be square, got shape \(1, 3\)"),
+        ([1.0, 2.0], r"must be square, got shape \(1, 2\)"),
+        (np.ones((2, 2, 2)), r"must be 2-D, got ndim=3"),
+    ], ids=["1x3", "flat", "3-D"])
+    def test_weights_read_as_square_matrices(self, field, value, message):
+        # a 1x3 weight broadcast to 3x3 and read as indefinite, a flat one
+        # raised a raw LinAlgError and a 3-D one a raw TypeError
+        args = {"P": np.eye(2), "Q": np.eye(2), field: value}
+        with pytest.raises(DimensionError, match=f"^{field} {message}$"):
+            transient_bound(args["P"], args["Q"], 0.1, 1.0, 1.0, 0.5)
+
 
 def path_net(*edges, subsystems=("s1", "s2")):
     """Scalar subsystems with desired dynamics -1 and edges ``(src, dst, gain)``."""
@@ -475,8 +489,20 @@ class TestSmallGain:
         assert [r.passed for r in res] == [True, False]
 
 
+def path_gain(net, e):
+    """(peak gain, spectral norm) of one coupling path by one ``hinf_gain`` call,
+    (0, 0) without an edge; a bound-only edge gives ``norm_bound * ||(sI - A_m)^-1||``."""
+    if e is None:
+        return 0.0, 0.0
+    Am = net.checked[e.src]
+    if e.A is not None:
+        return hinf_gain(e.checked, Am), e.gain()
+    return e.norm_bound * hinf_gain(np.eye(Am.A.shape[0]), Am), e.gain()
+
+
 def nested_small_gain(net):
-    """The oracle of the pair walk: every id pair i < j probed, in sorted order."""
+    """The oracle of the pair walk: every id pair i < j probed, in sorted order,
+    each path gain from its own ``hinf_gain`` call."""
     edges = {(e.src, e.dst): e for e in net.edges}
     ids = sorted(net.ids)
     out = []
@@ -484,8 +510,8 @@ def nested_small_gain(net):
         for j in ids[a + 1:]:
             fwd, back = edges.get((j, i)), edges.get((i, j))
             if fwd is not None or back is not None:
-                h1, r1 = connective._path_gain(net, fwd)
-                h2, r2 = connective._path_gain(net, back)
+                h1, r1 = path_gain(net, fwd)
+                h2, r2 = path_gain(net, back)
                 out.append(((i, j), h1 * h2, r1 * r2))
     return out
 
@@ -520,6 +546,32 @@ class TestSmallGainWalk:
         assert want
         assert [(r.pair, r.hinf_product, r.raw_gain_product)
                 for r in small_gain_check(net)] == want
+
+    def test_one_stack_per_block_shape(self, monkeypatch):
+        # sources of sizes 1-3, one-way and bound-only edges: the path gains run
+        # as one level-set stack per block shape (a bound-only edge's block is I
+        # of its source's size), and every product is the per-edge hinf_gain one
+        net = mixed_net(np.random.default_rng(53), (1, 2, 3), 3, coupling=0.5)
+        pairs = {(e.src, e.dst) for e in net.edges}
+        assert any((e.dst, e.src) not in pairs for e in net.edges)
+        assert {e.A is None for e in net.edges} == {True, False}
+        assert len({net.desired[e.src].shape for e in net.edges}) == 3
+        shapes = {e.A.shape if e.A is not None else net.desired[e.src].shape
+                  for e in net.edges}
+        stacks = []
+        real = connective._peak_gains
+
+        def counted(recs, M, rtol, dtols):
+            stacks.append((M.shape[1:], len(recs)))
+            return real(recs, M, rtol, dtols)
+
+        monkeypatch.setattr(connective, "_peak_gains", counted)
+        got = [(r.pair, r.hinf_product, r.raw_gain_product) for r in small_gain_check(net)]
+        assert sorted(shape for shape, _ in stacks) == sorted(shapes)
+        assert sum(k for _, k in stacks) == len(net.edges)
+        assert max(k for _, k in stacks) > 1
+        monkeypatch.undo()
+        assert got == nested_small_gain(net)
 
 
 class TestAnalyzePipeline:

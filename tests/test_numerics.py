@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag as sla_block_diag
 
 from conftest import (
     DC_AM,
@@ -643,6 +644,32 @@ class TestDistance:
             worst = max(worst, len(calls))
         assert worst <= 10
 
+    @pytest.mark.parametrize("output", ["identity", "given"])
+    def test_starting_frequencies(self, monkeypatch, output):
+        # the first gains evaluated are each member's at w = 0 and at the
+        # distinct |Im lambda| of its spectrum (not the moduli |lambda|); a
+        # member whose spectrum is all real starts from w = 0 alone
+        rng = np.random.default_rng(49)
+        rot = np.array([[-0.05, 3.0], [-3.0, -0.05]])
+        S = rng.normal(size=(5, 5))
+        mats = [random_hurwitz(rng, 5) for _ in range(3)]
+        mats.append(S @ sla_block_diag(rot, rot, [[-1.0]]) @ np.linalg.inv(S))
+        mats.append(np.triu(rng.normal(size=(5, 5)), 1) - np.diag(rng.uniform(1.0, 4.0, 5)))
+        recs = [Checked(A, square=True) for A in mats]
+        assert not np.count_nonzero(recs[-1].spectrum.imag)
+        M = None if output == "identity" else rng.normal(size=(len(recs), 2, 5))
+        calls = []
+        real = numerics._gains
+        monkeypatch.setattr(numerics, "_gains", lambda A, M, owner, ws: calls.append(
+            (owner.copy(), ws.copy())) or real(A, M, owner, ws))
+        numerics._peak_gains(recs, M, numerics._HINF_RTOL, np.zeros(len(recs)))
+        owner, ws = calls[0]
+        for k, rec in enumerate(recs):
+            want = np.unique(np.abs(np.concatenate(([0.0], rec.spectrum.imag))))
+            assert ws[owner == k].tolist() == want.tolist()
+        assert ws[owner == len(recs) - 1].tolist() == [0.0]
+        assert len(calls) > 1  # then the levels
+
 
 class TestStackedKernels:
     """The crossing test, the level-set iteration and the Riccati solve run
@@ -677,7 +704,8 @@ class TestStackedKernels:
             kinds.add("solved")
         assert kinds == {"error", "solved"}
         M = rng.normal(size=(2, n))
-        for r, (g, w, s) in zip(recs, numerics._peak_gains(recs, M, numerics._HINF_RTOL,
+        shared = np.broadcast_to(M, (len(recs), *M.shape))
+        for r, (g, w, s) in zip(recs, numerics._peak_gains(recs, shared, numerics._HINF_RTOL,
                                                             np.zeros(len(recs)))):
             assert s is None and g == hinf_gain(M, r)
 
@@ -798,11 +826,12 @@ class TestStackedKernels:
         rng = np.random.default_rng(76)
         recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(5)]
         M, rtol, dtols = None, numerics._DIST_RTOL, [1e-12] * len(recs)
-        if output == "given":
-            M, rtol, dtols = rng.normal(size=(2, 3)), numerics._HINF_RTOL, [0.0] * len(recs)
+        if output == "given":  # one output matrix per member
+            M, rtol, dtols = rng.normal(size=(5, 2, 3)), numerics._HINF_RTOL, [0.0] * len(recs)
         monkeypatch.setattr(numerics, "_MAX_LEVELS", 2)
         stack = numerics._peak_gains(recs, M, rtol, dtols)
-        alone = [numerics._peak_gains([r], M, rtol, [t])[0] for r, t in zip(recs, dtols)]
+        alone = [numerics._peak_gains([r], None if M is None else M[k:k + 1], rtol, [t])[0]
+                 for k, (r, t) in enumerate(zip(recs, dtols))]
         assert [isinstance(o, Exception) for o in stack] == [True, False, False, False, False]
         assert isinstance(stack[0], SolverError)
         assert str(stack[0]) == "level-set iteration did not converge in 2 levels"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, random_hurwitz
+from conftest import CONFIG_DIR, mixed_net, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -312,33 +312,6 @@ class TestDecouplingInequality:
             S = X.T @ X + Y.T @ Y - X.T @ Y - Y.T @ X
             scale = max(np.linalg.norm(X), np.linalg.norm(Y)) ** 2
             assert np.min(np.linalg.eigvalsh(0.5 * (S + S.T))) >= -1e-10 * scale
-
-
-def mixed_net(rng, sizes, per_size, coupling, spread=0.0):
-    """Subsystems of each state size in ``sizes``, ``per_size`` of each in
-    shuffled id order, with random desired dynamics (entries scaled by up
-    to ``10**spread``) and random couplings of scale ``coupling``; about
-    one edge in ten is bound-only."""
-    dims = rng.permutation(np.repeat(sizes, per_size)).tolist()
-    ids = [f"s{k:02d}" for k in range(len(dims))]
-    dim = dict(zip(ids, dims))
-    subs = [AugmentedSubsystem.from_raw(sid, B=np.eye(n)[:, :1], C=np.zeros((0, n)))
-            for sid, n in dim.items()]
-    desired = {sid: random_hurwitz(rng, n, 10.0 ** rng.uniform(-spread, spread))
-               for sid, n in dim.items()}
-    edges = []
-    for i in ids:
-        for j in ids:
-            if i != j and rng.uniform() < 0.15:
-                if rng.uniform() < 0.1:
-                    edges.append(Interconnection(src=j, dst=i,
-                                                 norm_bound=coupling * rng.uniform()))
-                else:
-                    edges.append(Interconnection(src=j, dst=i,
-                                                 A=coupling * rng.normal(size=(dim[i], dim[j]))))
-    tuning = {sid: Tuning(Q=np.eye(n), gamma=1.0, theta_max=1.0, eps0=0.1)
-              for sid, n in dim.items()}
-    return NetworkModel(subsystems=subs, edges=edges, desired=desired, tuning=tuning)
 
 
 def bits(x):
