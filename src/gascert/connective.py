@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .model import NetworkModel
+from .model import NetworkModel, _edge_table
 from .numerics import (_HINF_RTOL, _peak_gains, as_matrix, eigenvalues, numeric_array,
                        numeric_scalar)
 
@@ -66,13 +66,6 @@ def _extremes(net: NetworkModel, P: dict, read=True):
             raise ValueError(f"subsystem {sid}: P is not positive definite")
         ext[2, k] = _lam_extremes(net.tuning[sid].Q)[0]
     return ext
-
-
-def _edge_table(net: NetworkModel):
-    """Source position, destination position (by ``net.index``) and gain of
-    each edge, three arrays in ``net.edges`` order."""
-    pos = np.array([(net.index[e.src], net.index[e.dst]) for e in net.edges], dtype=np.intp)
-    return *pos.reshape(-1, 2).T, np.array([e.gain() for e in net.edges])
 
 
 def comparison_matrix(net: NetworkModel, P: dict):
@@ -243,7 +236,8 @@ def small_gain_check(net: NetworkModel):
     edge gains (the quick desk check).  A pair passes iff its
     ``hinf_product`` is < 1.
     """
-    paths = {(e.src, e.dst): (h, e.gain()) for e, h in zip(net.edges, _path_gains(net))}
+    gains = _edge_table(net)[2].tolist()
+    paths = {(e.src, e.dst): (h, g) for e, h, g in zip(net.edges, _path_gains(net), gains)}
     results = []
     for i, j in sorted({tuple(sorted(pair)) for pair in paths}):
         h1, r1 = paths.get((j, i), (0.0, 0.0))

@@ -17,8 +17,10 @@ read-only.  Values are immutable after construction and, holding arrays,
 compare by identity.  An edge joins two distinct subsystems and has a
 coupling matrix or a declared bound on its norm, never both.  A network
 eigen-solves each desired record once (a record shared by subsystems
-once for all), takes its edge gains from one SVD per block shape, and
-solves each Lyapunov weight on its first read.
+once for all) and solves each Lyapunov weight on its first read; it
+derives nothing from its edges.  ``_edge_table`` is the one derivation
+of edge data (positions and gains, one SVD per block shape), built by
+each pipeline that reads it.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ class Interconnection:
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
     dim_src, stored as ``checked.A``), or ``norm_bound``, a declared
     finite bound on its spectral norm; only the aggregate bounds can use a
-    bound-only edge (``A is None``).
+    bound-only edge (``A is None``).  ``gain()`` is computed when called;
+    the pipelines take every gain from ``_edge_table`` instead.
     """
 
     src: str
@@ -187,7 +190,6 @@ class Interconnection:
     A: np.ndarray | None = None
     norm_bound: float | None = None
     checked: Checked | None = field(default=None, init=False, repr=False)
-    _gain: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         name = f"edge {self.src}->{self.dst}"
@@ -201,7 +203,6 @@ class Interconnection:
             if bound < 0.0:
                 raise ValueError(f"{name}: norm_bound must be >= 0")
             object.__setattr__(self, "norm_bound", bound)
-            object.__setattr__(self, "_gain", bound)
         else:
             object.__setattr__(self, "checked", Checked(self.A, f"{name}: A"))
             object.__setattr__(self, "A", self.checked.A)
@@ -211,10 +212,8 @@ class Interconnection:
     __reduce__ = _rebuilt
 
     def gain(self):
-        """``norm_bound``, or ``||A||_2`` computed once (by a network it is in)."""
-        if self._gain is None:
-            object.__setattr__(self, "_gain", spectral_norm(self.checked))
-        return self._gain
+        """``norm_bound``, or ``||A||_2`` computed on each call."""
+        return self.norm_bound if self.A is None else spectral_norm(self.checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +252,9 @@ class NetworkModel:
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
-    ``index`` maps each id to its position in ``subsystems``; the in-edges
-    of every id and the edge gains are tabulated at construction, and
-    ``out_edges`` filters ``edges`` when called.
+    ``index`` maps each id to its position in ``subsystems``.  Nothing is
+    derived from the edges at construction: ``in_edges`` and ``out_edges``
+    filter ``edges`` when called, and the gains come from ``_edge_table``.
     The checked per-id values (and ``checked``, the desired matrices'
     records) are stored in new read-only mappings, matrices as read-only copies;
     a desired matrix given as a square ``Checked`` record of the right size
@@ -283,8 +282,7 @@ class NetworkModel:
         if not ids:
             raise ValueError("network has no subsystems")
         object.__setattr__(self, "index", {sid: k for k, sid in enumerate(ids)})
-        incoming = {sid: [] for sid in ids}
-        pairs, shapes = set(), {}
+        pairs = set()
         for e in self.edges:
             if (e.src, e.dst) in pairs:
                 raise ValueError(f"edge {e.src}->{e.dst}: repeated edge; declare each pair once")
@@ -299,13 +297,6 @@ class NetworkModel:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
-                shapes.setdefault(want, []).append(e)
-            incoming[e.dst].append(e)
-        object.__setattr__(self, "_in", {sid: tuple(v) for sid, v in incoming.items()})
-        for group in shapes.values():  # bit for bit np.linalg.norm(A, 2) of each
-            gains = np.linalg.svd(np.stack([e.A for e in group]), compute_uv=False)[:, 0]
-            for e, g in zip(group, gains.tolist()):
-                object.__setattr__(e, "_gain", g)
         object.__setattr__(self, "_lyapunov", {})
         desired, tuning, baseline, checked = {}, {}, {}, {}
         for sid, s in zip(ids, self.subsystems):
@@ -352,8 +343,9 @@ class NetworkModel:
         return self.subsystems[self.index[sid]]
 
     def in_edges(self, sid):
-        """Edges whose coupling enters subsystem ``sid`` (its neighbour set)."""
-        return self._in.get(sid, ())
+        """Edges whose coupling enters subsystem ``sid`` (its neighbour set),
+        filtered from ``edges``."""
+        return tuple(e for e in self.edges if e.dst == sid)
 
     def out_edges(self, sid):
         """Edges whose coupling leaves subsystem ``sid``, filtered from ``edges``."""
@@ -370,6 +362,25 @@ class NetworkModel:
             P = self._lyapunov[sid] = solve_lyapunov(self.checked[sid], self.tuning[sid].checked)
             P.flags.writeable = False
         return P
+
+
+def _edge_table(net: NetworkModel):
+    """Source position, destination position (by ``net.index``) and gain of
+    each edge, three arrays in ``net.edges`` order.
+
+    The gains of the matrix edges of one block shape come from one SVD of
+    their stack, each bit for bit ``np.linalg.norm(A, 2)``; a bound-only
+    edge's gain is its bound.
+    """
+    pos = np.array([(net.index[e.src], net.index[e.dst]) for e in net.edges], dtype=np.intp)
+    gain = np.array([e.norm_bound if e.A is None else 0.0 for e in net.edges])
+    shapes = {}
+    for k, e in enumerate(net.edges):
+        if e.A is not None:
+            shapes.setdefault(e.A.shape, []).append(k)
+    for ks in shapes.values():
+        gain[ks] = np.linalg.svd(np.stack([net.edges[k].A for k in ks]), compute_uv=False)[:, 0]
+    return *pos.reshape(-1, 2).T, gain
 
 
 def closed_loop_global(net: NetworkModel):

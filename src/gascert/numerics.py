@@ -197,8 +197,8 @@ def solve_lyapunov(A, Q):
     """Solve the continuous Lyapunov equation ``A'P + PA + Q = 0``.
 
     Accepted when the Frobenius residual is at most
-    ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``, with P and Q scaled by one power
-    of two so that no norm overflows.
+    ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``, with A, P and Q scaled by powers
+    of two (A by its own, P and Q by one shared) so that no norm overflows.
 
     Parameters
     ----------
@@ -235,14 +235,16 @@ def solve_lyapunov(A, Q):
         )
     P = sla.solve_continuous_lyapunov(A.T, -Q)
     P = 0.5 * (P + P.T)
-    # the test on P and Q scaled by one power of two, which is exact: no norm overflows
-    k = -int(np.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1])
-    Ps, Qs = np.ldexp(P, k), np.ldexp(Q, k)
-    scale = np.linalg.norm(A) * np.linalg.norm(Ps) + np.linalg.norm(Qs)
-    residual = np.linalg.norm(A.T @ Ps + Ps @ A + Qs)
+    # the test on 2^a A, 2^k P and 2^(a+k) Q, whose residual is 2^(a+k) times
+    # the true one: exact, and every entry is below 1, so no norm overflows
+    a = -int(np.frexp(np.abs(A).max())[1])
+    k = -max(int(np.frexp(np.abs(P).max())[1]), int(np.frexp(np.abs(Q).max())[1]) + a)
+    As, Ps, Qs = np.ldexp(A, a), np.ldexp(P, k), np.ldexp(Q, a + k)
+    scale = np.linalg.norm(As) * np.linalg.norm(Ps) + np.linalg.norm(Qs)
+    residual = np.linalg.norm(As.T @ Ps + Ps @ As + Qs)
     if not residual <= 1e-10 * scale:
-        raise SolverError(f"Lyapunov residual {np.ldexp(residual, -k):.3e} exceeds "
-                          f"1e-10 * scale ({np.ldexp(1e-10 * scale, -k):.3e})")
+        raise SolverError(f"Lyapunov residual {np.ldexp(residual, -a - k):.3e} exceeds "
+                          f"1e-10 * scale ({np.ldexp(1e-10 * scale, -a - k):.3e})")
     if np.min(np.linalg.eigvalsh(P)) <= 0.0:
         raise SolverError("Lyapunov solution is not positive definite")
     return P

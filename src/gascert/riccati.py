@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .exceptions import GascertError, StabilityError
-from .model import NetworkModel
+from .model import NetworkModel, _edge_table
 from .numerics import AreSolution, _distances, _solve_ares, numeric_scalar
 
 __all__ = [
@@ -43,11 +43,16 @@ def interconnection_energy(net: NetworkModel, sid):
     """
     if sid not in net.index:
         raise ValueError(f"unknown subsystem id {sid!r}")
-    total = 0.0
-    for e in net.in_edges(sid):
-        gain = e.gain()
-        total += gain * gain
-    return total
+    return _incoming(net)[1][net.index[sid]]
+
+
+def _incoming(net: NetworkModel):
+    """N and Xi2 of every subsystem, two lists in ``net.ids`` order, from one
+    edge table: the in-edge count and the squared gains summed in edge order."""
+    _, dst, gain = _edge_table(net)
+    n = len(net.subsystems)
+    return (np.bincount(dst, minlength=n).tolist(),
+            np.bincount(dst, gain * gain, minlength=n).astype(float).tolist())
 
 
 def epsilon_margin(distance, n_neighbors, coupling_energy):
@@ -138,8 +143,7 @@ def certify(net: NetworkModel) -> GasCertificate:
     ``GascertError``) is raised for the first such subsystem in id order.
     """
     ids = sorted(net.ids)
-    N = {sid: net.neighbor_count(sid) for sid in ids}
-    xi2 = {sid: interconnection_energy(net, sid) for sid in ids}
+    N, xi2 = (dict(zip(net.ids, v)) for v in _incoming(net))
     by_size = {}
     for sid in ids:
         by_size.setdefault(net.desired[sid].shape[0], []).append(sid)

@@ -179,8 +179,9 @@ class SimTrace:
 
     Per-subsystem arrays are keyed by id; ``lyapunov`` is the certificate
     Lyapunov value (error energy plus weighted estimate error) when a
-    certificate was supplied, else None.  A diverged run is truncated at
-    the first non-finite sample and flagged, not discarded.
+    certificate was supplied, else None.  A diverged run is truncated
+    before its first sample beyond the divergence guard and flagged, not
+    discarded; it may hold no sample.
     """
 
     ids: list
@@ -422,8 +423,10 @@ def simulate(net, scenario: Scenario, mode="distributed",
 
     The Lyapunov series is recorded when a certificate is supplied (its
     per-subsystem weights are used both by the distributed adaptation law
-    and by the diagnostic).  Divergence truncates the trace and sets the
-    flag; it is not an exception.
+    and by the diagnostic).  Divergence (a state entry beyond 1e150, the
+    initial state's included) truncates the trace before that sample and
+    sets the flag; it is not an exception.  A start beyond it records no
+    sample and is diverged at t = 0.
     """
     kern = _Kernel(net, scenario, mode, certificate)
     n_steps, dt = int(round(scenario.horizon / scenario.dt)), scenario.dt
@@ -437,14 +440,15 @@ def simulate(net, scenario: Scenario, mode="distributed",
     stages = kern.segment(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1))
     Z[0] = kern.pack(NetworkState(scenario.x0, scenario.xhat0, scenario.theta_hat0))
     last, diverged_at = n_steps, None
-    # states beyond 1e150 count as divergent: the derived quadratics
-    # (Lyapunov value, control signals) would overflow
+    # states beyond 1e150, the initial state included, count as divergent:
+    # the derived quadratics (Lyapunov value, control signals) would overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, seg in enumerate(stages):
-            z = kern.rk4(Z[i], dt, seg, out=Z[i + 1])
-            if not np.abs(z).max() < 1e150:
-                last, diverged_at = i, float(t_grid[i + 1])
+        for i in range(n_steps + 1):
+            if not np.abs(Z[i]).max() < 1e150:
+                last, diverged_at = i - 1, float(t_grid[i])
                 break
+            if i < n_steps:
+                kern.rk4(Z[i], dt, stages[i], out=Z[i + 1])
     return kern.trace(Z[:last + 1], t_grid[:last + 1], certificate is not None, diverged_at)
 
 

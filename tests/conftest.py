@@ -8,6 +8,7 @@ characteristic-polynomial coefficients, and ranks cross-check against
 numpy's own heuristic.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,23 @@ def mixed_net(rng, sizes, per_size, coupling, spread=0.0):
     tuning = {sid: Tuning(Q=np.eye(n), gamma=1.0, theta_max=1.0, eps0=0.1)
               for sid, n in dim.items()}
     return NetworkModel(subsystems=subs, edges=edges, desired=desired, tuning=tuning)
+
+
+def graph_edges(rng, kind, n):
+    """``(src, dst, gain)`` edges of a ring, a grid mesh (both ways) or a random
+    graph with one-way edges, on ids ``s0``.. whose string order is not numeric."""
+    if kind == "ring":
+        pairs = [(k, (k + 1) % n) for k in range(n)]
+    elif kind == "mesh":
+        side = math.isqrt(n)
+        pairs = [(k, k + d) for k in range(n) for d in (1, side)
+                 if k + d < n and (d == side or (k + 1) % side)]
+    else:
+        pairs = [(k, int(j)) for k in range(n)
+                 for j in rng.choice([j for j in range(n) if j != k], 2, replace=False)]
+    both = kind != "random"
+    edges = {(f"s{a}", f"s{b}") for a, b in pairs} | {(f"s{b}", f"s{a}") for a, b in pairs if both}
+    return [(src, dst, float(rng.uniform(0.1, 2.0))) for src, dst in sorted(edges)]
 
 
 def _sweep_extremum(f, A, sign, points=2000):

@@ -354,6 +354,22 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["metrics"]["diverged"] is True
 
+    @pytest.mark.parametrize("mode", ["dist", "dec"])
+    def test_simulate_initial_state_beyond_the_guard_exit_3(self, tmp_path, capsys, mode):
+        # the first sample escaped the divergence guard: exit 1 with
+        # "reports must not contain non-finite numbers"
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"]["x0"] = {"a": [1e160, 0]}
+        cfg = tmp_path / "huge_x0.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "huge_x0.csv"
+        assert main(["simulate", str(cfg), "--mode", mode, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["samples"] == 0 and report["metrics"]["diverged"] is True
+        assert out.read_text() == "time,subsystem,series,index,value\n"
+
     def test_simulate_zero_horizon(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["scenario"]["horizon"] = 0.0
@@ -535,9 +551,26 @@ class TestExitCodes:
         assert captured.err.startswith("error: Lyapunov residual ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_huge_reference_model_weight_accepted(self, tmp_path, capsys):
+        # ||A_m||_F overflowed and ||P||_F, scaled with Q, underflowed: the
+        # residual bound read nan and refused an accurate weight (exit 1)
+        doc = json.loads(open(TOY, "rb").read())
+        doc["reference_model"] = [[-1e300, 1e300], [-1e300, -1e300]]
+        cfg = tmp_path / "huge_reference_model.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["connective", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["verdict"] == "pass"
+        for sid in ("a", "b"):
+            assert report["subsystems"][sid]["lambda_max_P"] == pytest.approx(5e-301, rel=1e-12)
+
     def test_solver_warning_not_written(self, tmp_path):
-        # scipy warns of an eigenvalue pair summing to nearly zero before
-        # the definiteness check fails; stderr holds the error line alone
+        # scipy warns of an eigenvalue pair summing to nearly zero and returns a
+        # negative definite P, which the residual test refuses (its norms once
+        # underflowed to 0 <= 0, and the definiteness check refused it instead);
+        # stderr holds the error line alone
         doc = json.loads(open(TOY, "rb").read())
         doc["reference_model"] = (np.array(doc["reference_model"]) * 1e-300).tolist()
         cfg = tmp_path / "tiny_reference_model.json"
@@ -547,7 +580,8 @@ class TestExitCodes:
                               env={**os.environ, "PYTHONPATH": str(CONFIG_DIR.parents[1] / "src")})
         assert done.returncode == 1
         assert done.stdout == ""
-        assert done.stderr == "error: Lyapunov solution is not positive definite\n"
+        assert done.stderr == ("error: Lyapunov residual 1.414e+00 exceeds "
+                               "1e-10 * scale (1.414e-10)\n")
 
     def test_line_breaks_in_message_stay_on_one_line(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())

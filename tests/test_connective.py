@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, mixed_net, random_hurwitz
+from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, graph_edges, mixed_net, random_hurwitz
 from gascert import connective
 from gascert import (
     AugmentedSubsystem,
@@ -514,23 +514,6 @@ def nested_small_gain(net):
                 h2, r2 = path_gain(net, back)
                 out.append(((i, j), h1 * h2, r1 * r2))
     return out
-
-
-def graph_edges(rng, kind, n):
-    """``(src, dst, gain)`` edges of a ring, a grid mesh (both ways) or a random
-    graph with one-way edges, on ids ``s0``.. whose string order is not numeric."""
-    if kind == "ring":
-        pairs = [(k, (k + 1) % n) for k in range(n)]
-    elif kind == "mesh":
-        side = math.isqrt(n)
-        pairs = [(k, k + d) for k in range(n) for d in (1, side)
-                 if k + d < n and (d == side or (k + 1) % side)]
-    else:
-        pairs = [(k, int(j)) for k in range(n)
-                 for j in rng.choice([j for j in range(n) if j != k], 2, replace=False)]
-    both = kind != "random"
-    edges = {(f"s{a}", f"s{b}") for a, b in pairs} | {(f"s{b}", f"s{a}") for a, b in pairs if both}
-    return [(src, dst, float(rng.uniform(0.1, 2.0))) for src, dst in sorted(edges)]
 
 
 class TestSmallGainWalk:

@@ -27,7 +27,7 @@ from gascert import (
     small_gain_check,
     solve_are,
 )
-from gascert.config import load_config
+from gascert.config import load_config, parse_config
 
 
 def toy_tuning(dim):
@@ -701,23 +701,60 @@ def shapes_net(rng):
 
 class TestStackedGains:
     def test_gain_is_the_two_norm_bit_for_bit(self, monkeypatch):
-        # one SVD of the stacked blocks per shape, and every edge's gain is
-        # what np.linalg.norm(A, 2) gives that block alone
+        # the edge table takes one SVD of the stacked blocks per shape, and
+        # every edge's gain is what np.linalg.norm(A, 2) gives that block alone
+        net = shapes_net(np.random.default_rng(8))
         stacks = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **k: stacks.append(a.shape) or svd(a, **k))
         monkeypatch.setattr(model, "spectral_norm", None)  # no edge asks for its own
-        net = shapes_net(np.random.default_rng(8))
+        src, dst, gains = model._edge_table(net)
+        monkeypatch.undo()
         shapes = {e.A.shape for e in net.edges if e.A is not None}
         assert {(1, 3), (3, 1)} <= shapes and len(shapes) == 8
         assert sorted(s[1:] for s in stacks) == sorted(shapes)
         assert sum(s[0] for s in stacks) == len(net.edges) - 1
-        for e in net.edges:
+        assert src.tolist() == [net.index[e.src] for e in net.edges]
+        assert dst.tolist() == [net.index[e.dst] for e in net.edges]
+        for e, g in zip(net.edges, gains.tolist()):
             if e.A is None:
-                assert e.gain() == 0.75
+                assert g == 0.75
             else:
-                assert type(e.gain()) is float
-                assert np.float64(e.gain()).tobytes() == np.linalg.norm(e.A, 2).tobytes()
+                assert np.float64(g).tobytes() == np.linalg.norm(e.A, 2).tobytes()
+                assert g == e.gain()
+
+    def test_no_edges(self):
+        net = shapes_net(np.random.default_rng(8))
+        net = NetworkModel(subsystems=net.subsystems, edges=[], desired=net.checked,
+                           tuning=net.tuning)
+        src, dst, gains = model._edge_table(net)
+        assert (src.shape, dst.shape, gains.shape) == ((0,), (0,), (0,))
+        assert src.dtype == dst.dtype == np.intp and gains.dtype == np.float64
+
+    @pytest.mark.parametrize("how", ["constructor", "copy", "demos"])
+    def test_a_load_derives_nothing_from_the_edges(self, monkeypatch, how):
+        # no SVD and no spectral_norm: a network holds no edge gain, and a
+        # simulate run, which reads none, pays for none
+        net = shapes_net(np.random.default_rng(8))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: calls.append("svd") or svd(a, **k))
+        for mod in (model, numerics):
+            monkeypatch.setattr(mod, "spectral_norm", lambda A: calls.append("norm"))
+        if how == "constructor":
+            NetworkModel(subsystems=net.subsystems, edges=net.edges, desired=net.checked,
+                         tuning=net.tuning)
+        elif how == "copy":
+            pickle.loads(pickle.dumps(net))
+        else:  # each plant matrix dropped, so that no PBH test runs
+            for name in ("toy_pair", "dc_pair", "mesh6", "weak_pair", "unstable_pair"):
+                doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+                for sec in doc["subsystems"]:
+                    sec.pop("A", None)
+                assert parse_config(doc)[0].edges
+        assert calls == []
+        assert not hasattr(net, "_in")
+        assert all(not hasattr(e, "_gain") for e in net.edges)
 
     def test_edge_outside_a_network_answers(self):
         A = np.random.default_rng(9).normal(size=(3, 2))

@@ -119,6 +119,23 @@ class TestLyapunov:
         with np.errstate(all="ignore"), pytest.raises(SolverError, match="Lyapunov residual"):
             solve_lyapunov(A, Q)
 
+    def test_huge_A_accepted(self, monkeypatch):
+        # ||A||_F overflowed and ||P||_F, scaled with Q, underflowed: the bound
+        # read inf * 0 (nan) and refused an accurate solution; a wrong one of
+        # the same size is still refused, with finite numbers in its message
+        A = [[-1e300, 1e300], [-1e300, -1e300]]
+        with np.errstate(over="raise", invalid="raise"):
+            P = solve_lyapunov(A, np.eye(2))
+        assert np.diag(P).tolist() == pytest.approx([5e-301, 5e-301], rel=1e-12)
+        assert np.abs(P[0, 1]) <= 1e-12 * 5e-301
+        real = numerics.sla.solve_continuous_lyapunov
+        monkeypatch.setattr(numerics.sla, "solve_continuous_lyapunov",
+                            lambda *args: 2.0 * real(*args))
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(SolverError, match=r"^Lyapunov residual \d\.\d{3}e\+00 exceeds "
+                                                 r"1e-10 \* scale \(\d\.\d{3}e-10\)$"):
+            solve_lyapunov(A, np.eye(2))
+
     def test_huge_solution_accepted(self):
         P = solve_lyapunov([[-1.0]], [[1e300]])
         assert P[0, 0] == pytest.approx(5e299, rel=1e-12)

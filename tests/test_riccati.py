@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, mixed_net, random_hurwitz
+from conftest import CONFIG_DIR, graph_edges, mixed_net, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -71,6 +71,64 @@ class TestInterconnectionEnergy:
     def test_reverse_edge_not_counted(self):
         net = scalar_net({("s2", "s1"): 0.1, ("s1", "s2"): 0.4})
         assert interconnection_energy(net, "s1") == pytest.approx(0.01)
+
+
+def walk_incoming(net, sid):
+    """The oracle of the edge table: ``(N, Xi2)`` of one id by a walk over
+    its in-edges, each gain computed alone."""
+    N, xi2 = 0, 0.0
+    for e in net.edges:
+        if e.dst == sid:
+            gain = e.norm_bound if e.A is None else float(np.linalg.norm(e.A, 2))
+            N, xi2 = N + 1, xi2 + gain * gain
+    return N, xi2
+
+
+def graph_net(rng, kind, n):
+    """A ring, mesh or random graph (``graph_edges``) of subsystems of 1 to 3
+    states, about one edge in five bound-only."""
+    dim = {f"s{k}": int(rng.integers(1, 4)) for k in rng.permutation(n)}
+    edges = [Interconnection(src=src, dst=dst, norm_bound=g) if rng.uniform() < 0.2
+             else Interconnection(src=src, dst=dst, A=g * rng.normal(size=(dim[dst], dim[src])))
+             for src, dst, g in graph_edges(rng, kind, n)]
+    return NetworkModel(
+        subsystems=[AugmentedSubsystem.from_raw(sid, B=np.eye(k)[:, :1], C=np.zeros((0, k)))
+                    for sid, k in dim.items()],
+        edges=edges, desired={sid: random_hurwitz(rng, k) for sid, k in dim.items()},
+        tuning={sid: Tuning(Q=np.eye(k), gamma=1.0, theta_max=1.0, eps0=0.1)
+                for sid, k in dim.items()})
+
+
+class TestIncomingTable:
+    """``certify`` takes N and Xi2 of every subsystem from one edge table."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind,n", [("ring", 9), ("mesh", 16), ("random", 12)])
+    def test_as_the_per_id_walk_gives(self, kind, n, seed):
+        rng = np.random.default_rng([47, seed, n])
+        net = graph_net(rng, kind, n)
+        assert any(e.A is None for e in net.edges) and any(e.A is not None for e in net.edges)
+        cert = certify(net)
+        for sid in net.ids:
+            c = cert.record(sid)
+            N, xi2 = walk_incoming(net, sid)
+            assert type(c.n_neighbors) is int and type(c.coupling_energy) is float
+            assert (c.n_neighbors, bits(c.coupling_energy)) == (N, bits(xi2))
+            assert bits(interconnection_energy(net, sid)) == bits(xi2)
+
+    def test_no_edges(self):
+        # an empty edge list counts integer zeros; the energies are float zeros
+        net = graph_net(np.random.default_rng(5), "ring", 4)
+        net = NetworkModel(subsystems=net.subsystems, edges=[], desired=net.checked,
+                           tuning=net.tuning)
+        for c in certify(net).subsystems:
+            assert type(c.n_neighbors) is int and c.n_neighbors == 0
+            assert type(c.coupling_energy) is float and c.coupling_energy == 0.0
+            assert type(interconnection_energy(net, c.sid)) is float
+
+    def test_unknown_id(self):
+        with pytest.raises(ValueError, match="unknown subsystem id 'nope'"):
+            interconnection_energy(graph_net(np.random.default_rng(5), "ring", 4), "nope")
 
 
 class TestStabilityMargin:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import pickle
 import re
@@ -762,6 +763,24 @@ class TestTraceMechanics:
         assert np.all(np.isfinite(trace.xbar["a"]))
         m = metrics(trace)
         assert m["diverged"]
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_initial_state_beyond_the_guard_diverges_at_zero(self, mode):
+        # the 1e150 guard checked each new sample but never the first: such a
+        # start ran on and made non-finite metrics
+        net, scenario, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        sc = dataclasses.replace(scenario, x0={"a": [1e160, 0.0]})
+        cert = certify(net)
+        trace = simulate(net, sc, mode=mode, certificate=cert if mode == "distributed" else None)
+        assert trace.diverged and trace.diverged_at == 0.0
+        assert trace.t.size == 0
+        assert all(trace.xbar[sid].shape[0] == 0 for sid in trace.ids)
+        m = metrics(trace)
+        assert m["diverged"] and m["final_lyapunov"] is None
+        assert all(v == 0.0 for sub in m["per_subsystem"].values() for v in sub.values())
+        buf = io.StringIO()
+        export_csv(trace, buf)
+        assert buf.getvalue() == "time,subsystem,series,index,value\n"
 
     def test_csv_format(self):
         net = solo_net()
