@@ -39,20 +39,17 @@ def interconnection_energy(net: NetworkModel, sid):
 
     Each incoming edge contributes the square of its gain: the spectral
     norm of its matrix (the largest singular value of ``A_ij``), or the
-    declared bound of a bound-only edge.
+    declared bound of a bound-only edge.  Only the in-edges of ``sid`` are
+    read, in edge order, so the sum is bit for bit the ``coupling_energy``
+    that ``certify`` records from the whole edge table.
     """
     if sid not in net.index:
         raise ValueError(f"unknown subsystem id {sid!r}")
-    return _incoming(net)[1][net.index[sid]]
-
-
-def _incoming(net: NetworkModel):
-    """N and Xi2 of every subsystem, two lists in ``net.ids`` order, from one
-    edge table: the in-edge count and the squared gains summed in edge order."""
-    _, dst, gain = _edge_table(net)
-    n = len(net.subsystems)
-    return (np.bincount(dst, minlength=n).tolist(),
-            np.bincount(dst, gain * gain, minlength=n).astype(float).tolist())
+    total = 0.0
+    for e in net.in_edges(sid):
+        gain = e.gain()
+        total += gain * gain
+    return total
 
 
 def epsilon_margin(distance, n_neighbors, coupling_energy):
@@ -143,7 +140,12 @@ def certify(net: NetworkModel) -> GasCertificate:
     ``GascertError``) is raised for the first such subsystem in id order.
     """
     ids = sorted(net.ids)
-    N, xi2 = (dict(zip(net.ids, v)) for v in _incoming(net))
+    # N and Xi2 from the edge table: the weighted bincount sums each id's
+    # squared gains in edge order, bit for bit interconnection_energy
+    _, dst, gain = _edge_table(net)
+    n = len(net.subsystems)
+    N = dict(zip(net.ids, np.bincount(dst, minlength=n).tolist()))
+    xi2 = dict(zip(net.ids, np.bincount(dst, gain * gain, minlength=n).astype(float).tolist()))
     by_size = {}
     for sid in ids:
         by_size.setdefault(net.desired[sid].shape[0], []).append(sid)

@@ -136,6 +136,15 @@ class TestLyapunov:
                                                  r"1e-10 \* scale \(\d\.\d{3}e-10\)$"):
             solve_lyapunov(A, np.eye(2))
 
+    def test_indefinite_solution_rejected(self, monkeypatch):
+        # a solver answer within the residual bound whose small eigenvalue
+        # has the wrong sign: only the definiteness check refuses it
+        real = numerics.sla.solve_continuous_lyapunov
+        monkeypatch.setattr(numerics.sla, "solve_continuous_lyapunov",
+                            lambda *args: real(*args) * np.diag([1.0, -1.0]))
+        with pytest.raises(SolverError, match="^Lyapunov solution is not positive definite$"):
+            solve_lyapunov(-np.eye(2), np.diag([1.0, 1e-12]))
+
     def test_huge_solution_accepted(self):
         P = solve_lyapunov([[-1.0]], [[1e300]])
         assert P[0, 0] == pytest.approx(5e299, rel=1e-12)

@@ -1,12 +1,12 @@
 """Byte check: one SHA-256 per ``gascert`` operation.
 
-    python3 tools/bytecheck.py [--seed N] > digests.txt
+    python3 tools/bytecheck.py > digests.txt
 
 Each output line is ``<sha256>  <command>:<document>``.  The digest
 covers the exit code, stdout and stderr of one in-process ``gascert``
 call, and for ``simulate`` the trace CSV as well.  The operations are
 ``riccati``, ``connective`` and ``smallgain`` on the five demo configs
-and on the seed's certify-sweep ladder (generated by ``bench/``, 2 to 128
+and on seed 1's certify-sweep ladder (generated by ``bench/``, 2 to 128
 subsystems), and ``simulate`` in both modes on the demo configs.
 
 Reports and traces must stay byte-identical across runs: two runs in
@@ -19,7 +19,6 @@ same trace path in every run.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -56,14 +55,10 @@ def digest(argv, csv=None):
     return h.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the certify-sweep ladder (default 1)")
-    args = parser.parse_args(argv)
+def main():
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        docs = workloads.plan("certify-sweep", args.seed, work)["docs"]
+        docs = workloads.plan("certify-sweep", 1, work)["docs"]
         docs = {name: os.path.join(ROOT, path) for name, path in docs.items()}
         os.chdir(work)
         try:
