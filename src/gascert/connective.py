@@ -16,8 +16,8 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .model import NetworkModel, _edge_table
-from .numerics import (_HINF_RTOL, _peak_gains, as_matrix, eigenvalues, numeric_array,
-                       numeric_scalar)
+from .numerics import (_HINF_RTOL, _peak_gains, _per_shape, as_matrix, eigenvalues,
+                       numeric_array, numeric_scalar)
 
 __all__ = [
     "ConnectiveReport",
@@ -202,28 +202,22 @@ def _path_gains(net: NetworkModel):
 
     The path runs through the source's target dynamics: ``hinf_gain(A_ij,
     A_m)`` for an edge with a matrix, and for a bound-only edge the
-    submultiplicative bound ``norm_bound * hinf_gain(I, A_m)``.  The edges
-    of one block shape (the matrix's, or I of the source's size) run as one
-    level-set stack, each member's gain the one ``hinf_gain`` gives it
-    alone; the desired matrices are Hurwitz by construction.  An error is
-    raised as the first edge, in edge order, meets it.
+    submultiplicative bound ``norm_bound * hinf_gain(I, A_m)``.  One
+    ``_per_shape`` call runs the level-set iteration over the sources'
+    records with each edge's block (the matrix, or I of the source's size)
+    as its output matrix: one stack per block shape, each member's gain the
+    one ``hinf_gain`` gives it alone; the desired matrices are Hurwitz by
+    construction.  An error is raised as the first edge, in edge order,
+    meets it.
     """
-    blocks = {}
-    for k, e in enumerate(net.edges):
-        M = e.A if e.A is not None else np.eye(net.checked[e.src].A.shape[0])
-        blocks.setdefault(M.shape, []).append((k, M))
-    peaks = [None] * len(net.edges)
-    for block in blocks.values():
-        ks, Ms = zip(*block)
-        recs = [net.checked[net.edges[k].src] for k in ks]
-        for k, peak in zip(ks, _peak_gains(recs, np.array(Ms), _HINF_RTOL, np.zeros(len(ks)))):
-            peaks[k] = peak
-    gains = []
-    for e, peak in zip(net.edges, peaks):
+    recs = [net.checked[e.src] for e in net.edges]
+    Ms = [np.eye(r.A.shape[0]) if e.A is None else e.A for e, r in zip(net.edges, recs)]
+    peaks = _per_shape(lambda group, M: _peak_gains(group, M, _HINF_RTOL, np.zeros(len(M))),
+                       recs, Ms)
+    for peak in peaks:
         if isinstance(peak, Exception):
             raise peak
-        gains.append(peak[0] if e.A is not None else e.norm_bound * peak[0])
-    return gains
+    return [g if e.A is not None else e.norm_bound * g for e, (g, _, _) in zip(net.edges, peaks)]
 
 
 def small_gain_check(net: NetworkModel):

@@ -19,7 +19,7 @@ coupling matrix or a declared bound on its norm, never both.  A network
 eigen-solves each desired record once (a record shared by subsystems
 once for all) and solves each Lyapunov weight on its first read; it
 derives nothing from its edges.  ``_edge_table`` is the one derivation
-of edge data (positions and gains, one SVD per block shape), built by
+of edge data (positions, and gains from ``numerics._norms``), built by
 each pipeline that reads it.
 """
 
@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import (Checked, _rebuilt, as_matrix, is_hurwitz, numeric_scalar,
-                       solve_lyapunov, spectral_norm)
+from .numerics import (Checked, _held, _norms, _rebuilt, as_matrix, is_hurwitz,
+                       numeric_scalar, solve_lyapunov, spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -179,7 +179,7 @@ class Interconnection:
     another subsystem.
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
-    dim_src, stored as ``checked.A``), or ``norm_bound``, a declared
+    dim_src, stored as a read-only copy), or ``norm_bound``, a declared
     finite bound on its spectral norm; only the aggregate bounds can use a
     bound-only edge (``A is None``).  ``gain()`` is computed when called;
     the pipelines take every gain from ``_edge_table`` instead.
@@ -189,7 +189,6 @@ class Interconnection:
     dst: str
     A: np.ndarray | None = None
     norm_bound: float | None = None
-    checked: Checked | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         name = f"edge {self.src}->{self.dst}"
@@ -204,8 +203,7 @@ class Interconnection:
                 raise ValueError(f"{name}: norm_bound must be >= 0")
             object.__setattr__(self, "norm_bound", bound)
         else:
-            object.__setattr__(self, "checked", Checked(self.A, f"{name}: A"))
-            object.__setattr__(self, "A", self.checked.A)
+            object.__setattr__(self, "A", _held(self.A, f"{name}: A"))
             if not np.any(self.A):
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
 
@@ -213,7 +211,7 @@ class Interconnection:
 
     def gain(self):
         """``norm_bound``, or ``||A||_2`` computed on each call."""
-        return self.norm_bound if self.A is None else spectral_norm(self.checked)
+        return self.norm_bound if self.A is None else spectral_norm(self.A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +318,8 @@ class NetworkModel:
                     f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {s.dim}"
                 )
             K = self.baseline.get(sid)
-            K = Checked(np.zeros((s.m, s.dim)) if K is None else K,
-                        f"subsystem {sid}: baseline gain").A
+            K = _held(np.zeros((s.m, s.dim)) if K is None else K,
+                      f"subsystem {sid}: baseline gain")
             if K.shape != (s.m, s.dim):
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"
@@ -368,18 +366,13 @@ def _edge_table(net: NetworkModel):
     """Source position, destination position (by ``net.index``) and gain of
     each edge, three arrays in ``net.edges`` order.
 
-    The gains of the matrix edges of one block shape come from one SVD of
-    their stack, each bit for bit ``np.linalg.norm(A, 2)``; a bound-only
-    edge's gain is its bound.
+    A matrix edge's gain is ``numerics._norms``' (one SVD per block shape,
+    bit for bit ``np.linalg.norm(A, 2)``); a bound-only edge's is its bound.
     """
     pos = np.array([(net.index[e.src], net.index[e.dst]) for e in net.edges], dtype=np.intp)
     gain = np.array([e.norm_bound if e.A is None else 0.0 for e in net.edges])
-    shapes = {}
-    for k, e in enumerate(net.edges):
-        if e.A is not None:
-            shapes.setdefault(e.A.shape, []).append(k)
-    for ks in shapes.values():
-        gain[ks] = np.linalg.svd(np.stack([net.edges[k].A for k in ks]), compute_uv=False)[:, 0]
+    matrix = [k for k, e in enumerate(net.edges) if e.A is not None]
+    gain[matrix] = _norms([net.edges[k] for k in matrix])
     return *pos.reshape(-1, 2).T, gain
 
 

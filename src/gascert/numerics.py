@@ -17,13 +17,20 @@ stack, except the Riccati Schur factorisation and the solve of the basis
 it yields, which run per member; every member's numbers are those it gets
 alone, and a member's error is its own.  The public kernels are stacks of
 one, each finished by ``_alone``.  The level-set iteration takes one
-output matrix per member, so ``small_gain_check`` runs the path gains of
-all edges of one block shape as one stack, and it starts each member from
-``w = 0`` and the distinct ``|Im lambda|`` of its spectrum.  The stacked
-kernels keep their members by one rule: the stacks hold only the members
-still standing, and one ``live`` list holds their record ids; a step that
-decides a member's outcome writes it to ``out`` once; and the stacks are
-cut (``_standing``) only after a step at which some member has left.
+output matrix per member and starts each member from ``w = 0`` and the
+distinct ``|Im lambda|`` of its spectrum.  The stacked kernels keep their
+members by one rule: the stacks hold only the members still standing, and
+one ``live`` list holds their record ids; a step that decides a member's
+outcome writes it to ``out`` once; and the stacks are cut (``_standing``)
+only after a step at which some member has left.
+
+Stacks are formed by one rule, ``_per_shape``, and nowhere else: the work
+items (records, or edges: anything with a matrix ``A``) are grouped by
+the shape of that matrix and of their entry in each per-member column,
+each group goes to a same-shape kernel in one call, in order of first
+appearance, and every result, an error value too, is put back at its
+item's place.  ``_norms`` is the spectral norm on that rule.  ``certify``,
+``small_gain_check`` and the edge table ask these two for their stacks.
 """
 
 from __future__ import annotations
@@ -101,12 +108,19 @@ def numeric_array(value, name="array"):
 
 def numeric_scalar(value, name="value"):
     """``numeric_array``'s reading of ``value`` as a float, if it is one number."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # read without an array
+    # an int or a float, numpy's default ones too (never a bool), read without an array
+    if type(value) in (int, float, np.int64, np.float64) and abs(value) <= sys.float_info.max:
         return float(value)
     A = numeric_array(value, name)
     if A.ndim:
         raise DimensionError(f"{name}: expected a number, got ndim={A.ndim}")
     return float(A)
+
+
+def _held(M, name, square=False):  # M read by as_matrix into a new read-only array
+    A = as_matrix(M, name, square).copy()
+    A.flags.writeable = False
+    return A
 
 
 def _rebuilt(value):  # a frozen dataclass's __reduce__: its constructor on its init fields
@@ -123,8 +137,7 @@ class Checked:
     square: InitVar[bool] = False
 
     def __post_init__(self, name, square):
-        object.__setattr__(self, "A", as_matrix(self.A, name, square).copy())
-        self.A.flags.writeable = False
+        object.__setattr__(self, "A", _held(self.A, name, square))
 
     __reduce__ = _rebuilt  # a copy is read and checked again; its spectrum solved on use
 
@@ -426,6 +439,34 @@ def _alone(results):
     return result
 
 
+def _per_shape(kernel, items, *cols):
+    """``kernel`` run once per shape group of ``items``: its results, one per
+    item, in ``items`` order.
+
+    Each column of ``cols`` holds one entry per item.  The items whose
+    matrix ``A``, and whose entry in each column, have the same shapes form
+    one group, and ``kernel(group, *stacks)`` runs once per group, in order
+    of first appearance, with the group's entries of each column stacked as
+    one array.  It returns one result per member, an error value too.
+    """
+    groups = {}
+    for k, item in enumerate(items):
+        groups.setdefault((item.A.shape, *(np.shape(c[k]) for c in cols)), []).append(k)
+    out = {}
+    for ks in groups.values():
+        out.update(zip(ks, kernel([items[k] for k in ks],
+                                  *(np.array([c[k] for k in ks]) for c in cols))))
+    return [out[k] for k in range(len(items))]
+
+
+def _norms(items):
+    """``sigma_max`` of each item's matrix ``A``, an array in ``items`` order:
+    one SVD per shape, each bit for bit ``spectral_norm``."""
+    return np.array(_per_shape(
+        lambda group: np.linalg.svd(np.array([x.A for x in group]), compute_uv=False)[:, 0],
+        items))
+
+
 def _standing(out, live, *stacks):
     """``live`` and each stack cut to the members whose outcome ``out`` holds
     none yet; the stacks stay as given when every member, or none, is left,
@@ -594,16 +635,22 @@ def _peak_gains(recs, M, rtol, dtols):
 
     (``Ab = T^{-1} A T`` balanced, ``B = T^{-1}``, ``C = M T``: the same
     transfer function) are the frequencies where ``level`` is a singular
-    value of the response.  Eigenvalues near the axis are only candidates
-    (``_axis_frequencies``); one counts as a crossing when the gain at
-    ``|Im lambda|`` reaches the level up to ``_LEVEL_SLACK``, so slow modes
-    of a badly scaled ``A`` are not taken for crossings.  Because every
-    gain is evaluated directly, a wrong candidate costs an evaluation but
-    never lifts ``g`` above an attained gain.  ``g`` moves to the largest
-    gain at the candidates and at the midpoints between consecutive
-    crossings.  A member stops when none of them exceeds its level
-    ``g (1 + rtol) / (1 - dtol g)``: the peak is then within ``rtol``
-    relative of ``g`` and its reciprocal within ``dtol`` of ``1 / g``.
+    value of the response.  ``C'C`` would overflow for an entry of ``C``
+    beyond about 1.3e154, so a member whose ``C`` has an entry of at least
+    ``2^500`` takes ``c C`` and ``c level`` in place of ``C`` and ``level``,
+    with ``c = 2^-e`` for the binary exponent ``e`` of that entry: a
+    diagonal similarity, so the eigenvalues are the same; ``c = 1``
+    otherwise.  The gains are evaluated with ``M`` as given.  Eigenvalues
+    near the axis are only candidates (``_axis_frequencies``); one counts
+    as a crossing when the gain at ``|Im lambda|`` reaches the level up to
+    ``_LEVEL_SLACK``, so slow modes of a badly scaled ``A`` are not taken
+    for crossings.  Because every gain is evaluated directly, a wrong
+    candidate costs an evaluation but never lifts ``g`` above an attained
+    gain.  ``g`` moves to the largest gain at the candidates and at the
+    midpoints between consecutive crossings.  A member stops when none of
+    them exceeds its level ``g (1 + rtol) / (1 - dtol g)``: the peak is
+    then within ``rtol`` relative of ``g`` and its reciprocal within
+    ``dtol`` of ``1 / g``.
 
     Every step is one stacked call for the members still iterating; each
     member meets the same frequencies in the same order as alone, and the
@@ -615,6 +662,9 @@ def _peak_gains(recs, M, rtol, dtols):
     A = np.array([r.A for r in recs])
     Ab, T, B = (np.array(X) for X in zip(*(r.balanced for r in recs)))
     C = T if M is None else M @ T
+    e = np.frexp(np.abs(C).max(axis=(1, 2)))[1]
+    c = np.ldexp(1.0, np.where(e > 500, -e, 0))
+    C = c[:, None, None] * C
     BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
     lam = np.array([r.spectrum for r in recs])
     owner, ws = _unique_rows(np.concatenate((np.zeros((len(recs), 1)), np.abs(lam.imag)),
@@ -632,12 +682,12 @@ def _peak_gains(recs, M, rtol, dtols):
             for p in np.flatnonzero(done).tolist():
                 out[live[p]] = errors.get(p) or (float(g[p]), float(w[p]),
                                                  None if M is not None else float(s[p]))
-            live, A, M, Ab, BB, CC, dtol, g, w, s = _standing(out, live, A, M, Ab, BB, CC,
-                                                              dtol, g, w, s)
+            live, A, M, Ab, BB, CC, c, dtol, g, w, s = _standing(out, live, A, M, Ab, BB, CC,
+                                                                 c, dtol, g, w, s)
         if not live or levels == _MAX_LEVELS:
             break
         level = g * (1.0 + rtol) / (1.0 - dtol * g)
-        scale = level[:, None, None]
+        scale = (c * level)[:, None, None]
         pos, cand, errors = _axis_frequencies(_hamiltonian(Ab, BB / scale, CC / scale))
         done = np.ones(len(live), dtype=bool)  # without a candidate the level is not reached
         if pos.size:

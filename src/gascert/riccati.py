@@ -8,22 +8,21 @@ a slack is picked and the Riccati equation solved; the Riccati solve
 confirms the same condition through the crossing test of
 ``numerics.is_hyperbolic``.  For a decoupled subsystem (N = 0) that
 equation is the Lyapunov equation ``A'P + PA + eps I = 0``, solved the
-same way: there is no Lyapunov branch.  The subsystems of one size are
-certified together, one stacked kernel call per step, with the numbers
-each gets alone.  The network is certified when every subsystem passes;
-failures are collected, never raised mid-run.
+same way: there is no Lyapunov branch.  The kernels run on stacks that
+``numerics._per_shape`` forms, one per subsystem size, and each
+subsystem gets the numbers it gets alone.  The network is certified when
+every subsystem passes; failures are collected, never raised mid-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .exceptions import GascertError, StabilityError
 from .model import NetworkModel, _edge_table
-from .numerics import AreSolution, _distances, _solve_ares, numeric_scalar
+from .numerics import AreSolution, _distances, _norms, _per_shape, _solve_ares, numeric_scalar
 
 __all__ = [
     "GasCertificate",
@@ -132,9 +131,13 @@ def certify(net: NetworkModel) -> GasCertificate:
     For each subsystem: coupling energy, distance to instability (absolute
     accuracy ``1e-12 * max(1, ||A_m||_2)``, so it scales with the matrix),
     margin, and on a positive margin the slack pick and the Riccati solve.
-    The norms, distances and Riccati solves of the subsystems of one size
-    run as stacks (``numerics._distances``, ``numerics._solve_ares``), a
-    decoupled subsystem's Riccati solve too.  Failures are recorded per
+    One flat pass: N and Xi2 of every subsystem from the edge table, the
+    norms (``numerics._norms``) and the distances (one ``_per_shape`` call
+    of ``numerics._distances``) of all of them, the margin and slack of
+    each id, then one ``_per_shape`` call of ``numerics._solve_ares`` for
+    the subsystems with a positive margin, a decoupled one too.  A slack
+    that overflows (gamma^2 beyond the float range) leaves its subsystem
+    uncertified, with no ``epsilon``.  Failures are recorded per
     subsystem; the run never aborts early.  An error that is not a verdict
     (one of the distance, or one of the Riccati solve that is not a
     ``GascertError``) is raised for the first such subsystem in id order.
@@ -146,39 +149,34 @@ def certify(net: NetworkModel) -> GasCertificate:
     n = len(net.subsystems)
     N = dict(zip(net.ids, np.bincount(dst, minlength=n).tolist()))
     xi2 = dict(zip(net.ids, np.bincount(dst, gain * gain, minlength=n).astype(float).tolist()))
-    by_size = {}
+    recs = [net.checked[sid] for sid in ids]
+    gamma = dict(zip(ids, _per_shape(_distances, recs, 1e-12 * np.maximum(1.0, _norms(recs)))))
+    margin, eps, verdict = {}, {}, {}
     for sid in ids:
-        by_size.setdefault(net.desired[sid].shape[0], []).append(sid)
-    gamma, margin, eps, solved = {}, {}, {}, {}
-    for group in by_size.values():
-        recs = [net.checked[sid] for sid in group]
-        # bit for bit spectral_norm of each record
-        norms = np.linalg.svd(np.array([r.A for r in recs]), compute_uv=False)[:, 0]
-        gamma.update(zip(group, _distances(recs, 1e-12 * np.maximum(1.0, norms))))
-        for sid in group:
-            if not isinstance(gamma[sid], Exception):
-                margin[sid] = gamma[sid] - np.sqrt(N[sid] * xi2[sid])
-                if margin[sid] > 0.0:
-                    eps[sid] = epsilon_margin(gamma[sid], N[sid], xi2[sid])
-        stack = [sid for sid in group if sid in eps]  # a margin <= 0 never enters it
-        if stack:
-            solved.update(zip(stack, _solve_ares([net.checked[sid] for sid in stack],
-                                                 [N[sid] for sid in stack],
-                                                 [xi2[sid] + eps[sid] for sid in stack])))
+        if isinstance(gamma[sid], Exception):
+            continue
+        margin[sid] = gamma[sid] - np.sqrt(N[sid] * xi2[sid])
+        if not margin[sid] > 0.0:
+            verdict[sid] = "margin is not positive"
+        elif (slack := epsilon_margin(gamma[sid], N[sid], xi2[sid])) == np.inf:
+            verdict[sid] = "slack epsilon overflows: gamma^2 is beyond the float range"
+        else:
+            eps[sid] = slack
+    verdict.update(zip(eps, _per_shape(_solve_ares, [net.checked[sid] for sid in eps],
+                                       [N[sid] for sid in eps],
+                                       [xi2[sid] + eps[sid] for sid in eps])))
     records = []
     for sid in ids:
         if isinstance(gamma[sid], Exception):
             raise gamma[sid]
-        record = partial(SubsystemCertificate, sid=sid, n_neighbors=N[sid],
-                         coupling_energy=xi2[sid], distance=gamma[sid], margin=margin[sid])
-        sol = solved.get(sid)
-        if isinstance(sol, AreSolution):
-            records.append(record(epsilon=eps[sid], P=sol.P, are_residual=sol.residual_norm,
-                                  ok=True))
-        elif sol is None or isinstance(sol, GascertError):
-            records.append(record(epsilon=eps.get(sid), P=None, are_residual=None, ok=False,
-                                  reason="margin is not positive" if sol is None else str(sol)))
-        else:
+        sol = verdict[sid]
+        ok = isinstance(sol, AreSolution)
+        if not (ok or isinstance(sol, (str, GascertError))):
             raise sol
+        records.append(SubsystemCertificate(
+            sid=sid, n_neighbors=N[sid], coupling_energy=xi2[sid], distance=gamma[sid],
+            margin=margin[sid], epsilon=eps.get(sid), P=sol.P if ok else None,
+            are_residual=sol.residual_norm if ok else None, ok=ok,
+            reason=None if ok else str(sol)))
     return GasCertificate(subsystems=records,
                           certified=bool(all(c.ok for c in records)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -370,6 +371,28 @@ class TestExitCodes:
         assert report["samples"] == 0 and report["metrics"]["diverged"] is True
         assert out.read_text() == "time,subsystem,series,index,value\n"
 
+    def test_overflowing_slack_is_not_certified(self, tmp_path, capsys):
+        # gamma = 1e160, so gamma^2 and the slack overflow: the subsystems are
+        # not certified, with a finite report, and simulate runs uncertified
+        # (its RK4 step diverges on these fast dynamics)
+        doc = json.loads(open(TOY, "rb").read())
+        doc["reference_model"] = [[-1e160, 0.0], [0.0, -1e160]]
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["verdict"] == "not-certified" and report["failing"] == ["a", "b"]
+        for rec in report["subsystems"].values():
+            assert rec["epsilon"] is None and rec["P"] is None
+            assert rec["reason"] == "slack epsilon overflows: gamma^2 is beyond the float range"
+            assert rec["distance"] == 1e160 and rec["margin"] > 0.0
+        out = tmp_path / "fast.csv"
+        assert main(["simulate", str(cfg), "--mode", "dist", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["certified"] is False
+
     def test_simulate_zero_horizon(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["scenario"]["horizon"] = 0.0
@@ -594,20 +617,28 @@ class TestExitCodes:
 
     def test_overflow_ends_in_one_line_error(self, tmp_path, capsys):
         # squaring the coupling gain overflows: the coupling energy, and so
-        # the report, would hold an infinity
+        # the riccati report, would hold an infinity; the path gain of the
+        # same edge is finite, and smallgain reports it and fails the pair
         doc = json.loads(open(TOY, "rb").read())
         doc["edges"][1]["A"] = [[1.5e154]]
         cfg = tmp_path / "huge.json"
         cfg.write_text(json.dumps(doc))
-        for command in ("riccati", "smallgain"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main([command, str(cfg)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-            assert "non-finite" in captured.err
-            assert len(captured.err.splitlines()) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "non-finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smallgain", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["verdict"] == "fail"
+        assert math.isfinite(report["hinf_product"]) and report["hinf_product"] > 1e153
 
     def test_missing_file(self, capsys):
         assert main(["connective", "/nonexistent/cfg.json"]) == 1

@@ -496,7 +496,7 @@ def path_gain(net, e):
         return 0.0, 0.0
     Am = net.checked[e.src]
     if e.A is not None:
-        return hinf_gain(e.checked, Am), e.gain()
+        return hinf_gain(e.A, Am), e.gain()
     return e.norm_bound * hinf_gain(np.eye(Am.A.shape[0]), Am), e.gain()
 
 

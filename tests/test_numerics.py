@@ -310,6 +310,8 @@ class TestNumericScalar:
     @pytest.mark.parametrize("value", [
         0, -0.0, 5e-324, 2 ** 53 + 1, 2 ** 63, -(2 ** 64) - 12345, 2 ** 1023,
         1.7976931348623157e308, 2 ** 1024 - 1, -(10 ** 400), np.inf, -np.inf, np.nan, True,
+        np.float64(2.5), np.float64(-np.inf), np.float64(np.nan), np.int64(-7),
+        np.int64(2 ** 63 - 1), np.bool_(True),
     ])
     def test_plain_numbers_read_as_the_array_reader_reads_them(self, value):
         # ints and floats are read without an array; the outcome is the array reader's
@@ -735,6 +737,20 @@ class TestStackedKernels:
                                                             np.zeros(len(recs)))):
             assert s is None and g == hinf_gain(M, r)
 
+    def test_scaled_member_leaves_the_others_alone(self):
+        # a member whose output matrix passes 2^500 runs at a scaled level;
+        # every member's peak is still the one it gets alone
+        rng = np.random.default_rng(67)
+        recs = [Checked(random_hurwitz(rng, 3)) for _ in range(3)]
+        M = rng.normal(size=(3, 2, 3))
+        M[1] *= 2.0 ** 600
+        stack = numerics._peak_gains(recs, M, numerics._HINF_RTOL, np.zeros(3))
+        alone = [numerics._peak_gains([r], M[k:k + 1], numerics._HINF_RTOL, np.zeros(1))[0]
+                 for k, r in enumerate(recs)]
+        assert stack == alone
+        assert stack[1][0] == pytest.approx(2.0 ** 600 * hinf_gain(M[1] / 2.0 ** 600, recs[1]),
+                                            rel=1e-11)
+
     def test_refused_member_gets_its_own_error(self):
         # numpy refuses a stack with a non-finite member: each member is
         # then solved alone, and only the refused one gets an error
@@ -864,6 +880,53 @@ class TestStackedKernels:
         for got, want in zip(stack, alone):
             self.assert_alone(got, want)
 
+
+class TestPerShape:
+    """``_per_shape`` is the one code that forms stacks."""
+
+    def test_one_call_per_key_in_first_appearance_order(self):
+        # the key is the shape of the item's matrix and of each column entry
+        shapes = [(2, 2), (3, 3), (2, 2), (2, 3), (2, 2), (3, 3)]
+        items = [Checked(np.full(s, k + 1.0)) for k, s in enumerate(shapes)]
+        col = [np.zeros(3) if k == 4 else np.zeros(2) for k in range(6)]
+        calls = []
+
+        def kernel(group, stack):
+            calls.append(([items.index(x) for x in group], stack.shape))
+            return [x.A[0, 0] * 10 for x in group]
+
+        got = numerics._per_shape(kernel, items, col)
+        assert calls == [([0, 2], (2, 2)), ([1, 5], (2, 2)), ([3], (1, 2)), ([4], (1, 3))]
+        assert got == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+
+    def test_results_and_errors_in_input_order(self):
+        items = [Checked(np.eye(n)) for n in (1, 2, 1, 2, 1)]
+        errors = {k: SolverError(f"member {k}") for k in (1, 2)}
+
+        def kernel(group, ks):
+            return [errors.get(k, k) for k in ks.tolist()]
+
+        got = numerics._per_shape(kernel, items, list(range(5)))
+        assert got[0] == 0 and got[3] == 3 and got[4] == 4
+        assert got[1] is errors[1] and got[2] is errors[2]
+
+    def test_empty_input_makes_no_call(self):
+        assert numerics._per_shape(lambda *a: pytest.fail("called"), [], []) == []
+        norms = numerics._norms([])
+        assert norms.shape == (0,) and norms.dtype == np.float64
+
+    def test_norms_are_spectral_norm_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        items = [Checked(rng.normal(size=s)) for s in [(2, 3), (3, 3), (2, 3), (1, 4), (3, 3)]]
+        want = [spectral_norm(x) for x in items]
+        svds = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **k: svds.append(a.shape) or svd(a, **k))
+        got = numerics._norms(items)
+        assert svds == [(2, 2, 3), (2, 3, 3), (1, 1, 4)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestHyperbolicityDistanceEquivalence:
     def test_random_agreement(self):
         rng = np.random.default_rng(41)
@@ -928,6 +991,17 @@ class TestHinfGain:
 
         oracle = max(g(w) for w in np.linspace(1.8, 2.2, 40001))
         assert hinf_gain(M, A) == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("c", [1e155, 1e300])
+    def test_huge_output_matrix(self, c):
+        # C'C overflowed for |C| beyond about 1.3e154 and the gain was refused
+        # as "A: non-finite entries"; the scaled level keeps it exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hinf_gain([[c]], [[-1.0]]) == c
+            M = np.array([[1.0, -2.0], [0.5, 3.0]])
+            A = np.array([[-1.0, 4.0], [0.0, -2.0]])
+            assert hinf_gain(c * M, A) == pytest.approx(c * hinf_gain(M, A), rel=1e-11)
 
     def test_badly_scaled_vs_sweep(self):
         rng = np.random.default_rng(53)

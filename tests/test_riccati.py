@@ -241,6 +241,23 @@ class TestCertify:
         # quadratic: p^2 - 4p + 2.125 = 0, stabilizing root 2 - sqrt(1.875)
         assert c.P[0, 0] == pytest.approx(2.0 - np.sqrt(1.875), abs=1e-9)
 
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_overflowing_slack_is_not_certified(self, coupled):
+        # gamma = 1e160: the margin is finite, the slack gamma^2 / N - Xi2 is
+        # not; the record says so, with no epsilon and no Riccati solve
+        tun = Tuning(Q=np.eye(1), gamma=1.0, theta_max=1.0, eps0=0.1)
+        net = NetworkModel(
+            subsystems=[AugmentedSubsystem.from_raw(sid, B=[[1.0]], C=np.zeros((0, 1)))
+                        for sid in ("s1", "s2")],
+            edges=[Interconnection(src="s2", dst="s1", A=[[0.1]])] if coupled else [],
+            desired={"s1": [[-1e160]], "s2": [[-1e160]]}, tuning={"s1": tun, "s2": tun})
+        cert = certify(net)
+        assert not cert.certified and cert.failing == ["s1", "s2"]
+        for c in cert.subsystems:
+            assert (c.distance, c.epsilon, c.P, c.are_residual) == (1e160, None, None, None)
+            assert c.margin > 0.0 and np.isfinite(c.coupling_energy)
+            assert c.reason == "slack epsilon overflows: gamma^2 is beyond the float range"
+
     def test_decoupled_reduces_to_lyapunov(self):
         net = scalar_net({})
         cert = certify(net)
@@ -489,6 +506,34 @@ class TestStackedCertify:
         size = net.desired[min(first.values())].shape[0]
         with pytest.raises(SolverError, match=f"^forced {size}$"):
             certify(net)
+
+    def test_one_stack_per_size_in_one_pass(self, monkeypatch):
+        # sizes interleaved in id order (3, 2, 3, 2): one distance stack and
+        # one Riccati stack per size, in order of first appearance
+        rng = np.random.default_rng(29)
+        dims = {"s0": 3, "s1": 2, "s2": 3, "s3": 2}
+        ids = list(dims)
+        net = NetworkModel(
+            subsystems=[AugmentedSubsystem.from_raw(sid, B=np.eye(n)[:, :1], C=np.zeros((0, n)))
+                        for sid, n in dims.items()],
+            edges=[Interconnection(src=j, dst=i, A=0.05 * rng.normal(size=(dims[i], dims[j])))
+                   for j, i in zip(ids, ids[1:] + ids[:1])],
+            desired={sid: random_hurwitz(rng, n) for sid, n in dims.items()},
+            tuning={sid: Tuning(Q=np.eye(n), gamma=1.0, theta_max=1.0, eps0=0.1)
+                    for sid, n in dims.items()})
+        clean = certify(net)
+        assert clean.certified
+        calls = []
+        for name in ("_distances", "_solve_ares"):
+            def counted(recs, *cols, _real=getattr(riccati, name), _name=name):
+                calls.append((_name, [r.A.shape[0] for r in recs]))
+                return _real(recs, *cols)
+            monkeypatch.setattr(riccati, name, counted)
+        cert = certify(net)
+        assert calls == [("_distances", [3, 3]), ("_distances", [2, 2]),
+                         ("_solve_ares", [3, 3]), ("_solve_ares", [2, 2])]
+        assert [record_bits(c) for c in cert.subsystems] == [record_bits(c)
+                                                            for c in clean.subsystems]
 
     def test_lapack_calls_grow_with_shapes_not_subsystems(self, monkeypatch):
         # 64 subsystems of two sizes: the eigensolves and SVDs of certify
