@@ -42,8 +42,14 @@ def theta_max_bound(theta_l1_bound):
 
 
 def _lam_extremes(S):
-    w = np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)
-    return float(w[0]), float(w[-1])
+    """``(lam_min, lam_max)`` of the symmetric part of ``S``; of each member,
+    as the rows of a ``(k, 2)`` array, for a stack ``S``."""
+    w = np.linalg.eigvalsh(0.5 * S + 0.5 * np.swapaxes(S, -1, -2))
+    return w[..., [0, -1]]
+
+
+def _extreme_rows(Qs, P):  # per member of a stack: lam_min(P), lam_max(P), lam_min(Q)
+    return np.hstack((_lam_extremes(P), _lam_extremes(np.array([Q.A for Q in Qs]))[:, :1]))
 
 
 def _extremes(net: NetworkModel, P: dict, read=True):
@@ -51,20 +57,24 @@ def _extremes(net: NetworkModel, P: dict, read=True):
     ``Q_i``: three arrays in ``net.ids`` order.
 
     One symmetric eigensolve per matrix, shared by the comparison matrix
-    and the offsets.  With ``read``, each ``P[sid]`` is a caller's value,
-    read as a square matrix; it must be of its subsystem's size.
+    and the offsets, run as one stack per size by ``_per_shape``, each
+    member's numbers those ``_lam_extremes`` gives it.  With ``read``, each
+    ``P[sid]`` is a caller's value, read as a square matrix; it must be of
+    its subsystem's size.  A missing or misshapen ``P`` is raised before a
+    ``P`` that is not positive definite.
     """
-    ext = np.empty((3, len(net.subsystems)))
-    for k, (sid, s) in enumerate(zip(net.ids, net.subsystems)):
+    Ps = []
+    for sid, s in zip(net.ids, net.subsystems):
         if sid not in P:
             raise ValueError(f"subsystem {sid}: missing Lyapunov solution")
         P_i = as_matrix(P[sid], f"P.{sid}", square=True) if read else P[sid]
         if P_i.shape[0] != s.dim:
             raise DimensionError(f"P.{sid} is {P_i.shape}, expected {(s.dim, s.dim)}")
-        ext[:2, k] = _lam_extremes(P_i)
-        if ext[0, k] <= 0.0:
+        Ps.append(P_i)
+    ext = np.array(_per_shape(_extreme_rows, [net.tuning[sid].checked for sid in net.ids], Ps)).T
+    for sid, lmin_P in zip(net.ids, ext[0].tolist()):
+        if lmin_P <= 0.0:
             raise ValueError(f"subsystem {sid}: P is not positive definite")
-        ext[2, k] = _lam_extremes(net.tuning[sid].Q)[0]
     return ext
 
 
@@ -171,8 +181,8 @@ def transient_bound(P, Q, theta_max, gamma, v0, t):
                                ("theta_max", "gamma", "v0"))
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    lmin_P, lmax_P = _lam_extremes(as_matrix(P, "P", square=True))
-    lmin_Q = _lam_extremes(as_matrix(Q, "Q", square=True))[0]
+    lmin_P, lmax_P = _lam_extremes(as_matrix(P, "P", square=True)).tolist()
+    lmin_Q = _lam_extremes(as_matrix(Q, "Q", square=True)).tolist()[0]
     if lmin_P <= 0.0 or lmin_Q <= 0.0:
         raise ValueError("P and Q must be positive definite")
     t = numeric_array(t, "t")

@@ -17,10 +17,10 @@ read-only.  Values are immutable after construction and, holding arrays,
 compare by identity.  An edge joins two distinct subsystems and has a
 coupling matrix or a declared bound on its norm, never both.  A network
 eigen-solves each desired record once (a record shared by subsystems
-once for all) and solves each Lyapunov weight on its first read; it
-derives nothing from its edges.  ``_edge_table`` is the one derivation
-of edge data (positions, and gains from ``numerics._norms``), built by
-each pipeline that reads it.
+once for all) and solves every Lyapunov weight, in one stack per size,
+on the first read of any; it derives nothing from its edges.
+``_edge_table`` is the one derivation of edge data (positions, and gains
+from ``numerics._norms``), built by each pipeline that reads it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .exceptions import DimensionError, StabilityError
-from .numerics import (Checked, _held, _norms, _rebuilt, as_matrix, is_hurwitz,
-                       numeric_scalar, solve_lyapunov, spectral_norm)
+from .numerics import (Checked, _held, _lyapunovs, _norms, _per_shape, _rebuilt, as_matrix,
+                       is_hurwitz, numeric_scalar, spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -257,8 +257,11 @@ class NetworkModel:
     records) are stored in new read-only mappings, matrices as read-only copies;
     a desired matrix given as a square ``Checked`` record of the right size
     is kept as that record.
-    ``lyapunov(sid)`` solves that subsystem's Lyapunov weight on its first
-    call, makes the solution read-only in place and returns it after.
+    The first ``lyapunov(sid)`` call solves every subsystem's Lyapunov
+    weight through one ``numerics._per_shape`` call (one stack per size),
+    makes each solution read-only in place and keeps it, or keeps the error
+    of a member that fails; a call returns its id's solution, or raises
+    its id's error, and solves nothing more.
     A copy (``pickle``, ``copy.deepcopy``) is rebuilt through the
     constructors, so it passes the same checks and holds read-only arrays.
     """
@@ -295,7 +298,7 @@ class NetworkModel:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
-        object.__setattr__(self, "_lyapunov", {})
+        object.__setattr__(self, "_lyapunov", None)
         desired, tuning, baseline, checked = {}, {}, {}, {}
         for sid, s in zip(ids, self.subsystems):
             if sid not in self.desired:
@@ -354,11 +357,21 @@ class NetworkModel:
 
     def lyapunov(self, sid):
         """``P_i`` solving ``A_m' P + P A_m + Q_i = 0`` for the desired dynamics
-        and tuning weight of ``sid``; solved on the first call only."""
-        P = self._lyapunov.get(sid)
-        if P is None:
-            P = self._lyapunov[sid] = solve_lyapunov(self.checked[sid], self.tuning[sid].checked)
-            P.flags.writeable = False
+        and tuning weight of ``sid``, as ``solve_lyapunov`` gives it; the error
+        ``solve_lyapunov`` raises is raised here.  The first call solves every
+        subsystem's, in one ``_per_shape`` call of ``numerics._lyapunovs``."""
+        memo = self._lyapunov
+        if memo is None:
+            solved = _per_shape(_lyapunovs, [self.checked[i] for i in self.ids],
+                                [self.tuning[i].Q for i in self.ids])
+            for P in solved:
+                if not isinstance(P, Exception):
+                    P.flags.writeable = False
+            memo = dict(zip(self.ids, solved))
+            object.__setattr__(self, "_lyapunov", memo)
+        P = memo[sid]
+        if isinstance(P, Exception):
+            raise P
         return P
 
 

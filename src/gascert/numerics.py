@@ -11,12 +11,17 @@ and matrices derived inside the kernels are read and checked by
 ``numeric_array``; ``Checked`` records are not, and neither are the blocks
 ``AugmentedSubsystem.from_raw`` builds from the raw blocks it has read.
 
-The crossing test, the level-set iteration and the Riccati solve each run
-on a stack of records of one size, one LAPACK call per step for the whole
-stack, except the Riccati Schur factorisation and the solve of the basis
-it yields, which run per member; every member's numbers are those it gets
-alone, and a member's error is its own.  The public kernels are stacks of
-one, each finished by ``_alone``.  The level-set iteration takes one
+The crossing test, the level-set iteration, the Riccati solve and the
+Lyapunov solve each run on a stack of records of one size, one LAPACK call
+per step for the whole stack, except the Schur factorisations (Riccati and
+Lyapunov), the solve of the Riccati basis and the triangular Lyapunov
+solve, which run per member; every member's numbers are those it gets
+alone, and a member's error is its own.  The per-matrix LAPACK routines
+(``dgees``, ``dgebal``, ``dtrsyl``) are called directly, without scipy's
+per-call layer, in scipy's arithmetic, so each result is the one
+``scipy.linalg.schur``, ``matrix_balance`` or ``solve_continuous_lyapunov``
+gives, bit for bit.  The public kernels are stacks of one, each finished
+by ``_alone``.  The level-set iteration takes one
 output matrix per member and starts each member from ``w = 0`` and the
 distinct ``|Im lambda|`` of its spectrum.  The stacked kernels keep their
 members by one rule: the stacks hold only the members still standing, and
@@ -30,19 +35,21 @@ the shape of that matrix and of their entry in each per-member column,
 each group goes to a same-shape kernel in one call, in order of first
 appearance, and every result, an error value too, is put back at its
 item's place.  ``_norms`` is the spectral norm on that rule.  ``certify``,
-``small_gain_check`` and the edge table ask these two for their stacks.
+``small_gain_check``, the edge table, the network's Lyapunov weights and
+the comparison system's eigenvalue extremes ask these two for their stacks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgebal, dgees, dtrsyl
 
 from .exceptions import DimensionError, GascertError, NonFiniteError, SolverError, StabilityError
 
@@ -149,9 +156,20 @@ class Checked:
 
     @cached_property
     def balanced(self):
-        """``(Ab, T, T^{-1})`` with ``Ab = T^{-1} A T`` from ``scipy.linalg.matrix_balance``;
-        the inverse is exact, ``T`` being a permuted diagonal of powers of two."""
-        Ab, T = sla.matrix_balance(self.A)
+        """``(Ab, T, T^{-1})`` with ``Ab = T^{-1} A T`` from LAPACK's ``dgebal``
+        (permuting and scaling), ``T`` built as ``scipy.linalg.matrix_balance``
+        builds it; the inverse is exact, ``T`` being a permuted diagonal of
+        powers of two."""
+        Ab, lo, hi, ps, _ = dgebal(self.A, scale=1, permute=1)
+        n = len(ps)
+        scaling = np.ones(n)
+        scaling[lo:hi + 1] = ps[lo:hi + 1]
+        perm = np.arange(n)
+        # dgebal's row and column swaps: positions n-1 down to hi+1, then 0 up to lo-1
+        for k in chain(range(n - 1, hi, -1), range(lo)):
+            j = int(ps[k]) - 1
+            perm[[j, k]] = perm[[k, j]]
+        T = np.diag(scaling)[np.argsort(perm)]
         out = (Ab, T, np.linalg.inv(T))
         for X in out:
             X.flags.writeable = False
@@ -206,12 +224,137 @@ def is_hurwitz(A):
     return bool(_record(A, "A").spectrum.real.max() < 0.0)
 
 
+def _exponents(X):
+    """The binary exponent ``e`` of each member's largest ``|entry|`` (``frexp``'s),
+    for a stack ``X``: ``2^-e X[i]`` has every entry below 1."""
+    return np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
+
+
+def _scales(X):
+    """``c = 2^-e`` for each member of the stack ``X`` whose largest ``|entry|``
+    has a binary exponent ``e`` above 500, else ``c = 1``: the squares of the
+    entries of ``c X[i]`` stay finite, and the other members keep their bits."""
+    e = _exponents(X)
+    return np.ldexp(1.0, np.where(e > 500, -e, 0))
+
+
+def _frobenius(X):
+    """``np.linalg.norm`` of each member of the stack ``X``, bit for bit: the
+    square root of the dot product of each flattened member with itself."""
+    f = X.reshape(len(X), 1, X.shape[1] * X.shape[2])
+    return np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _gees_lwork(n):
+    """The workspace ``dgees`` asks for an ``n x n`` matrix, queried as
+    ``scipy.linalg.schur`` queries it; it depends on ``n`` alone."""
+    return int(dgees(_unsorted, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _unsorted(x, y=None):
+    return None
+
+
+def _lhp(x, y=None):
+    return x.real < 0.0
+
+
+def _schur(a, lwork, lhp=False):
+    """``scipy.linalg.schur(a, output="real")`` by one ``dgees`` call with the
+    workspace ``lwork``, with its ``sort="lhp"`` when ``lhp``: ``(T, Z, sdim)``.
+    Raises ``np.linalg.LinAlgError``, with scipy's message, where scipy does."""
+    t, sdim, _, _, z, _, info = dgees(_lhp if lhp else _unsorted, a, lwork=lwork,
+                                      sort_t=int(lhp))
+    if info == len(a) + 1:
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == len(a) + 2:
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, z, sdim
+
+
+def _bartels_stewart(a, q, lwork):
+    """``scipy.linalg.solve_continuous_lyapunov(a, q)``, the ``X`` with
+    ``a X + X a' = q``, by scipy's arithmetic (Bartels and Stewart 1972): the
+    real Schur form ``a = u r u'``, then ``dtrsyl`` on ``u' q u``."""
+    r, u, _ = _schur(a, lwork)
+    f = u.T.dot(q.dot(u))
+    y, scale, info = dtrsyl(r, r, f, tranb="T")
+    if info == 1:
+        warnings.warn('Input "a" has an eigenvalue pair whose sum is very close to or '
+                      'exactly zero. The solution is obtained via perturbing the '
+                      'coefficients.', RuntimeWarning)
+    y *= scale
+    return u.dot(y).dot(u.T)
+
+
+def _lyapunovs(recs, Q):
+    """``solve_lyapunov`` for each square record of one size, with its weight
+    ``Q[i]`` (``Q`` one stack): per record the solution or the error
+    ``solve_lyapunov`` raises.
+
+    The checks run on the stack; the Schur factorisation and the triangular
+    solve run per member, and a failing one is that member's error.  The
+    members are kept by the module's rule.
+    """
+    n = recs[0].A.shape[0]
+    if Q.shape[1:] != (n, n):
+        return [DimensionError(f"Q must match A: {Q.shape[1:]} vs {(n, n)}")] * len(recs)
+    QT = Q.transpose(0, 2, 1)
+    asym = np.abs(Q - QT).max(axis=(1, 2)) > 1e-12 * np.maximum(1.0, np.abs(Q).max(axis=(1, 2)))
+    indefinite = np.linalg.eigvalsh(0.5 * Q + 0.5 * QT).min(axis=1) <= 0.0
+    out = [None] * len(recs)
+    for i, rec in enumerate(recs):
+        if asym[i]:
+            out[i] = ValueError("Q must be symmetric")
+        elif indefinite[i]:
+            out[i] = ValueError("Q must be positive definite")
+        elif not is_hurwitz(rec):
+            out[i] = StabilityError(
+                "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
+    live = [i for i, o in enumerate(out) if o is None]
+    if not live:
+        return out
+    A, Q = np.array([recs[i].A for i in live]), Q[live]
+    P = np.empty_like(A)
+    lwork = _gees_lwork(n)
+    for j, i in enumerate(live):
+        try:  # A'P + PA = -Q
+            P[j] = _bartels_stewart(A[j].T, -Q[j], lwork)
+        except np.linalg.LinAlgError as exc:
+            out[i] = exc
+    live, A, Q, P = _standing(out, live, A, Q, P)
+    if not live:
+        return out
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    # the test on 2^a A, 2^k P and 2^(a+k) Q, whose residual is 2^(a+k) times
+    # the true one: exact, and every entry is below 1, so no norm overflows
+    a = -_exponents(A)
+    k = -np.maximum(_exponents(P), _exponents(Q) + a)
+    As, Ps, Qs = (np.ldexp(X, e[:, None, None]) for X, e in ((A, a), (P, k), (Q, a + k)))
+    scale = _frobenius(As) * _frobenius(Ps) + _frobenius(Qs)
+    residual = _frobenius(As.transpose(0, 2, 1) @ Ps + Ps @ As + Qs)
+    for j, i in enumerate(live):
+        if not residual[j] <= 1e-10 * scale[j]:
+            out[i] = SolverError(
+                f"Lyapunov residual {np.ldexp(residual[j], -a[j] - k[j]):.3e} exceeds "
+                f"1e-10 * scale ({np.ldexp(1e-10 * scale[j], -a[j] - k[j]):.3e})")
+    live, P = _standing(out, live, P)
+    if not live:
+        return out
+    for i, p, w in zip(live, P, np.linalg.eigvalsh(P).min(axis=1).tolist()):
+        out[i] = SolverError("Lyapunov solution is not positive definite") if w <= 0.0 else p
+    return out
+
+
 def solve_lyapunov(A, Q):
     """Solve the continuous Lyapunov equation ``A'P + PA + Q = 0``.
 
     Accepted when the Frobenius residual is at most
     ``1e-10 * (||A||_F ||P||_F + ||Q||_F)``, with A, P and Q scaled by powers
     of two (A by its own, P and Q by one shared) so that no norm overflows.
+    The kernel ``_lyapunovs``, on a stack of one.
 
     Parameters
     ----------
@@ -233,34 +376,9 @@ def solve_lyapunov(A, Q):
         If the computed solution violates the residual bound or fails the
         definiteness check.
     """
-    given = _record(A, "A")
-    A = given.A
+    rec = _record(A, "A")
     Q = as_matrix(Q, "Q", square=True)
-    if Q.shape != A.shape:
-        raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
-    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, float(np.abs(Q).max())):
-        raise ValueError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T)) <= 0.0:
-        raise ValueError("Q must be positive definite")
-    if not is_hurwitz(given):
-        raise StabilityError(
-            "A is not Hurwitz: the Lyapunov equation has no positive definite solution"
-        )
-    P = sla.solve_continuous_lyapunov(A.T, -Q)
-    P = 0.5 * (P + P.T)
-    # the test on 2^a A, 2^k P and 2^(a+k) Q, whose residual is 2^(a+k) times
-    # the true one: exact, and every entry is below 1, so no norm overflows
-    a = -int(np.frexp(np.abs(A).max())[1])
-    k = -max(int(np.frexp(np.abs(P).max())[1]), int(np.frexp(np.abs(Q).max())[1]) + a)
-    As, Ps, Qs = np.ldexp(A, a), np.ldexp(P, k), np.ldexp(Q, a + k)
-    scale = np.linalg.norm(As) * np.linalg.norm(Ps) + np.linalg.norm(Qs)
-    residual = np.linalg.norm(As.T @ Ps + Ps @ As + Qs)
-    if not residual <= 1e-10 * scale:
-        raise SolverError(f"Lyapunov residual {np.ldexp(residual, -a - k):.3e} exceeds "
-                          f"1e-10 * scale ({np.ldexp(1e-10 * scale, -a - k):.3e})")
-    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
-        raise SolverError("Lyapunov solution is not positive definite")
-    return P
+    return _alone(_lyapunovs([rec], Q[None]))
 
 
 def _check_weights(N, q):  # the two weights, read by numeric_scalar, as floats
@@ -348,11 +466,15 @@ def _axis_frequencies(H):
 
     Near is within ``_AXIS_PREFILTER * ||H||_F`` of that member (its own
     2-D Frobenius norm); each member's are unique and ascending.  Only
-    candidates: callers confirm each one directly.  Returns ``(owner, ws,
-    errors)`` as ``_unique_rows`` and ``_eigvals`` give them.
+    candidates: callers confirm each one directly.  The norm would overflow
+    for entries beyond about 1e154, so each member's is taken as
+    ``||c H||_F / c`` with its power of two ``c`` from ``_scales``.
+    Returns ``(owner, ws, errors)`` as ``_unique_rows`` and ``_eigvals``
+    give them.
     """
     lam, errors = _eigvals(H)
-    cut = _AXIS_PREFILTER * np.array([np.linalg.norm(h) for h in H])
+    c = _scales(H)
+    cut = _AXIS_PREFILTER * _frobenius(c[:, None, None] * H) / c
     return (*_unique_rows(np.where(np.abs(lam.real) <= cut[:, None], np.abs(lam.imag), np.inf)),
             errors)
 
@@ -482,10 +604,10 @@ def _solve_ares(recs, N, q):
     ``q[i]``: per record an ``AreSolution`` or the error ``solve_are`` raises.
 
     Each step is one call for the members still standing, except the Schur
-    factorisation, which scipy runs per matrix, and the solve of the basis
-    ``[U; V]`` it yields for ``P = V U^{-1}``, run right after it: a singular
-    basis is that member's error where it arises.  The members are kept by
-    the module's rule.
+    factorisation (``_schur``, one ``dgees`` call per matrix) and the solve
+    of the basis ``[U; V]`` it yields for ``P = V U^{-1}``, run right after
+    it: a singular basis is that member's error where it arises.  The
+    members are kept by the module's rule.
     """
     out, live, weights = [None] * len(recs), [], []
     for i, rec in enumerate(recs):
@@ -504,6 +626,7 @@ def _solve_ares(recs, N, q):
     Nf, qf = (np.array(w)[:, None, None] for w in zip(*weights))
     H = _hamiltonian(A, Nf * eye, qf * eye)
     P = np.empty_like(A)
+    lwork = _gees_lwork(2 * n)
     for j, crossed in enumerate(_crossings(A, H, np.sqrt(Nf * qf).ravel())):
         if isinstance(crossed, Exception):
             out[live[j]] = crossed
@@ -513,7 +636,7 @@ def _solve_ares(recs, N, q):
                 "violated and the Riccati equation has no stabilizing solution")
         else:
             try:
-                _, Z, sdim = sla.schur(H[j], output="real", sort="lhp")
+                _, Z, sdim = _schur(H[j], lwork, lhp=True)
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = exc
                 continue
@@ -530,9 +653,9 @@ def _solve_ares(recs, N, q):
         return out
     P = 0.5 * (P + P.transpose(0, 2, 1))
     R = A.transpose(0, 2, 1) @ P + P @ A + Nf * P @ P + qf * eye
-    residuals = np.array([np.linalg.norm(r) for r in R])
-    for j, residual in enumerate(residuals.tolist()):
-        bound = 1e-8 * max(1.0, float(np.linalg.norm(P[j])) ** 2)
+    residuals = _frobenius(R)
+    for j, (residual, norm) in enumerate(zip(residuals.tolist(), _frobenius(P).tolist())):
+        bound = 1e-8 * max(1.0, norm ** 2)
         if residual > bound:
             out[live[j]] = SolverError(f"Riccati residual {residual:.3e} exceeds tolerance "
                                        f"{bound:.3e} (ill-conditioned invariant subspace)")
@@ -636,11 +759,11 @@ def _peak_gains(recs, M, rtol, dtols):
     (``Ab = T^{-1} A T`` balanced, ``B = T^{-1}``, ``C = M T``: the same
     transfer function) are the frequencies where ``level`` is a singular
     value of the response.  ``C'C`` would overflow for an entry of ``C``
-    beyond about 1.3e154, so a member whose ``C`` has an entry of at least
-    ``2^500`` takes ``c C`` and ``c level`` in place of ``C`` and ``level``,
-    with ``c = 2^-e`` for the binary exponent ``e`` of that entry: a
-    diagonal similarity, so the eigenvalues are the same; ``c = 1``
-    otherwise.  The gains are evaluated with ``M`` as given.  Eigenvalues
+    beyond about 1.3e154, so each member takes ``c C`` and ``c level`` in
+    place of ``C`` and ``level``, with its power of two ``c`` from
+    ``_scales`` (``2^-e`` for the binary exponent ``e`` of an entry of at
+    least ``2^500``, else 1): a diagonal similarity, so the eigenvalues
+    are the same.  The gains are evaluated with ``M`` as given.  Eigenvalues
     near the axis are only candidates (``_axis_frequencies``); one counts
     as a crossing when the gain at ``|Im lambda|`` reaches the level up to
     ``_LEVEL_SLACK``, so slow modes of a badly scaled ``A`` are not taken
@@ -662,8 +785,7 @@ def _peak_gains(recs, M, rtol, dtols):
     A = np.array([r.A for r in recs])
     Ab, T, B = (np.array(X) for X in zip(*(r.balanced for r in recs)))
     C = T if M is None else M @ T
-    e = np.frexp(np.abs(C).max(axis=(1, 2)))[1]
-    c = np.ldexp(1.0, np.where(e > 500, -e, 0))
+    c = _scales(C)
     C = c[:, None, None] * C
     BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
     lam = np.array([r.spectrum for r in recs])

@@ -583,16 +583,18 @@ class TestNetworkValidation:
         assert net.in_edges("nope") == ()
 
     def test_lyapunov_kept_as_solved(self, monkeypatch):
-        # the solution is made read-only in place: no second read, no copy
+        # the solution is made read-only in place: no second read, no copy;
+        # the first read solves every subsystem's weight, in one kernel call
         net = two_sub_net(coupling=0.5)
         solved = []
-        real = model.solve_lyapunov
-        monkeypatch.setattr(model, "solve_lyapunov",
-                            lambda A, Q: solved.append(real(A, Q)) or solved[-1])
+        real = model._lyapunovs
+        monkeypatch.setattr(model, "_lyapunovs",
+                            lambda recs, Q: solved.append(real(recs, Q)) or solved[-1])
         P = net.lyapunov("s1")
-        assert len(solved) == 1 and P is solved[0]
+        assert len(solved) == 1 and P is solved[0][net.index["s1"]]
         assert not P.flags.writeable
         assert net.lyapunov("s1") is P
+        assert net.lyapunov("s2") is solved[0][net.index["s2"]] and len(solved) == 1
 
     def test_huge_Q_accepted(self):
         # Q + Q' overflowed, and a finite positive definite weight was rejected
@@ -832,11 +834,9 @@ class TestReadOnce:
     def test_each_record_balanced_once(self, name, monkeypatch):
         # certify's distances and small_gain_check's path gains balance each
         # desired record once, on the record, however many edges leave it
-        import scipy.linalg
         balanced = []
-        real = scipy.linalg.matrix_balance
-        monkeypatch.setattr(scipy.linalg, "matrix_balance",
-                            lambda a, **k: balanced.append(a) or real(a, **k))
+        real = numerics.dgebal
+        monkeypatch.setattr(numerics, "dgebal", lambda a, **k: balanced.append(a) or real(a, **k))
         net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
         certify(net)
         small_gain_check(net)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.linalg import block_diag as sla_block_diag
 
 from conftest import (
@@ -128,9 +129,8 @@ class TestLyapunov:
             P = solve_lyapunov(A, np.eye(2))
         assert np.diag(P).tolist() == pytest.approx([5e-301, 5e-301], rel=1e-12)
         assert np.abs(P[0, 1]) <= 1e-12 * 5e-301
-        real = numerics.sla.solve_continuous_lyapunov
-        monkeypatch.setattr(numerics.sla, "solve_continuous_lyapunov",
-                            lambda *args: 2.0 * real(*args))
+        real = numerics._bartels_stewart
+        monkeypatch.setattr(numerics, "_bartels_stewart", lambda *args: 2.0 * real(*args))
         with np.errstate(over="raise", invalid="raise"), \
                 pytest.raises(SolverError, match=r"^Lyapunov residual \d\.\d{3}e\+00 exceeds "
                                                  r"1e-10 \* scale \(\d\.\d{3}e-10\)$"):
@@ -139,8 +139,8 @@ class TestLyapunov:
     def test_indefinite_solution_rejected(self, monkeypatch):
         # a solver answer within the residual bound whose small eigenvalue
         # has the wrong sign: only the definiteness check refuses it
-        real = numerics.sla.solve_continuous_lyapunov
-        monkeypatch.setattr(numerics.sla, "solve_continuous_lyapunov",
+        real = numerics._bartels_stewart
+        monkeypatch.setattr(numerics, "_bartels_stewart",
                             lambda *args: real(*args) * np.diag([1.0, -1.0]))
         with pytest.raises(SolverError, match="^Lyapunov solution is not positive definite$"):
             solve_lyapunov(-np.eye(2), np.diag([1.0, 1e-12]))
@@ -592,6 +592,28 @@ class TestDistance:
         assert distance_to_instability([[-5.0]], np.int64(1)) == distance_to_instability(
             [[-5.0]], 1.0)
 
+    def test_huge_entries_warn_of_no_overflow(self):
+        # the axis prefilter took ||H||_F, which overflowed to inf beyond
+        # about 1e154 (a RuntimeWarning), and every eigenvalue was a candidate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance_to_instability([[-1e160]]) == 1e160
+            assert distance_to_instability([[-1e300, 1e300], [-1e300, -1e300]]) > 0.0
+
+    def test_axis_prefilter_is_the_frobenius_cut(self):
+        # the candidates are the eigenvalues within _AXIS_PREFILTER * ||H||_F
+        # of the axis, for a member whose norm would overflow too
+        rng = np.random.default_rng(87)
+        H = rng.normal(size=(4, 6, 6))
+        H[0, :, :3] *= 1e-7  # eigenvalues near the axis
+        H[2] *= 1e200
+        owner, ws, _ = numerics._axis_frequencies(H)
+        for k, h in enumerate(H):
+            norm = np.linalg.norm(h) if k != 2 else 1e200 * np.linalg.norm(h / 1e200)
+            lam = np.linalg.eigvals(h)
+            want = np.unique(np.abs(lam.imag[np.abs(lam.real) <= 1e-6 * norm]))
+            assert ws[owner == k].tolist() == want.tolist()
+
     def test_normal_matrix(self):
         d = distance_to_instability(np.diag([-1.0, -2.0]), 1e-10)
         assert d == pytest.approx(1.0, abs=1e-9)
@@ -818,14 +840,14 @@ class TestStackedKernels:
         q = [0.5 * distance_to_instability(r, 1e-12) ** 2 / k for r, k in zip(recs, N)]
         victim = 1
         P = solve_are(recs[victim], N[victim], q[victim]).P
-        schur, eigvalsh = numerics.sla.schur, np.linalg.eigvalsh
+        schur, eigvalsh = numerics._schur, np.linalg.eigvalsh
 
-        def forced_schur(H, **kw):
+        def forced_schur(H, *args, **kw):
             if not np.array_equal(H[:n, :n], recs[victim].A):
-                return schur(H, **kw)
+                return schur(H, *args, **kw)
             if exit_ == "unstable":  # the anti-stabilizing P: definite, unstable closed loop
-                return schur(H, output="real", sort="rhp")
-            T, Z, sdim = schur(H, **kw)
+                return sla.schur(H, output="real", sort="rhp")
+            T, Z, sdim = schur(H, *args, **kw)
             Z = Z.copy()
             if exit_ == "singular":
                 Z[:n, :n] = 0.0
@@ -839,7 +861,7 @@ class TestStackedKernels:
                 w[[np.array_equal(p, P) for p in a]] *= -1.0
             return w
 
-        monkeypatch.setattr(numerics.sla, "schur", forced_schur)
+        monkeypatch.setattr(numerics, "_schur", forced_schur)
         monkeypatch.setattr(np.linalg, "eigvalsh", forced_eigvalsh)
         stack = numerics._solve_ares(recs, N, q)
         alone = [numerics._solve_ares([r], [k], [qi])[0] for r, k, qi in zip(recs, N, q)]
@@ -925,6 +947,175 @@ class TestPerShape:
         got = numerics._norms(items)
         assert svds == [(2, 2, 3), (2, 3, 3), (1, 1, 4)]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def scipy_lyapunov(A, Q):
+    """The scipy-based ``solve_lyapunov`` body that the stacked kernel
+    replaced: the oracle of ``numerics._lyapunovs``."""
+    A = as_matrix(A, "A", square=True)
+    Q = as_matrix(Q, "Q", square=True)
+    if Q.shape != A.shape:
+        raise DimensionError(f"Q must match A: {Q.shape} vs {A.shape}")
+    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, float(np.abs(Q).max())):
+        raise ValueError("Q must be symmetric")
+    if np.min(np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T)) <= 0.0:
+        raise ValueError("Q must be positive definite")
+    if not np.linalg.eigvals(A).real.max() < 0.0:
+        raise StabilityError(
+            "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
+    P = sla.solve_continuous_lyapunov(A.T, -Q)
+    P = 0.5 * (P + P.T)
+    a = -int(np.frexp(np.abs(A).max())[1])
+    k = -max(int(np.frexp(np.abs(P).max())[1]), int(np.frexp(np.abs(Q).max())[1]) + a)
+    As, Ps, Qs = np.ldexp(A, a), np.ldexp(P, k), np.ldexp(Q, a + k)
+    scale = np.linalg.norm(As) * np.linalg.norm(Ps) + np.linalg.norm(Qs)
+    residual = np.linalg.norm(As.T @ Ps + Ps @ As + Qs)
+    if not residual <= 1e-10 * scale:
+        raise SolverError(f"Lyapunov residual {np.ldexp(residual, -a - k):.3e} exceeds "
+                          f"1e-10 * scale ({np.ldexp(1e-10 * scale, -a - k):.3e})")
+    if np.min(np.linalg.eigvalsh(P)) <= 0.0:
+        raise SolverError("Lyapunov solution is not positive definite")
+    return P
+
+
+def assert_outcome(got, want):
+    """The same error type and message, or the same array to the bit."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert_same_bits(got, want)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (GascertError, ValueError) as exc:
+        return exc
+
+
+class TestDirectLapack:
+    """The Schur form, the balancing and the Lyapunov solve call LAPACK
+    directly, by scipy's arithmetic: each result is scipy's, bit for bit."""
+
+    @staticmethod
+    def matrices(rng):
+        for n in (1, 2, 3, 4, 6, 9, 14):
+            yield rng.normal(size=(n, n))
+            yield random_hurwitz(rng, n, 10.0 ** rng.uniform(-100, 100))
+            A = random_hurwitz(rng, n)
+            W = rng.normal(size=(n, n))
+            yield hamiltonian(A, 1, 0.1) + np.block([[np.zeros((n, n)), W @ W.T],
+                                                     [np.zeros((n, 2 * n))]])
+
+    @pytest.mark.parametrize("sort", [None, "lhp"])
+    def test_schur_is_scipys(self, sort):
+        for A in self.matrices(np.random.default_rng(81)):
+            T, Z, sdim = numerics._schur(A, numerics._gees_lwork(len(A)), lhp=sort == "lhp")
+            want = sla.schur(A, output="real", sort=sort)
+            assert_same_bits(T, want[0])
+            assert_same_bits(Z, want[1])
+            assert sdim == (0 if sort is None else want[2])
+
+    def test_schur_sorts_the_hamiltonian_stable_half_first(self):
+        A = random_hurwitz(np.random.default_rng(82), 4)
+        _, _, sdim = numerics._schur(hamiltonian(A, 1, 0.01), numerics._gees_lwork(8), lhp=True)
+        assert sdim == 4
+
+    @staticmethod
+    def permuting(rng, n, scale):
+        # upper triangular outside a dense middle block: dgebal isolates the
+        # first column's and the last row's eigenvalue, then a random
+        # similarity permutation makes its swaps nontrivial
+        A = np.triu(rng.normal(size=(n, n)))
+        A[1:n - 1, 1:n - 1] = rng.normal(size=(n - 2, n - 2))
+        p = rng.permutation(n)
+        A = A[np.ix_(p, p)]
+        d = 10.0 ** rng.uniform(-scale, scale, size=n)
+        return d[:, None] * A / d[None, :]
+
+    @pytest.mark.parametrize("scale", [0.0, 150.0], ids=["plain", "1e+-150"])
+    def test_balanced_is_scipys(self, scale):
+        rng = np.random.default_rng(83)
+        cases = [self.permuting(rng, n, scale) for n in (3, 4, 6, 9) for _ in range(4)]
+        cases += [d * rng.normal(size=(n, n)) for n in (1, 2, 5) for d in (1e150, 1e-150, 1.0)]
+        permuted = 0
+        for A in cases:
+            _, lo, hi, _, _ = numerics.dgebal(A, scale=1, permute=1)
+            permuted += lo > 0 and hi < len(A) - 1
+            Ab, T, Tinv = Checked(A).balanced
+            with np.errstate(invalid="ignore"):  # scipy casts every scaling factor to int
+                want_Ab, want_T = sla.matrix_balance(A)
+            assert_same_bits(Ab, want_Ab)
+            assert_same_bits(T, want_T)
+            assert_same_bits(Tinv, np.linalg.inv(want_T))
+        assert permuted >= 12
+
+    def test_lyapunov_kernel_is_the_scipy_solve(self):
+        rng = np.random.default_rng(84)
+        recs, Qs = [], []
+        for n in range(1, 22):
+            for scale in (1.0, 10.0 ** rng.uniform(-150, 150)):
+                recs.append(Checked(random_hurwitz(rng, n, scale), square=True))
+                W = rng.normal(size=(n, n))
+                Qs.append((W @ W.T + 0.1 * np.eye(n)) * 10.0 ** rng.uniform(-50, 50))
+        recs.append(Checked([[-1e-100]], square=True))  # its residual test refuses it
+        Qs.append(np.array([[1e200]]))
+        for k in (0, 5, 40):  # shared records, with their own weights and another's
+            recs.append(recs[k])
+            Qs.append(Qs[k] if k != 5 else 2.0 * Qs[k])
+        with np.errstate(all="ignore"):
+            got = numerics._per_shape(numerics._lyapunovs, recs, Qs)
+            want = [outcome(scipy_lyapunov, r.A, Q) for r, Q in zip(recs, Qs)]
+        assert sum(isinstance(w, Exception) for w in want) == 1
+        for g, w in zip(got, want):
+            assert_outcome(g, w)
+
+    def test_lyapunov_checks_stay_with_their_members(self):
+        rng = np.random.default_rng(85)
+        recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(4)]
+        recs[2] = Checked(-random_hurwitz(rng, 3), square=True)
+        Qs = np.array([np.eye(3)] * 4)
+        Qs[0, 0, 1] = 1e-3
+        Qs[3, 1, 1] = -1.0
+        got = numerics._lyapunovs(recs, Qs)
+        assert [str(g) for g in got] == [
+            "Q must be symmetric", str(got[1]),
+            "A is not Hurwitz: the Lyapunov equation has no positive definite solution",
+            "Q must be positive definite"]
+        assert_same_bits(got[1], scipy_lyapunov(recs[1].A, Qs[1]))
+        assert_outcome(numerics._lyapunovs(recs[:1], np.zeros((1, 2, 2)))[0],
+                       DimensionError("Q must match A: (2, 2) vs (3, 3)"))
+
+    @pytest.mark.parametrize("exit_, message", [
+        ("residual", r"^Lyapunov residual \S+ exceeds 1e-10 \* scale \(\S+\)$"),
+        ("indefinite", r"^Lyapunov solution is not positive definite$"),
+    ])
+    def test_lyapunov_exit_stays_with_its_member(self, monkeypatch, exit_, message):
+        # one member of a stack of four is forced to an exit of the solve; it
+        # fails alone, with the message it gets alone, and the others keep
+        # their bits
+        rng = np.random.default_rng(86)
+        recs = [Checked(random_hurwitz(rng, 2), square=True) for _ in range(4)]
+        victim = 2
+        recs[victim] = Checked(-np.eye(2), square=True)
+        Qs = np.array([np.eye(2), np.eye(2), np.diag([1.0, 1e-12]), np.eye(2)])
+        real = numerics._bartels_stewart
+
+        def forced(a, q, lwork):
+            X = real(a, q, lwork)
+            if not np.array_equal(a, recs[victim].A.T):
+                return X
+            return 2.0 * X if exit_ == "residual" else X * np.diag([1.0, -1.0])
+
+        monkeypatch.setattr(numerics, "_bartels_stewart", forced)
+        stack = numerics._lyapunovs(recs, Qs)
+        alone = [numerics._lyapunovs([r], Q[None])[0] for r, Q in zip(recs, Qs)]
+        assert [isinstance(o, SolverError) for o in stack] == [False, False, True, False]
+        assert re.match(message, str(stack[victim]))
+        for got, want in zip(stack, alone):
+            assert_outcome(got, want)
+        for k in (0, 1, 3):
+            assert_same_bits(stack[k], scipy_lyapunov(recs[k].A, Qs[k]))
 
 
 class TestHyperbolicityDistanceEquivalence:

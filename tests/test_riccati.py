@@ -468,14 +468,14 @@ class TestStackedCertify:
         clean = certify(net)
         assert clean.record(weak).reason == "margin is not positive"
         assert clean.record(victim).ok
-        schur, stacks = numerics.sla.schur, []
+        schur, stacks = numerics._schur, []
 
-        def forced(H, **kw):
-            T, Z, sdim = schur(H, **kw)
+        def forced(H, *args, **kw):
+            T, Z, sdim = schur(H, *args, **kw)
             return T, Z, sdim - 1 if np.array_equal(H[:3, :3], net.desired[victim]) else sdim
 
         real = riccati._solve_ares
-        monkeypatch.setattr(numerics.sla, "schur", forced)
+        monkeypatch.setattr(numerics, "_schur", forced)
         monkeypatch.setattr(riccati, "_solve_ares",
                             lambda recs, N, q: stacks.append(recs) or real(recs, N, q))
         cert = certify(net)

@@ -33,7 +33,7 @@ from gascert import (
     simulate,
 )
 from gascert.config import load_config
-from gascert.numerics import solve_lyapunov
+from gascert.numerics import _lyapunovs, solve_lyapunov
 from gascert.sim import _Kernel
 
 AM = np.array([[-2.0, 1.0], [-1.0, 0.0]])
@@ -528,19 +528,20 @@ class TestScenarioCheck:
 
 class TestLyapunovWeights:
     def test_solved_once_per_subsystem(self, monkeypatch):
-        # analyze and three runs without a certificate read one memo per network
+        # analyze and three runs without a certificate read one memo per
+        # network: each subsystem is one member of one kernel call, once
         calls = []
 
-        def counting(A, Q):
-            calls.append(1)
-            return solve_lyapunov(A, Q)
+        def counting(recs, Q):
+            calls.extend(recs)
+            return _lyapunovs(recs, Q)
 
-        # at every name the solver is bound to, so no module escapes the count
+        # at every name the kernel is bound to, so no module escapes the count
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.startswith("gascert") \
-                    and getattr(module, "solve_lyapunov", None) is solve_lyapunov:
-                monkeypatch.setattr(module, "solve_lyapunov", counting)
-        assert gascert.model.solve_lyapunov is counting
+                    and getattr(module, "_lyapunovs", None) is _lyapunovs:
+                monkeypatch.setattr(module, "_lyapunovs", counting)
+        assert gascert.model._lyapunovs is counting
         net, sc = mixed_net(np.random.default_rng(31), 4, with_edges=True)
         assert calls == []
         analyze(net)
