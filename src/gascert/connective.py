@@ -16,8 +16,8 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .model import NetworkModel, _edge_table
-from .numerics import (_HINF_RTOL, _peak_gains, _per_shape, as_matrix, eigenvalues,
-                       numeric_array, numeric_scalar)
+from .numerics import (_peak_gains, _per_shape, as_matrix, eigenvalues, numeric_array,
+                       numeric_scalar)
 
 __all__ = [
     "ConnectiveReport",
@@ -222,12 +222,11 @@ def _path_gains(net: NetworkModel):
     """
     recs = [net.checked[e.src] for e in net.edges]
     Ms = [np.eye(r.A.shape[0]) if e.A is None else e.A for e, r in zip(net.edges, recs)]
-    peaks = _per_shape(lambda group, M: _peak_gains(group, M, _HINF_RTOL, np.zeros(len(M))),
-                       recs, Ms)
+    peaks = _per_shape(_peak_gains, recs, Ms)
     for peak in peaks:
         if isinstance(peak, Exception):
             raise peak
-    return [g if e.A is not None else e.norm_bound * g for e, (g, _, _) in zip(net.edges, peaks)]
+    return [g if e.A is not None else e.norm_bound * g for e, (g, _) in zip(net.edges, peaks)]
 
 
 def small_gain_check(net: NetworkModel):

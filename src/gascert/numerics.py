@@ -2,14 +2,19 @@
 
 Spectra, norms, Lyapunov and Riccati solves, one imaginary-axis crossing
 test for the Riccati Hamiltonian (shared with the Riccati solve), and one
-level-set Hamiltonian iteration that gives both the H-infinity gain and
-the distance to instability.  Acceptance bounds are fixed; the distance
-accuracy is the one tolerance a caller sets.  All functions are pure:
-they keep no state and are safe to call concurrently on shared read-only
-inputs.  Intended problem sizes are small (n up to a few tens).  Caller arrays
-and matrices derived inside the kernels are read and checked by
-``numeric_array``; ``Checked`` records are not, and neither are the blocks
-``AugmentedSubsystem.from_raw`` builds from the raw blocks it has read.
+level-set Hamiltonian iteration, entered only by ``_peak_gains``, that
+gives both the H-infinity gain and the distance to instability.  This
+module owns every accuracy rule: acceptance bounds are fixed, the
+level-set kernel sets its own accuracy, and only the public
+``distance_to_instability`` lets a caller set one (its ``tol``).  The
+Riccati solve works in units where its matrix, weight and solution are of
+order one, so its verdict does not depend on the time unit.  All
+functions are pure: they keep no state and are safe to call concurrently
+on shared read-only inputs.  Intended problem sizes are small (n up to a
+few tens).  Caller arrays and matrices derived inside the kernels are
+read and checked by ``numeric_array``; ``Checked`` records are not, and
+neither are the blocks ``AugmentedSubsystem.from_raw`` builds from the
+raw blocks it has read.
 
 The crossing test, the level-set iteration, the Riccati solve and the
 Lyapunov solve each run on a stack of records of one size, one LAPACK call
@@ -36,7 +41,8 @@ each group goes to a same-shape kernel in one call, in order of first
 appearance, and every result, an error value too, is put back at its
 item's place.  ``_norms`` is the spectral norm on that rule.  ``certify``,
 ``small_gain_check``, the edge table, the network's Lyapunov weights and
-the comparison system's eigenvalue extremes ask these two for their stacks.
+the comparison system's eigenvalue extremes ask these two for their
+stacks; the stacked kernels take numbers their callers have read.
 """
 
 from __future__ import annotations
@@ -529,7 +535,8 @@ def is_hyperbolic(Am, N, q):
     """
     A = as_matrix(Am, "Am", square=True)
     N, q = _check_weights(N, q)
-    return not _alone(_crossings(A[None], hamiltonian(A, N, q)[None],
+    eye = np.eye(A.shape[0])
+    return not _alone(_crossings(A[None], _hamiltonian(A, N * eye, q * eye)[None],
                                  np.array([math.sqrt(N * q)])))
 
 
@@ -600,8 +607,18 @@ def _standing(out, live, *stacks):
 
 
 def _solve_ares(recs, N, q):
-    """``solve_are`` for each square record of one size, with its ``N[i]`` and
-    ``q[i]``: per record an ``AreSolution`` or the error ``solve_are`` raises.
+    """``solve_are`` for each square record of one size, with its weights
+    ``N[i]`` and ``q[i]`` (two stacks of numbers the caller has read and
+    checked, as ``solve_are`` does at its door): per record an
+    ``AreSolution`` or the error ``solve_are`` raises past that door.
+
+    Each member is solved in units where ``Am``, ``q`` and ``P`` are of
+    order one, so the verdict does not depend on the time unit: ``Am / c``,
+    ``N d / c`` and ``q / (c d)`` give ``P / d``, for the power of two ``c``
+    of the largest ``|entry|`` of ``Am`` and ``d`` of ``q / (2 min |Re
+    lambda|)``, the size of ``P``; ``P``, the residual (times ``c d``) and
+    the closed-loop spectrum are reported in the caller's units.  A member
+    whose ``c`` and ``d`` both lie within ``2^±8`` keeps ``c = d = 1``.
 
     Each step is one call for the members still standing, except the Schur
     factorisation (``_schur``, one ``dgees`` call per matrix) and the solve
@@ -609,21 +626,18 @@ def _solve_ares(recs, N, q):
     it: a singular basis is that member's error where it arises.  The
     members are kept by the module's rule.
     """
-    out, live, weights = [None] * len(recs), [], []
-    for i, rec in enumerate(recs):
-        try:
-            if not is_hurwitz(rec):
-                raise StabilityError("Am is not Hurwitz")
-            weights.append(_check_weights(N[i], q[i]))
-            live.append(i)
-        except (GascertError, ValueError) as exc:
-            out[i] = exc
+    out = [None if is_hurwitz(r) else StabilityError("Am is not Hurwitz") for r in recs]
+    live = [i for i, o in enumerate(out) if o is None]
     if not live:
         return out
     n = recs[0].A.shape[0]
     eye = np.eye(n)
     A = np.array([recs[i].A for i in live])
-    Nf, qf = (np.array(w)[:, None, None] for w in zip(*weights))
+    Nf, qf = (np.asarray(w)[live, None, None] for w in (N, q))
+    a = _exponents(A)  # c = 2^a, d = 2^b
+    b = np.frexp(qf.ravel())[1] - np.frexp([-2.0 * recs[i].spectrum.real.max() for i in live])[1]
+    a, b = (np.where((np.abs(a) > 8) | (np.abs(b) > 8), e, 0) for e in (a, b))
+    A, Nf, qf = (np.ldexp(X, e[:, None, None]) for X, e in ((A, -a), (Nf, b - a), (qf, -a - b)))
     H = _hamiltonian(A, Nf * eye, qf * eye)
     P = np.empty_like(A)
     lwork = _gees_lwork(2 * n)
@@ -648,22 +662,22 @@ def _solve_ares(recs, N, q):
                 P[j] = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
             except np.linalg.LinAlgError as exc:
                 out[live[j]] = SolverError(f"invariant-subspace basis is singular: {exc}")
-    live, A, Nf, qf, P = _standing(out, live, A, Nf, qf, P)
+    live, A, Nf, qf, P, a, b = _standing(out, live, A, Nf, qf, P, a, b)
     if not live:
         return out
     P = 0.5 * (P + P.transpose(0, 2, 1))
     R = A.transpose(0, 2, 1) @ P + P @ A + Nf * P @ P + qf * eye
-    residuals = _frobenius(R)
+    residuals = np.ldexp(_frobenius(R), a + b)
     for j, (residual, norm) in enumerate(zip(residuals.tolist(), _frobenius(P).tolist())):
-        bound = 1e-8 * max(1.0, norm ** 2)
+        bound = math.ldexp(1e-8 * max(1.0, norm ** 2), int(a[j] + b[j]))
         if residual > bound:
             out[live[j]] = SolverError(f"Riccati residual {residual:.3e} exceeds tolerance "
                                        f"{bound:.3e} (ill-conditioned invariant subspace)")
-    live, A, Nf, P, residuals = _standing(out, live, A, Nf, P, residuals)
+    live, A, Nf, P, residuals, a, b = _standing(out, live, A, Nf, P, residuals, a, b)
     if not live:
         return out
     definite = (np.linalg.eigvalsh(P)[:, 0] > 0.0).tolist()
-    lam, errors = _eigvals(A + Nf * P)
+    lam, errors = _eigvals(np.ldexp(A + Nf * P, a[:, None, None]))
     for j, i in enumerate(live):
         w = lam[j]
         if not np.count_nonzero(w.imag):  # as eigvals gives a member alone
@@ -675,7 +689,7 @@ def _solve_ares(recs, N, q):
         elif w.real.max() >= 0.0:
             out[i] = SolverError("closed-loop matrix Am + N*P is not stable")
         else:
-            out[i] = AreSolution(P=P[j], residual_norm=float(residuals[j]),
+            out[i] = AreSolution(P=np.ldexp(P[j], b[j]), residual_norm=float(residuals[j]),
                                  closed_loop_spectrum=w[np.lexsort((w.imag, w.real))])
     return out
 
@@ -712,7 +726,9 @@ def solve_are(Am, N, q):
         If the invariant subspace is ill-conditioned or the result
         violates the residual/definiteness contract.
     """
-    return _alone(_solve_ares([_record(Am, "Am")], [N], [q]))
+    rec = _record(Am, "Am")
+    N, q = _check_weights(N, q)
+    return _alone(_solve_ares([rec], [N], [q]))
 
 
 def _gains(A, M, owner, ws):
@@ -737,16 +753,23 @@ def _segment_argmax(owner, values):
     return o[first], order[first]
 
 
-def _peak_gains(recs, M, rtol, dtols):
+def _peak_gains(recs, M=None, dtols=None):
     """Level-set iteration for ``sup_w sigma_max(M[i] (jwI - A)^{-1})``, for
-    each Hurwitz record ``A = recs[i]`` of one size.
+    each square record ``A = recs[i]`` of one size: the one entry to it.
 
     The quadratically convergent scheme of Boyd and Balakrishnan (1990)
     and Bruinsma and Steinbuch (1990).  ``M = None`` stands for the
-    identity; a given ``M`` is a stack of shape ``(k, p, n)``, one output
-    matrix per record (a shared one passed as a broadcast stack).  For
-    each member, the estimate ``g`` starts as the largest gain at ``w = 0``
-    and at the distinct ``|Im lambda|`` of its spectrum.  Since
+    identity and gives the distance to instability; a given ``M`` is a
+    stack of shape ``(k, p, n)``, one output matrix per record (a shared
+    one passed as a broadcast stack), and gives the H-infinity gain.  A
+    record that is not Hurwitz gets the ``StabilityError`` of
+    ``distance_to_instability`` or ``hinf_gain``.  The kernel sets its own
+    accuracy: relative ``_HINF_RTOL`` for a gain; for a distance relative
+    ``_DIST_RTOL`` and absolute ``dtols[i]``, which only the public
+    ``distance_to_instability`` gives, else ``1e-12 * max(1, ||A||_2)``,
+    so it scales with the matrix.  For each member, the estimate ``g``
+    starts as the largest gain at ``w = 0`` and at the distinct
+    ``|Im lambda|`` of its spectrum.  Since
     ``sigma_min(A - jwI) <= |lambda - jw|``, which is ``|Re lambda|`` at
     ``w = Im lambda``, these are where a lightly damped pole lifts the
     gain; the moduli ``|lambda|`` of Bruinsma and Steinbuch lie next to
@@ -773,37 +796,48 @@ def _peak_gains(recs, M, rtol, dtols):
     midpoints between consecutive crossings.  A member stops when none of
     them exceeds its level ``g (1 + rtol) / (1 - dtol g)``: the peak is
     then within ``rtol`` relative of ``g`` and its reciprocal within
-    ``dtol`` of ``1 / g``.
+    ``dtol`` of ``1 / g``.  A zero ``M[i]`` (``g = 0`` at ``w = 0``) stops
+    at once with the gain 0.
 
     Every step is one stacked call for the members still iterating; each
     member meets the same frequencies in the same order as alone, and the
-    members are kept by the module's rule.  Returns, per record,
-    ``(g, w, s)`` with ``g`` the gain attained at ``w`` and
-    ``s = sigma_min(A - jwI)`` (None for a given ``M``), or the error that
-    stopped its iteration.
+    members are kept by the module's rule.  Returns, per record, the
+    distance ``sigma_min(A - jwI)`` attained at ``w`` for ``M = None``,
+    else ``(g, w)`` with ``g`` the gain attained at ``w``; or the error
+    that stopped its iteration.
     """
-    A = np.array([r.A for r in recs])
-    Ab, T, B = (np.array(X) for X in zip(*(r.balanced for r in recs)))
+    why = "distance to instability is zero" if M is None else "H-infinity gain is unbounded"
+    out = [None if is_hurwitz(r) else StabilityError(f"Am is not Hurwitz: the {why}") for r in recs]
+    live = [i for i, o in enumerate(out) if o is None]
+    if not live:
+        return out
+    A = np.array([recs[i].A for i in live])
+    if M is not None:
+        M, rtol, dtol = M[live], _HINF_RTOL, np.zeros(len(live))
+    elif dtols is None:
+        rtol, dtol = _DIST_RTOL, 1e-12 * np.maximum(1.0, np.linalg.svd(A, compute_uv=False)[:, 0])
+    else:
+        rtol, dtol = _DIST_RTOL, np.asarray(dtols)[live]
+    Ab, T, B = (np.array(X) for X in zip(*(recs[i].balanced for i in live)))
     C = T if M is None else M @ T
     c = _scales(C)
     C = c[:, None, None] * C
     BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
-    lam = np.array([r.spectrum for r in recs])
-    owner, ws = _unique_rows(np.concatenate((np.zeros((len(recs), 1)), np.abs(lam.imag)),
+    lam = np.array([recs[i].spectrum for i in live])
+    owner, ws = _unique_rows(np.concatenate((np.zeros((len(live), 1)), np.abs(lam.imag)),
                                             axis=1))
     gains, smin = _gains(A, M, owner, ws)
     _, at = _segment_argmax(owner, gains)
     # each member's estimate g, attained at w, with s = sigma_min there
-    g, w, s, dtol = gains[at], ws[at], smin[at], np.asarray(dtols)
-    out, live = [None] * len(recs), list(range(len(recs)))
-    done, errors = np.zeros(len(recs), dtype=bool), {}
+    g, w, s = gains[at], ws[at], smin[at]
+    done, errors = np.zeros(len(live), dtype=bool), {}
     for levels in range(_MAX_LEVELS + 1):
-        if levels < _MAX_LEVELS:  # 1 / g within dtol of 0: no finite level above g
-            done |= dtol * g >= 1.0
+        if levels < _MAX_LEVELS:  # 1 / g within dtol of 0, or a zero M: no level above g
+            done |= (dtol * g >= 1.0) | (g == 0.0)
         if np.count_nonzero(done):
             for p in np.flatnonzero(done).tolist():
-                out[live[p]] = errors.get(p) or (float(g[p]), float(w[p]),
-                                                 None if M is not None else float(s[p]))
+                out[live[p]] = errors.get(p) or (float(s[p]) if M is None
+                                                 else (float(g[p]), float(w[p])))
             live, A, M, Ab, BB, CC, c, dtol, g, w, s = _standing(out, live, A, M, Ab, BB, CC,
                                                                  c, dtol, g, w, s)
         if not live or levels == _MAX_LEVELS:
@@ -837,8 +871,9 @@ def hinf_gain(M, Am):
     """Peak frequency-response gain ``sup_w sigma_max(M (jwI - Am)^{-1})``.
 
     Computed by the level-set iteration of ``_peak_gains`` (a stack of
-    one) to 1e-12 relative accuracy; the returned value is the gain
-    attained at the maximising frequency.  A zero ``M`` gives 0.0.
+    one), which tests ``Am`` and sets the accuracy (1e-12 relative); the
+    returned value is the gain attained at the maximising frequency.  A
+    zero ``M`` gives 0.0, after that test.
 
     Raises
     ------
@@ -849,25 +884,7 @@ def hinf_gain(M, Am):
     M = as_matrix(M, "M")
     if M.shape[1] != rec.A.shape[0]:
         raise DimensionError(f"M has {M.shape[1]} columns, expected {rec.A.shape[0]}")
-    if not is_hurwitz(rec):
-        raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
-    if not np.any(M):
-        return 0.0
-    return _alone(_peak_gains([rec], M[None], _HINF_RTOL, np.zeros(1)))[0]
-
-
-def _distances(recs, tols):
-    """``distance_to_instability`` of each square record of one size, with
-    its tolerance ``tols[i]``: per record the distance or the error it raises."""
-    out = [None if is_hurwitz(r) else
-           StabilityError("Am is not Hurwitz: the distance to instability is zero")
-           for r in recs]
-    live = [i for i, o in enumerate(out) if o is None]
-    if live:
-        peaks = _peak_gains([recs[i] for i in live], None, _DIST_RTOL, np.asarray(tols)[live])
-        for i, peak in zip(live, peaks):
-            out[i] = peak if isinstance(peak, Exception) else peak[2]
-    return out
+    return _alone(_peak_gains([rec], M[None]))[0]
 
 
 def distance_to_instability(Am, tol=1e-9):
@@ -883,4 +900,4 @@ def distance_to_instability(Am, tol=1e-9):
     tol = numeric_scalar(tol, "tol")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return _alone(_distances([rec], [tol]))
+    return _alone(_peak_gains([rec], None, [tol]))

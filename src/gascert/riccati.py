@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import GascertError, StabilityError
 from .model import NetworkModel, _edge_table
-from .numerics import AreSolution, _distances, _norms, _per_shape, _solve_ares, numeric_scalar
+from .numerics import AreSolution, _peak_gains, _per_shape, _solve_ares, numeric_scalar
 
 __all__ = [
     "GasCertificate",
@@ -128,19 +128,19 @@ class GasCertificate:
 def certify(net: NetworkModel) -> GasCertificate:
     """Certify the network subsystem by subsystem.
 
-    For each subsystem: coupling energy, distance to instability (absolute
-    accuracy ``1e-12 * max(1, ||A_m||_2)``, so it scales with the matrix),
+    For each subsystem: coupling energy, distance to instability (at the
+    accuracy ``numerics._peak_gains`` sets, which scales with the matrix),
     margin, and on a positive margin the slack pick and the Riccati solve.
     One flat pass: N and Xi2 of every subsystem from the edge table, the
-    norms (``numerics._norms``) and the distances (one ``_per_shape`` call
-    of ``numerics._distances``) of all of them, the margin and slack of
-    each id, then one ``_per_shape`` call of ``numerics._solve_ares`` for
-    the subsystems with a positive margin, a decoupled one too.  A slack
-    that overflows (gamma^2 beyond the float range) leaves its subsystem
-    uncertified, with no ``epsilon``.  Failures are recorded per
-    subsystem; the run never aborts early.  An error that is not a verdict
-    (one of the distance, or one of the Riccati solve that is not a
-    ``GascertError``) is raised for the first such subsystem in id order.
+    distances of all of them (one ``_per_shape`` call of
+    ``numerics._peak_gains``), the margin and slack of each id, then one
+    ``_per_shape`` call of ``numerics._solve_ares`` for the subsystems with
+    a positive margin, a decoupled one too.  A slack that overflows
+    (gamma^2 beyond the float range) leaves its subsystem uncertified,
+    with no ``epsilon``.  Failures are recorded per subsystem; the run
+    never aborts early.  An error that is not a verdict (one of the
+    distance, or one of the Riccati solve that is not a ``GascertError``)
+    is raised for the first such subsystem in id order.
     """
     ids = sorted(net.ids)
     # N and Xi2 from the edge table: the weighted bincount sums each id's
@@ -150,7 +150,7 @@ def certify(net: NetworkModel) -> GasCertificate:
     N = dict(zip(net.ids, np.bincount(dst, minlength=n).tolist()))
     xi2 = dict(zip(net.ids, np.bincount(dst, gain * gain, minlength=n).astype(float).tolist()))
     recs = [net.checked[sid] for sid in ids]
-    gamma = dict(zip(ids, _per_shape(_distances, recs, 1e-12 * np.maximum(1.0, _norms(recs)))))
+    gamma = dict(zip(ids, _per_shape(_peak_gains, recs)))
     margin, eps, verdict = {}, {}, {}
     for sid in ids:
         if isinstance(gamma[sid], Exception):

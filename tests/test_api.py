@@ -1,7 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import gascert
+from gascert import model, numerics
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_surface():
@@ -47,3 +51,23 @@ def test_one_reader_of_caller_numbers():
     called = {ast.unparse(node.func).rpartition(".")[2] for node in ast.walk(tree)
               if isinstance(node, ast.Call)}
     assert readers.isdisjoint(imported | called)
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # bench/tracing.py wraps every layer's public functions, the cli entry
+    # points and NetworkModel.in_edges, out_edges, neighbor_count and
+    # Interconnection.gain by name: a layer, method or function it names
+    # that is gone makes install raise, and uninstall puts each one back
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hinf_gain, in_edges = numerics.hinf_gain, model.NetworkModel.__dict__["in_edges"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("gascert")
+        assert numerics.hinf_gain is not hinf_gain and numerics.hinf_gain.__wrapped__ is hinf_gain
+        assert model.NetworkModel.__dict__["in_edges"].__wrapped__ is in_edges
+    finally:
+        tracer.uninstall()
+    assert numerics.hinf_gain is hinf_gain and gascert.hinf_gain is hinf_gain
+    assert model.NetworkModel.__dict__["in_edges"] is in_edges

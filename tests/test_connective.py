@@ -544,9 +544,9 @@ class TestSmallGainWalk:
         stacks = []
         real = connective._peak_gains
 
-        def counted(recs, M, rtol, dtols):
+        def counted(recs, M):
             stacks.append((M.shape[1:], len(recs)))
-            return real(recs, M, rtol, dtols)
+            return real(recs, M)
 
         monkeypatch.setattr(connective, "_peak_gains", counted)
         got = [(r.pair, r.hinf_product, r.raw_gain_product) for r in small_gain_check(net)]

@@ -1,7 +1,9 @@
 """The demo scripts run to completion.
 
 Demos 01-04 run as subprocesses in a temporary working directory and must
-exit 0; together they take about 4.5 s.  Demo 05 is left out: it
+exit 0, with a ``RuntimeWarning`` (an overflow, an invalid operation) made
+an error as in the tier-1 run; together they take about 4.5 s.  Demo 05 is
+left out: it
 simulates for about 18 s and writes a 28 MB trace CSV into its working
 directory.
 """
@@ -23,7 +25,7 @@ def test_demo_set():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

@@ -555,6 +555,22 @@ class TestSolveAre:
         with pytest.raises(StabilityError):
             solve_are(DC_AM, 1, (1.1 * gamma) ** 2)
 
+    def test_scale_invariant(self):
+        # s A is A in another time unit: for s = 1e-150, 1e-140, ..., 1e150
+        # the solve succeeds without a warning, and P / s solves A's equation
+        # to rounding (q and P scale as s^2 and s)
+        A = np.array([[-1.0, 0.3], [0.0, -2.0]])
+        q = (distance_to_instability(A, 1e-12) / 2) ** 2
+        worst = 0.0
+        for e in range(-150, 151, 10):
+            s = 10.0 ** e
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                P = solve_are(s * A, 1, s * s * q).P / s
+            terms = (A.T @ P, P @ A, P @ P, q * np.eye(2))
+            worst = max(worst, np.linalg.norm(sum(terms)) / sum(map(np.linalg.norm, terms)))
+        assert worst <= 1e-14
+
     def test_random_suite_residual_and_spectrum(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -712,7 +728,7 @@ class TestDistance:
         real = numerics._gains
         monkeypatch.setattr(numerics, "_gains", lambda A, M, owner, ws: calls.append(
             (owner.copy(), ws.copy())) or real(A, M, owner, ws))
-        numerics._peak_gains(recs, M, numerics._HINF_RTOL, np.zeros(len(recs)))
+        numerics._peak_gains(recs, M)
         owner, ws = calls[0]
         for k, rec in enumerate(recs):
             want = np.unique(np.abs(np.concatenate(([0.0], rec.spectrum.imag))))
@@ -733,9 +749,10 @@ class TestStackedKernels:
                 for _ in range(7)]
         recs.append(recs[0])  # a record twice in one stack
         tols = [1e-12 * max(1.0, spectral_norm(r)) for r in recs]
-        gammas = numerics._distances(recs, tols)
+        gammas = numerics._peak_gains(recs, None, tols)
         for r, tol, gamma in zip(recs, tols, gammas):
             assert type(gamma) is float and gamma == distance_to_instability(r, tol)
+        assert numerics._peak_gains(recs) == gammas  # the kernel's own distance accuracy
         N = rng.integers(1, 4, size=len(recs)).tolist()
         q = [(f * g) ** 2 / k for f, g, k in zip(rng.uniform(0.2, 1.4, size=len(recs)),
                                                    gammas, N)]
@@ -755,9 +772,8 @@ class TestStackedKernels:
         assert kinds == {"error", "solved"}
         M = rng.normal(size=(2, n))
         shared = np.broadcast_to(M, (len(recs), *M.shape))
-        for r, (g, w, s) in zip(recs, numerics._peak_gains(recs, shared, numerics._HINF_RTOL,
-                                                            np.zeros(len(recs)))):
-            assert s is None and g == hinf_gain(M, r)
+        for r, (g, w) in zip(recs, numerics._peak_gains(recs, shared)):
+            assert g == hinf_gain(M, r)
 
     def test_scaled_member_leaves_the_others_alone(self):
         # a member whose output matrix passes 2^500 runs at a scaled level;
@@ -766,9 +782,8 @@ class TestStackedKernels:
         recs = [Checked(random_hurwitz(rng, 3)) for _ in range(3)]
         M = rng.normal(size=(3, 2, 3))
         M[1] *= 2.0 ** 600
-        stack = numerics._peak_gains(recs, M, numerics._HINF_RTOL, np.zeros(3))
-        alone = [numerics._peak_gains([r], M[k:k + 1], numerics._HINF_RTOL, np.zeros(1))[0]
-                 for k, r in enumerate(recs)]
+        stack = numerics._peak_gains(recs, M)
+        alone = [numerics._peak_gains([r], M[k:k + 1])[0] for k, r in enumerate(recs)]
         assert stack == alone
         assert stack[1][0] == pytest.approx(2.0 ** 600 * hinf_gain(M[1] / 2.0 ** 600, recs[1]),
                                             rel=1e-11)
@@ -803,7 +818,7 @@ class TestStackedKernels:
             return lam, errors
 
         monkeypatch.setattr(numerics, "_eigvals", failing)
-        got = numerics._distances(recs, [1e-12] * len(recs))
+        got = numerics._peak_gains(recs, None, [1e-12] * len(recs))
         assert isinstance(got[2], SolverError) and str(got[2]) == "forced"
         assert [got[i] for i in (0, 1, 3)] == [alone[i] for i in (0, 1, 3)]
 
@@ -818,9 +833,9 @@ class TestStackedKernels:
             for x, y in ((got.P, want.P), (got.closed_loop_spectrum, want.closed_loop_spectrum),
                          (np.float64(got.residual_norm), np.float64(want.residual_norm))):
                 assert_same_bits(x, y)
-        else:  # a peak (g, w, s), with s None for a given output matrix
-            assert [x if x is None else np.float64(x).tobytes() for x in got] == [
-                x if x is None else np.float64(x).tobytes() for x in want]
+        else:  # a distance, or a peak (g, w) for a given output matrix
+            assert type(got) is type(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("exit_, message", [
         ("singular", r"^invariant-subspace basis is singular: Singular matrix$"),
@@ -871,31 +886,20 @@ class TestStackedKernels:
         for got, want in zip(stack, alone):
             self.assert_alone(got, want)
 
-    def test_bad_weight_stays_with_its_member(self):
-        # a weight the number reader refuses is that member's outcome
-        rng = np.random.default_rng(72)
-        recs = [Checked(random_hurwitz(rng, 2), square=True) for _ in range(4)]
-        N, q = [1, "2", 1, 2.5], [0.1, 0.1, np.inf, 0.1]
-        stack = numerics._solve_ares(recs, N, q)
-        assert type(stack[1]) is GascertError and str(stack[1]) == "N: not a numeric array"
-        assert type(stack[2]) is NonFiniteError and str(stack[2]) == "q: non-finite entries"
-        for k in (0, 3):
-            assert type(stack[k]) is numerics.AreSolution
-            self.assert_alone(stack[k], solve_are(recs[k], N[k], q[k]))
-
     @pytest.mark.parametrize("output", ["identity", "given"])
     def test_unconverged_member_keeps_its_message(self, monkeypatch, output):
         # with two levels allowed, the first of five members is not done;
         # the others converge, each to its numbers alone
         rng = np.random.default_rng(76)
         recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(5)]
-        M, rtol, dtols = None, numerics._DIST_RTOL, [1e-12] * len(recs)
+        M, dtols = None, [1e-12] * len(recs)  # the distance's dtols; a gain has none
         if output == "given":  # one output matrix per member
-            M, rtol, dtols = rng.normal(size=(5, 2, 3)), numerics._HINF_RTOL, [0.0] * len(recs)
+            M, dtols = rng.normal(size=(5, 2, 3)), None
         monkeypatch.setattr(numerics, "_MAX_LEVELS", 2)
-        stack = numerics._peak_gains(recs, M, rtol, dtols)
-        alone = [numerics._peak_gains([r], None if M is None else M[k:k + 1], rtol, [t])[0]
-                 for k, (r, t) in enumerate(zip(recs, dtols))]
+        stack = numerics._peak_gains(recs, M, dtols)
+        alone = [numerics._peak_gains([r], None if M is None else M[k:k + 1],
+                                      None if M is not None else [dtols[k]])[0]
+                 for k, r in enumerate(recs)]
         assert [isinstance(o, Exception) for o in stack] == [True, False, False, False, False]
         assert isinstance(stack[0], SolverError)
         assert str(stack[0]) == "level-set iteration did not converge in 2 levels"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import warnings
 
@@ -18,6 +19,7 @@ from gascert import (
     StabilityError,
     Tuning,
     certify,
+    cli,
     distance_to_instability,
     epsilon_margin,
     interconnection_energy,
@@ -229,6 +231,23 @@ class TestEpsilonMargin:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("name", ["toy_pair", "mesh6"])
+    def test_verdict_does_not_depend_on_the_time_unit(self, name, tmp_path, capsys):
+        # the reference model and every edge block times 2^k: the riccati
+        # command certifies every k, and P 2^-k is the same to the bit
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        Ps = []
+        for k in (-60, -20, 20, 60, 200):
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(dict(
+                doc, reference_model=np.ldexp(doc["reference_model"], k).tolist(),
+                edges=[dict(e, A=np.ldexp(e["A"], k).tolist()) for e in doc["edges"]])))
+            assert cli.main(["riccati", str(path)]) == 0
+            cert = certify(load_config(path)[0])
+            assert cert.certified
+            Ps.append([bits(np.ldexp(c.P, -k)) for c in cert.subsystems])
+        assert Ps[1:] == Ps[:1] * 4
+
     def test_mutually_coupled_scalar_pair(self):
         net = scalar_net({("s2", "s1"): 0.5, ("s1", "s2"): 0.5})
         cert = certify(net)
@@ -495,14 +514,14 @@ class TestStackedCertify:
         for sid in sorted(net.ids):
             first[net.desired[sid].shape[0]] = first[net.desired[sid].shape[0]] or sid
         assert first[2] != first[3]
-        real = numerics._peak_gains
+        real = riccati._peak_gains
 
-        def failing(recs, M, rtol, dtols):
-            out = real(recs, M, rtol, dtols)
+        def failing(recs, *cols):
+            out = real(recs, *cols)
             out[0] = SolverError(f"forced {recs[0].A.shape[0]}")
             return out
 
-        monkeypatch.setattr(numerics, "_peak_gains", failing)
+        monkeypatch.setattr(riccati, "_peak_gains", failing)
         size = net.desired[min(first.values())].shape[0]
         with pytest.raises(SolverError, match=f"^forced {size}$"):
             certify(net)
@@ -524,13 +543,13 @@ class TestStackedCertify:
         clean = certify(net)
         assert clean.certified
         calls = []
-        for name in ("_distances", "_solve_ares"):
+        for name in ("_peak_gains", "_solve_ares"):
             def counted(recs, *cols, _real=getattr(riccati, name), _name=name):
                 calls.append((_name, [r.A.shape[0] for r in recs]))
                 return _real(recs, *cols)
             monkeypatch.setattr(riccati, name, counted)
         cert = certify(net)
-        assert calls == [("_distances", [3, 3]), ("_distances", [2, 2]),
+        assert calls == [("_peak_gains", [3, 3]), ("_peak_gains", [2, 2]),
                          ("_solve_ares", [3, 3]), ("_solve_ares", [2, 2])]
         assert [record_bits(c) for c in cert.subsystems] == [record_bits(c)
                                                             for c in clean.subsystems]
