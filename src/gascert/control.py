@@ -81,10 +81,11 @@ def predictor_rate(A_m, B, x_pred, u, theta_hat, x_plant, forced,
 
         x_pred_dot = A_m x_pred + B (u + theta_hat' x_plant) + forced
 
-    where ``forced`` is the already-assembled exogenous term (reference
-    rows of ``F @ E_aug @ [d; r]``).  The distributed form adds the
-    coupling replica ``sum_j A_ij x_pred_j`` from the neighbours'
-    predictors, supplied as ``neighbor_terms = [(A_ij, x_pred_j), ...]``.
+    where ``forced`` is the already-assembled exogenous term (the
+    reference in the integral rows, zero elsewhere).  The distributed
+    form adds the coupling replica ``sum_j A_ij x_pred_j`` from the
+    neighbours' predictors, supplied as
+    ``neighbor_terms = [(A_ij, x_pred_j), ...]``.
     """
     A_m = np.asarray(A_m, dtype=float)
     B = np.asarray(B, dtype=float)

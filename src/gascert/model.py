@@ -3,22 +3,24 @@ interconnection edges, and the closed-loop global matrix.
 
 A raw subsystem is the usual state-space quintuple (A, B, C, D, E).  For
 reference tracking it is augmented with one integral state per controlled
-output; the augmented blocks follow the fixed layout
+output, and only the blocks something reads are kept:
 
-    A_aug = [[A, 0], [-C, 0]]      B_aug = [[B], [0]]
-    C_aug = [[C, 0], [0, I]]       D_aug = [[D], [0]]
-    E_aug = [[E, 0], [0, I]]       F     = diag(0_n, I_q)
+    B_aug = [[B], [0]]      C_aug = [[C, 0], [0, I]]
 
-so the stacked exogenous input is [d; r] and ``F @ E_aug`` keeps only the
-reference rows (the baseline loop is assumed to reject the physical
-disturbance).  ``AugmentedSubsystem.from_raw`` is the one subsystem
-constructor: it reads each raw block once and makes the blocks it builds
-read-only.  Values are immutable after construction and, holding arrays,
-compare by identity.  An edge joins two distinct subsystems and has a
-coupling matrix or a declared bound on its norm, never both.  A network
-eigen-solves each desired record once (a record shared by subsystems
-once for all) and solves every Lyapunov weight, in one stack per size,
-on the first read of any; it derives nothing from its edges.
+The plant is integrated in uncertainty form (desired dynamics plus
+``B theta'``), so nothing reads an augmented ``A`` or ``D``.  The
+reference enters the q integral rows directly; the disturbance, ``r``
+wide as ``E`` gives it, is assumed rejected by the baseline loop and
+enters no dynamics.  ``AugmentedSubsystem.from_raw`` is the one subsystem
+constructor: it reads and checks each raw block once (the shapes of ``D``
+and ``E``, the controllability of a given ``(A, B)``) and makes the
+blocks it builds read-only.  Values are immutable after construction
+and, holding arrays, compare by identity.  An edge joins two distinct
+subsystems and has a coupling matrix or a declared bound on its norm,
+never both.  A network eigen-solves each desired record once (a record
+shared by subsystems once for all) and solves every Lyapunov weight, in
+one stack per size, on the first read of any; it derives nothing from
+its edges.
 ``_edge_table`` is the one derivation of edge data (positions, and gains
 from ``numerics._norms``), built by each pipeline that reads it.
 """
@@ -70,20 +72,18 @@ def check_controllability(A, B):
 
 @dataclass(frozen=True, init=False, eq=False)
 class AugmentedSubsystem:
-    """Integral-augmented subsystem blocks, built only by ``from_raw``.
+    """Integral-augmented input and output blocks, built only by ``from_raw``.
 
-    The blocks are read-only.  ``A`` may be None when the plant state
-    matrix is unknown: analysis and simulation only need the desired
-    dynamics and the input/output blocks.
+    ``B`` is the (n+q, m) augmented input block and ``C`` the (2q, n+q)
+    output block (the raw outputs, then the integral states); both are
+    read-only.  ``n``, ``q``, ``m`` and ``r`` are the raw state, output,
+    input and disturbance widths.  Analysis and simulation need only the
+    desired dynamics and these blocks.
     """
 
     sid: str
-    A: np.ndarray | None
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
     n: int
     q: int
     m: int
@@ -99,13 +99,13 @@ class AugmentedSubsystem:
 
     @classmethod
     def from_raw(cls, sid, B, C, A=None, D=None, E=None):
-        """Build the augmented blocks from raw (A, B, C, D, E).
+        """Build the augmented ``B`` and ``C`` from raw (A, B, C, D, E).
 
         ``A`` is (n, n), ``B`` (n, m), ``C`` (q, n), ``D`` (q, m), ``E``
         (n, r).  A given ``A`` must make (A, B) controllable; ``A`` may be
         omitted for an unknown plant, which leaves nothing to test.  Each
-        given block is read once; the blocks built from them are new
-        arrays, made read-only in place.
+        given block is read and checked once; ``A``, ``D`` and ``E`` are
+        not kept.  The blocks built are new arrays, made read-only in place.
         """
         B = Checked(B, f"subsystem {sid}: B")  # a record: the PBH test reads it no more
         C = as_matrix(C, f"subsystem {sid}: C")
@@ -119,9 +119,6 @@ class AugmentedSubsystem:
             raise DimensionError(f"subsystem {sid}: D has shape {D.shape}, expected {(q, m)}")
         if E.shape[0] != n:
             raise DimensionError(f"subsystem {sid}: E has {E.shape[0]} rows, expected {n}")
-        r = E.shape[1]
-        p = n + q
-        A_aug = None
         if A is not None:
             A = Checked(A, f"subsystem {sid}: A", square=True)
             if A.A.shape[0] != n:
@@ -129,24 +126,13 @@ class AugmentedSubsystem:
                                      f"expected {n}x{n}")
             if not check_controllability(A, B):
                 raise ValueError(f"subsystem {sid}: (A, B) is not controllable")
-            A_aug = np.zeros((p, p))
-            A_aug[:n, :n] = A.A
-            A_aug[n:, :n] = -C
-        B_aug = np.zeros((p, m))
+        B_aug = np.zeros((n + q, m))
         B_aug[:n] = B.A
-        C_aug = np.zeros((2 * q, p))
+        C_aug = np.zeros((2 * q, n + q))
         C_aug[:q, :n] = C
         C_aug[q:, n:] = np.eye(q)
-        D_aug = np.zeros((2 * q, m))
-        D_aug[:q] = D
-        E_aug = np.zeros((p, r + q))
-        E_aug[:n, :r] = E
-        E_aug[n:, r:] = np.eye(q)
-        F = np.zeros((p, p))
-        F[n:, n:] = np.eye(q)
         self = object.__new__(cls)
-        self.__setstate__(dict(sid=sid, A=A_aug, B=B_aug, C=C_aug, D=D_aug, E=E_aug, F=F,
-                               n=n, q=q, m=m, r=r))
+        self.__setstate__(dict(sid=sid, B=B_aug, C=C_aug, n=n, q=q, m=m, r=E.shape[1]))
         return self
 
     def __setstate__(self, fields):  # from_raw's, and a copy's: the blocks made read-only

@@ -766,8 +766,9 @@ def _peak_gains(recs, M=None, dtols=None):
     ``distance_to_instability`` or ``hinf_gain``.  The kernel sets its own
     accuracy: relative ``_HINF_RTOL`` for a gain; for a distance relative
     ``_DIST_RTOL`` and absolute ``dtols[i]``, which only the public
-    ``distance_to_instability`` gives, else ``1e-12 * max(1, ||A||_2)``,
-    so it scales with the matrix.  For each member, the estimate ``g``
+    ``distance_to_instability`` gives, else ``1e-12 * ||A||_2``, so a
+    distance scales with the matrix (no absolute floor: the time unit does
+    not move the relative accuracy).  For each member, the estimate ``g``
     starts as the largest gain at ``w = 0`` and at the distinct
     ``|Im lambda|`` of its spectrum.  Since
     ``sigma_min(A - jwI) <= |lambda - jw|``, which is ``|Re lambda|`` at
@@ -815,7 +816,7 @@ def _peak_gains(recs, M=None, dtols=None):
     if M is not None:
         M, rtol, dtol = M[live], _HINF_RTOL, np.zeros(len(live))
     elif dtols is None:
-        rtol, dtol = _DIST_RTOL, 1e-12 * np.maximum(1.0, np.linalg.svd(A, compute_uv=False)[:, 0])
+        rtol, dtol = _DIST_RTOL, 1e-12 * np.linalg.svd(A, compute_uv=False)[:, 0]
     else:
         rtol, dtol = _DIST_RTOL, np.asarray(dtols)[live]
     Ab, T, B = (np.array(X) for X in zip(*(recs[i].balanced for i in live)))

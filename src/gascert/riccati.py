@@ -88,9 +88,9 @@ class SubsystemCertificate:
 
     sid: str
     n_neighbors: int
-    coupling_energy: float
+    coupling_energy: float | None
     distance: float
-    margin: float
+    margin: float | None
     epsilon: float | None
     P: np.ndarray | None
     are_residual: float | None
@@ -135,12 +135,14 @@ def certify(net: NetworkModel) -> GasCertificate:
     distances of all of them (one ``_per_shape`` call of
     ``numerics._peak_gains``), the margin and slack of each id, then one
     ``_per_shape`` call of ``numerics._solve_ares`` for the subsystems with
-    a positive margin, a decoupled one too.  A slack that overflows
-    (gamma^2 beyond the float range) leaves its subsystem uncertified,
-    with no ``epsilon``.  Failures are recorded per subsystem; the run
-    never aborts early.  An error that is not a verdict (one of the
-    distance, or one of the Riccati solve that is not a ``GascertError``)
-    is raised for the first such subsystem in id order.
+    a positive margin, a decoupled one too.  A coupling energy that
+    overflows (Xi2 or N Xi2 beyond the float range) leaves its subsystem
+    uncertified, with None for each of ``coupling_energy`` and ``margin``
+    that is not finite; a slack that overflows (gamma^2 beyond the float
+    range) does so with no ``epsilon``.  Failures are recorded per
+    subsystem; the run never aborts early.  An error that is not a
+    verdict (one of the distance, or one of the Riccati solve that is not
+    a ``GascertError``) is raised for the first such subsystem in id order.
     """
     ids = sorted(net.ids)
     # N and Xi2 from the edge table: the weighted bincount sums each id's
@@ -148,7 +150,8 @@ def certify(net: NetworkModel) -> GasCertificate:
     _, dst, gain = _edge_table(net)
     n = len(net.subsystems)
     N = dict(zip(net.ids, np.bincount(dst, minlength=n).tolist()))
-    xi2 = dict(zip(net.ids, np.bincount(dst, gain * gain, minlength=n).astype(float).tolist()))
+    with np.errstate(over="ignore"):  # a gain beyond 1.3e154: its Xi2 is inf, a verdict
+        xi2 = dict(zip(net.ids, np.bincount(dst, gain * gain, minlength=n).astype(float).tolist()))
     recs = [net.checked[sid] for sid in ids]
     gamma = dict(zip(ids, _per_shape(_peak_gains, recs)))
     margin, eps, verdict = {}, {}, {}
@@ -156,7 +159,9 @@ def certify(net: NetworkModel) -> GasCertificate:
         if isinstance(gamma[sid], Exception):
             continue
         margin[sid] = gamma[sid] - np.sqrt(N[sid] * xi2[sid])
-        if not margin[sid] > 0.0:
+        if margin[sid] == -np.inf:
+            verdict[sid] = "coupling energy overflows: N * Xi2 is beyond the float range"
+        elif not margin[sid] > 0.0:
             verdict[sid] = "margin is not positive"
         elif (slack := epsilon_margin(gamma[sid], N[sid], xi2[sid])) == np.inf:
             verdict[sid] = "slack epsilon overflows: gamma^2 is beyond the float range"
@@ -174,8 +179,9 @@ def certify(net: NetworkModel) -> GasCertificate:
         if not (ok or isinstance(sol, (str, GascertError))):
             raise sol
         records.append(SubsystemCertificate(
-            sid=sid, n_neighbors=N[sid], coupling_energy=xi2[sid], distance=gamma[sid],
-            margin=margin[sid], epsilon=eps.get(sid), P=sol.P if ok else None,
+            sid=sid, n_neighbors=N[sid], distance=gamma[sid], epsilon=eps.get(sid),
+            coupling_energy=xi2[sid] if xi2[sid] < np.inf else None,
+            margin=margin[sid] if margin[sid] > -np.inf else None, P=sol.P if ok else None,
             are_residual=sol.residual_norm if ok else None, ok=ok,
             reason=None if ok else str(sol)))
     return GasCertificate(subsystems=records,

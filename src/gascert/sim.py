@@ -11,8 +11,10 @@ Two architectures are supported:
 
 Plants are integrated as ``desired + B theta'`` (the uncertainty form),
 so the scenario's true ``theta`` is the single source of plant-model
-mismatch.  Outputs are ``C_aug @ x`` (feedthrough is carried in the model
-but excluded from tracking error).
+mismatch.  The reference enters each subsystem's integral rows; the
+disturbance schedules are checked against the network but enter no
+dynamics (the baseline loop is assumed to reject them).  Outputs are
+``C_aug @ x``; feedthrough is not modelled.
 
 One stacked kernel evaluates the right-hand side of all N subsystems,
 each padded with zero blocks to the largest state dimension P and input
@@ -22,7 +24,7 @@ flattened.  The linear terms are (P, P) blocks over the coupling graph:
 distributed mode only), summed by one gather, one stacked product and one
 segment sum.  Padded table entries are zero and a zero estimate column
 lies inside the projection set, so padded state entries stay exactly 0.
-The forcing is tabulated per schedule segment, tiled over the plant and
+The forcing is tabulated per reference segment, tiled over the plant and
 predictor rows.  A run pays for its RK4 steps and little else: each
 subsystem's Lyapunov weight is solved once per network
 (``NetworkModel.lyapunov``), and every stage writes into buffers, and
@@ -221,7 +223,7 @@ class _Kernel:
         tunings = [net.tuning[sid] for sid in self.ids]
         self.gamma, tmax, eps0 = (np.array([getattr(tn, a) for tn in tunings], dtype=float)
                                   for a in ("gamma", "theta_max", "eps0"))
-        refs, dists = [], []
+        refs = []
         for k, (sid, s, tn) in enumerate(zip(self.ids, subs, tunings)):
             p, m = s.dim, s.m
             if mode == "distributed" and not tn.theta_max > 0.0:
@@ -235,7 +237,6 @@ class _Kernel:
             self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
             refs.append(scenario.references.get(sid) or Schedule.constant(np.zeros(s.q)))
-            dists.append(scenario.disturbances.get(sid) or Schedule.constant(np.zeros(s.r)))
         # -gamma folded into P B for the projection law (positively homogeneous,
         # so gamma > 0 commutes with it), -gamma / 2 for the normalized law
         gain = -self.gamma if mode == "distributed" else -0.5 * self.gamma
@@ -260,16 +261,16 @@ class _Kernel:
         # flat index into z of each block's source state; first term of each row
         self.gather = (np.array([r for r, _ in terms])[:, None] * P + np.arange(P))[:, :, None]
         self.starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
-        # one forcing F E [d; r] and reference row per segment of the merged
-        # schedules, tiled over the plant and predictor rows
-        self.breaks = np.unique(np.concatenate([s.times for s in refs + dists]))
+        # one forcing row (the reference in the integral rows) and reference
+        # row per segment of the merged references, tiled over the plant and
+        # predictor rows
+        self.breaks = np.unique(np.concatenate([s.times for s in refs]))
         self.tiled = np.zeros((self.breaks.size, 2, N, P))
         self.forcing = self.tiled[:, 0]
         self.reference = np.zeros((self.breaks.size, N, Q))
         for k, s in enumerate(subs):
-            d, r = dists[k].at(self.breaks), refs[k].at(self.breaks)
-            self.forcing[:, k, :s.dim] = np.concatenate([d, r], axis=1) @ (s.F @ s.E).T
-            self.reference[:, k, :s.q] = r
+            self.reference[:, k, :s.q] = refs[k].at(self.breaks)
+            self.forcing[:, k, s.n:s.dim] = self.reference[:, k, :s.q]
         self.tiled[:, 1] = self.forcing
         self.n1, self.n2 = N * P, 2 * N * P
         self.size = N * P * (2 + M)

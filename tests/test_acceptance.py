@@ -274,10 +274,10 @@ def _toy_pair_net():
 
 
 def test_criterion_7_simulation_properties():
-    # matched load disturbances are rejected by construction (the exogenous
-    # selector keeps only the reference rows), so the step that visibly
-    # excites the loop is the reference step; a load step is scheduled too,
-    # and the trace must be indifferent to it
+    # matched load disturbances are rejected by construction (they enter no
+    # dynamics), so the step that visibly excites the loop is the reference
+    # step; a load step is scheduled too, and the trace is indifferent to it
+    # (TestTraceMechanics::test_disturbances_cannot_move_a_trace asserts so)
     t0 = time.perf_counter()
     net = _toy_pair_net()
     cert = certify(net)

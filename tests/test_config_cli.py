@@ -65,7 +65,7 @@ class TestConfigParsing:
         net, scenario, data = load_config(DC)
         assert net.ids == ["dgu1", "dgu2"]
         assert scenario is None
-        assert net.subsystem("dgu1").A is None
+        assert net.subsystem("dgu1").B.tolist() == [[1.34e7], [-8.12e5], [0.0]]
         assert net.subsystem("dgu1").dim == 3
         # edge blocks arrive augmented with the coupling entry in place
         edge = net.in_edges("dgu1")[0]
@@ -307,6 +307,38 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "not-certified"
         assert out["failing"] == ["a"]
+
+    @pytest.mark.parametrize("edge", [{"A": [[1.5e154]]}, {"A": [[1e155]]}, {"norm_bound": 1e200}],
+                             ids=["matrix", "matrix_1e155", "bound_only"])
+    def test_overflowing_coupling_energy_is_a_verdict(self, edge, tmp_path, capsys):
+        # squaring the coupling gain overflows: Xi2 was inf, and riccati ended
+        # in "error: reports must not contain non-finite numbers" (exit 1).
+        # Now its subsystem is uncertified with null energy and margin; the
+        # path gain of the same edge is finite, and smallgain fails the pair
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"][0] = {"from": "b", "to": "a", **edge}
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["riccati", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert (out["verdict"], out["failing"]) == ("not-certified", ["a"])
+        sub = out["subsystems"]["a"]
+        assert (sub["coupling_energy"], sub["margin"], sub["epsilon"], sub["P"]) == \
+            (None, None, None, None)
+        assert sub["reason"] == "coupling energy overflows: N * Xi2 is beyond the float range"
+        assert sub["distance"] > 0.0 and out["subsystems"]["b"]["P"] is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smallgain", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["verdict"] == "fail"
+        assert math.isfinite(report["hinf_product"]) and report["hinf_product"] > 1e153
 
     def test_riccati_benchmark_margin_golden(self, capsys):
         # no external expectation exists for this margin; it is frozen as a
@@ -614,31 +646,6 @@ class TestExitCodes:
         assert main(["riccati", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err == "error: config.scenario.theta.a\\nb\\nc: unknown subsystem id\n"
-
-    def test_overflow_ends_in_one_line_error(self, tmp_path, capsys):
-        # squaring the coupling gain overflows: the coupling energy, and so
-        # the riccati report, would hold an infinity; the path gain of the
-        # same edge is finite, and smallgain reports it and fails the pair
-        doc = json.loads(open(TOY, "rb").read())
-        doc["edges"][1]["A"] = [[1.5e154]]
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps(doc))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["riccati", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "non-finite" in captured.err
-        assert len(captured.err.splitlines()) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["smallgain", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert captured.err == ""
-        assert report["verdict"] == "fail"
-        assert math.isfinite(report["hinf_product"]) and report["hinf_product"] > 1e153
 
     def test_missing_file(self, capsys):
         assert main(["connective", "/nonexistent/cfg.json"]) == 1

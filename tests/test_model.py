@@ -70,10 +70,14 @@ class TestControllability:
 
 class TestAugment:
     def test_state_block_placement(self):
+        # the plant matrix is checked (size, controllability) but not kept:
+        # the plant is integrated in uncertainty form
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
                                           A=np.diag([-1.0, -2.0]))
-        expected = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [-1.0, 0.0, 0.0]])
-        assert np.array_equal(aug.A, expected)
+        assert (aug.n, aug.q, aug.dim) == (2, 1, 3)
+        assert not hasattr(aug, "A")
+        with pytest.raises(DimensionError, match=r"^subsystem s: A is 3x3, expected 2x2$"):
+            AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]], A=np.eye(3))
 
     def test_input_zero_padding(self):
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
@@ -81,14 +85,15 @@ class TestAugment:
         assert np.array_equal(aug.B, np.array([[1.0], [1.0], [0.0]]))
 
     def test_disturbance_block(self):
+        # E gives the disturbance width r and is checked, but not kept: the
+        # disturbance enters no dynamics
         E = np.array([[2.0], [3.0]])
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
                                           A=np.diag([-1.0, -2.0]), E=E)
-        expected = np.array([[2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(aug.E, expected)
-        # the selector keeps only the reference rows
-        assert np.array_equal(aug.F @ aug.E,
-                              np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        assert aug.r == 1
+        assert not [b for b in "DEF" if hasattr(aug, b)]
+        with pytest.raises(DimensionError, match=r"^subsystem s: E has 3 rows, expected 2$"):
+            AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]], E=np.ones((3, 1)))
 
     def test_output_block(self):
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
@@ -108,9 +113,11 @@ class TestAugment:
                 aug = AugmentedSubsystem.from_raw("s", B, C, A=A)
             except ValueError:
                 continue  # rare non-controllable draw
-            assert np.array_equal(aug.A[n:, :n], -C)
-            assert np.all(aug.A[:, n:] == 0.0)
+            assert np.array_equal(aug.B[:n], B)
             assert np.all(aug.B[n:, :] == 0.0)
+            assert np.array_equal(aug.C[:q, :n], C)
+            assert np.all(aug.C[:q, n:] == 0.0)
+            assert np.array_equal(aug.C[q:], np.hstack([np.zeros((q, n)), np.eye(q)]))
 
     def test_uncontrollable_rejected(self):
         with pytest.raises(ValueError, match="controllable"):
@@ -126,7 +133,7 @@ class TestAugment:
         # second constructor to hand it other blocks, and its blocks are read-only
         aug = AugmentedSubsystem.from_raw("s", B=[[1.0], [1.0]], C=[[1.0, 0.0]],
                                           A=np.diag([-1.0, -2.0]))
-        blocks = {b: getattr(aug, b) for b in "ABCDEF"}
+        blocks = {b: getattr(aug, b) for b in "BC"}
         refused = "build an AugmentedSubsystem with AugmentedSubsystem.from_raw"
         for call in (lambda: AugmentedSubsystem(sid="s", n=2, q=1, m=1, r=0, **blocks),
                      lambda: AugmentedSubsystem("s"), lambda: AugmentedSubsystem(),
@@ -152,27 +159,24 @@ class TestAugment:
         aug = AugmentedSubsystem.from_raw("s", **{b: raw[b] for b in given})
         assert [sum(v is raw[b] for v in read) for b in given] == [1] * len(given)
         assert len(read) == len(given)
-        assert (aug.A is None) == ("A" not in given)
+        # only the built blocks and the widths are kept, whatever was given
+        assert sorted(vars(aug)) == ["B", "C", "m", "n", "q", "r", "sid"]
+        assert aug.r == (2 if "E" in given else 0)
 
     def test_unknown_plant_not_tested(self):
         # without A there is no pair to test, so even B = 0 is accepted
         aug = AugmentedSubsystem.from_raw("s", B=[[0.0]], C=[[1.0]])
-        assert aug.A is None
+        assert aug.B.tolist() == [[0.0], [0.0]]
         assert aug.dim == 2
 
 
-def _from_raw_by_block(B, C, A, D, E):
+def _from_raw_by_block(B, C):
     """The augmented blocks as ``np.block``/``np.vstack`` assembled them."""
     n, m = B.shape
     q = C.shape[0]
-    r = E.shape[1]
-    A_aug = None if A is None else np.block([[A, np.zeros((n, q))], [-C, np.zeros((q, q))]])
     B_aug = np.vstack([B, np.zeros((q, m))])
     C_aug = np.block([[C, np.zeros((q, q))], [np.zeros((q, n)), np.eye(q)]])
-    D_aug = np.vstack([D, np.zeros((q, m))])
-    E_aug = np.block([[E, np.zeros((n, q))], [np.zeros((q, r)), np.eye(q)]])
-    F = np.block([[np.zeros((n, n)), np.zeros((n, q))], [np.zeros((q, n)), np.eye(q)]])
-    return A_aug, B_aug, C_aug, D_aug, E_aug, F
+    return B_aug, C_aug
 
 
 class TestFromRawBlocks:
@@ -192,13 +196,7 @@ class TestFromRawBlocks:
                 # D and E given, then left to their zero defaults
                 for d, e in ((D, E), (None, None)):
                     s = AugmentedSubsystem.from_raw("s", B, C, A=A, D=d, E=e)
-                    want = _from_raw_by_block(B, C, A, np.zeros((q, m)) if d is None else d,
-                                              np.zeros((n, 0)) if e is None else e)
-                    if A is None:
-                        assert s.A is None
-                    else:
-                        assert_same_bits(s.A, want[0])
-                    for got, ref in zip((s.B, s.C, s.D, s.E, s.F), want[1:]):
+                    for got, ref in zip((s.B, s.C), _from_raw_by_block(B, C)):
                         assert_same_bits(got, ref)
                     assert (s.n, s.m, s.q, s.r) == (n, m, q, 0 if e is None else r)
 
@@ -543,7 +541,7 @@ class TestNetworkValidation:
                                         D=[[0.0]], E=[[1.0], [0.0]])
         B[0, 0] = 5.0
         assert s.B[0, 0] == 1.0
-        for name in ("A", "B", "C", "D", "E", "F"):
+        for name in ("B", "C"):
             with pytest.raises(ValueError):
                 getattr(s, name)[0, 0] = 5.0
 
@@ -610,7 +608,7 @@ def _held_arrays(net):
     out = [*net.desired.values(), *net.baseline.values()]
     out += [rec.A for rec in net.checked.values()]
     for s in net.subsystems:
-        out += [getattr(s, name) for name in "ABCDEF" if getattr(s, name) is not None]
+        out += [s.B, s.C]
     for e in net.edges:
         out += [] if e.A is None else [e.A]
     for t in net.tuning.values():
@@ -866,8 +864,7 @@ class TestReadOnce:
         checked = [*net.desired.values(), *net.baseline.values(),
                    *(t.Q for t in net.tuning.values()),
                    *(e.A for e in net.edges if e.A is not None),
-                   *(getattr(s, b) for s in net.subsystems for b in "ABCDEF"
-                     if getattr(s, b) is not None)]
+                   *(getattr(s, b) for s in net.subsystems for b in "BC")]
         read = []
         real = numerics.numeric_array
         monkeypatch.setattr(numerics, "numeric_array",

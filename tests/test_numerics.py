@@ -667,6 +667,20 @@ class TestDistance:
         assert d == pytest.approx(sweep_distance_oracle(DC_AM), rel=1e-8)
         assert d == pytest.approx(0.013980367771379707, rel=1e-8)
 
+    def test_kernel_accuracy_has_no_absolute_floor(self):
+        # the kernel's distance accuracy was 1e-12 * max(1, ||A||_2): for this
+        # lightly damped matrix in slow time units the distance read 2.2e-8
+        # relative above s times its value at s = 1
+        A0 = np.array([[-0.05, 3.0, 0.2], [-3.0, -0.05, 0.1], [0.3, 0.0, -1.0]])
+
+        def distance(s):
+            return numerics._peak_gains([Checked(s * A0, square=True)])[0]
+
+        d1 = distance(1.0)
+        for s in (1e-12, 1e-9, 1e-6, 1e6):
+            assert abs(distance(s) - s * d1) <= 1e-13 * s * d1, s
+        assert distance(2.0 ** -40) == 2.0 ** -40 * d1
+
     def test_spread_normal_matches_exact(self):
         # normal matrix: the distance is min |Re lambda| = 1e-2, at w = 5
         rng = np.random.default_rng(37)
@@ -748,7 +762,7 @@ class TestStackedKernels:
         recs = [Checked(random_hurwitz(rng, n, 10.0 ** rng.uniform(-2, 2)), square=True)
                 for _ in range(7)]
         recs.append(recs[0])  # a record twice in one stack
-        tols = [1e-12 * max(1.0, spectral_norm(r)) for r in recs]
+        tols = [1e-12 * spectral_norm(r) for r in recs]
         gammas = numerics._peak_gains(recs, None, tols)
         for r, tol, gamma in zip(recs, tols, gammas):
             assert type(gamma) is float and gamma == distance_to_instability(r, tol)

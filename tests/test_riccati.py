@@ -277,6 +277,24 @@ class TestCertify:
             assert c.margin > 0.0 and np.isfinite(c.coupling_energy)
             assert c.reason == "slack epsilon overflows: gamma^2 is beyond the float range"
 
+    def test_overflowing_coupling_energy_is_not_certified(self):
+        # s1: two in-edges whose Xi2 = 1.62e308 is finite but N Xi2 is not;
+        # s2: one in-edge whose gain^2 overflows.  Each record keeps what is
+        # finite and names the overflow; s3 is certified as without them
+        net = scalar_net({("s2", "s1"): {"norm_bound": 9e153},
+                          ("s3", "s1"): {"norm_bound": 9e153},
+                          ("s1", "s2"): 1e155}, n_subs=3)
+        cert = certify(net)
+        assert not cert.certified and cert.failing == ["s1", "s2"]
+        s1, s2, s3 = cert.subsystems
+        assert s1.coupling_energy == interconnection_energy(net, "s1") == 2 * 9e153 ** 2
+        assert s2.coupling_energy is None and interconnection_energy(net, "s2") == np.inf
+        for c in (s1, s2):
+            assert (c.margin, c.epsilon, c.P, c.are_residual) == (None, None, None, None)
+            assert c.distance == 2.0
+            assert c.reason == "coupling energy overflows: N * Xi2 is beyond the float range"
+        assert s3.ok and s3.coupling_energy == 0.0
+
     def test_decoupled_reduces_to_lyapunov(self):
         net = scalar_net({})
         cert = certify(net)
@@ -432,7 +450,7 @@ class TestStackedCertify:
         for c in cert.subsystems:
             rec = net.checked[c.sid]
             N, xi2 = net.neighbor_count(c.sid), interconnection_energy(net, c.sid)
-            gamma = distance_to_instability(rec, 1e-12 * max(1.0, spectral_norm(rec)))
+            gamma = distance_to_instability(rec, 1e-12 * spectral_norm(rec))
             margin = gamma - np.sqrt(N * xi2)
             assert (c.n_neighbors, bits(c.coupling_energy)) == (N, bits(xi2))
             assert (bits(c.distance), bits(c.margin)) == (bits(gamma), bits(margin))

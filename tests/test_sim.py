@@ -243,7 +243,8 @@ def reference_rhs(net, sc, mode, state, t):
         s, tun = net.subsystem(sid), net.tuning[sid]
         x, xh, th = state.xbar[sid], state.xhat[sid], state.theta_hat[sid]
         P = solve_lyapunov(net.desired[sid], tun.Q)
-        forced = s.F @ s.E @ np.concatenate([sc.disturbances[sid].at(t), sc.references[sid].at(t)])
+        forced = np.zeros(s.dim)  # the reference drives the integral rows; disturbances nothing
+        forced[s.n:] = sc.references[sid].at(t)
         u = control.mrac_control(th, x)
         edges = net.in_edges(sid)
         coupling = sum((e.A @ state.xbar[e.src] for e in edges), np.zeros(s.dim))
@@ -285,17 +286,17 @@ def boundary_state(net, rng):
 
 
 def lookup_tables(net, sc):
-    """Breaks, forcing and reference tables by one ``Schedule.at`` per break and subsystem."""
-    scheds = [(sc.references[sid], sc.disturbances[sid]) for sid in net.ids]
-    breaks = np.unique(np.concatenate([s.times for pair in scheds for s in pair]))
+    """Breaks, forcing and reference tables by one ``Schedule.at`` per break and
+    subsystem: the breaks are the references', and the forcing is the reference
+    in the integral rows."""
+    refs = [sc.references[sid] for sid in net.ids]
+    breaks = np.unique(np.concatenate([ref.times for ref in refs]))
     subs = [net.subsystem(sid) for sid in net.ids]
     forcing = np.zeros((breaks.size, len(subs), max(s.dim for s in subs)))
     reference = np.zeros((breaks.size, len(subs), max(s.q for s in subs)))
     for j, t in enumerate(breaks):
-        for k, (s, (ref, dist)) in enumerate(zip(subs, scheds)):
-            r = ref.at(t)
-            forcing[j, k, :s.dim] = (s.F @ s.E) @ np.concatenate([dist.at(t), r])
-            reference[j, k, :s.q] = r
+        for k, (s, ref) in enumerate(zip(subs, refs)):
+            forcing[j, k, s.n:s.dim] = reference[j, k, :s.q] = ref.at(t)
     return breaks, forcing, reference
 
 
@@ -733,6 +734,23 @@ class TestTraceMechanics:
         export_csv(t1, buf1)
         export_csv(t2, buf2)
         assert buf1.getvalue() == buf2.getvalue()
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    @pytest.mark.parametrize("name", ["toy_pair", "mesh6"])
+    def test_disturbances_cannot_move_a_trace(self, name, mode):
+        # disturbances are assumed rejected by the baseline loop: each config's
+        # load step is checked but enters no dynamics, so dropping it moves no bit
+        net, sc, _ = load_config(CONFIG_DIR / f"{name}.json")
+        assert sc.disturbances
+        cert = certify(net)
+        csv = []
+        for scenario in (sc, dataclasses.replace(sc, disturbances={})):
+            trace = simulate(net, scenario, mode=mode, certificate=cert)
+            assert not trace.diverged
+            buf = io.StringIO()
+            export_csv(trace, buf)
+            csv.append(buf.getvalue())
+        assert csv[0] == csv[1]
 
     def test_rk4_order(self):
         # halving the step shrinks the end-state error against a dt/8
