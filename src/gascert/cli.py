@@ -12,7 +12,9 @@ Exit codes: 0 pass/certified/finite, 1 usage or input/solver error,
 is one ``error:`` line on stderr, and no warning is written.  No
 subcommand takes a tolerance: the solver bounds are fixed and stated in
 ``numerics``.  Reports go to stdout as deterministic JSON (sorted keys,
-17-digit floats); nothing here uses randomness.
+17-digit floats); nothing here uses randomness.  A number that overflowed
+(a coupling energy, a gain product, an entry of the comparison matrix or
+an offset) is written as ``null``, and the condition it enters fails.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ def _base_report(method, data):
     return {"method": method, "tool": _TOOL, "input_sha256": digest(data)}
 
 
+def _null_overflow(X):  # X, each entry that overflowed (not finite) written as null
+    return X if np.isfinite(X).all() else np.where(np.isfinite(X), X, None)
+
+
+def _worst(values):  # the largest, 0 without any; None (null) if one overflowed
+    return None if None in values else max([0.0, *values])
+
+
 def cmd_connective(args):
     net, _, data = load_config(args.config)
     report = analyze(net)
@@ -48,8 +58,8 @@ def cmd_connective(args):
         "norm_exceeds_offsets": report.cond_norm,
         "aggregate_stable": report.M_stable,
     }
-    doc["aggregate_matrix"] = report.M
-    doc["offsets"] = report.offsets
+    doc["aggregate_matrix"] = _null_overflow(report.M)
+    doc["offsets"] = _null_overflow(report.offsets)
     doc["subsystems"] = {
         sid: {
             "P": report.P[sid],
@@ -94,9 +104,8 @@ def cmd_smallgain(args):
     passed = all(r.passed for r in results)
     doc = _base_report("small-gain", data)
     doc["verdict"] = "pass" if passed else "fail"
-    # worst pair, 0 without coupled pairs
-    doc["hinf_product"] = max([0.0] + [r.hinf_product for r in results])
-    doc["raw_gain_product"] = max([0.0] + [r.raw_gain_product for r in results])
+    doc["hinf_product"] = _worst([r.hinf_product for r in results])
+    doc["raw_gain_product"] = _worst([r.raw_gain_product for r in results])
     doc["pairs"] = [{"pair": list(r.pair), "hinf_product": r.hinf_product,
                      "raw_gain_product": r.raw_gain_product, "pass": r.passed}
                     for r in results]

@@ -10,20 +10,24 @@ reference model is an explicit augmented matrix or gain blocks {"A_nominal",
 "K_x", "K_xi"}, assembled with each subsystem's own raw B and C.  It and the
 tuning may be shared at top level: a shared one is read once and its errors
 are named there (``config.tuning``, ``config.reference_model``).  Edges carry
-a raw coupling block "A" (augmented internally) or a spectral-norm bound
-"norm_bound", not both; unknown keys are ignored.
+a raw coupling block "A" (augmented internally, and the padded block handed
+on as a record, not read again) or a spectral-norm bound "norm_bound", not
+both; unknown keys are ignored.
 
 Reports are emitted by a small deterministic serializer: keys sorted,
 floats at 17 significant digits, so byte-identical inputs give
-byte-identical reports.  It walks the report once.  A float array is
-written by one ``%`` operation on a template of its nested-list layout,
-one ``%.17g`` per entry; the bytes are the same as formatting its entries
-one at a time.  Non-finite numbers are rejected (``NonFiniteError``, a
-``ValueError``).
+byte-identical reports.  It walks the report once, testing first for the
+exact types a report is mostly made of (``float``, ``str``, ``dict``), and
+quotes strings and keys as ``json.dumps`` does at its defaults.  A float
+array is written by one ``%`` operation on a template of its nested-list
+layout, one ``%.17g`` per entry, kept per (shape, indent) in a bounded
+cache; the bytes are the same as formatting its entries one at a time.
+Non-finite numbers are rejected (``NonFiniteError``, a ``ValueError``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +37,7 @@ import numpy as np
 from .control import _reference_model
 from .exceptions import ConfigError, NonFiniteError
 from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
-from .numerics import Checked
+from .numerics import Checked, _own
 from .sim import Scenario, Schedule
 
 __all__ = [
@@ -165,8 +169,8 @@ def parse_config(doc):
         A = edge.get("A")
         if A is not None:
             q_to, q_from = subs[dst].q, subs[src].q
-            A = _build(lambda: augment_edge(edge["A"], q_to, q_from), path, edge)
-            raw, want = (A.shape[0] - q_to, A.shape[1] - q_from), (subs[dst].n, subs[src].n)
+            A = _build(lambda: _own(augment_edge(edge["A"], q_to, q_from)), path, edge)
+            raw, want = (A.A.shape[0] - q_to, A.A.shape[1] - q_from), (subs[dst].n, subs[src].n)
             if raw != want:
                 raise ConfigError(f"{path}.A: shape {raw} does not match "
                                   f"destination x source raw dims {want}")
@@ -210,6 +214,7 @@ def _layout(parts, pad, brackets):
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
 
 
+@functools.lru_cache(maxsize=256)
 def _template(shape, pad):
     """`%`-template of a float array at ``pad``: one ``%.17g`` per entry."""
     if not shape:
@@ -217,33 +222,37 @@ def _template(shape, pad):
     return _layout([_template(shape[1:], pad + "  ")] * shape[0], pad, "[]")
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, at its defaults
+
+
 def _emit(x, pad):
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind == "f":
-            if not np.isfinite(x).all():
-                raise NonFiniteError(_NON_FINITE)
-            return _template(x.shape, pad) % tuple(x.ravel().tolist())
-        x = x.tolist()
-    elif isinstance(x, np.generic):
-        x = x.item()
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
+    if type(x) not in (float, str, dict):  # the exact types a report is mostly made of
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind == "f":
+                if not np.isfinite(x).all():
+                    raise NonFiniteError(_NON_FINITE)
+                return _template(x.shape, pad) % tuple(x.ravel().tolist())
+            x = x.tolist()
+        elif isinstance(x, np.generic):
+            x = x.item()
+        if x is None:
+            return "null"
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        if isinstance(x, (list, tuple)):
+            return _layout([_emit(v, pad + "  ") for v in x], pad, "[]")
     if isinstance(x, float):
         if not math.isfinite(x):
             raise NonFiniteError(_NON_FINITE)
         return "%.17g" % x
     if isinstance(x, str):
-        return json.dumps(x)
+        return _quote(x)
     if isinstance(x, dict):
         x = {str(k): v for k, v in x.items()}
-        return _layout([f"{json.dumps(k)}: {_emit(x[k], pad + '  ')}" for k in sorted(x)],
+        return _layout([f"{_quote(k)}: {_emit(x[k], pad + '  ')}" for k in sorted(x)],
                        pad, "{}")
-    if isinstance(x, (list, tuple)):
-        return _layout([_emit(v, pad + "  ") for v in x], pad, "[]")
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

@@ -10,6 +10,7 @@ since its failure is what motivates the Riccati route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +85,17 @@ def comparison_matrix(net: NetworkModel, P: dict):
     ``M[i][i] = -lam_min(Q_i) / (2 lam_max(P_i))`` and, for each edge
     j -> i, ``M[i][j] = lam_max(P_i) ||A_ij|| / sqrt(lam_min(P_i)
     lam_min(P_j))``; zero elsewhere.  Off-diagonals are non-negative, so
-    ``M`` is Metzler with negative diagonal.  Each ``P[sid]`` is read as
-    a square matrix of its subsystem's size.
+    ``M`` is Metzler with negative diagonal; one beyond the float range is
+    ``inf``.  Each ``P[sid]`` is read as a square matrix of its subsystem's
+    size.
     """
     return _comparison_matrix(*_extremes(net, P), *_edge_table(net))
 
 
 def _comparison_matrix(lmin_P, lmax_P, lmin_Q, src, dst, gain):
     M = np.diag(-lmin_Q / (2.0 * lmax_P))
-    M[dst, src] = lmax_P[dst] / (np.sqrt(lmin_P[dst]) * np.sqrt(lmin_P[src])) * gain
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the conditions
+        M[dst, src] = lmax_P[dst] / (np.sqrt(lmin_P[dst]) * np.sqrt(lmin_P[src])) * gain
     return M
 
 
@@ -106,8 +109,9 @@ def adaptation_offsets(net: NetworkModel, P: dict):
                   lam_max(P_i) ||A_ji|| / (Gamma_j sqrt(lam_min(P_i) lam_min(P_j))) )
 
     with ``theta_max`` the subsystem's tuning value.  Large adaptive gains
-    make every entry arbitrarily small.  Each ``P[sid]`` is read as a
-    square matrix of its subsystem's size.
+    make every entry arbitrarily small.  An entry whose terms overflow is
+    not finite.  Each ``P[sid]`` is read as a square matrix of its
+    subsystem's size.
     """
     return _adaptation_offsets(net, *_extremes(net, P), *_edge_table(net))
 
@@ -116,14 +120,18 @@ def _adaptation_offsets(net, lmin_P, lmax_P, lmin_Q, src, dst, gain):
     # one edge at a time, in edge order, so each offset rounds as the per-edge sum did
     gamma, tmax = np.array([(t.gamma, t.theta_max) for t in map(net.tuning.get, net.ids)]).T
     term = lmin_Q / (2.0 * gamma * lmax_P)
-    np.subtract.at(term, src, lmax_P[src] * gain
-                   / (gamma[dst] * np.sqrt(lmin_P[src]) * np.sqrt(lmin_P[dst])))
-    return tmax * term
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the conditions
+        np.subtract.at(term, src, lmax_P[src] * gain
+                       / (gamma[dst] * np.sqrt(lmin_P[src]) * np.sqrt(lmin_P[dst])))
+        return tmax * term
 
 
 def diagonal_dominance_rows(M):
     """Row-wise verdicts of ``|M[i][i]| > sum_j!=i M[i][j]`` (strict)."""
-    M = as_matrix(M, "M")
+    return _dominance_rows(as_matrix(M, "M"))
+
+
+def _dominance_rows(M):  # of a built M: a row with an entry that is not finite fails
     off = M - np.diag(np.diag(M))
     return np.abs(np.diag(M)) > np.sum(off, axis=1)
 
@@ -142,12 +150,16 @@ def check_conditions(M, offsets):
     return _conditions(M, offsets)[1:]
 
 
-def _conditions(M, offsets):  # M's dominance rows, then check_conditions on read arrays
-    rows = diagonal_dominance_rows(M)
+def _conditions(M, offsets):
+    """M's dominance rows, then ``check_conditions`` on built arrays: an entry of
+    ``M`` or an offset that overflowed (not finite) fails each condition that
+    reads it."""
+    rows = _dominance_rows(M)
     cond_diag = bool(np.all(rows))
+    finite = bool(np.isfinite(M).all())
     norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if M.size else 0.0
-    cond_norm = bool(norm1 > np.max(np.abs(offsets))) if offsets.size else True
-    M_stable = bool(np.max(eigenvalues(M).real) < 0.0)
+    cond_norm = bool(finite and norm1 > np.max(np.abs(offsets))) if offsets.size else finite
+    M_stable = bool(finite and np.max(eigenvalues(M).real) < 0.0)
     return rows, cond_diag, cond_norm, M_stable
 
 
@@ -199,11 +211,12 @@ def transient_bound(P, Q, theta_max, gamma, v0, t):
 
 @dataclass(frozen=True)
 class SmallGainResult:
-    """Loop-gain verdict of one coupled pair ``(i, j)``, ids in sorted order."""
+    """Loop-gain verdict of one coupled pair ``(i, j)``, ids in sorted order.
+    A product beyond the float range is None, and the pair fails."""
 
     pair: tuple
-    hinf_product: float
-    raw_gain_product: float
+    hinf_product: float | None
+    raw_gain_product: float | None
     passed: bool
 
 
@@ -236,23 +249,27 @@ def small_gain_check(net: NetworkModel):
     edge between them, in that order.  ``hinf_product`` multiplies the
     peak frequency-response gains of the paths j -> i and i -> j (0 for a
     missing direction); ``raw_gain_product`` is the product of the plain
-    edge gains (the quick desk check).  A pair passes iff its
+    edge gains (the quick desk check).  A product with a zero factor is 0,
+    and one beyond the float range is None.  A pair passes iff its
     ``hinf_product`` is < 1.
     """
     gains = _edge_table(net)[2].tolist()
     paths = {(e.src, e.dst): (h, g) for e, h, g in zip(net.edges, _path_gains(net), gains)}
     results = []
     for i, j in sorted({tuple(sorted(pair)) for pair in paths}):
-        h1, r1 = paths.get((j, i), (0.0, 0.0))
-        h2, r2 = paths.get((i, j), (0.0, 0.0))
-        results.append(SmallGainResult(pair=(i, j), hinf_product=h1 * h2,
-                                       raw_gain_product=r1 * r2, passed=bool(h1 * h2 < 1.0)))
+        (h1, r1), (h2, r2) = (paths.get(key, (0.0, 0.0)) for key in ((j, i), (i, j)))
+        h, r = (a * b if a and b else 0.0 for a, b in ((h1, h2), (r1, r2)))
+        results.append(SmallGainResult(pair=(i, j), hinf_product=h if h < math.inf else None,
+                                       raw_gain_product=r if r < math.inf else None,
+                                       passed=h < 1.0))
     return results
 
 
 @dataclass(eq=False)
 class ConnectiveReport:
-    """Everything the aggregate test produced, per subsystem and global."""
+    """Everything the aggregate test produced, per subsystem and global.
+    An entry of ``M`` or ``offsets`` that overflowed is not finite, and
+    fails each condition that reads it."""
 
     ids: list
     P: dict

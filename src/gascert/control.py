@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, SolverError, StabilityError
-from .numerics import Checked, as_matrix, is_hurwitz
+from .exceptions import DimensionError, NonFiniteError, SolverError, StabilityError
+from .numerics import _own, as_matrix, is_hurwitz
 
 __all__ = [
     "baseline_control",
@@ -56,7 +56,9 @@ def build_reference_model(A_nom, B, C, K_x, K_xi):
 
 def _reference_model(A_nom, B, C, K_x, K_xi):
     """``build_reference_model`` of float arrays read already, as a ``Checked``
-    record whose spectrum its Hurwitz test solved; a network keeps it as it is."""
+    record whose spectrum its Hurwitz test solved; a network keeps it as it is.
+    The record is not read again: only its entries' finiteness is checked,
+    since the products of the blocks can overflow."""
     n = A_nom.shape[0]
     q = C.shape[0]
     if B.shape[0] != n or C.shape[1] != n:
@@ -67,7 +69,9 @@ def _reference_model(A_nom, B, C, K_x, K_xi):
     Am[:n, :n] = A_nom - B @ K_x
     Am[:n, n:] = B @ K_xi
     Am[n:, :n] = -C
-    Am = Checked(Am, "A", square=True)
+    if np.count_nonzero(np.isfinite(Am)) != Am.size:
+        raise NonFiniteError("A: non-finite entries")
+    Am = _own(Am)
     if not is_hurwitz(Am):
         raise StabilityError("constructed reference model is not Hurwitz")
     return Am

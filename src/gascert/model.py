@@ -13,14 +13,17 @@ reference enters the q integral rows directly; the disturbance, ``r``
 wide as ``E`` gives it, is assumed rejected by the baseline loop and
 enters no dynamics.  ``AugmentedSubsystem.from_raw`` is the one subsystem
 constructor: it reads and checks each raw block once (the shapes of ``D``
-and ``E``, the controllability of a given ``(A, B)``) and makes the
-blocks it builds read-only.  Values are immutable after construction
-and, holding arrays, compare by identity.  An edge joins two distinct
-subsystems and has a coupling matrix or a declared bound on its norm,
-never both.  A network eigen-solves each desired record once (a record
-shared by subsystems once for all) and solves every Lyapunov weight, in
-one stack per size, on the first read of any; it derives nothing from
-its edges.
+and ``E``, the controllability of a given ``(A, B)``), builds nothing in
+place of an absent ``D`` or ``E``, and makes the blocks it builds
+read-only; the PBH test takes a record of the raw rows of its ``B``
+block.  Values are immutable after construction and, holding arrays,
+compare by identity.  An edge joins two distinct subsystems and has a
+coupling matrix or a declared bound on its norm, never both.  A network
+reads every desired record first, eigen-solves each one without a
+spectrum in one stack per size (a record shared by subsystems once for
+all), then raises the first error in subsystem order; it solves every
+Lyapunov weight, in one stack per size, on the first read of any, and
+derives nothing from its edges.
 ``_edge_table`` is the one derivation of edge data (positions, and gains
 from ``numerics._norms``), built by each pipeline that reads it.
 """
@@ -34,9 +37,9 @@ from types import MappingProxyType
 import numpy as np
 from scipy.linalg import block_diag
 
-from .exceptions import DimensionError, StabilityError
-from .numerics import (Checked, _held, _lyapunovs, _norms, _per_shape, _rebuilt, as_matrix,
-                       is_hurwitz, numeric_scalar, spectral_norm)
+from .exceptions import DimensionError, GascertError, StabilityError
+from .numerics import (Checked, _frozen, _held, _lyapunovs, _norms, _own, _per_shape, _rebuilt,
+                       _record, _spectra, as_matrix, is_hurwitz, numeric_scalar, spectral_norm)
 
 __all__ = [
     "AugmentedSubsystem",
@@ -57,7 +60,7 @@ def check_controllability(A, B):
     pair is scaled and no power of ``A`` is formed.  A ``Checked`` record
     is taken as read.
     """
-    A, B = Checked(A, "A", square=True), Checked(B, "B")
+    A, B = _record(A, "A"), Checked(B, "B")
     n = A.A.shape[0]
     if B.A.shape[0] != n:
         raise DimensionError(f"B has {B.A.shape[0]} rows, expected {n}")
@@ -105,34 +108,36 @@ class AugmentedSubsystem:
         (n, r).  A given ``A`` must make (A, B) controllable; ``A`` may be
         omitted for an unknown plant, which leaves nothing to test.  Each
         given block is read and checked once; ``A``, ``D`` and ``E`` are
-        not kept.  The blocks built are new arrays, made read-only in place.
+        not kept.  The blocks built are new arrays, made read-only in place;
+        the PBH test takes a record of the raw rows of ``B_aug``.
         """
-        B = Checked(B, f"subsystem {sid}: B")  # a record: the PBH test reads it no more
+        B = as_matrix(B, f"subsystem {sid}: B")
         C = as_matrix(C, f"subsystem {sid}: C")
-        n, m = B.A.shape
+        n, m = B.shape
         q = C.shape[0]
         if C.shape[1] != n:
             raise DimensionError(f"subsystem {sid}: C has {C.shape[1]} cols, expected {n}")
-        D = np.zeros((q, m)) if D is None else as_matrix(D, f"subsystem {sid}: D")
-        E = np.zeros((n, 0)) if E is None else as_matrix(E, f"subsystem {sid}: E")
-        if D.shape != (q, m):
+        D, E = (X if X is None else as_matrix(X, f"subsystem {sid}: {name}")
+                for X, name in ((D, "D"), (E, "E")))
+        if D is not None and D.shape != (q, m):
             raise DimensionError(f"subsystem {sid}: D has shape {D.shape}, expected {(q, m)}")
-        if E.shape[0] != n:
+        if E is not None and E.shape[0] != n:
             raise DimensionError(f"subsystem {sid}: E has {E.shape[0]} rows, expected {n}")
+        B_aug = np.zeros((n + q, m))
+        B_aug[:n] = B
         if A is not None:
             A = Checked(A, f"subsystem {sid}: A", square=True)
             if A.A.shape[0] != n:
                 raise DimensionError(f"subsystem {sid}: A is {A.A.shape[0]}x{A.A.shape[0]}, "
                                      f"expected {n}x{n}")
-            if not check_controllability(A, B):
+            if not check_controllability(A, _own(B_aug[:n])):
                 raise ValueError(f"subsystem {sid}: (A, B) is not controllable")
-        B_aug = np.zeros((n + q, m))
-        B_aug[:n] = B.A
         C_aug = np.zeros((2 * q, n + q))
         C_aug[:q, :n] = C
         C_aug[q:, n:] = np.eye(q)
         self = object.__new__(cls)
-        self.__setstate__(dict(sid=sid, B=B_aug, C=C_aug, n=n, q=q, m=m, r=E.shape[1]))
+        self.__setstate__(dict(sid=sid, B=B_aug, C=C_aug, n=n, q=q, m=m,
+                               r=0 if E is None else E.shape[1]))
         return self
 
     def __setstate__(self, fields):  # from_raw's, and a copy's: the blocks made read-only
@@ -165,10 +170,12 @@ class Interconnection:
     another subsystem.
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
-    dim_src, stored as a read-only copy), or ``norm_bound``, a declared
-    finite bound on its spectral norm; only the aggregate bounds can use a
-    bound-only edge (``A is None``).  ``gain()`` is computed when called;
-    the pipelines take every gain from ``_edge_table`` instead.
+    dim_src, stored as a read-only copy, or as it is from a ``Checked``
+    record, such as ``config`` makes of ``augment_edge``'s block), or
+    ``norm_bound``, a declared finite bound on its spectral norm; only the
+    aggregate bounds can use a bound-only edge (``A is None``).  ``gain()``
+    is computed when called; the pipelines take every gain from
+    ``_edge_table`` instead.
     """
 
     src: str
@@ -190,7 +197,7 @@ class Interconnection:
             object.__setattr__(self, "norm_bound", bound)
         else:
             object.__setattr__(self, "A", _held(self.A, f"{name}: A"))
-            if not np.any(self.A):
+            if not self.A.any():
                 raise ValueError(f"{name}: coupling matrix is zero; omit the edge")
 
     __reduce__ = _rebuilt
@@ -202,8 +209,9 @@ class Interconnection:
 
 @dataclass(frozen=True, eq=False)
 class Tuning:
-    """Per-subsystem analysis/adaptation tuning; ``Q`` is stored symmetrized,
-    as ``checked.A``.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
+    """Per-subsystem analysis/adaptation tuning; ``Q`` is read once and stored
+    symmetrized, as ``checked.A``, a record not read again.  ``gamma``,
+    ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
 
     Q: np.ndarray
     gamma: float
@@ -213,9 +221,9 @@ class Tuning:
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
-        object.__setattr__(self, "checked", Checked(0.5 * Q + 0.5 * Q.T, "Q"))
+        object.__setattr__(self, "checked", _own(0.5 * Q + 0.5 * Q.T))
         object.__setattr__(self, "Q", self.checked.A)
-        if np.min(np.linalg.eigvalsh(self.Q)) <= 0.0:
+        if np.linalg.eigvalsh(self.Q).min() <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
         for name in ("gamma", "theta_max", "eps0"):
             object.__setattr__(self, name, numeric_scalar(getattr(self, name), name))
@@ -229,6 +237,23 @@ class Tuning:
     __reduce__ = _rebuilt
 
 
+def _read_desired(desired, s):
+    """The desired record of subsystem ``s`` in ``desired``, read, or the error
+    of reading it."""
+    try:
+        if s.sid not in desired:
+            raise ValueError(f"subsystem {s.sid}: missing desired dynamics")
+        Am = desired[s.sid]
+        if not (isinstance(Am, Checked) and Am.A.shape == (s.dim, s.dim)):
+            Am = Checked(Am, f"subsystem {s.sid}: desired dynamics", square=True)
+        if Am.A.shape[0] != s.dim:
+            raise DimensionError(f"subsystem {s.sid}: desired dynamics is "
+                                 f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")
+        return Am
+    except (GascertError, ValueError) as exc:
+        return exc
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Subsystems, coupling edges, desired dynamics, and tuning.
@@ -236,11 +261,16 @@ class NetworkModel:
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
-    ``index`` maps each id to its position in ``subsystems``.  Nothing is
+    ``index`` maps each id to its position in ``subsystems``.  Every desired
+    record is read before any check raises; the records with no spectrum
+    yet are eigen-solved in one ``_per_shape`` call of ``numerics._spectra``
+    (a shared record once), and the first error in subsystem order is
+    raised, as when each subsystem was checked in turn.  Nothing is
     derived from the edges at construction: ``in_edges`` and ``out_edges``
     filter ``edges`` when called, and the gains come from ``_edge_table``.
     The checked per-id values (and ``checked``, the desired matrices'
-    records) are stored in new read-only mappings, matrices as read-only copies;
+    records) are stored in new read-only mappings, matrices as read-only copies
+    (a ``Checked`` record's matrix, and a zero baseline gain, as they are);
     a desired matrix given as a square ``Checked`` record of the right size
     is kept as that record.
     The first ``lyapunov(sid)`` call solves every subsystem's Lyapunov
@@ -285,19 +315,18 @@ class NetworkModel:
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
         object.__setattr__(self, "_lyapunov", None)
-        desired, tuning, baseline, checked = {}, {}, {}, {}
+        # every desired record is read first, then the ones with no spectrum yet
+        # are eigen-solved in stacks (a shared one once); errors wait for their id
+        checked = {s.sid: _read_desired(self.desired, s) for s in self.subsystems}
+        _per_shape(_spectra, list({id(r): r for r in checked.values() if isinstance(r, Checked)
+                                   and "spectrum" not in vars(r)}.values()))
+        desired, tuning, baseline = {}, {}, {}
         for sid, s in zip(ids, self.subsystems):
-            if sid not in self.desired:
-                raise ValueError(f"subsystem {sid}: missing desired dynamics")
-            Am = self.desired[sid]
-            if not (isinstance(Am, Checked) and Am.A.shape == (s.dim, s.dim)):
-                Am = Checked(Am, f"subsystem {sid}: desired dynamics", square=True)
-            if Am.A.shape[0] != s.dim:
-                raise DimensionError(f"subsystem {sid}: desired dynamics is "
-                                     f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")
+            if isinstance(Am := checked[sid], Exception):
+                raise Am
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            checked[sid], desired[sid] = Am, Am.A
+            desired[sid] = Am.A
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]
@@ -307,8 +336,8 @@ class NetworkModel:
                     f"subsystem {sid}: Q is {Q.shape[0]}x{Q.shape[0]}, expected {s.dim}"
                 )
             K = self.baseline.get(sid)
-            K = _held(np.zeros((s.m, s.dim)) if K is None else K,
-                      f"subsystem {sid}: baseline gain")
+            K = (_frozen(np.zeros((s.m, s.dim))) if K is None
+                 else _held(K, f"subsystem {sid}: baseline gain"))
             if K.shape != (s.m, s.dim):
                 raise DimensionError(
                     f"subsystem {sid}: baseline gain is {K.shape}, expected {(s.m, s.dim)}"

@@ -11,10 +11,23 @@ Riccati solve works in units where its matrix, weight and solution are of
 order one, so its verdict does not depend on the time unit.  All
 functions are pure: they keep no state and are safe to call concurrently
 on shared read-only inputs.  Intended problem sizes are small (n up to a
-few tens).  Caller arrays and matrices derived inside the kernels are
-read and checked by ``numeric_array``; ``Checked`` records are not, and
-neither are the blocks ``AugmentedSubsystem.from_raw`` builds from the
-raw blocks it has read.
+few tens).  The read rule: caller arrays are read once, by
+``numeric_array``, into read-only copies, and matrices derived inside the
+kernels are read and checked by it too; ``Checked`` records are not read
+again (``_held`` takes a record's array as it is), and neither are the
+arrays the package derives from numbers it has read by zero-padding,
+halving and adding, or filling with zeros (a symmetrized weight, an edge
+block, a zero baseline gain, ``from_raw``'s blocks) or by assembling
+blocks checked to be finite (a gain-block reference model): such an
+array is made read-only in place (``_frozen``), and ``_own`` makes a
+record of it where a record is wanted.
+
+Spectra are solved in stacks: ``_spectra`` solves same-size records by
+one ``_eigvals`` call, each row sorted and typed as ``eigenvalues`` gives
+that member alone, and keeps each as its record's ``spectrum``;
+``Checked.spectrum`` is a stack of one, and a network's Hurwitz test
+solves every desired record without a spectrum in one ``_per_shape``
+call.
 
 The crossing test, the level-set iteration, the Riccati solve and the
 Lyapunov solve each run on a stack of records of one size, one LAPACK call
@@ -130,10 +143,23 @@ def numeric_scalar(value, name="value"):
     return float(A)
 
 
-def _held(M, name, square=False):  # M read by as_matrix into a new read-only array
-    A = as_matrix(M, name, square).copy()
+def _frozen(A):  # A made read-only in place
     A.flags.writeable = False
     return A
+
+
+def _held(M, name, square=False):  # a record's array as is, else M read into a read-only copy
+    A = as_matrix(M, name, square)
+    return A if isinstance(M, Checked) else _frozen(A.copy())
+
+
+def _own(A):
+    """A ``Checked`` record of ``A``, a 2-D float array the package built from
+    numbers it has read (finite by construction, or checked finite), made
+    read-only in place and not read again."""
+    rec = object.__new__(Checked)
+    object.__setattr__(rec, "A", _frozen(A))
+    return rec
 
 
 def _rebuilt(value):  # a frozen dataclass's __reduce__: its constructor on its init fields
@@ -156,9 +182,7 @@ class Checked:
 
     @cached_property
     def spectrum(self):
-        w = eigenvalues(self)
-        w.flags.writeable = False
-        return w
+        return _alone(_spectra([self]))
 
     @cached_property
     def balanced(self):
@@ -455,6 +479,20 @@ def _eigvals(H):
         except GascertError as exc:
             errors[i] = exc
     return lam, errors
+
+
+def _spectra(recs):
+    """``eigenvalues`` of each square record of one size, read-only and kept
+    as the record's ``spectrum``, or the error it raises: one ``_eigvals``
+    call for the stack, each row sorted and typed as ``np.linalg.eigvals``
+    gives that member alone."""
+    lam, errors = _eigvals(np.array([r.A for r in recs]))
+    lam = _frozen(np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1))
+    real = ~lam.imag.any(axis=-1)
+    for i, rec in enumerate(recs):
+        if i not in errors:  # kept where the cached property keeps it
+            vars(rec)["spectrum"] = lam[i].real if real[i] else lam[i]
+    return [errors.get(i) or vars(r)["spectrum"] for i, r in enumerate(recs)]
 
 
 def _unique_rows(W):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, random_hurwitz
-from gascert import ConfigError, numerics
+from gascert import ConfigError, model, numerics
 from gascert.cli import build_parser, main
 from gascert.config import dump_report, load_config, parse_config
 from gascert.riccati import certify
@@ -183,23 +183,26 @@ class TestConfigParsing:
 
     def test_shared_gain_blocks_read_and_solved_once(self, monkeypatch):
         # each block of a shared section is read once for both subsystems, and
-        # each assembled desired matrix is eigen-solved once, by the network's
-        # Hurwitz test on the record the assembly hands it
+        # each assembled desired matrix is eigen-solved once, as a member of a
+        # stack (of one, for the assembly's Hurwitz test), on the record the
+        # assembly hands the network
         doc = json.loads(json.dumps(TOY_DOC))
         doc["reference_model"] = json.loads(json.dumps(GAIN_BLOCKS))
         doc["subsystems"][1]["B"] = [[2.0]]
-        read, solved = [], []
-        real, eigvals = numerics.numeric_array, np.linalg.eigvals
+        read, members = [], []
+        real, spectra = numerics.numeric_array, numerics._spectra
         monkeypatch.setattr(numerics, "numeric_array",
                             lambda value, name="array": read.append(value) or real(value, name))
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        for module in (numerics, model):
+            monkeypatch.setattr(module, "_spectra",
+                                lambda recs: members.extend(recs) or spectra(recs))
         net, _ = parse_config(doc)
         blocks = doc["reference_model"]
         assert [sum(v is blocks[key] for v in read) for key in blocks] == [1, 1, 1]
         for sid in net.ids:
             Am = net.desired[sid]
-            assert sum(a.shape == Am.shape and np.array_equal(a, Am) for a in solved) == 1
-            assert any(a is Am for a in solved)
+            assert sum(r.A.shape == Am.shape and np.array_equal(r.A, Am) for r in members) == 1
+            assert any(r.A is Am for r in members)
 
     def test_baseline_gain_reaches_the_simulation(self):
         # a subsystem's baseline_gain is its state-feedback gain: u_bl = -K xbar
@@ -339,6 +342,42 @@ class TestExitCodes:
         assert captured.err == ""
         assert report["verdict"] == "fail"
         assert math.isfinite(report["hinf_product"]) and report["hinf_product"] > 1e153
+
+    @pytest.mark.parametrize("edge", [{"norm_bound": 1e200}, {"A": [[1e308]]}],
+                             ids=["bound_only", "matrix"])
+    def test_overflowing_pair_is_a_verdict(self, edge, tmp_path, capsys):
+        # both edges huge: smallgain's products overflowed, and it ended in
+        # "error: reports must not contain non-finite numbers"; with the 1e308
+        # blocks connective's M did too, and it ended in "error: M: non-finite
+        # entries" (exit 1 each).  Now each overflowed number is null and a
+        # failed condition, and every command exits 2
+        doc = json.loads(open(TOY, "rb").read())
+        doc["edges"] = [{"from": "b", "to": "a", **edge}, {"from": "a", "to": "b", **edge}]
+        cfg = tmp_path / "huge_pair.json"
+        cfg.write_text(json.dumps(doc))
+        out = {}
+        for command in ("riccati", "connective", "smallgain"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, str(cfg)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out[command] = json.loads(captured.out)
+        assert out["riccati"]["verdict"] == "not-certified"
+        small = out["smallgain"]
+        assert (small["verdict"], small["hinf_product"], small["raw_gain_product"]) == \
+            ("fail", None, None)
+        assert [(p["pair"], p["hinf_product"], p["raw_gain_product"], p["pass"])
+                for p in small["pairs"]] == [(["a", "b"], None, None, False)]
+        agg = out["connective"]
+        M, offsets = np.array(agg["aggregate_matrix"], dtype=float), agg["offsets"]
+        assert agg["verdict"] == "fail" and not agg["conditions"]["diagonal_dominance"]
+        assert np.isfinite(np.diag(M)).all() and all(math.isfinite(x) for x in offsets)
+        if "A" in edge:  # 1e308 times lam_max(P) / lam_min(P) > 1: null entries
+            assert agg["aggregate_matrix"][0][1] is None and agg["aggregate_matrix"][1][0] is None
+            assert not any(agg["conditions"].values())
+        else:
+            assert np.isfinite(M).all()
 
     def test_riccati_benchmark_margin_golden(self, capsys):
         # no external expectation exists for this margin; it is frozen as a

@@ -475,6 +475,34 @@ class TestSmallGain:
         assert res.hinf_product == pytest.approx(0.25, rel=1e-6)
         assert res.raw_gain_product == 0.25
 
+    @pytest.mark.parametrize("edge", [{"norm_bound": 1e200}, {"A": [[1e308]]}],
+                             ids=["bound_only", "matrix"])
+    def test_overflowing_products_fail(self, edge):
+        # both paths huge: the products were inf, which no report can hold;
+        # each is None now, and the pair fails
+        tun = Tuning(Q=np.eye(1), gamma=1.0, theta_max=1.0, eps0=0.1)
+        net = NetworkModel(subsystems=[scalar_sub("s1"), scalar_sub("s2")],
+                           edges=[Interconnection(src="s2", dst="s1", **edge),
+                                  Interconnection(src="s1", dst="s2", **edge)],
+                           desired={"s1": [[-1.0]], "s2": [[-1.0]]}, tuning={"s1": tun, "s2": tun})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (res,) = small_gain_check(net)
+        assert (res.pair, res.hinf_product, res.raw_gain_product, res.passed) == \
+            (("s1", "s2"), None, None, False)
+
+    def test_overflowing_path_without_return_is_zero(self):
+        # one direction only: its path gain 1e308 * 4 overflows, and inf * 0
+        # made the product NaN; the loop gain is 0 whatever the path's gain
+        tun = Tuning(Q=np.eye(1), gamma=1.0, theta_max=1.0, eps0=0.1)
+        net = NetworkModel(subsystems=[scalar_sub("s1"), scalar_sub("s2")],
+                           edges=[Interconnection(src="s2", dst="s1", norm_bound=1e308)],
+                           desired={"s1": [[-0.25]], "s2": [[-0.25]]},
+                           tuning={"s1": tun, "s2": tun})
+        assert connective._path_gains(net) == [math.inf]
+        (res,) = small_gain_check(net)
+        assert (res.hinf_product, res.raw_gain_product, res.passed) == (0.0, 0.0, True)
+
     def test_uncoupled_network_has_no_pairs(self):
         assert small_gain_check(path_net()) == []
 
@@ -558,6 +586,22 @@ class TestSmallGainWalk:
 
 
 class TestAnalyzePipeline:
+    def test_overflowing_entries_fail_the_conditions(self):
+        # M[i][j] = lam_max(P_i) ||A_ij|| / lam_min(P) = 2 * 1e308 overflows:
+        # analyze raised "M: non-finite entries" (a RuntimeWarning first).
+        # Now the entries are inf and fail every condition they enter
+        net = fab_net(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analyze(net)
+        assert np.isinf(rep.M[0, 1]) and np.isinf(rep.M[1, 0])
+        assert np.isfinite(np.diag(rep.M)).all() and np.isneginf(rep.offsets).all()
+        assert rep.cond_diag_rows.tolist() == [False, False]
+        assert (rep.cond_diag, rep.cond_norm, rep.M_stable, rep.passed) == (False,) * 4
+        # the public check reads its arguments, and refuses them as before
+        with pytest.raises(NonFiniteError, match="^M: non-finite entries$"):
+            check_conditions(rep.M, rep.offsets)
+
     @pytest.mark.parametrize("theta_max", [None, 0.5])
     def test_extremes_once_per_matrix(self, theta_max, monkeypatch):
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
@@ -590,19 +634,21 @@ class TestAnalyzePipeline:
 
     def test_dominance_rows_once(self, monkeypatch):
         # analyze computes M's dominance rows once and does not read back, through
-        # check_conditions, the M and offsets it has just built
+        # check_conditions or diagonal_dominance_rows, the M and offsets it has
+        # just built (a reader would refuse an entry that overflowed)
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
         calls = []
-        rows = connective.diagonal_dominance_rows
-        monkeypatch.setattr(connective, "diagonal_dominance_rows",
-                            lambda M: calls.append(M) or rows(M))
+        rows = connective._dominance_rows
+        monkeypatch.setattr(connective, "_dominance_rows", lambda M: calls.append(M) or rows(M))
         monkeypatch.setattr(connective, "check_conditions", None)
+        monkeypatch.setattr(connective, "diagonal_dominance_rows", None)
         rep = analyze(net)
         assert len(calls) == 1 and calls[0] is rep.M
         monkeypatch.undo()
         assert check_conditions(rep.M, rep.offsets) == (rep.cond_diag, rep.cond_norm,
                                                        rep.M_stable)
-        assert rep.cond_diag_rows.tolist() == rows(rep.M).tolist()
+        assert rep.cond_diag_rows.tolist() == \
+            connective.diagonal_dominance_rows(rep.M).tolist()
 
     def test_weak_coupling_passes(self):
         rep = analyze(pair_net(0.02))

@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, random_hurwitz
+from conftest import CONFIG_DIR, DC_AM, DC_B1, assert_same_bits, graph_edges, random_hurwitz
 from gascert import model, numerics, sim
 from gascert import (
     AugmentedSubsystem,
+    ConfigError,
     DimensionError,
     GascertError,
     Interconnection,
@@ -24,9 +25,11 @@ from gascert import (
     check_controllability,
     certify,
     closed_loop_global,
+    eigenvalues,
     small_gain_check,
     solve_are,
 )
+from gascert.cli import main
 from gascert.config import load_config, parse_config
 
 
@@ -678,11 +681,12 @@ class TestCopies:
                 _real(self, *args)
             monkeypatch.setattr(cls, "__post_init__", counted)
         how(net)
-        # one network, two edges, one shared tuning with its record and the
-        # shared desired record; an edge's block and a baseline gain are plain
-        # read-only copies, not records
+        # one network, two edges, one shared tuning and the shared desired
+        # record; the tuning's record of its symmetrized Q is built from the
+        # Q it read, not by the record's constructor, and an edge's block and
+        # a baseline gain are plain read-only copies, not records
         assert sorted(built) == sorted(["NetworkModel", *["Interconnection"] * 2, "Tuning",
-                                        *["Checked"] * 2])
+                                        "Checked"])
 
 
 def shapes_net(rng):
@@ -770,8 +774,10 @@ def _number_fields(doc):
     fields = [sec[key] for sec in doc["subsystems"] for key in ("A", "B", "C", "D", "E",
                                                                   "baseline_gain")
               if sec.get(key) is not None]
-    for sec in [doc, *doc["subsystems"]]:  # explicit reference models and tunings
-        fields += [sec["reference_model"]] if sec.get("reference_model") is not None else []
+    for sec in [doc, *doc["subsystems"]]:  # reference models and tunings
+        ref = sec.get("reference_model")
+        fields += ([ref[key] for key in ("A_nominal", "K_x", "K_xi")]
+                   if isinstance(ref, dict) else [] if ref is None else [ref])
         fields += [sec["tuning"]["Q"]] if "tuning" in sec else []
     fields += [e["A"] for e in doc.get("edges", []) if e.get("A") is not None]
     scenario = doc.get("scenario") or {}
@@ -780,16 +786,70 @@ def _number_fields(doc):
     return fields
 
 
+def ring_doc(n=32, seed=5):
+    """A generated ring document of ``n`` subsystems, of 1 to 3 raw states and
+    one output each, coupled both ways (every fifth edge by a bound only):
+    plants given or not, ``D``, ``E`` and baseline gains on some, explicit
+    reference models or gain blocks (own, or the shared top-level section),
+    own or shared tunings."""
+    rng = np.random.default_rng(seed)
+    doc = {"reference_model": {"A_nominal": [[0.5]], "K_x": [[2.5]], "K_xi": [[1.0]]},
+           "tuning": {"Q": [[2.0, 0.5], [0.5, 1.0]], "gamma": 5.0, "theta_max": 1.0,
+                      "eps0": 0.1}, "subsystems": [], "edges": []}
+    dims = {}
+    for k in range(n):
+        sid = f"s{k}"
+        gains = k % 4 == 3  # gain blocks on a plant of one state
+        x = dims[sid] = 1 if gains else 1 + k % 3
+        sub = {"id": sid, "B": [[1.0]] if gains else rng.normal(size=(x, 1)).tolist(),
+               "C": [[1.0]] if gains else rng.normal(size=(1, x)).tolist()}
+        if k % 2 == 0:
+            sub["A"] = rng.normal(size=(x, x)).tolist()
+        if k % 5 == 0:
+            sub["D"] = [[0.0]]
+        if k % 3 == 0:
+            sub["E"] = rng.normal(size=(x, 2)).tolist()
+        if k % 6 == 0:
+            sub["baseline_gain"] = rng.normal(size=(1, x + 1)).tolist()
+        if k % 8 == 3:
+            sub["reference_model"] = {"A_nominal": [[-1.0]], "K_x": [[1.0]], "K_xi": [[3.0]]}
+        elif not gains:
+            sub["reference_model"] = random_hurwitz(rng, x + 1).tolist()
+        if k % 2 or x > 1:  # the shared tuning's Q is 2x2
+            sub["tuning"] = dict(doc["tuning"], Q=np.diag(rng.uniform(1.0, 2.0, x + 1)).tolist())
+        doc["subsystems"].append(sub)
+    for k, (src, dst, gain) in enumerate(graph_edges(rng, "ring", n)):
+        edge = {"from": src, "to": dst}
+        edge.update({"norm_bound": 0.1 * gain} if k % 5 == 4 else
+                    {"A": (0.1 * gain * rng.normal(size=(dims[dst], dims[src]))).tolist()})
+        doc["edges"].append(edge)
+    return doc
+
+
+def _count_spectra(monkeypatch):
+    """The members of every stack of the network's stacked Hurwitz test, as
+    they are solved."""
+    members = []
+    real = model._spectra
+    monkeypatch.setattr(model, "_spectra", lambda recs: members.extend(recs) or real(recs))
+    return members
+
+
 class TestReadOnce:
     @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
-                                      "unstable_pair"])
+                                      "unstable_pair", "ring32"])
     def test_each_document_field_read_once(self, name, monkeypatch):
         # config reads no numbers: each matrix and vector field of the document
         # reaches numeric_array once, from the value type that holds it, and a
-        # shared section is read once for all the subsystems that use it
-        docs, read = [], []
-        loads, real = json.loads, numerics.numeric_array
-        monkeypatch.setattr(json, "loads", lambda *a, **k: docs.append(loads(*a, **k)) or docs[-1])
+        # shared section is read once for all the subsystems that use it.
+        # Without the scenario, whose check reads its values again, that is
+        # every read: no array the package builds from them is read again
+        # (the symmetrized Q, the padded edge blocks, the zero baseline
+        # gains and the gain-block reference models were)
+        full = ring_doc() if name == "ring32" else json.loads((CONFIG_DIR / f"{name}.json")
+                                                              .read_text())
+        read = []
+        real = numerics.numeric_array
 
         def counted(value, name="array"):
             read.append(value)
@@ -797,24 +857,26 @@ class TestReadOnce:
 
         monkeypatch.setattr(numerics, "numeric_array", counted)
         monkeypatch.setattr(sim, "numeric_array", counted)
-        load_config(CONFIG_DIR / f"{name}.json")
-        fields = _number_fields(docs[0])
-        assert len(fields) >= 3 * len(docs[0]["subsystems"])
-        assert [sum(v is f for v in read) for f in fields] == [1] * len(fields)
+        for doc in (full, {key: v for key, v in full.items() if key != "scenario"}):
+            read.clear()
+            parse_config(doc)
+            fields = _number_fields(doc)
+            assert len(fields) >= 3 * len(doc["subsystems"])
+            assert [sum(v is f for v in read) for f in fields] == [1] * len(fields)
+        assert len(read) == len(fields)
 
     def test_shared_desired_record_solved_once(self, monkeypatch):
         # mesh6's six subsystems share one reference model: the network keeps
-        # the one record the load hands it and eigen-solves it once
-        solved = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        # the one record the load hands it and eigen-solves it once, as one
+        # member of the load's stacked Hurwitz test
+        members = _count_spectra(monkeypatch)
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
         shared = net.checked[net.ids[0]]
         assert len(net.ids) == 6
         assert all(net.checked[sid] is shared and net.desired[sid] is shared.A
                    for sid in net.ids)
-        assert sum(a.shape == shared.A.shape and np.array_equal(a, shared.A)
-                   for a in solved) == 1
+        assert sum(r.A.shape == shared.A.shape and np.array_equal(r.A, shared.A)
+                   for r in members) == 1
 
     def test_record_of_the_wrong_size_is_read_again(self):
         # only a square record of the subsystem's size is kept as it is
@@ -846,20 +908,24 @@ class TestReadOnce:
     @pytest.mark.parametrize("name", ["toy_pair", "dc_pair", "mesh6", "weak_pair",
                                       "unstable_pair"])
     def test_desired_solved_once_and_never_reread(self, name, monkeypatch):
-        # the load eigen-solves each desired matrix once, for its Hurwitz
-        # test; the pipelines then take the model's records and neither
-        # solve a desired matrix nor read any array the model has checked
+        # the load eigen-solves each desired matrix once, as a member of its
+        # stacked Hurwitz test; the pipelines then take the model's records
+        # and neither solve a desired matrix, alone or in a stack, nor read
+        # any array the model has checked
+        members = _count_spectra(monkeypatch)
+        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
+        # (a plant equal to its desired matrix is solved for its own test)
+        assert [sum(r.A is net.desired[sid] for r in members) for sid in net.ids] == \
+            [1] * len(net.ids)
         solved = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
-        net, _, _ = load_config(CONFIG_DIR / f"{name}.json")
-        # (a plant equal to its desired matrix is solved for its own test)
-        assert [sum(a is net.desired[sid] for a in solved) for sid in net.ids] == \
-            [1] * len(net.ids)
 
-        def solves(sid):
+        def solves(sid):  # as a stack member, or by eigvals alone or in a stack
             Am = net.desired[sid]
-            return sum(a.shape == Am.shape and np.array_equal(a, Am) for a in solved)
+            given = [*(r.A for r in members), *(x for a in solved if a.shape[-2:] == Am.shape
+                                                for x in a.reshape(-1, *Am.shape))]
+            return sum(x.shape == Am.shape and np.array_equal(x, Am) for x in given)
 
         checked = [*net.desired.values(), *net.baseline.values(),
                    *(t.Q for t in net.tuning.values()),
@@ -869,12 +935,61 @@ class TestReadOnce:
         real = numerics.numeric_array
         monkeypatch.setattr(numerics, "numeric_array",
                             lambda value, name="array": read.append(value) or real(value, name))
-        solved.clear()
+        members.clear()
         certify(net)
         analyze(net)
         small_gain_check(net)
         assert [solves(sid) for sid in net.ids] == [0] * len(net.ids)
         assert read and not [v for v in read if any(v is a for a in checked)]
+
+
+class TestStackedHurwitz:
+    def test_first_error_in_id_order(self, tmp_path, capsys):
+        # every desired record is read and solved before any check raises; the
+        # first error in subsystem order is raised, as when each subsystem was
+        # checked in turn: a's target is not Hurwitz, b's Q is of the wrong size
+        doc = json.loads((CONFIG_DIR / "toy_pair.json").read_text())
+        doc["subsystems"][0]["reference_model"] = [[1.0, 0.0], [0.0, -1.0]]
+        doc["subsystems"][1]["tuning"] = dict(doc["tuning"], Q=np.eye(3).tolist())
+        cfg = tmp_path / "two_errors.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            "error: config: subsystem a: desired dynamics is not Hurwitz\n"
+        doc["subsystems"][0].pop("reference_model")
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config: subsystem b: Q is 3x3, expected 2\n"
+
+    def test_refused_stack_solved_member_by_member(self, monkeypatch):
+        # when numpy refuses a stack, each member is solved alone, to the same
+        # spectra; a member refused alone is its subsystem's error, in id order
+        doc = ring_doc()
+        want = parse_config(doc)[0]
+        eigvals = np.linalg.eigvals
+        refused = want.desired["s5"]
+
+        def refusing(a):
+            if a.ndim > 2 or np.array_equal(a, refused):
+                raise np.linalg.LinAlgError("refused")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", refusing)
+        members = _count_spectra(monkeypatch)
+        with pytest.raises(ConfigError, match="^config: eigenvalue iteration did not converge: "
+                                              "refused$"):
+            parse_config(doc)
+        assert len(members) == sum(isinstance(sec.get("reference_model"), list)
+                                   for sec in doc["subsystems"])
+        refused = None
+        members.clear()
+        got = parse_config(doc)[0]
+        assert len(members) == len(got.ids) - 8  # the gain-block models solved at build
+        for sid in want.ids:
+            w, v = want.checked[sid].spectrum, got.checked[sid].spectrum
+            assert v.dtype == w.dtype and v.tobytes() == w.tobytes()
+            assert v.tobytes() == eigenvalues(got.desired[sid]).tobytes()
+            assert not v.flags.writeable
 
 
 # two calls of each give equal values in distinct objects

@@ -10,6 +10,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gascert.cli
 from conftest import CONFIG_DIR
@@ -167,3 +170,56 @@ def test_unserializable_rejected_like_oracle(value):
         _oracle_dump({"v": value})
     with pytest.raises(TypeError):
         dump_report({"v": value})
+
+
+def _scalars_for_oracle(x):
+    """``x`` with each 0-D array as its only entry, which the oracle cannot
+    iterate (see the test above)."""
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        return x[()]
+    if isinstance(x, dict):
+        return {k: _scalars_for_oracle(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_scalars_for_oracle, x))
+    return x
+
+
+def _reports(finite):
+    """Nested reports: dicts with text keys (non-ASCII, escapes) and int keys,
+    lists and tuples of Python and numpy scalars (``np.float64`` is a ``float``
+    subclass) and of arrays of every rank up to 3, 0-D and empty ones too."""
+    def floats(width=64):
+        return st.floats(allow_nan=not finite, allow_infinity=not finite, width=width)
+
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), floats(), st.text(), floats().map(np.float64),
+        floats(32).map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+        hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                   elements={"allow_nan": not finite, "allow_infinity": not finite}))
+    keys = st.one_of(st.text(), st.integers())
+    return st.dictionaries(keys, st.recursive(
+        leaves, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                        st.lists(inner, max_size=4).map(tuple),
+                                        st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=12), max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(report=_reports(finite=True))
+def test_random_reports_match_oracle(report):
+    assert dump_report(report) == _oracle_dump(_scalars_for_oracle(report))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(report=_reports(finite=False))
+def test_random_non_finite_reports_raise_like_oracle(report):
+    try:
+        want = _oracle_dump(_scalars_for_oracle(report))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            dump_report(report)
+        assert str(got.value) == str(exc)
+    else:
+        assert dump_report(report) == want
