@@ -49,20 +49,17 @@ def _lam_extremes(S):
     return w[..., [0, -1]]
 
 
-def _extreme_rows(Qs, P):  # per member of a stack: lam_min(P), lam_max(P), lam_min(Q)
-    return np.hstack((_lam_extremes(P), _lam_extremes(np.array([Q.A for Q in Qs]))[:, :1]))
-
-
 def _extremes(net: NetworkModel, P: dict, read=True):
     """``lam_min`` and ``lam_max`` of each ``P_i`` and ``lam_min`` of each
     ``Q_i``: three arrays in ``net.ids`` order.
 
-    One symmetric eigensolve per matrix, shared by the comparison matrix
-    and the offsets, run as one stack per size by ``_per_shape``, each
-    member's numbers those ``_lam_extremes`` gives it.  With ``read``, each
-    ``P[sid]`` is a caller's value, read as a square matrix; it must be of
-    its subsystem's size.  A missing or misshapen ``P`` is raised before a
-    ``P`` that is not positive definite.
+    ``lam_min(Q_i)`` is the tuning's ``lam_min_Q``, solved when the tuning
+    was built.  One symmetric eigensolve per ``P``, shared by the comparison
+    matrix and the offsets, run as one stack per size by ``_per_shape``,
+    each member's numbers those ``_lam_extremes`` gives it.  With ``read``,
+    each ``P[sid]`` is a caller's value, read as a square matrix; it must be
+    of its subsystem's size.  A missing or misshapen ``P`` is raised before
+    a ``P`` that is not positive definite.
     """
     Ps = []
     for sid, s in zip(net.ids, net.subsystems):
@@ -72,11 +69,12 @@ def _extremes(net: NetworkModel, P: dict, read=True):
         if P_i.shape[0] != s.dim:
             raise DimensionError(f"P.{sid} is {P_i.shape}, expected {(s.dim, s.dim)}")
         Ps.append(P_i)
-    ext = np.array(_per_shape(_extreme_rows, [net.tuning[sid].checked for sid in net.ids], Ps)).T
-    for sid, lmin_P in zip(net.ids, ext[0].tolist()):
-        if lmin_P <= 0.0:
+    lmin_P, lmax_P = np.array(_per_shape(lambda _, S: _lam_extremes(S),
+                                         [net.checked[sid] for sid in net.ids], Ps)).T
+    for sid, lmin in zip(net.ids, lmin_P.tolist()):
+        if lmin <= 0.0:
             raise ValueError(f"subsystem {sid}: P is not positive definite")
-    return ext
+    return lmin_P, lmax_P, np.array([net.tuning[sid].lam_min_Q for sid in net.ids])
 
 
 def comparison_matrix(net: NetworkModel, P: dict):

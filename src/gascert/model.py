@@ -18,12 +18,14 @@ place of an absent ``D`` or ``E``, and makes the blocks it builds
 read-only; the PBH test takes a record of the raw rows of its ``B``
 block.  Values are immutable after construction and, holding arrays,
 compare by identity.  An edge joins two distinct subsystems and has a
-coupling matrix or a declared bound on its norm, never both.  A network
-reads every desired record first, eigen-solves each one without a
-spectrum in one stack per size (a record shared by subsystems once for
-all), then raises the first error in subsystem order; it solves every
-Lyapunov weight, in one stack per size, on the first read of any, and
-derives nothing from its edges.
+coupling matrix or a declared bound on its norm, never both.  A tuning
+owns its weight ``Q``: it symmetrizes it and eigen-solves it once, for
+the definiteness check and the ``lam_min_Q`` the comparison system
+reads.  A network first eigen-solves the desired records it keeps that
+have no spectrum yet, in one stack per size (a record shared by
+subsystems once for all), then reads and checks each subsystem in turn;
+it solves every Lyapunov weight, in one stack per size, on the first
+read of any, and derives nothing from its edges.
 ``_edge_table`` is the one derivation of edge data (positions, and gains
 from ``numerics._norms``), built by each pipeline that reads it.
 """
@@ -37,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.linalg import block_diag
 
-from .exceptions import DimensionError, GascertError, StabilityError
+from .exceptions import DimensionError, StabilityError
 from .numerics import (Checked, _frozen, _held, _lyapunovs, _norms, _own, _per_shape, _rebuilt,
                        _record, _spectra, as_matrix, is_hurwitz, numeric_scalar, spectral_norm)
 
@@ -210,20 +212,22 @@ class Interconnection:
 @dataclass(frozen=True, eq=False)
 class Tuning:
     """Per-subsystem analysis/adaptation tuning; ``Q`` is read once and stored
-    symmetrized, as ``checked.A``, a record not read again.  ``gamma``,
-    ``eps0`` > 0 and ``theta_max`` >= 0 are numbers."""
+    symmetrized and read-only, and ``lam_min_Q``, its smallest eigenvalue, is
+    solved once by its definiteness check: no other module checks ``Q`` or
+    eigen-solves it.  ``gamma``, ``eps0`` > 0 and ``theta_max`` >= 0 are
+    numbers."""
 
     Q: np.ndarray
     gamma: float
     theta_max: float
     eps0: float
-    checked: Checked = field(default=None, init=False, repr=False)
+    lam_min_Q: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         Q = as_matrix(self.Q, "Q", square=True)
-        object.__setattr__(self, "checked", _own(0.5 * Q + 0.5 * Q.T))
-        object.__setattr__(self, "Q", self.checked.A)
-        if np.linalg.eigvalsh(self.Q).min() <= 0.0:
+        object.__setattr__(self, "Q", _frozen(0.5 * Q + 0.5 * Q.T))
+        object.__setattr__(self, "lam_min_Q", float(np.linalg.eigvalsh(self.Q).min()))
+        if self.lam_min_Q <= 0.0:
             raise ValueError("Q must be symmetric positive definite")
         for name in ("gamma", "theta_max", "eps0"):
             object.__setattr__(self, name, numeric_scalar(getattr(self, name), name))
@@ -237,23 +241,6 @@ class Tuning:
     __reduce__ = _rebuilt
 
 
-def _read_desired(desired, s):
-    """The desired record of subsystem ``s`` in ``desired``, read, or the error
-    of reading it."""
-    try:
-        if s.sid not in desired:
-            raise ValueError(f"subsystem {s.sid}: missing desired dynamics")
-        Am = desired[s.sid]
-        if not (isinstance(Am, Checked) and Am.A.shape == (s.dim, s.dim)):
-            Am = Checked(Am, f"subsystem {s.sid}: desired dynamics", square=True)
-        if Am.A.shape[0] != s.dim:
-            raise DimensionError(f"subsystem {s.sid}: desired dynamics is "
-                                 f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")
-        return Am
-    except (GascertError, ValueError) as exc:
-        return exc
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Subsystems, coupling edges, desired dynamics, and tuning.
@@ -261,11 +248,11 @@ class NetworkModel:
     ``desired`` maps each subsystem id to its Hurwitz target dynamics;
     ``baseline`` to its state-feedback gain (defaults to zero).
     ``subsystems`` and ``edges`` are stored as tuples and checked once;
-    ``index`` maps each id to its position in ``subsystems``.  Every desired
-    record is read before any check raises; the records with no spectrum
-    yet are eigen-solved in one ``_per_shape`` call of ``numerics._spectra``
-    (a shared record once), and the first error in subsystem order is
-    raised, as when each subsystem was checked in turn.  Nothing is
+    ``index`` maps each id to its position in ``subsystems``.  The desired
+    records kept as they are (below) that have no spectrum yet are first
+    eigen-solved in one ``_per_shape`` call of ``numerics._spectra`` (a
+    shared record once); then each subsystem is read and checked in turn,
+    and the first error in subsystem order is raised.  Nothing is
     derived from the edges at construction: ``in_edges`` and ``out_edges``
     filter ``edges`` when called, and the gains come from ``_edge_table``.
     The checked per-id values (and ``checked``, the desired matrices'
@@ -315,18 +302,25 @@ class NetworkModel:
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
         object.__setattr__(self, "_lyapunov", None)
-        # every desired record is read first, then the ones with no spectrum yet
-        # are eigen-solved in stacks (a shared one once); errors wait for their id
-        checked = {s.sid: _read_desired(self.desired, s) for s in self.subsystems}
-        _per_shape(_spectra, list({id(r): r for r in checked.values() if isinstance(r, Checked)
+        # the desired records the loop keeps as they are, if they have no spectrum
+        # yet, are eigen-solved first, in one stack per size (a shared one once)
+        _per_shape(_spectra, list({id(r): r for s in self.subsystems if s.sid in self.desired
+                                   and isinstance(r := self.desired[s.sid], Checked)
+                                   and r.A.shape == (s.dim, s.dim)
                                    and "spectrum" not in vars(r)}.values()))
-        desired, tuning, baseline = {}, {}, {}
+        desired, tuning, baseline, checked = {}, {}, {}, {}
         for sid, s in zip(ids, self.subsystems):
-            if isinstance(Am := checked[sid], Exception):
-                raise Am
+            if sid not in self.desired:
+                raise ValueError(f"subsystem {sid}: missing desired dynamics")
+            Am = self.desired[sid]
+            if not (isinstance(Am, Checked) and Am.A.shape == (s.dim, s.dim)):
+                Am = Checked(Am, f"subsystem {sid}: desired dynamics", square=True)
+            if Am.A.shape[0] != s.dim:
+                raise DimensionError(f"subsystem {sid}: desired dynamics is "
+                                     f"{Am.A.shape[0]}x{Am.A.shape[0]}, expected {s.dim}")
             if not is_hurwitz(Am):
                 raise StabilityError(f"subsystem {sid}: desired dynamics is not Hurwitz")
-            desired[sid] = Am.A
+            checked[sid], desired[sid] = Am, Am.A
             if sid not in self.tuning:
                 raise ValueError(f"subsystem {sid}: missing tuning")
             tuning[sid] = self.tuning[sid]

@@ -16,11 +16,16 @@ few tens).  The read rule: caller arrays are read once, by
 kernels are read and checked by it too; ``Checked`` records are not read
 again (``_held`` takes a record's array as it is), and neither are the
 arrays the package derives from numbers it has read by zero-padding,
-halving and adding, or filling with zeros (a symmetrized weight, an edge
-block, a zero baseline gain, ``from_raw``'s blocks) or by assembling
-blocks checked to be finite (a gain-block reference model): such an
-array is made read-only in place (``_frozen``), and ``_own`` makes a
-record of it where a record is wanted.
+halving and adding, or filling with zeros (a tuning's symmetrized weight,
+an edge block, a zero baseline gain, ``from_raw``'s blocks) or by
+assembling blocks checked to be finite (a gain-block reference model):
+such an array is made read-only in place (``_frozen``), and ``_own``
+makes a record of it where a record is wanted (an edge block, a
+gain-block reference model, the rows of ``B`` the PBH test takes).  Each
+check of a Lyapunov weight has one owner: ``model.Tuning`` checks its
+``Q`` (and keeps ``lam_min(Q)``), ``solve_lyapunov`` a caller's at its
+door, and the stacked kernel takes weights so checked, as the Riccati
+kernel takes its weights.
 
 Spectra are solved in stacks: ``_spectra`` solves same-size records by
 one ``_eigvals`` call, each row sorted and typed as ``eigenvalues`` gives
@@ -54,8 +59,9 @@ each group goes to a same-shape kernel in one call, in order of first
 appearance, and every result, an error value too, is put back at its
 item's place.  ``_norms`` is the spectral norm on that rule.  ``certify``,
 ``small_gain_check``, the edge table, the network's Lyapunov weights and
-the comparison system's eigenvalue extremes ask these two for their
-stacks; the stacked kernels take numbers their callers have read.
+the comparison system's extremes of ``P`` ask these two for their
+stacks; the stacked kernels take numbers their callers have read and
+checked.
 """
 
 from __future__ import annotations
@@ -321,34 +327,23 @@ def _bartels_stewart(a, q, lwork):
 
 def _lyapunovs(recs, Q):
     """``solve_lyapunov`` for each square record of one size, with its weight
-    ``Q[i]`` (``Q`` one stack): per record the solution or the error
-    ``solve_lyapunov`` raises.
+    ``Q[i]`` (``Q`` one stack of weights the caller has checked, as
+    ``solve_lyapunov`` does at its door): per record the solution or the
+    error ``solve_lyapunov`` raises past that door.
 
-    The checks run on the stack; the Schur factorisation and the triangular
-    solve run per member, and a failing one is that member's error.  The
-    members are kept by the module's rule.
+    The Hurwitz test, the Schur factorisation and the triangular solve run
+    per member, and a failing one is that member's error.  The members are
+    kept by the module's rule.
     """
-    n = recs[0].A.shape[0]
-    if Q.shape[1:] != (n, n):
-        return [DimensionError(f"Q must match A: {Q.shape[1:]} vs {(n, n)}")] * len(recs)
-    QT = Q.transpose(0, 2, 1)
-    asym = np.abs(Q - QT).max(axis=(1, 2)) > 1e-12 * np.maximum(1.0, np.abs(Q).max(axis=(1, 2)))
-    indefinite = np.linalg.eigvalsh(0.5 * Q + 0.5 * QT).min(axis=1) <= 0.0
-    out = [None] * len(recs)
-    for i, rec in enumerate(recs):
-        if asym[i]:
-            out[i] = ValueError("Q must be symmetric")
-        elif indefinite[i]:
-            out[i] = ValueError("Q must be positive definite")
-        elif not is_hurwitz(rec):
-            out[i] = StabilityError(
-                "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
+    out = [None if is_hurwitz(r) else StabilityError(
+        "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
+        for r in recs]
     live = [i for i, o in enumerate(out) if o is None]
     if not live:
         return out
     A, Q = np.array([recs[i].A for i in live]), Q[live]
     P = np.empty_like(A)
-    lwork = _gees_lwork(n)
+    lwork = _gees_lwork(A.shape[1])
     for j, i in enumerate(live):
         try:  # A'P + PA = -Q
             P[j] = _bartels_stewart(A[j].T, -Q[j], lwork)
@@ -408,6 +403,12 @@ def solve_lyapunov(A, Q):
     """
     rec = _record(A, "A")
     Q = as_matrix(Q, "Q", square=True)
+    if Q.shape != rec.A.shape:
+        raise DimensionError(f"Q must match A: {Q.shape} vs {rec.A.shape}")
+    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
+        raise ValueError("Q must be symmetric")
+    if np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T).min() <= 0.0:
+        raise ValueError("Q must be positive definite")
     return _alone(_lyapunovs([rec], Q[None]))
 
 

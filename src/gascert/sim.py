@@ -41,6 +41,7 @@ the reference the kernel is tested against.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,8 @@ __all__ = [
 
 # trace values gathered per block of the CSV export (512 kB)
 _CSV_BLOCK = 1 << 16
+# the scenario's fields keyed by subsystem id
+_PER_ID = ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0")
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -76,14 +79,14 @@ class Schedule:
     def __post_init__(self):
         times = numeric_array(self.times, "schedule times").flatten()
         values = np.array(numeric_array(self.values, "schedule values"), ndmin=2)
+        if times.size == 0:  # tested first: values read as 2-D hold at least one row
+            raise ValueError("schedule needs at least one breakpoint")
         if values.ndim > 2:
             raise DimensionError(f"schedule values must be at most 2-D, got ndim={values.ndim}")
         if values.shape[0] != times.shape[0]:
             raise DimensionError(
                 f"schedule has {times.shape[0]} breakpoints but {values.shape[0]} rows"
             )
-        if times.size == 0:
-            raise ValueError("schedule needs at least one breakpoint")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("schedule breakpoints must be strictly increasing")
         if times[0] != 0.0:
@@ -106,10 +109,11 @@ class Schedule:
 @dataclass(eq=False)
 class Scenario:
     """Simulation scenario: horizon, step, input schedules, the truth ``theta`` and the
-    initial ``x0``, ``xhat0``, ``theta_hat0``, each a dict keyed by subsystem id, the
-    last four read into float arrays; missing or None entries are zeros.  The horizon
-    is a whole number of steps (to 1e-9 relative) of dt.  ``check`` tests the entries
-    against a network."""
+    initial ``x0``, ``xhat0``, ``theta_hat0``, each a mapping keyed by subsystem id (a
+    ``GascertError`` names a field given as anything else), the last four read into
+    float arrays; missing or None entries are zeros.  The horizon is a whole number
+    of steps (to 1e-9 relative) of dt.  ``check`` tests the entries against a
+    network."""
 
     horizon: float
     dt: float
@@ -123,6 +127,9 @@ class Scenario:
     def __post_init__(self):
         self.horizon = numeric_scalar(self.horizon, "horizon")
         self.dt = numeric_scalar(self.dt, "dt")
+        for key in _PER_ID:
+            if not isinstance(getattr(self, key), Mapping):
+                raise GascertError(f"{key}: expected a mapping keyed by subsystem id")
         for key in ("theta", "theta_hat0", "x0", "xhat0"):
             setattr(self, key, {sid: None if v is None else numeric_array(v, f"{key}.{sid}")
                                 for sid, v in getattr(self, key).items()})
@@ -144,7 +151,7 @@ class Scenario:
         disturbances are ``Schedule``s ``q`` and ``r`` wide; a None entry
         counts as missing.  Errors name ``<field>.<sid>``.
         """
-        for key in ("references", "disturbances", "theta", "theta_hat0", "x0", "xhat0"):
+        for key in _PER_ID:
             for sid, value in getattr(self, key).items():
                 if sid not in net.index:
                     raise GascertError(f"{key}.{sid}: unknown subsystem id")
@@ -232,7 +239,10 @@ class _Kernel:
             th = scenario.theta.get(sid)
             if th is not None:
                 self.theta[k, :p, :m] = th
-            Pk = None if certificate is None else certificate.P(sid)
+            try:
+                Pk = None if certificate is None else certificate.P(sid)
+            except KeyError:
+                raise GascertError(f"certificate has no record of subsystem {sid}") from None
             self.Pc[k, :p, :p] = net.lyapunov(sid) if Pk is None else Pk
             self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
@@ -424,10 +434,11 @@ def simulate(net, scenario: Scenario, mode="distributed",
 
     The Lyapunov series is recorded when a certificate is supplied (its
     per-subsystem weights are used both by the distributed adaptation law
-    and by the diagnostic).  Divergence (a state entry beyond 1e150, the
-    initial state's included) truncates the trace before that sample and
-    sets the flag; it is not an exception.  A start beyond it records no
-    sample and is diverged at t = 0.
+    and by the diagnostic); it must hold a record of every subsystem, else
+    a ``GascertError`` names the first one missing.  Divergence (a state
+    entry beyond 1e150, the initial state's included) truncates the trace
+    before that sample and sets the flag; it is not an exception.  A start
+    beyond it records no sample and is diverged at t = 0.
     """
     kern = _Kernel(net, scenario, mode, certificate)
     n_steps, dt = int(round(scenario.horizon / scenario.dt)), scenario.dt

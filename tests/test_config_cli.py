@@ -571,6 +571,19 @@ class TestExitCodes:
                                 "schedule is 2 wide, expected 1\n")
         assert not out.exists()
 
+    def test_empty_schedule_one_line_error(self, tmp_path, capsys):
+        # an empty schedule's values were read as one empty row, and the error
+        # blamed the row count ("schedule has 0 breakpoints but 1 rows")
+        doc = json.loads(open(TOY, "rb").read())
+        doc["scenario"]["references"]["a"] = {"times": [], "values": []}
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["riccati", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config.scenario.references.a: "
+                                "schedule needs at least one breakpoint\n")
+
     def test_duplicate_id_one_line_error(self, tmp_path, capsys):
         doc = json.loads(open(TOY, "rb").read())
         doc["subsystems"][1]["id"] = "a"

@@ -618,8 +618,9 @@ class TestAnalyzePipeline:
         lam_extremes = connective._lam_extremes
         monkeypatch.setattr(connective, "_lam_extremes", counted)
         rep = analyze(net)
-        # one stack of P and one of Q per size: each matrix solved once
-        assert sum(len(S) for S in seen) == 2 * len(net.ids)
+        # one stack of P per size: each P solved once, and no Q (the tuning's
+        # lam_min_Q was solved when it was built)
+        assert sum(len(S) for S in seen) == len(net.ids)
         monkeypatch.undo()
         # the shared extremes give what the public functions give
         M = comparison_matrix(net, rep.P)

@@ -615,7 +615,7 @@ def _held_arrays(net):
     for e in net.edges:
         out += [] if e.A is None else [e.A]
     for t in net.tuning.values():
-        out += [t.Q, t.checked.A]
+        out += [t.Q]
     return out + [net.lyapunov(sid) for sid in net.ids]
 
 
@@ -864,6 +864,31 @@ class TestReadOnce:
             assert len(fields) >= 3 * len(doc["subsystems"])
             assert [sum(v is f for v in read) for f in fields] == [1] * len(fields)
         assert len(read) == len(fields)
+
+    @pytest.mark.parametrize("name", ["toy_pair", "mesh6", "ring32"])
+    def test_each_weight_solved_once_at_load(self, name, monkeypatch):
+        # a tuning eigen-solves its Q once, for its definiteness check and its
+        # lam_min_Q; the Lyapunov solves, certify and analyze solve no Q
+        solved = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args, **kw: solved.append(a) or real(a, *args, **kw))
+        doc = ring_doc() if name == "ring32" else json.loads((CONFIG_DIR / f"{name}.json")
+                                                             .read_text())
+        net = parse_config(doc)[0]
+        tunings = list({id(t): t for t in net.tuning.values()}.values())
+
+        def solves(Q):  # alone or as a member of a stack
+            return sum(x.shape == Q.shape and np.array_equal(x, Q)
+                       for a in solved for x in a.reshape(-1, *a.shape[-2:]))
+
+        assert [solves(t.Q) for t in tunings] == \
+            [sum(np.array_equal(u.Q, t.Q) for u in tunings) for t in tunings]
+        assert [t.lam_min_Q for t in tunings] == [real(t.Q)[0] for t in tunings]
+        solved.clear()
+        certify(net)
+        analyze(net)
+        assert solved and [solves(t.Q) for t in tunings] == [0] * len(tunings)
 
     def test_shared_desired_record_solved_once(self, monkeypatch):
         # mesh6's six subsystems share one reference model: the network keeps

@@ -1093,16 +1093,20 @@ class TestDirectLapack:
         recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(4)]
         recs[2] = Checked(-random_hurwitz(rng, 3), square=True)
         Qs = np.array([np.eye(3)] * 4)
+        # the kernel takes checked weights: the Hurwitz test is its members' own
+        got = numerics._lyapunovs(recs, Qs)
+        assert_outcome(got[2], StabilityError(
+            "A is not Hurwitz: the Lyapunov equation has no positive definite solution"))
+        for k in (0, 1, 3):
+            assert_same_bits(got[k], scipy_lyapunov(recs[k].A, Qs[k]))
+        # the weights are checked at solve_lyapunov's door, in this order
         Qs[0, 0, 1] = 1e-3
         Qs[3, 1, 1] = -1.0
-        got = numerics._lyapunovs(recs, Qs)
-        assert [str(g) for g in got] == [
-            "Q must be symmetric", str(got[1]),
-            "A is not Hurwitz: the Lyapunov equation has no positive definite solution",
-            "Q must be positive definite"]
-        assert_same_bits(got[1], scipy_lyapunov(recs[1].A, Qs[1]))
-        assert_outcome(numerics._lyapunovs(recs[:1], np.zeros((1, 2, 2)))[0],
-                       DimensionError("Q must match A: (2, 2) vs (3, 3)"))
+        for A, Q, want in ((recs[0], np.zeros((2, 2)),
+                            DimensionError("Q must match A: (2, 2) vs (3, 3)")),
+                           (recs[2], Qs[0], ValueError("Q must be symmetric")),
+                           (recs[2], Qs[3], ValueError("Q must be positive definite"))):
+            assert_outcome(outcome(solve_lyapunov, A, Q), want)
 
     @pytest.mark.parametrize("exit_, message", [
         ("residual", r"^Lyapunov residual \S+ exceeds 1e-10 \* scale \(\S+\)$"),

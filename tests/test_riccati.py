@@ -590,3 +590,40 @@ class TestStackedCertify:
         shapes, levels = 2, 10   # at most 10 levels per distance (test_eigensolves_per_call)
         assert 2 * shapes <= counts["eigvals"] <= shapes * (levels + 2) < 64
         assert 2 * shapes <= counts["svd"] <= shapes * (2 * levels + 3) < 64
+
+
+class TestLocality:
+    """A subsystem's certificate rests on its own data and its incoming
+    edges only (the paper's local-information claim): an edge can be
+    plugged in or out without moving any record but those of its ends."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind,n", [("ring", 9), ("mesh", 16), ("random", 12)])
+    def test_one_edge_moves_only_its_ends(self, kind, n, seed):
+        # two edges j -> i removed and two added (a matrix edge and a
+        # bound-only one), one at a time: every record but i's and j's keeps
+        # its bits
+        rng = np.random.default_rng([61, seed, n])
+        net = graph_net(rng, kind, n)
+        want = {c.sid: record_bits(c) for c in certify(net).subsystems}
+        cases = [([e for e in net.edges if e is not net.edges[k]], net.edges[k])
+                 for k in rng.choice(len(net.edges), 2, replace=False).tolist()]
+        present = {(e.src, e.dst) for e in net.edges}
+        absent = [(j, i) for j in net.ids for i in net.ids if j != i and (j, i) not in present]
+        for bound in (False, True):
+            j, i = absent[int(rng.integers(len(absent)))]
+            shape = (net.subsystem(i).dim, net.subsystem(j).dim)
+            e = (Interconnection(src=j, dst=i, norm_bound=float(rng.uniform(0.1, 2.0)))
+                 if bound else Interconnection(src=j, dst=i, A=rng.normal(size=shape)))
+            cases.append(([*net.edges, e], e))
+        compared = 0
+        for edges, moved in cases:
+            other = NetworkModel(subsystems=net.subsystems, edges=edges, desired=net.checked,
+                                 tuning=net.tuning)
+            got = {c.sid: record_bits(c) for c in certify(other).subsystems}
+            assert got[moved.dst] != want[moved.dst]  # its neighbour count moved
+            for sid in net.ids:
+                if sid not in (moved.src, moved.dst):
+                    assert got[sid] == want[sid], (moved.src, moved.dst, sid)
+                    compared += 1
+        assert compared == len(cases) * (n - 2)

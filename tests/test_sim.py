@@ -509,6 +509,16 @@ class TestScenarioCheck:
         with pytest.raises(DimensionError, match=f"^{re.escape(fault)}$"):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize("key", ["references", "disturbances", "theta", "theta_hat0",
+                                     "x0", "xhat0"])
+    @pytest.mark.parametrize("value", [[1, 2], None, "a"], ids=["list", "none", "str"])
+    def test_per_id_field_not_a_mapping_names_its_field(self, key, value):
+        # a list raised AttributeError ('list' object has no attribute 'items'),
+        # for the schedules only later, in simulate
+        with pytest.raises(GascertError,
+                           match=f"^{key}: expected a mapping keyed by subsystem id$"):
+            Scenario(horizon=1.0, dt=0.1, **{key: value})
+
     def test_int_beyond_int64_accepted(self):
         trace = simulate(wide_net(), Scenario(horizon=0.01, dt=1e-3, x0={"a": [2 ** 70, 0, 0]}))
         assert trace.xbar["a"][0, 0] == 2.0 ** 70
@@ -751,6 +761,14 @@ class TestTraceMechanics:
             export_csv(trace, buf)
             csv.append(buf.getvalue())
         assert csv[0] == csv[1]
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_certificate_of_another_network_names_the_subsystem(self, mode):
+        # a certificate with no record of a subsystem raised a bare KeyError: 'a'
+        net, sc, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        mesh, _, _ = load_config(CONFIG_DIR / "mesh6.json")
+        with pytest.raises(GascertError, match="^certificate has no record of subsystem a$"):
+            simulate(net, sc, mode=mode, certificate=certify(mesh))
 
     def test_rk4_order(self):
         # halving the step shrinks the end-state error against a dt/8
