@@ -23,9 +23,11 @@ owns its weight ``Q``: it symmetrizes it and eigen-solves it once, for
 the definiteness check and the ``lam_min_Q`` the comparison system
 reads.  A network first eigen-solves the desired records it keeps that
 have no spectrum yet, in one stack per size (a record shared by
-subsystems once for all), then reads and checks each subsystem in turn;
-it solves every Lyapunov weight, in one stack per size, on the first
-read of any, and derives nothing from its edges.
+subsystems once for all), then reads and checks each subsystem in turn,
+its desired record's Hurwitz test included: the one test the stacked
+kernels rely on for a network's records.  It solves every Lyapunov
+weight, in one stack per size, on the first read of any, and derives
+nothing from its edges.
 ``_edge_table`` is the one derivation of edge data (positions, and gains
 from ``numerics._norms``), built by each pipeline that reads it.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -259,12 +262,13 @@ class NetworkModel:
     records) are stored in new read-only mappings, matrices as read-only copies
     (a ``Checked`` record's matrix, and a zero baseline gain, as they are);
     a desired matrix given as a square ``Checked`` record of the right size
-    is kept as that record.
+    is kept as that record.  Each record in ``checked`` has passed the
+    Hurwitz test, so the stacked kernels take it untested.
     The first ``lyapunov(sid)`` call solves every subsystem's Lyapunov
     weight through one ``numerics._per_shape`` call (one stack per size),
-    makes each solution read-only in place and keeps it, or keeps the error
-    of a member that fails; a call returns its id's solution, or raises
-    its id's error, and solves nothing more.
+    makes each solution read-only in place and keeps it (``_solved``), or
+    keeps the error of a member that fails; a call returns its id's
+    solution, or raises its id's error, and solves nothing more.
     A copy (``pickle``, ``copy.deepcopy``) is rebuilt through the
     constructors, so it passes the same checks and holds read-only arrays.
     """
@@ -301,7 +305,6 @@ class NetworkModel:
                     raise DimensionError(
                         f"edge {e.src}->{e.dst}: block is {e.A.shape}, expected {want}"
                     )
-        object.__setattr__(self, "_lyapunov", None)
         # the desired records the loop keeps as they are, if they have no spectrum
         # yet, are eigen-solved first, in one stack per size (a shared one once)
         _per_shape(_spectra, list({id(r): r for s in self.subsystems if s.sid in self.desired
@@ -364,21 +367,23 @@ class NetworkModel:
     def neighbor_count(self, sid):
         return len(self.in_edges(sid))
 
+    @cached_property
+    def _solved(self):
+        """Every subsystem's Lyapunov solution, made read-only in place, or its
+        error, by id: one ``_per_shape`` call of ``numerics._lyapunovs`` on the
+        ``checked`` records, which are Hurwitz by construction."""
+        solved = _per_shape(_lyapunovs, [self.checked[i] for i in self.ids],
+                            [self.tuning[i].Q for i in self.ids])
+        return {sid: P if isinstance(P, Exception) else _frozen(P)
+                for sid, P in zip(self.ids, solved)}
+
     def lyapunov(self, sid):
         """``P_i`` solving ``A_m' P + P A_m + Q_i = 0`` for the desired dynamics
         and tuning weight of ``sid``, as ``solve_lyapunov`` gives it; the error
         ``solve_lyapunov`` raises is raised here.  The first call solves every
-        subsystem's, in one ``_per_shape`` call of ``numerics._lyapunovs``."""
-        memo = self._lyapunov
-        if memo is None:
-            solved = _per_shape(_lyapunovs, [self.checked[i] for i in self.ids],
-                                [self.tuning[i].Q for i in self.ids])
-            for P in solved:
-                if not isinstance(P, Exception):
-                    P.flags.writeable = False
-            memo = dict(zip(self.ids, solved))
-            object.__setattr__(self, "_lyapunov", memo)
-        P = memo[sid]
+        subsystem's (``_solved``, kept as ``Checked.spectrum`` keeps a
+        spectrum)."""
+        P = self._solved[sid]
         if isinstance(P, Exception):
             raise P
         return P

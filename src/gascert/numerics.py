@@ -25,7 +25,11 @@ gain-block reference model, the rows of ``B`` the PBH test takes).  Each
 check of a Lyapunov weight has one owner: ``model.Tuning`` checks its
 ``Q`` (and keeps ``lam_min(Q)``), ``solve_lyapunov`` a caller's at its
 door, and the stacked kernel takes weights so checked, as the Riccati
-kernel takes its weights.
+kernel takes its weights.  Each Hurwitz test has one owner too: the
+network tests each desired record once, at load, and each public door
+(``solve_lyapunov``, ``solve_are``, ``hinf_gain``,
+``distance_to_instability``) its caller's record, after its other
+checks; the stacked kernels test no member.
 
 Spectra are solved in stacks: ``_spectra`` solves same-size records by
 one ``_eigvals`` call, each row sorted and typed as ``eigenvalues`` gives
@@ -60,8 +64,8 @@ appearance, and every result, an error value too, is put back at its
 item's place.  ``_norms`` is the spectral norm on that rule.  ``certify``,
 ``small_gain_check``, the edge table, the network's Lyapunov weights and
 the comparison system's extremes of ``P`` ask these two for their
-stacks; the stacked kernels take numbers their callers have read and
-checked.
+stacks; the stacked kernels take records and numbers their callers have
+read and checked, with no exception, and check none of them again.
 """
 
 from __future__ import annotations
@@ -326,22 +330,17 @@ def _bartels_stewart(a, q, lwork):
 
 
 def _lyapunovs(recs, Q):
-    """``solve_lyapunov`` for each square record of one size, with its weight
-    ``Q[i]`` (``Q`` one stack of weights the caller has checked, as
+    """``solve_lyapunov`` for each Hurwitz square record of one size, with its
+    weight ``Q[i]`` (records and weights the caller has checked, as
     ``solve_lyapunov`` does at its door): per record the solution or the
     error ``solve_lyapunov`` raises past that door.
 
-    The Hurwitz test, the Schur factorisation and the triangular solve run
-    per member, and a failing one is that member's error.  The members are
-    kept by the module's rule.
+    The Schur factorisation and the triangular solve run per member, and a
+    failing one is that member's error.  The members are kept by the
+    module's rule.
     """
-    out = [None if is_hurwitz(r) else StabilityError(
-        "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
-        for r in recs]
-    live = [i for i, o in enumerate(out) if o is None]
-    if not live:
-        return out
-    A, Q = np.array([recs[i].A for i in live]), Q[live]
+    out, live = [None] * len(recs), list(range(len(recs)))
+    A = np.array([r.A for r in recs])
     P = np.empty_like(A)
     lwork = _gees_lwork(A.shape[1])
     for j, i in enumerate(live):
@@ -409,6 +408,9 @@ def solve_lyapunov(A, Q):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T).min() <= 0.0:
         raise ValueError("Q must be positive definite")
+    if not is_hurwitz(rec):
+        raise StabilityError(
+            "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
     return _alone(_lyapunovs([rec], Q[None]))
 
 
@@ -646,10 +648,11 @@ def _standing(out, live, *stacks):
 
 
 def _solve_ares(recs, N, q):
-    """``solve_are`` for each square record of one size, with its weights
-    ``N[i]`` and ``q[i]`` (two stacks of numbers the caller has read and
-    checked, as ``solve_are`` does at its door): per record an
-    ``AreSolution`` or the error ``solve_are`` raises past that door.
+    """``solve_are`` for each Hurwitz square record of one size, with its
+    weights ``N[i]`` and ``q[i]`` (records and two stacks of numbers the
+    caller has read and checked, as ``solve_are`` does at its door): per
+    record an ``AreSolution`` or the error ``solve_are`` raises past that
+    door.
 
     Each member is solved in units where ``Am``, ``q`` and ``P`` are of
     order one, so the verdict does not depend on the time unit: ``Am / c``,
@@ -665,16 +668,13 @@ def _solve_ares(recs, N, q):
     it: a singular basis is that member's error where it arises.  The
     members are kept by the module's rule.
     """
-    out = [None if is_hurwitz(r) else StabilityError("Am is not Hurwitz") for r in recs]
-    live = [i for i, o in enumerate(out) if o is None]
-    if not live:
-        return out
+    out, live = [None] * len(recs), list(range(len(recs)))
     n = recs[0].A.shape[0]
     eye = np.eye(n)
-    A = np.array([recs[i].A for i in live])
-    Nf, qf = (np.asarray(w)[live, None, None] for w in (N, q))
+    A = np.array([r.A for r in recs])
+    Nf, qf = (np.asarray(w)[:, None, None] for w in (N, q))
     a = _exponents(A)  # c = 2^a, d = 2^b
-    b = np.frexp(qf.ravel())[1] - np.frexp([-2.0 * recs[i].spectrum.real.max() for i in live])[1]
+    b = np.frexp(qf.ravel())[1] - np.frexp([-2.0 * r.spectrum.real.max() for r in recs])[1]
     a, b = (np.where((np.abs(a) > 8) | (np.abs(b) > 8), e, 0) for e in (a, b))
     A, Nf, qf = (np.ldexp(X, e[:, None, None]) for X, e in ((A, -a), (Nf, b - a), (qf, -a - b)))
     H = _hamiltonian(A, Nf * eye, qf * eye)
@@ -682,25 +682,25 @@ def _solve_ares(recs, N, q):
     lwork = _gees_lwork(2 * n)
     for j, crossed in enumerate(_crossings(A, H, np.sqrt(Nf * qf).ravel())):
         if isinstance(crossed, Exception):
-            out[live[j]] = crossed
+            out[j] = crossed
         elif crossed:
-            out[live[j]] = StabilityError(
+            out[j] = StabilityError(
                 "Hamiltonian has imaginary-axis eigenvalues: the distance condition is "
                 "violated and the Riccati equation has no stabilizing solution")
         else:
             try:
                 _, Z, sdim = _schur(H[j], lwork, lhp=True)
             except np.linalg.LinAlgError as exc:
-                out[live[j]] = exc
+                out[j] = exc
                 continue
             if sdim != n:
-                out[live[j]] = SolverError(
+                out[j] = SolverError(
                     f"stable invariant subspace has dimension {sdim}, expected {n}")
                 continue
             try:  # P = V U^{-1}, solved as U' P' = V'
                 P[j] = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
             except np.linalg.LinAlgError as exc:
-                out[live[j]] = SolverError(f"invariant-subspace basis is singular: {exc}")
+                out[j] = SolverError(f"invariant-subspace basis is singular: {exc}")
     live, A, Nf, qf, P, a, b = _standing(out, live, A, Nf, qf, P, a, b)
     if not live:
         return out
@@ -767,6 +767,8 @@ def solve_are(Am, N, q):
     """
     rec = _record(Am, "Am")
     N, q = _check_weights(N, q)
+    if not is_hurwitz(rec):
+        raise StabilityError("Am is not Hurwitz")
     return _alone(_solve_ares([rec], [N], [q]))
 
 
@@ -794,15 +796,15 @@ def _segment_argmax(owner, values):
 
 def _peak_gains(recs, M=None, dtols=None):
     """Level-set iteration for ``sup_w sigma_max(M[i] (jwI - A)^{-1})``, for
-    each square record ``A = recs[i]`` of one size: the one entry to it.
+    each Hurwitz square record ``A = recs[i]`` of one size: the one entry to it.
 
     The quadratically convergent scheme of Boyd and Balakrishnan (1990)
     and Bruinsma and Steinbuch (1990).  ``M = None`` stands for the
     identity and gives the distance to instability; a given ``M`` is a
     stack of shape ``(k, p, n)``, one output matrix per record (a shared
-    one passed as a broadcast stack), and gives the H-infinity gain.  A
-    record that is not Hurwitz gets the ``StabilityError`` of
-    ``distance_to_instability`` or ``hinf_gain``.  The kernel sets its own
+    one passed as a broadcast stack), and gives the H-infinity gain.  The
+    caller has tested each record for Hurwitz, as ``hinf_gain`` and
+    ``distance_to_instability`` do at their doors.  The kernel sets its own
     accuracy: relative ``_HINF_RTOL`` for a gain; for a distance relative
     ``_DIST_RTOL`` and absolute ``dtols[i]``, which only the public
     ``distance_to_instability`` gives, else ``1e-12 * ||A||_2``, so a
@@ -846,24 +848,20 @@ def _peak_gains(recs, M=None, dtols=None):
     else ``(g, w)`` with ``g`` the gain attained at ``w``; or the error
     that stopped its iteration.
     """
-    why = "distance to instability is zero" if M is None else "H-infinity gain is unbounded"
-    out = [None if is_hurwitz(r) else StabilityError(f"Am is not Hurwitz: the {why}") for r in recs]
-    live = [i for i, o in enumerate(out) if o is None]
-    if not live:
-        return out
-    A = np.array([recs[i].A for i in live])
+    out, live = [None] * len(recs), list(range(len(recs)))
+    A = np.array([r.A for r in recs])
     if M is not None:
-        M, rtol, dtol = M[live], _HINF_RTOL, np.zeros(len(live))
+        rtol, dtol = _HINF_RTOL, np.zeros(len(recs))
     elif dtols is None:
         rtol, dtol = _DIST_RTOL, 1e-12 * np.linalg.svd(A, compute_uv=False)[:, 0]
     else:
-        rtol, dtol = _DIST_RTOL, np.asarray(dtols)[live]
-    Ab, T, B = (np.array(X) for X in zip(*(recs[i].balanced for i in live)))
+        rtol, dtol = _DIST_RTOL, np.asarray(dtols)
+    Ab, T, B = (np.array(X) for X in zip(*(r.balanced for r in recs)))
     C = T if M is None else M @ T
     c = _scales(C)
     C = c[:, None, None] * C
     BB, CC = B @ B.transpose(0, 2, 1), C.transpose(0, 2, 1) @ C
-    lam = np.array([recs[i].spectrum for i in live])
+    lam = np.array([r.spectrum for r in recs])
     owner, ws = _unique_rows(np.concatenate((np.zeros((len(live), 1)), np.abs(lam.imag)),
                                             axis=1))
     gains, smin = _gains(A, M, owner, ws)
@@ -911,9 +909,9 @@ def hinf_gain(M, Am):
     """Peak frequency-response gain ``sup_w sigma_max(M (jwI - Am)^{-1})``.
 
     Computed by the level-set iteration of ``_peak_gains`` (a stack of
-    one), which tests ``Am`` and sets the accuracy (1e-12 relative); the
-    returned value is the gain attained at the maximising frequency.  A
-    zero ``M`` gives 0.0, after that test.
+    one), which sets the accuracy (1e-12 relative), once ``Am`` has passed
+    the Hurwitz test; the returned value is the gain attained at the
+    maximising frequency.  A zero ``M`` gives 0.0, after that test.
 
     Raises
     ------
@@ -924,6 +922,8 @@ def hinf_gain(M, Am):
     M = as_matrix(M, "M")
     if M.shape[1] != rec.A.shape[0]:
         raise DimensionError(f"M has {M.shape[1]} columns, expected {rec.A.shape[0]}")
+    if not is_hurwitz(rec):
+        raise StabilityError("Am is not Hurwitz: the H-infinity gain is unbounded")
     return _alone(_peak_gains([rec], M[None]))[0]
 
 
@@ -940,4 +940,6 @@ def distance_to_instability(Am, tol=1e-9):
     tol = numeric_scalar(tol, "tol")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not is_hurwitz(rec):
+        raise StabilityError("Am is not Hurwitz: the distance to instability is zero")
     return _alone(_peak_gains([rec], None, [tol]))

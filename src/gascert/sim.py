@@ -49,7 +49,7 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, SolverError
 from .model import NetworkModel
-from .numerics import _rebuilt, numeric_array, numeric_scalar
+from .numerics import _rebuilt, as_matrix, numeric_array, numeric_scalar
 
 __all__ = [
     "NetworkState",
@@ -243,7 +243,12 @@ class _Kernel:
                 Pk = None if certificate is None else certificate.P(sid)
             except KeyError:
                 raise GascertError(f"certificate has no record of subsystem {sid}") from None
-            self.Pc[k, :p, :p] = net.lyapunov(sid) if Pk is None else Pk
+            if Pk is None:
+                Pk = net.lyapunov(sid)
+            elif (Pk := as_matrix(Pk, f"certificate.P.{sid}", square=True)).shape[0] != p:
+                raise DimensionError(f"certificate.P.{sid}: expected shape {(p, p)}, "
+                                     f"got {Pk.shape}")
+            self.Pc[k, :p, :p] = Pk
             self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
             refs.append(scenario.references.get(sid) or Schedule.constant(np.zeros(s.q)))
@@ -435,10 +440,13 @@ def simulate(net, scenario: Scenario, mode="distributed",
     The Lyapunov series is recorded when a certificate is supplied (its
     per-subsystem weights are used both by the distributed adaptation law
     and by the diagnostic); it must hold a record of every subsystem, else
-    a ``GascertError`` names the first one missing.  Divergence (a state
-    entry beyond 1e150, the initial state's included) truncates the trace
-    before that sample and sets the flag; it is not an exception.  A start
-    beyond it records no sample and is diverged at t = 0.
+    a ``GascertError`` names the first one missing.  Each record's ``P`` is
+    read by ``numeric_array`` and must be ``dim x dim`` (errors name
+    ``certificate.P.<sid>``); a record without one takes the network's
+    ``lyapunov(sid)``.  Divergence (a state entry beyond 1e150, the initial
+    state's included) truncates the trace before that sample and sets the
+    flag; it is not an exception.  A start beyond it records no sample and
+    is diverged at t = 0.
     """
     kern = _Kernel(net, scenario, mode, certificate)
     n_steps, dt = int(round(scenario.horizon / scenario.dt)), scenario.dt
@@ -518,17 +526,22 @@ def export_csv(trace: SimTrace, stream):
     One row per sample element, floats rendered with 17 significant
     digits; row order is fixed (time, then subsystem in model order, then
     series, then element index), so identical traces serialize to
-    identical bytes.  Each time sample is one ``%`` format of a template
-    built once, written in one call.
+    identical bytes.  An id holding a comma, a double quote or a line
+    break is quoted as RFC 4180 asks (wrapped in ``"``, each inner ``"``
+    doubled); every other id is written as it is.  Each time sample is one
+    ``%`` format of a template built once, written in one call.
     """
     series, rows = [], [""]
     for sid in trace.ids:
+        cell = str(sid)
+        if any(c in cell for c in ',"\r\n'):
+            cell = '"' + cell.replace('"', '""') + '"'
         for name, data in (("state", trace.xbar), ("predictor", trace.xhat),
                            ("estimate", trace.theta_hat), ("u_bl", trace.u_bl),
                            ("u_mrac", trace.u_mrac), ("output", trace.output),
                            ("reference", trace.reference), ("error_norm", trace.error_norm)):
             series.append(data[sid])
-            rows += [f",{sid},{name},{j},".replace("%", "%%") + "%.17g\n"
+            rows += [f",{cell},{name},{j},".replace("%", "%%") + "%.17g\n"
                      for j in range(int(np.prod(data[sid].shape[1:])))]
     if trace.lyapunov is not None:
         series.append(trace.lyapunov)

@@ -382,6 +382,37 @@ class TestChecked:
         with pytest.raises(DimensionError, match="M has 2 columns, expected 1"):
             hinf_gain(flat, Checked([[-1.0]]))
 
+    @pytest.mark.parametrize("door, message", [
+        (lambda A: solve_lyapunov(A, np.eye(2)),
+         "A is not Hurwitz: the Lyapunov equation has no positive definite solution"),
+        (lambda A: solve_are(A, 1, 1.0), "Am is not Hurwitz"),
+        (lambda A: hinf_gain(np.ones((1, 2)), A),
+         "Am is not Hurwitz: the H-infinity gain is unbounded"),
+        (lambda A: distance_to_instability(A),
+         "Am is not Hurwitz: the distance to instability is zero"),
+    ], ids=["solve_lyapunov", "solve_are", "hinf_gain", "distance_to_instability"])
+    def test_each_door_owns_its_hurwitz_test(self, door, message):
+        # the stacked kernels trust their callers: each public door tests its
+        # caller's matrix, an array or a Checked record, with its own message
+        for A in ([[0.0, 1.0], [-1.0, 0.0]], np.diag([-1.0, 2.0]),
+                  Checked([[-1.0, 5.0], [0.0, 0.0]], square=True),
+                  Checked(np.diag([1e-300, -1.0]), "Am", square=True)):
+            assert_outcome(outcome(door, A), StabilityError(message))
+
+    def test_doors_test_hurwitz_after_their_other_checks(self):
+        unstable = Checked([[1.0]], square=True)
+        for call, want in (
+                (lambda: solve_lyapunov(unstable, [[0.0]]),
+                 ValueError("Q must be positive definite")),
+                (lambda: solve_are(unstable, -1, 1.0),
+                 ValueError("N must be a non-negative count")),
+                (lambda: solve_are(unstable, 1, -1.0), ValueError("q must be non-negative")),
+                (lambda: hinf_gain(np.eye(2), unstable),
+                 DimensionError("M has 2 columns, expected 1")),
+                (lambda: distance_to_instability(unstable, tol=0.0),
+                 ValueError("tol must be positive"))):
+            assert_outcome(outcome(call), want)
+
     def test_copy_read_again(self):
         # a pickled or deep-copied record is rebuilt through the constructor: a
         # read-only copy of the same bits, whose spectrum is solved again on use
@@ -1093,19 +1124,21 @@ class TestDirectLapack:
         recs = [Checked(random_hurwitz(rng, 3), square=True) for _ in range(4)]
         recs[2] = Checked(-random_hurwitz(rng, 3), square=True)
         Qs = np.array([np.eye(3)] * 4)
-        # the kernel takes checked weights: the Hurwitz test is its members' own
-        got = numerics._lyapunovs(recs, Qs)
-        assert_outcome(got[2], StabilityError(
-            "A is not Hurwitz: the Lyapunov equation has no positive definite solution"))
-        for k in (0, 1, 3):
-            assert_same_bits(got[k], scipy_lyapunov(recs[k].A, Qs[k]))
-        # the weights are checked at solve_lyapunov's door, in this order
+        # the kernel takes checked records and weights: each member its own solve
+        hurwitz = [0, 1, 3]
+        got = numerics._lyapunovs([recs[k] for k in hurwitz], Qs[hurwitz])
+        for j, k in enumerate(hurwitz):
+            assert_same_bits(got[j], scipy_lyapunov(recs[k].A, Qs[k]))
+        # the weights, then the record, are checked at solve_lyapunov's door, in this order
         Qs[0, 0, 1] = 1e-3
         Qs[3, 1, 1] = -1.0
         for A, Q, want in ((recs[0], np.zeros((2, 2)),
                             DimensionError("Q must match A: (2, 2) vs (3, 3)")),
                            (recs[2], Qs[0], ValueError("Q must be symmetric")),
-                           (recs[2], Qs[3], ValueError("Q must be positive definite"))):
+                           (recs[2], Qs[3], ValueError("Q must be positive definite")),
+                           (recs[2], Qs[1], StabilityError(
+                               "A is not Hurwitz: the Lyapunov equation has no positive "
+                               "definite solution"))):
             assert_outcome(outcome(solve_lyapunov, A, Q), want)
 
     @pytest.mark.parametrize("exit_, message", [

@@ -15,16 +15,22 @@ from gascert import (
     Interconnection,
     NetworkModel,
     NonFiniteError,
+    Scenario,
     SolverError,
     StabilityError,
     Tuning,
+    analyze,
     certify,
     cli,
+    connective,
     distance_to_instability,
     epsilon_margin,
     interconnection_energy,
+    model,
     numerics,
     riccati,
+    simulate,
+    small_gain_check,
     solve_are,
     solve_lyapunov,
     spectral_norm,
@@ -99,6 +105,49 @@ def graph_net(rng, kind, n):
         edges=edges, desired={sid: random_hurwitz(rng, k) for sid, k in dim.items()},
         tuning={sid: Tuning(Q=np.eye(k), gamma=1.0, theta_max=1.0, eps0=0.1)
                 for sid, k in dim.items()})
+
+
+class TestHurwitzOwnership:
+    """The network tests each desired record for Hurwitz at load; the stacked
+    kernels trust it and test no member again."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind,n", [("ring", 9), ("mesh", 16), ("random", 12)])
+    def test_kernels_receive_only_hurwitz_records(self, kind, n, seed, monkeypatch):
+        received = []
+        for module, name in ((riccati, "_peak_gains"), (riccati, "_solve_ares"),
+                             (connective, "_peak_gains"), (model, "_lyapunovs")):
+            def hurwitz_only(recs, *args, real=getattr(module, name), at=(module, name)):
+                for r in recs:  # the oracle solves the spectrum afresh
+                    assert np.linalg.eigvals(r.A).real.max() < 0.0
+                received.append((at, len(recs)))
+                return real(recs, *args)
+
+            monkeypatch.setattr(module, name, hurwitz_only)
+        rng = np.random.default_rng([59, seed, n])
+        net = graph_net(rng, kind, n)
+        # weakly coupled, so that subsystems reach the Riccati solve
+        weak = NetworkModel(subsystems=net.subsystems, desired=net.checked, tuning=net.tuning,
+                            edges=[dataclasses.replace(e, norm_bound=0.01 * e.norm_bound)
+                                   if e.A is None else dataclasses.replace(e, A=0.01 * e.A)
+                                   for e in net.edges])
+        for each in (net, weak):
+            certify(each)
+            small_gain_check(each)
+        # a network of its own: analyze and the simulator solve its weights afresh
+        for run in (analyze, lambda net: simulate(net, Scenario(horizon=0.003, dt=1e-3),
+                                                  mode="decentralized"),
+                    lambda net: simulate(net, Scenario(horizon=0.003, dt=1e-3))):
+            run(NetworkModel(subsystems=net.subsystems,
+                             edges=[e for e in net.edges if e.A is not None],
+                             desired=net.checked, tuning=net.tuning))
+        members = {at: 0 for at, _ in received}
+        for at, k in received:
+            members[at] += k
+        assert members[riccati, "_solve_ares"] > 0
+        assert members[riccati, "_peak_gains"] == 2 * n
+        assert members[connective, "_peak_gains"] == 2 * len(net.edges)
+        assert members[model, "_lyapunovs"] == 3 * n
 
 
 class TestIncomingTable:

@@ -1,6 +1,8 @@
 import copy
+import csv
 import dataclasses
 import io
+import json
 import pickle
 import re
 import sys
@@ -16,10 +18,12 @@ import gascert.model
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
+    GasCertificate,
     GascertError,
     Interconnection,
     NetworkModel,
     NetworkState,
+    NonFiniteError,
     Scenario,
     Schedule,
     Tuning,
@@ -32,7 +36,7 @@ from gascert import (
     metrics,
     simulate,
 )
-from gascert.config import load_config
+from gascert.config import load_config, parse_config
 from gascert.numerics import _lyapunovs, solve_lyapunov
 from gascert.sim import _Kernel
 
@@ -770,6 +774,38 @@ class TestTraceMechanics:
         with pytest.raises(GascertError, match="^certificate has no record of subsystem a$"):
             simulate(net, sc, mode=mode, certificate=certify(mesh))
 
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_certificate_P_is_read_and_sized(self, mode):
+        # a record's P went into the kernel unread: a 3x3 P for a 2x2 subsystem
+        # ended in numpy's broadcast ValueError, a boolean P was taken as it
+        # was, and a NaN P gave a diverged trace with a NaN Lyapunov value
+        net, sc, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        sc = dataclasses.replace(sc, horizon=20 * sc.dt)
+        cert = certify(net)
+
+        def with_P(**P):
+            return GasCertificate([dataclasses.replace(c, P=P.get(c.sid, c.P))
+                                   for c in cert.subsystems], cert.certified)
+
+        for P, error, message in (
+                (np.eye(3), DimensionError,
+                 r"^certificate\.P\.a: expected shape \(2, 2\), got \(3, 3\)$"),
+                ([[1.0, 0.0]], DimensionError,
+                 r"^certificate\.P\.a must be square, got shape \(1, 2\)$"),
+                (np.eye(2, dtype=bool), GascertError, r"^certificate\.P\.a: not a numeric array$"),
+                (np.full((2, 2), np.nan), NonFiniteError,
+                 r"^certificate\.P\.a: non-finite entries$")):
+            with pytest.raises(error, match=message):
+                simulate(net, sc, mode=mode, certificate=with_P(a=P))
+        # a P given as lists is read as its numbers; a record with no P takes
+        # the network's own solution
+        want = simulate(net, sc, mode=mode, certificate=cert).lyapunov
+        got = simulate(net, sc, mode=mode, certificate=with_P(a=cert.P("a").tolist())).lyapunov
+        assert_same_bits(got, want)
+        net_P = with_P(a=net.lyapunov("a"), b=net.lyapunov("b"))
+        assert_same_bits(simulate(net, sc, mode=mode, certificate=with_P(a=None, b=None)).lyapunov,
+                         simulate(net, sc, mode=mode, certificate=net_P).lyapunov)
+
     def test_rk4_order(self):
         # halving the step shrinks the end-state error against a dt/8
         # reference by about 2^4
@@ -905,3 +941,21 @@ class TestCsvExport:
         export_csv(trace, str(path))
         assert path.read_bytes() == want.getvalue().encode()
         assert ("network,lyapunov" in want.getvalue()) == (trace.lyapunov is not None)
+
+    @pytest.mark.parametrize("sid", ['a,"x"', 'a"x', "a\nx", "a\r\nx", ",", '"'])
+    def test_ids_are_quoted_as_rfc_4180_asks(self, sid):
+        # an id holding a comma split its rows into 6 fields; a quote or a line
+        # break broke the row for csv.reader too
+        doc = json.loads((CONFIG_DIR / "toy_pair.json").read_text()
+                         .replace('"a"', json.dumps(sid)))
+        doc["scenario"]["horizon"] = 0.005
+        net, sc = parse_config(doc)
+        assert net.ids == [sid, "b"]
+        buf = io.StringIO()
+        export_csv(simulate(net, sc, certificate=certify(net)), buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+        assert {len(row) for row in rows} == {5}
+        assert {row[1] for row in rows[1:]} == {sid, "b", "network"}
+        assert sum(row[1] == sid for row in rows) == sum(row[1] == "b" for row in rows) > 0
+        # every other id keeps its bytes
+        assert "\n0,b,state,0," in buf.getvalue()
