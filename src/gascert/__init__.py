@@ -70,7 +70,6 @@ from .riccati import (
     interconnection_energy,
 )
 from .sim import (
-    NetworkState,
     Scenario,
     Schedule,
     SimTrace,

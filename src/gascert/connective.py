@@ -124,12 +124,9 @@ def _adaptation_offsets(net, lmin_P, lmax_P, lmin_Q, src, dst, gain):
         return tmax * term
 
 
-def diagonal_dominance_rows(M):
-    """Row-wise verdicts of ``|M[i][i]| > sum_j!=i M[i][j]`` (strict)."""
-    return _dominance_rows(as_matrix(M, "M"))
-
-
-def _dominance_rows(M):  # of a built M: a row with an entry that is not finite fails
+def _dominance_rows(M):
+    """Row-wise verdicts of ``|M[i][i]| > sum_j!=i M[i][j]`` (strict) of a
+    built ``M``: a row with an entry that is not finite fails."""
     off = M - np.diag(np.diag(M))
     return np.abs(np.diag(M)) > np.sum(off, axis=1)
 
@@ -155,8 +152,8 @@ def _conditions(M, offsets):
     rows = _dominance_rows(M)
     cond_diag = bool(np.all(rows))
     finite = bool(np.isfinite(M).all())
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if M.size else 0.0
-    cond_norm = bool(finite and norm1 > np.max(np.abs(offsets))) if offsets.size else finite
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    cond_norm = bool(finite and norm1 > np.max(np.abs(offsets)))
     M_stable = bool(finite and np.max(eigenvalues(M).real) < 0.0)
     return rows, cond_diag, cond_norm, M_stable
 

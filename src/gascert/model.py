@@ -69,8 +69,6 @@ def check_controllability(A, B):
     n = A.A.shape[0]
     if B.A.shape[0] != n:
         raise DimensionError(f"B has {B.A.shape[0]} rows, expected {n}")
-    if n == 0:
-        return True
     pencil = np.empty((n, n, n + B.A.shape[1]), dtype=complex)
     pencil[:, :, :n] = A.A - A.spectrum[:, None, None] * np.eye(n)
     pencil[:, :, n:] = B.A

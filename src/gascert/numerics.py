@@ -32,11 +32,15 @@ network tests each desired record once, at load, and each public door
 checks; the stacked kernels test no member.
 
 Spectra are solved in stacks: ``_spectra`` solves same-size records by
-one ``_eigvals`` call, each row sorted and typed as ``eigenvalues`` gives
-that member alone, and keeps each as its record's ``spectrum``;
-``Checked.spectrum`` is a stack of one, and a network's Hurwitz test
-solves every desired record without a spectrum in one ``_per_shape``
-call.
+one ``_eigvals`` call and keeps each row as its record's ``spectrum``;
+``Checked.spectrum`` is a stack of one, ``eigenvalues`` is the spectrum of
+its argument's record, and a network's Hurwitz test solves every desired
+record without a spectrum in one ``_per_shape`` call.  One rule,
+``_ordered``, sorts and types every spectrum the module gives, each
+record's and each Riccati closed loop's: by (real part, imag part), and
+real where no eigenvalue has an imaginary part, so a member of a stack
+gets the row it gets alone.  ``_eigvals`` calls no public function: a
+member numpy refuses is solved alone, and its error is its own.
 
 The crossing test, the level-set iteration, the Riccati solve and the
 Lyapunov solve each run on a stack of records of one size, one LAPACK call
@@ -48,13 +52,14 @@ alone, and a member's error is its own.  The per-matrix LAPACK routines
 per-call layer, in scipy's arithmetic, so each result is the one
 ``scipy.linalg.schur``, ``matrix_balance`` or ``solve_continuous_lyapunov``
 gives, bit for bit.  The public kernels are stacks of one, each finished
-by ``_alone``.  The level-set iteration takes one
-output matrix per member and starts each member from ``w = 0`` and the
-distinct ``|Im lambda|`` of its spectrum.  The stacked kernels keep their
-members by one rule: the stacks hold only the members still standing, and
-one ``live`` list holds their record ids; a step that decides a member's
-outcome writes it to ``out`` once; and the stacks are cut (``_standing``)
-only after a step at which some member has left.
+by ``_alone`` (``eigenvalues`` through ``Checked.spectrum``).  The
+level-set iteration takes one output matrix per member and starts each
+member from ``w = 0`` and the distinct ``|Im lambda|`` of its spectrum.
+The stacked kernels keep their members by one rule: the stacks hold only
+the members still standing, and one ``live`` list holds their record ids;
+a step that decides a member's outcome writes it to ``out`` once; and the
+stacks are cut (``_standing``) only after a step at which some member has
+left.
 
 Stacks are formed by one rule, ``_per_shape``, and nowhere else: the work
 items (records, or edges: anything with a matrix ``A``) are grouped by
@@ -103,7 +108,8 @@ __all__ = [
 def as_matrix(M, name="matrix", square=False):
     """``M`` read by ``numeric_array`` (a ``Checked`` record's ``A`` as is) as a 2-D array.
 
-    Scalars become 1x1 matrices, 1-D arrays become row vectors.
+    Scalars become 1x1 matrices, 1-D arrays become row vectors.  With
+    ``square``, a matrix that is not square, or has no rows, is refused.
     """
     A = M.A if isinstance(M, Checked) else numeric_array(M, name)
     if A.ndim < 2:
@@ -112,6 +118,8 @@ def as_matrix(M, name="matrix", square=False):
         raise DimensionError(f"{name} must be 2-D, got ndim={A.ndim}")
     if square and A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
+    if square and not A.size:
+        raise DimensionError(f"{name} must not be empty")
     return A
 
 
@@ -217,31 +225,28 @@ class Checked:
 
 
 def eigenvalues(A):
-    """Full spectrum of a square matrix, with multiplicity.
+    """Full spectrum of a square matrix, with multiplicity: ``Checked.spectrum``
+    of its record (``A`` itself if it is one), read-only.
 
     Parameters
     ----------
     A : (n, n) array_like
-        Real square matrix.
+        Real square matrix, not empty.
 
     Returns
     -------
-    (n,) complex ndarray
-        Eigenvalues sorted deterministically by (real part, imag part).
+    (n,) ndarray
+        Eigenvalues sorted deterministically by (real part, imag part);
+        real when none has an imaginary part, else complex.
 
     Raises
     ------
     DimensionError
-        If ``A`` is not square.
+        If ``A`` is not square, or empty.
     SolverError
         If the underlying QR iteration fails to converge.
     """
-    A = as_matrix(A, "A", square=True)
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return w[np.lexsort((w.imag, w.real))]
+    return _record(A, "A").spectrum
 
 
 def _record(M, name):  # M as a square record: itself if it is one, else read into one
@@ -404,7 +409,7 @@ def solve_lyapunov(A, Q):
     Q = as_matrix(Q, "Q", square=True)
     if Q.shape != rec.A.shape:
         raise DimensionError(f"Q must match A: {Q.shape} vs {rec.A.shape}")
-    if np.abs(Q - Q.T).max() > 1e-12 * max(1.0, np.abs(Q).max()):
+    if not _symmetric(Q):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(0.5 * Q + 0.5 * Q.T).min() <= 0.0:
         raise ValueError("Q must be positive definite")
@@ -412,6 +417,12 @@ def solve_lyapunov(A, Q):
         raise StabilityError(
             "A is not Hurwitz: the Lyapunov equation has no positive definite solution")
     return _alone(_lyapunovs([rec], Q[None]))
+
+
+def _symmetric(X):
+    """Whether ``|X - X'| <= 1e-12 * max(1, max|X|)`` entrywise: the symmetry rule
+    of a Lyapunov weight and of a certificate's ``P``."""
+    return bool(np.abs(X - X.T).max() <= 1e-12 * max(1.0, np.abs(X).max()))
 
 
 def _check_weights(N, q):  # the two weights, read by numeric_scalar, as floats
@@ -467,9 +478,9 @@ def _eigvals(H):
 
     One LAPACK call for the stack; each row holds what ``np.linalg.eigvals``
     gives that member alone.  If numpy refuses the stack (a non-finite
-    entry, an iteration that fails), each member is solved by
-    ``eigenvalues``, and a member it refuses gets a row of NaN and the
-    error it raises.
+    entry, an iteration that fails), each member is solved alone, and a
+    member numpy refuses gets a row of NaN and its error: a
+    ``NonFiniteError`` for a non-finite entry, else a ``SolverError``.
     """
     try:
         return np.linalg.eigvals(H), {}
@@ -478,23 +489,29 @@ def _eigvals(H):
     lam, errors = np.full(H.shape[:2], np.nan, dtype=complex), {}
     for i, h in enumerate(H):
         try:
-            lam[i] = eigenvalues(h)
-        except GascertError as exc:
-            errors[i] = exc
+            lam[i] = np.linalg.eigvals(h)
+        except np.linalg.LinAlgError as exc:
+            errors[i] = (SolverError(f"eigenvalue iteration did not converge: {exc}")
+                         if np.isfinite(h).all() else NonFiniteError("A: non-finite entries"))
     return lam, errors
+
+
+def _ordered(lam):
+    """Each row of the stack ``lam`` sorted by (real part, imag part), and real
+    where no entry has an imaginary part: the one rule for every spectrum the
+    module gives, so a member's row is what it gets alone."""
+    lam = np.sort(lam, axis=-1, kind="stable")  # complex: by real part, then imag part
+    return [w if c else w.real for w, c in zip(lam, lam.imag.any(axis=-1).tolist())]
 
 
 def _spectra(recs):
     """``eigenvalues`` of each square record of one size, read-only and kept
     as the record's ``spectrum``, or the error it raises: one ``_eigvals``
-    call for the stack, each row sorted and typed as ``np.linalg.eigvals``
-    gives that member alone."""
+    call for the stack, each row ordered by ``_ordered``."""
     lam, errors = _eigvals(np.array([r.A for r in recs]))
-    lam = _frozen(np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1))
-    real = ~lam.imag.any(axis=-1)
-    for i, rec in enumerate(recs):
+    for i, (rec, w) in enumerate(zip(recs, _ordered(lam))):
         if i not in errors:  # kept where the cached property keeps it
-            vars(rec)["spectrum"] = lam[i].real if real[i] else lam[i]
+            vars(rec)["spectrum"] = _frozen(w)
     return [errors.get(i) or vars(r)["spectrum"] for i, r in enumerate(recs)]
 
 
@@ -591,9 +608,9 @@ class AreSolution:
         Symmetric positive definite solution.
     residual_norm : float
         Frobenius norm of ``A'P + PA + N P^2 + q I``.
-    closed_loop_spectrum : (n,) complex ndarray
+    closed_loop_spectrum : (n,) ndarray
         Eigenvalues of ``A + N P`` (all in the open left half-plane),
-        sorted by (real, imag).
+        ordered as ``eigenvalues`` orders a spectrum (``_ordered``).
     """
 
     P: np.ndarray
@@ -717,10 +734,7 @@ def _solve_ares(recs, N, q):
         return out
     definite = (np.linalg.eigvalsh(P)[:, 0] > 0.0).tolist()
     lam, errors = _eigvals(np.ldexp(A + Nf * P, a[:, None, None]))
-    for j, i in enumerate(live):
-        w = lam[j]
-        if not np.count_nonzero(w.imag):  # as eigvals gives a member alone
-            w = w.real
+    for j, (i, w) in enumerate(zip(live, _ordered(lam))):
         if not definite[j]:
             out[i] = SolverError("Riccati solution is not positive definite")
         elif j in errors:
@@ -729,7 +743,7 @@ def _solve_ares(recs, N, q):
             out[i] = SolverError("closed-loop matrix Am + N*P is not stable")
         else:
             out[i] = AreSolution(P=np.ldexp(P[j], b[j]), residual_norm=float(residuals[j]),
-                                 closed_loop_spectrum=w[np.lexsort((w.imag, w.real))])
+                                 closed_loop_spectrum=w)
     return out
 
 

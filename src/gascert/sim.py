@@ -19,14 +19,16 @@ dynamics (the baseline loop is assumed to reject them).  Outputs are
 One stacked kernel evaluates the right-hand side of all N subsystems,
 each padded with zero blocks to the largest state dimension P and input
 count M; the state is ``[xbar (N, P) | xhat (N, P) | theta_hat (N, P, M)]``
-flattened.  The linear terms are (P, P) blocks over the coupling graph:
+flattened, packed from the scenario's three initial mappings.  The linear
+terms are (P, P) blocks over the coupling graph:
 ``A_m`` for each plant and predictor row and one per in-edge (predictors:
 distributed mode only), summed by one gather, one stacked product and one
 segment sum.  Padded table entries are zero and a zero estimate column
 lies inside the projection set, so padded state entries stay exactly 0.
 The forcing is tabulated per reference segment, tiled over the plant and
-predictor rows.  A run pays for its RK4 steps and little else: each
-subsystem's Lyapunov weight is solved once per network
+predictor rows; it holds each reference in its subsystem's integral rows,
+where the trace reads the references back.  A run pays for its RK4 steps
+and little else: each subsystem's Lyapunov weight is solved once per network
 (``NetworkModel.lyapunov``), and every stage writes into buffers, and
 through views of them, that the kernel builds once.  A run keeps only the
 state history and derives the controls, outputs, references, error norms
@@ -49,10 +51,9 @@ import numpy as np
 from .control import ERR_FLOOR
 from .exceptions import ConfigError, DimensionError, GascertError, SolverError
 from .model import NetworkModel
-from .numerics import _rebuilt, as_matrix, numeric_array, numeric_scalar
+from .numerics import _rebuilt, _symmetric, as_matrix, numeric_array, numeric_scalar
 
 __all__ = [
-    "NetworkState",
     "Scenario",
     "Schedule",
     "SimTrace",
@@ -174,15 +175,6 @@ class Scenario:
 
 
 @dataclass(eq=False)
-class NetworkState:
-    """Snapshot of the joint simulation state."""
-
-    xbar: dict
-    xhat: dict
-    theta_hat: dict
-
-
-@dataclass(eq=False)
 class SimTrace:
     """Time-indexed record of one run.
 
@@ -248,6 +240,8 @@ class _Kernel:
             elif (Pk := as_matrix(Pk, f"certificate.P.{sid}", square=True)).shape[0] != p:
                 raise DimensionError(f"certificate.P.{sid}: expected shape {(p, p)}, "
                                      f"got {Pk.shape}")
+            elif not (_symmetric(Pk) and np.linalg.eigvalsh(0.5 * Pk + 0.5 * Pk.T)[0] > 0.0):
+                raise GascertError(f"certificate.P.{sid}: must be symmetric positive definite")
             self.Pc[k, :p, :p] = Pk
             self.B[k, :p, :m] = s.B
             self.K[k, :m, :p], self.C[k, :2 * s.q, :p] = net.baseline[sid], s.C
@@ -276,16 +270,13 @@ class _Kernel:
         # flat index into z of each block's source state; first term of each row
         self.gather = (np.array([r for r, _ in terms])[:, None] * P + np.arange(P))[:, :, None]
         self.starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
-        # one forcing row (the reference in the integral rows) and reference
-        # row per segment of the merged references, tiled over the plant and
-        # predictor rows
+        # one forcing row (the reference in the integral rows) per segment of
+        # the merged references, tiled over the plant and predictor rows
         self.breaks = np.unique(np.concatenate([s.times for s in refs]))
         self.tiled = np.zeros((self.breaks.size, 2, N, P))
         self.forcing = self.tiled[:, 0]
-        self.reference = np.zeros((self.breaks.size, N, Q))
         for k, s in enumerate(subs):
-            self.reference[:, k, :s.q] = refs[k].at(self.breaks)
-            self.forcing[:, k, s.n:s.dim] = self.reference[:, k, :s.q]
+            self.forcing[:, k, s.n:s.dim] = refs[k].at(self.breaks)
         self.tiled[:, 1] = self.forcing
         self.n1, self.n2 = N * P, 2 * N * P
         self.size = N * P * (2 + M)
@@ -323,20 +314,15 @@ class _Kernel:
         return {sid: a[(Ellipsis, k) + tuple(slice(w[k]) for w in widths)]
                 for k, sid in enumerate(self.ids)}
 
-    def unpack(self, z):
-        """The state ``z`` as per-subsystem views."""
-        X, XH, TH = self.views(z)
-        return NetworkState(xbar=self.split(X, self.dims), xhat=self.split(XH, self.dims),
-                            theta_hat=self.split(TH, self.dims, self.ms))
-
-    def pack(self, state: NetworkState):
-        """State vector of ``state``; missing entries are zero."""
+    def pack(self, xbar, xhat, theta_hat):
+        """State vector of the three mappings keyed by id (a scenario's
+        ``x0``, ``xhat0`` and ``theta_hat0``); missing or None entries are zero."""
         z = np.zeros(self.size)
-        slots = self.unpack(z)
-        for name in ("xbar", "xhat", "theta_hat"):
-            for sid, slot in getattr(slots, name).items():
-                value = getattr(state, name).get(sid)
-                if value is not None:
+        X, XH, TH = self.views(z)
+        for given, a, widths in ((xbar, X, [self.dims]), (xhat, XH, [self.dims]),
+                                 (theta_hat, TH, [self.dims, self.ms])):
+            for sid, slot in self.split(a, *widths).items():
+                if (value := given.get(sid)) is not None:
                     slot[...] = np.reshape(value, slot.shape)
         return z
 
@@ -419,6 +405,7 @@ class _Kernel:
             lyap = (np.einsum("tnp,npq,tnq->t", err, self.Pc, err)
                     + np.einsum("tnpm,tnpm,n->t", dth, dth, 1.0 / self.gamma))
         split = self.split
+        F = self.forcing[self.segment(t)]  # each reference sits in its integral rows, n:dim
         return SimTrace(
             ids=list(self.ids), t=t,
             xbar=split(X, self.dims), xhat=split(XH, self.dims),
@@ -426,7 +413,8 @@ class _Kernel:
             u_bl=split(-np.einsum("nmp,tnp->tnm", self.K, X), self.ms),
             u_mrac=split(-np.einsum("tnpm,tnp->tnm", TH, X), self.ms),
             output=split(np.einsum("nqp,tnp->tnq", self.C, X), [2 * q for q in self.qs]),
-            reference=split(self.reference[self.segment(t)], self.qs),
+            reference={sid: F[:, k, d - q:d]
+                       for k, (sid, d, q) in enumerate(zip(self.ids, self.dims, self.qs))},
             error_norm=split(np.linalg.norm(err, axis=-1)),
             lyapunov=lyap, diverged=diverged_at is not None,
             diverged_at=diverged_at, mode=self.mode,
@@ -441,8 +429,9 @@ def simulate(net, scenario: Scenario, mode="distributed",
     per-subsystem weights are used both by the distributed adaptation law
     and by the diagnostic); it must hold a record of every subsystem, else
     a ``GascertError`` names the first one missing.  Each record's ``P`` is
-    read by ``numeric_array`` and must be ``dim x dim`` (errors name
-    ``certificate.P.<sid>``); a record without one takes the network's
+    read by ``numeric_array`` and must be ``dim x dim``, symmetric (by
+    ``solve_lyapunov``'s rule for a weight) and positive definite (errors
+    name ``certificate.P.<sid>``); a record without one takes the network's
     ``lyapunov(sid)``.  Divergence (a state entry beyond 1e150, the initial
     state's included) truncates the trace before that sample and sets the
     flag; it is not an exception.  A start beyond it records no sample and
@@ -458,7 +447,7 @@ def simulate(net, scenario: Scenario, mode="distributed",
     t_grid = np.arange(n_steps + 1) * dt
     t0 = t_grid[:-1]
     stages = kern.segment(np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1))
-    Z[0] = kern.pack(NetworkState(scenario.x0, scenario.xhat0, scenario.theta_hat0))
+    Z[0] = kern.pack(scenario.x0, scenario.xhat0, scenario.theta_hat0)
     last, diverged_at = n_steps, None
     # states beyond 1e150, the initial state included, count as divergent:
     # the derived quadratics (Lyapunov value, control signals) would overflow

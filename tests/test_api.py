@@ -13,7 +13,7 @@ def test_public_surface():
     assert sorted(gascert.__all__) == [
         "AreSolution", "AugmentedSubsystem", "ConfigError", "ConnectiveReport",
         "DimensionError", "GasCertificate", "GascertError", "Interconnection",
-        "NetworkModel", "NetworkState", "NonFiniteError", "Scenario", "Schedule", "SimTrace",
+        "NetworkModel", "NonFiniteError", "Scenario", "Schedule", "SimTrace",
         "SmallGainResult", "SolverError", "StabilityError", "SubsystemCertificate", "Tuning",
         "adaptation_offsets", "analyze", "augment_edge", "baseline_control",
         "boundary_function", "build_reference_model", "certify", "check_conditions",

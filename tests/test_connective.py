@@ -635,21 +635,21 @@ class TestAnalyzePipeline:
 
     def test_dominance_rows_once(self, monkeypatch):
         # analyze computes M's dominance rows once and does not read back, through
-        # check_conditions or diagonal_dominance_rows, the M and offsets it has
-        # just built (a reader would refuse an entry that overflowed)
+        # check_conditions, the M and offsets it has just built (a reader would
+        # refuse an entry that overflowed)
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
         calls = []
         rows = connective._dominance_rows
         monkeypatch.setattr(connective, "_dominance_rows", lambda M: calls.append(M) or rows(M))
         monkeypatch.setattr(connective, "check_conditions", None)
-        monkeypatch.setattr(connective, "diagonal_dominance_rows", None)
         rep = analyze(net)
         assert len(calls) == 1 and calls[0] is rep.M
         monkeypatch.undo()
         assert check_conditions(rep.M, rep.offsets) == (rep.cond_diag, rep.cond_norm,
                                                        rep.M_stable)
+        off = rep.M - np.diag(np.diag(rep.M))
         assert rep.cond_diag_rows.tolist() == \
-            connective.diagonal_dominance_rows(rep.M).tolist()
+            (np.abs(np.diag(rep.M)) > off.sum(axis=1)).tolist()
 
     def test_weak_coupling_passes(self):
         rep = analyze(pair_net(0.02))

@@ -1030,8 +1030,6 @@ VALUE_OBJECTS = {
     "ConnectiveReport": lambda: analyze(two_sub_net()),
     "Schedule": lambda: sim.Schedule.constant([1.0]),
     "Scenario": lambda: sim.Scenario(horizon=0.002, dt=0.001, x0={"s1": [0.5]}),
-    "NetworkState": lambda: sim.NetworkState(xbar={"s1": np.zeros(1)}, xhat={"s1": np.zeros(1)},
-                                             theta_hat={"s1": np.zeros((1, 1))}),
     "SimTrace": lambda: sim.simulate(two_sub_net(), sim.Scenario(horizon=0.002, dt=0.001)),
 }
 

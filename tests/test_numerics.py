@@ -25,6 +25,9 @@ from gascert import (
     NonFiniteError,
     SolverError,
     StabilityError,
+    Tuning,
+    check_conditions,
+    check_controllability,
     distance_to_instability,
     eigenvalues,
     hamiltonian,
@@ -68,6 +71,73 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             eigenvalues(np.ones((2, 3)))
+
+
+def _mixed_hurwitz(rng, n, k):
+    """``k`` Hurwitz ``n x n`` matrices, alternately symmetric (a real spectrum,
+    and with a symmetric ``P`` a real closed-loop spectrum) and minus I plus a
+    skew part (complex pairs); entries and decay rates are of order one."""
+    out = []
+    for j in range(k):
+        X = rng.normal(size=(n, n))
+        out.append(-(X @ X.T) / n - np.eye(n) if j % 2 == 0 else -np.eye(n) + X - X.T)
+    return out
+
+
+def _ordered_oracle(w):
+    """``w`` sorted by (real, imag), real when no entry has an imaginary part."""
+    w = w[np.lexsort((w.imag, w.real))]
+    return w if np.count_nonzero(w.imag) else w.real
+
+
+class TestOneSpectrumRule:
+    """``eigenvalues``, ``Checked.spectrum`` (alone or in a ``_spectra`` stack)
+    and ``solve_are``'s closed-loop spectrum order and type a spectrum by one
+    rule: sorted by (real, imag), real when no eigenvalue has an imaginary
+    part, and each member of a stack gets what it gets alone."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_stacked_records_match_eigenvalues_alone(self, n):
+        rng = np.random.default_rng(800 + n)
+        mats = _mixed_hurwitz(rng, n, 6)
+        stack = [Checked(A, square=True) for A in mats]
+        got = numerics._spectra(stack)
+        kinds = set()
+        for A, rec, w in zip(mats, stack, got):
+            assert w is rec.spectrum
+            alone = Checked(A, square=True).spectrum  # a stack of one
+            for other in (alone, eigenvalues(A), _ordered_oracle(np.linalg.eigvals(A))):
+                assert_same_bits(other, w)
+            kinds.add(w.dtype.kind)
+        assert kinds == ({"f"} if n == 1 else {"f", "c"})
+
+    def test_ties_and_signed_zeros_keep_numpy_order(self):
+        # equal entries, signed zeros among them, stay in numpy's order, as the
+        # (real, imag) lexsort of the oracle keeps them
+        rng = np.random.default_rng(840)
+        parts = [0.0, -0.0, 1.0, -1.0]
+        for _ in range(200):
+            lam = np.empty((3, 5), dtype=complex)
+            lam.real, lam.imag = rng.choice(parts, size=(2, 3, 5))
+            for got, w in zip(numerics._ordered(lam), lam):
+                assert_same_bits(got, _ordered_oracle(w))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_loop_spectrum_matches_eigenvalues(self, n):
+        # these matrices keep the solve in the caller's units (c = d = 1), so
+        # the closed-loop matrix is Am + N P to the bit
+        rng = np.random.default_rng(820 + n)
+        mats = _mixed_hurwitz(rng, n, 6)
+        recs = [Checked(A, square=True) for A in mats]
+        N, q = [1.0, 0.5] * 3, [0.1, 0.2] * 3
+        kinds = set()
+        for A, Nk, qk, sol in zip(mats, N, q, numerics._solve_ares(recs, N, q)):
+            w = sol.closed_loop_spectrum
+            assert_same_bits(w, eigenvalues(A + Nk * sol.P))
+            assert_same_bits(w, _ordered_oracle(np.linalg.eigvals(A + Nk * sol.P)))
+            assert_same_bits(solve_are(A, Nk, qk).closed_loop_spectrum, w)  # a stack of one
+            kinds.add(w.dtype.kind)
+        assert kinds == {"f", "c"}
 
 
 class TestSpectralNorm:
@@ -329,6 +399,38 @@ class TestNumericScalar:
             numeric_scalar(np.nan, "X")
         with pytest.raises(GascertError, match=r"^X: not a numeric array$"):
             numeric_scalar("1.0", "X")
+
+
+EMPTY = np.zeros((0, 0))
+# every door that takes a square matrix, given an empty one, with the name
+# its error gives it
+EMPTY_DOORS = {
+    "eigenvalues": (lambda: eigenvalues(EMPTY), "A"),
+    "is_hurwitz": (lambda: is_hurwitz(EMPTY), "A"),
+    "Checked": (lambda: Checked(EMPTY, "Am", square=True), "Am"),
+    "solve_lyapunov A": (lambda: solve_lyapunov(EMPTY, EMPTY), "A"),
+    "solve_lyapunov Q": (lambda: solve_lyapunov([[-1.0]], EMPTY), "Q"),
+    "solve_are": (lambda: solve_are(EMPTY, 1.0, 1.0), "Am"),
+    "hinf_gain": (lambda: hinf_gain(np.zeros((1, 0)), EMPTY), "Am"),
+    "distance_to_instability": (lambda: distance_to_instability(EMPTY), "Am"),
+    "is_hyperbolic": (lambda: is_hyperbolic(EMPTY, 1.0, 1.0), "Am"),
+    "hamiltonian": (lambda: hamiltonian(EMPTY, 1.0, 1.0), "Am"),
+    "check_conditions": (lambda: check_conditions(EMPTY, []), "M"),
+    "check_controllability": (lambda: check_controllability(EMPTY, np.zeros((0, 1))), "A"),
+    "Tuning": (lambda: Tuning(Q=EMPTY, gamma=1.0, theta_max=1.0, eps0=0.1), "Q"),
+}
+
+
+@pytest.mark.parametrize("door", EMPTY_DOORS, ids=EMPTY_DOORS.keys())
+def test_empty_square_matrix_is_refused(door):
+    # a 0x0 matrix ended in numpy's "zero-size array to reduction operation"
+    # ValueError (eigenvalues gave [], hamiltonian a 0x0 matrix, and
+    # check_controllability True); as_matrix now refuses it, naming it
+    call, name = EMPTY_DOORS[door]
+    with pytest.raises(DimensionError) as got:
+        call()
+    assert type(got.value) is DimensionError
+    assert str(got.value) == f"{name} must not be empty"
 
 
 class TestChecked:
@@ -835,17 +937,46 @@ class TestStackedKernels:
 
     def test_refused_member_gets_its_own_error(self):
         # numpy refuses a stack with a non-finite member: each member is
-        # then solved alone, and only the refused one gets an error
+        # then solved alone, and only the refused one gets an error; the
+        # others get np.linalg.eigvals' rows, unsorted, as the docstring says
         rng = np.random.default_rng(66)
         H = rng.normal(size=(3, 4, 4))
         H[1, 2, 0] = np.inf
         lam, errors = numerics._eigvals(H)
-        assert list(errors) == [1] and isinstance(errors[1], NonFiniteError)
+        assert list(errors) == [1] and type(errors[1]) is NonFiniteError
         assert str(errors[1]) == "A: non-finite entries"
+        assert np.isnan(lam[1]).all()
         for i in (0, 2):
-            assert_same_bits(lam[i], eigenvalues(H[i]).astype(complex))
+            want = np.linalg.eigvals(H[i]).astype(complex)
+            assert_same_bits(lam[i], want)
+            assert not np.array_equal(want, eigenvalues(H[i]))  # the order is numpy's
         owner, ws, errors = numerics._axis_frequencies(H)
         assert list(errors) == [1] and 1 not in owner.tolist()
+
+    def test_member_whose_iteration_fails_gets_a_solver_error(self, monkeypatch):
+        # a finite member numpy cannot solve gets eigenvalues' SolverError,
+        # in numpy's words; eigenvalues and Checked.spectrum raise it
+        rng = np.random.default_rng(68)
+        H = rng.normal(size=(3, 3, 3))
+        bad = H[2].copy()
+        real = np.linalg.eigvals
+
+        def eigvals(a):
+            if a.ndim > 2 or np.array_equal(a, bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        lam, errors = numerics._eigvals(H)
+        assert list(errors) == [2] and type(errors[2]) is SolverError
+        message = "eigenvalue iteration did not converge: Eigenvalues did not converge"
+        assert str(errors[2]) == message
+        for i in (0, 1):
+            assert_same_bits(lam[i], real(H[i]).astype(complex))
+        for call in (eigenvalues, lambda A: Checked(A, square=True).spectrum):
+            with pytest.raises(SolverError) as got:
+                call(bad)
+            assert str(got.value) == message
 
     def test_failed_iteration_stays_with_its_member(self, monkeypatch):
         # an eigensolve that fails for one member in the middle of the

@@ -22,7 +22,6 @@ from gascert import (
     GascertError,
     Interconnection,
     NetworkModel,
-    NetworkState,
     NonFiniteError,
     Scenario,
     Schedule,
@@ -60,6 +59,18 @@ def pair_net(coupling=0.1, gamma=20.0):
     return NetworkModel(subsystems=[make_sub("a"), make_sub("b")], edges=edges,
                         desired={"a": AM, "b": AM},
                         tuning={"a": tun, "b": tun})
+
+
+def pack(kern, state):
+    """``kern.pack`` of a state's three mappings keyed by id."""
+    return kern.pack(state.xbar, state.xhat, state.theta_hat)
+
+
+def unpack(kern, z):
+    """The state ``z`` as per-subsystem views, split as the trace splits it."""
+    X, XH, TH = kern.views(z)
+    return SimpleNamespace(xbar=kern.split(X, kern.dims), xhat=kern.split(XH, kern.dims),
+                           theta_hat=kern.split(TH, kern.dims, kern.ms))
 
 
 class TestSchedule:
@@ -176,10 +187,10 @@ class TestStepFunction:
                       theta={"a": [[0.3], [-0.2]]},
                       x0={"a": [0.4, 0.0]})
         trace = simulate(net, sc, mode="distributed")
-        state0 = NetworkState(
+        state0 = SimpleNamespace(
             xbar={"a": np.array([0.4, 0.0])}, xhat={}, theta_hat={})
         kern = _Kernel(net, sc, "distributed")
-        nxt = kern.unpack(kern.rk4(kern.pack(state0), 1e-3, kern.segment([0.0, 5e-4, 1e-3])))
+        nxt = unpack(kern, kern.rk4(pack(kern, state0), 1e-3, kern.segment([0.0, 5e-4, 1e-3])))
         assert np.allclose(nxt.xbar["a"], trace.xbar["a"][1], atol=1e-15)
         assert np.allclose(nxt.xbar["b"], trace.xbar["b"][1], atol=1e-15)
         assert np.allclose(nxt.theta_hat["a"], trace.theta_hat["a"][1], atol=1e-15)
@@ -190,14 +201,14 @@ class TestStepFunction:
         net = pair_net(coupling=0.3)
         sc = Scenario(horizon=0.0, dt=1e-3, theta={"a": [[0.3], [-0.2]]})
         rng = np.random.default_rng(6)
-        state = NetworkState(
+        state = SimpleNamespace(
             xbar={"a": rng.normal(size=2), "b": rng.normal(size=2)},
             xhat={"a": rng.normal(size=2), "b": rng.normal(size=2)},
             theta_hat={"a": rng.normal(size=(2, 1)) * 0.1,
                        "b": rng.normal(size=(2, 1)) * 0.1},
         )
         kern = _Kernel(net, sc, "distributed")
-        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(0.0)]))
+        rate = unpack(kern, kern.rhs(pack(kern, state), kern.forcing[kern.segment(0.0)]))
         u = control.mrac_control(state.theta_hat["a"], state.xbar["a"])
         edge = net.in_edges("a")[0]
         expected = control.predictor_rate(
@@ -286,7 +297,7 @@ def boundary_state(net, rng):
             th[:, col] = (0.98 * tun.theta_max * d if kind == 0 else
                           -0.98 * tun.theta_max * d if kind == 1 else 0.1 * tun.theta_max * d)
         xbar[sid], xhat[sid], theta[sid] = x, x + err, th
-    return NetworkState(xbar=xbar, xhat=xhat, theta_hat=theta)
+    return SimpleNamespace(xbar=xbar, xhat=xhat, theta_hat=theta)
 
 
 def lookup_tables(net, sc):
@@ -314,7 +325,7 @@ class TestStackedKernel:
         kern = _Kernel(net, sc, mode)
         active = floored = 0
         for t in (0.0, 0.07, 0.15):
-            got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[kern.segment(t)]))
+            got = unpack(kern, kern.rhs(pack(kern, state), kern.forcing[kern.segment(t)]))
             want = reference_rhs(net, sc, mode, state, t)
             for sid in net.ids:
                 for g, w in zip((got.xbar[sid], got.xhat[sid], got.theta_hat[sid]), want[sid]):
@@ -342,13 +353,13 @@ class TestStackedKernel:
         net, sc = mixed_net(rng, 5, with_edges=True)
         kern = _Kernel(net, sc, mode)
         assert len(set(kern.dims)) > 1 and len(set(kern.ms)) > 1
-        ones = NetworkState(
+        ones = SimpleNamespace(
             xbar={sid: np.ones(d) for sid, d in zip(kern.ids, kern.dims)},
             xhat={sid: np.ones(d) for sid, d in zip(kern.ids, kern.dims)},
             theta_hat={sid: np.ones((d, m)) for sid, d, m in zip(kern.ids, kern.dims, kern.ms)})
-        pad = kern.pack(ones) == 0.0
+        pad = pack(kern, ones) == 0.0
         assert pad.any()
-        z = kern.pack(boundary_state(net, rng))
+        z = pack(kern, boundary_state(net, rng))
         dt = 1e-3
         for i in range(200):
             t = i * dt
@@ -367,8 +378,8 @@ class TestStackedKernel:
         kern = _Kernel(net, Scenario(horizon=0.0, dt=1e-3, theta=sc.theta), mode)
         x, xh = ({sid: rng.normal(size=net.subsystem(sid).dim) for sid in net.ids}
                  for _ in range(2))
-        state = NetworkState(xbar=x, xhat=xh, theta_hat=dict(sc.theta))
-        got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+        state = SimpleNamespace(xbar=x, xhat=xh, theta_hat=dict(sc.theta))
+        got = unpack(kern, kern.rhs(pack(kern, state), kern.forcing[0]))
         A_cl = closed_loop_global(net)
         local = sla.block_diag(*[net.desired[sid] for sid in net.ids])
         for name, op, vec in (("xbar", A_cl, x),
@@ -394,7 +405,14 @@ class TestStackedKernel:
         breaks, forcing, reference = lookup_tables(net, sc)
         assert_same_bits(kern.breaks, breaks)
         assert_same_bits(kern.forcing, forcing)
-        assert_same_bits(kern.reference, reference)
+        # the trace's references are read from the forcing table, at every
+        # break and between breaks
+        t = np.unique(np.concatenate([breaks, breaks + 1e-4, np.arange(201) * 1e-3]))
+        trace = kern.trace(np.zeros((t.size, kern.size)), t, False, None)
+        seg = np.searchsorted(breaks, t, side="right") - 1
+        for k, sid in enumerate(net.ids):
+            want = reference[seg, k, :net.subsystem(sid).q]
+            assert_same_bits(trace.reference[sid], want)
 
     def test_tables_scale_with_nodes_and_edges(self):
         # a 1024-leaf star (P = 2): tables sized N x E, or padded to the hub's
@@ -415,8 +433,8 @@ class TestStackedKernel:
         finally:
             tracemalloc.stop()
         assert kept < 2e6
-        state = NetworkState(xbar=dict.fromkeys(leaves, [1.0, 0.0]), xhat={}, theta_hat={})
-        rate = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+        state = SimpleNamespace(xbar=dict.fromkeys(leaves, [1.0, 0.0]), xhat={}, theta_hat={})
+        rate = unpack(kern, kern.rhs(pack(kern, state), kern.forcing[0]))
         assert np.allclose(rate.xbar["hub"], [10.24, 0.0], rtol=1e-12)
 
     def test_simulate_mixed_network_matches_step(self):
@@ -429,9 +447,9 @@ class TestStackedKernel:
         trace = simulate(net, sc, mode="distributed")
         assert trace.t.size == 201 and not trace.diverged
         kern, dt = _Kernel(net, sc, "distributed"), sc.dt
-        z = kern.pack(start)
+        z = pack(kern, start)
         for i, t in enumerate(trace.t):
-            row = kern.unpack(z)
+            row = unpack(kern, z)
             for name in ("xbar", "xhat", "theta_hat"):
                 for sid in net.ids:
                     assert_same_bits(getattr(row, name)[sid], getattr(trace, name)[sid][i])
@@ -630,11 +648,11 @@ class TestStageBuffers:
         state = boundary_state(net, rng)
         if start == "interior":
             sc = Scenario(horizon=sc.horizon, dt=sc.dt, theta=sc.theta)
-            state = NetworkState(xbar={sid: 0.01 * x for sid, x in state.xbar.items()},
-                                 xhat={sid: 0.01 * x for sid, x in state.xhat.items()},
-                                 theta_hat={})
+            state = SimpleNamespace(xbar={sid: 0.01 * x for sid, x in state.xbar.items()},
+                                    xhat={sid: 0.01 * x for sid, x in state.xhat.items()},
+                                    theta_hat={})
         kern = _Kernel(net, sc, mode)
-        z = want = kern.pack(state)
+        z = want = pack(kern, state)
         stats = {"active": 0, "tt_max": 0.0}
         dt = 1e-3
         for i in range(200):
@@ -656,7 +674,7 @@ class TestStageBuffers:
         net, sc = mixed_net(rng, 4, with_edges=True)
         kern = _Kernel(net, sc, mode)
         stats = {"active": 0, "tt_max": 0.0}
-        z = kern.pack(boundary_state(net, rng))
+        z = pack(kern, boundary_state(net, rng))
         got = [kern.rhs(z, kern.forcing[j]) for j in range(kern.breaks.size)]
         for j, rate in enumerate(got):
             assert_same_bits(rate, allocating_rhs(kern, z, kern.forcing[j], stats))
@@ -684,8 +702,8 @@ class TestStageBuffers:
                 drive = -np.outer(base.xbar[sid], err @ net.lyapunov(sid) @ s.B)
                 d = drive / np.linalg.norm(drive, axis=0)
                 theta[sid] = d * np.sqrt(level(tun.theta_max ** 2 / (1.0 + tun.eps0)))
-            state = NetworkState(xbar=base.xbar, xhat=base.xhat, theta_hat=theta)
-            got = kern.unpack(kern.rhs(kern.pack(state), kern.forcing[0]))
+            state = SimpleNamespace(xbar=base.xbar, xhat=base.xhat, theta_hat=theta)
+            got = unpack(kern, kern.rhs(pack(kern, state), kern.forcing[0]))
             want = reference_rhs(net, sc, "distributed", state, 0.0)
             active[name] = 0
             for sid in net.ids:
@@ -704,7 +722,7 @@ class TestStageBuffers:
         for mode in ("distributed", "decentralized"):
             net, sc = mixed_net(rng, 3, with_edges=True)
             kern = _Kernel(net, sc, mode)
-            runs.append((kern, kern.pack(boundary_state(net, rng))))
+            runs.append((kern, pack(kern, boundary_state(net, rng))))
 
         def advance(kern, z, i, dt=1e-3):
             t = i * dt
@@ -805,6 +823,40 @@ class TestTraceMechanics:
         net_P = with_P(a=net.lyapunov("a"), b=net.lyapunov("b"))
         assert_same_bits(simulate(net, sc, mode=mode, certificate=with_P(a=None, b=None)).lyapunov,
                          simulate(net, sc, mode=mode, certificate=net_P).lyapunov)
+
+    @pytest.mark.parametrize("mode", ["distributed", "decentralized"])
+    def test_certificate_P_must_be_symmetric_positive_definite(self, mode):
+        # a P of the right size was taken whatever it was: -I ran both modes to
+        # a negative "Lyapunov" value, and a zero P froze the adaptation
+        net, sc, _ = load_config(CONFIG_DIR / "toy_pair.json")
+        sc = dataclasses.replace(sc, horizon=20 * sc.dt)
+        cert = certify(net)
+
+        def with_P(**P):
+            return GasCertificate([dataclasses.replace(c, P=P.get(c.sid, c.P))
+                                   for c in cert.subsystems], cert.certified)
+
+        P = cert.P("b")
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        refused = {"minus I": -np.eye(2), "non-symmetric": [[1.0, 5.0], [0.0, 1.0]],
+                   "zero": np.zeros((2, 2)), "singular": [[1.0, 1.0], [1.0, 1.0]],
+                   "indefinite": [[1.0, 0.0], [0.0, -1e-300]],
+                   "asymmetric beyond 1e-12": P + 1e-11 * np.abs(P).max() * skew}
+        for name, bad in refused.items():
+            with pytest.raises(GascertError) as got:
+                simulate(net, sc, mode=mode, certificate=with_P(b=bad))
+            assert type(got.value) is GascertError, name
+            assert str(got.value) == "certificate.P.b: must be symmetric positive definite"
+        # an asymmetry within solve_lyapunov's 1e-12 is taken, and the
+        # Lyapunov series weighs the error by that P
+        near = P + 0.5e-12 * np.abs(P).max() * skew
+        trace = simulate(net, sc, mode=mode, certificate=with_P(b=near))
+        want = 0.0
+        for sid, Pk in (("a", cert.P("a")), ("b", near)):
+            err = trace.xhat[sid][-1] - trace.xbar[sid][-1]
+            dth = trace.theta_hat[sid][-1] - np.asarray(sc.theta.get(sid, 0.0))
+            want += err @ Pk @ err + np.sum(dth * dth) / net.tuning[sid].gamma
+        assert not trace.diverged and trace.lyapunov[-1] == pytest.approx(want, rel=1e-12)
 
     def test_rk4_order(self):
         # halving the step shrinks the end-state error against a dt/8
