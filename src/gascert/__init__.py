@@ -13,19 +13,11 @@ __version__ = "0.1.0"
 from .connective import (
     ConnectiveReport,
     SmallGainResult,
-    adaptation_offsets,
     analyze,
-    check_conditions,
-    comparison_matrix,
-    homogeneous_condition,
     small_gain_check,
-    theta_max_bound,
-    transient_bound,
 )
 from .control import (
-    baseline_control,
     boundary_function,
-    build_reference_model,
     mrac_control,
     predictor_rate,
     project,
@@ -46,7 +38,6 @@ from .model import (
     Interconnection,
     NetworkModel,
     Tuning,
-    augment_edge,
     check_controllability,
     closed_loop_global,
 )

@@ -34,9 +34,9 @@ import math
 
 import numpy as np
 
-from .control import _reference_model
 from .exceptions import ConfigError, NonFiniteError
-from .model import AugmentedSubsystem, Interconnection, NetworkModel, Tuning, augment_edge
+from .model import (AugmentedSubsystem, Interconnection, NetworkModel, Tuning, _augment_edge,
+                    _reference_model)
 from .numerics import Checked, _own
 from .sim import Scenario, Schedule
 
@@ -169,7 +169,7 @@ def parse_config(doc):
         A = edge.get("A")
         if A is not None:
             q_to, q_from = subs[dst].q, subs[src].q
-            A = _build(lambda: _own(augment_edge(edge["A"], q_to, q_from)), path, edge)
+            A = _build(lambda: _own(_augment_edge(edge["A"], q_to, q_from)), path, edge)
             raw, want = (A.A.shape[0] - q_to, A.A.shape[1] - q_from), (subs[dst].n, subs[src].n)
             if raw != want:
                 raise ConfigError(f"{path}.A: shape {raw} does not match "

@@ -1,6 +1,8 @@
-"""Controller building blocks: baseline state feedback, the adaptive
-control law, state predictors, adaptation laws, and the convex-set
-projection operator that bounds parameter estimates.
+"""The scalar control laws, one subsystem and one call at a time: the
+adaptive control law, the state predictor, the adaptation laws and the
+convex-set projection operator that bounds parameter estimates.  The
+simulator's stacked kernel runs the same laws for a whole network; these
+are its test oracle and the worked example of demo 04.
 
 Sign convention: the prediction error passed to the update laws is
 predictor-state minus plant-state.  With that orientation the update
@@ -11,13 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, NonFiniteError, SolverError, StabilityError
-from .numerics import _own, as_matrix, is_hurwitz
+from .exceptions import DimensionError, SolverError
 
 __all__ = [
-    "baseline_control",
     "boundary_function",
-    "build_reference_model",
     "mrac_control",
     "predictor_rate",
     "project",
@@ -30,51 +29,11 @@ __all__ = [
 ERR_FLOOR = 1e-12
 
 
-def baseline_control(K, x):
-    """Baseline state feedback ``u = -K x``."""
-    K = np.asarray(K, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return -(K @ x)
-
-
 def mrac_control(theta_hat, x):
     """Adaptive control law ``u = -theta_hat' x``."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     x = np.asarray(x, dtype=float)
     return -(theta_hat.T @ x)
-
-
-def build_reference_model(A_nom, B, C, K_x, K_xi):
-    """Assemble the target closed-loop dynamics of the augmented model.
-
-    Returns ``[[A_nom - B K_x, B K_xi], [-C, 0]]``, read-only, and checks
-    it is Hurwitz, since every downstream analysis requires that.
-    """
-    return _reference_model(as_matrix(A_nom, "A_nominal", square=True), as_matrix(B, "B"),
-                            as_matrix(C, "C"), as_matrix(K_x, "K_x"), as_matrix(K_xi, "K_xi")).A
-
-
-def _reference_model(A_nom, B, C, K_x, K_xi):
-    """``build_reference_model`` of float arrays read already, as a ``Checked``
-    record whose spectrum its Hurwitz test solved; a network keeps it as it is.
-    The record is not read again: only its entries' finiteness is checked,
-    since the products of the blocks can overflow."""
-    n = A_nom.shape[0]
-    q = C.shape[0]
-    if B.shape[0] != n or C.shape[1] != n:
-        raise DimensionError("B/C rows and columns must match A_nom")
-    if K_x.shape != (B.shape[1], n) or K_xi.shape != (B.shape[1], q):
-        raise DimensionError("gain blocks do not match (m, n) / (m, q)")
-    Am = np.zeros((n + q, n + q))
-    Am[:n, :n] = A_nom - B @ K_x
-    Am[:n, n:] = B @ K_xi
-    Am[n:, :n] = -C
-    if np.count_nonzero(np.isfinite(Am)) != Am.size:
-        raise NonFiniteError("A: non-finite entries")
-    Am = _own(Am)
-    if not is_hurwitz(Am):
-        raise StabilityError("constructed reference model is not Hurwitz")
-    return Am
 
 
 def predictor_rate(A_m, B, x_pred, u, theta_hat, x_plant, forced,

@@ -7,26 +7,32 @@ output, and only the blocks something reads are kept:
 
     B_aug = [[B], [0]]      C_aug = [[C, 0], [0, I]]
 
+This module owns that layout: ``_reference_model`` builds the desired
+dynamics ``[[A_nom - B K_x, B K_xi], [-C, 0]]`` from gain blocks, and
+``_augment_edge`` pads a raw coupling block to augmented coordinates;
+``config`` is the one caller of both.
+
 The plant is integrated in uncertainty form (desired dynamics plus
 ``B theta'``), so nothing reads an augmented ``A`` or ``D``.  The
 reference enters the q integral rows directly; the disturbance, ``r``
 wide as ``E`` gives it, is assumed rejected by the baseline loop and
 enters no dynamics.  ``AugmentedSubsystem.from_raw`` is the one subsystem
-constructor: it reads and checks each raw block once (the shapes of ``D``
-and ``E``, the controllability of a given ``(A, B)``), builds nothing in
-place of an absent ``D`` or ``E``, and makes the blocks it builds
-read-only; the PBH test takes a record of the raw rows of its ``B``
-block.  Values are immutable after construction and, holding arrays,
-compare by identity.  An edge joins two distinct subsystems and has a
-coupling matrix or a declared bound on its norm, never both.  A tuning
-owns its weight ``Q``: it symmetrizes it and eigen-solves it once, for
-the definiteness check and the ``lam_min_Q`` the comparison system
-reads.  A network first eigen-solves the desired records it keeps that
-have no spectrum yet, in one stack per size (a record shared by
-subsystems once for all), then reads and checks each subsystem in turn,
-its desired record's Hurwitz test included: the one test the stacked
-kernels rely on for a network's records.  It solves every Lyapunov
-weight, in one stack per size, on the first read of any, and derives
+constructor: it reads and checks each raw block once (a ``B`` with at
+least one column, the shapes of ``D`` and ``E``, the controllability of a
+given ``(A, B)``), builds nothing in place of an absent ``D`` or ``E``,
+and makes the blocks it builds read-only; the PBH test takes a record of
+the raw rows of its ``B`` block.  Values are immutable after construction
+and, holding arrays, compare by identity.  An edge joins two distinct
+subsystems and has a coupling matrix or a declared bound on its norm,
+never both.  A tuning owns its weight ``Q``: it symmetrizes it and
+eigen-solves it once, for the definiteness check and the ``lam_min_Q``
+the comparison system reads.  A network first eigen-solves the desired
+records it keeps that have no spectrum yet, in one stack per size (a
+record shared by subsystems once for all), then reads and checks each
+subsystem in turn, its desired record's Hurwitz test included: the one
+test the stacked kernels rely on for a network's records.  It solves
+every Lyapunov weight, in one stack per size, on the first read of any;
+that solve is the one definiteness test of a weight ``P``.  It derives
 nothing from its edges.
 ``_edge_table`` is the one derivation of edge data (positions, and gains
 from ``numerics._norms``), built by each pipeline that reads it.
@@ -42,7 +48,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.linalg import block_diag
 
-from .exceptions import DimensionError, StabilityError
+from .exceptions import DimensionError, NonFiniteError, StabilityError
 from .numerics import (Checked, _frozen, _held, _lyapunovs, _norms, _own, _per_shape, _rebuilt,
                        _record, _spectra, as_matrix, is_hurwitz, numeric_scalar, spectral_norm)
 
@@ -51,7 +57,6 @@ __all__ = [
     "Interconnection",
     "NetworkModel",
     "Tuning",
-    "augment_edge",
     "check_controllability",
     "closed_loop_global",
 ]
@@ -107,16 +112,19 @@ class AugmentedSubsystem:
     def from_raw(cls, sid, B, C, A=None, D=None, E=None):
         """Build the augmented ``B`` and ``C`` from raw (A, B, C, D, E).
 
-        ``A`` is (n, n), ``B`` (n, m), ``C`` (q, n), ``D`` (q, m), ``E``
-        (n, r).  A given ``A`` must make (A, B) controllable; ``A`` may be
-        omitted for an unknown plant, which leaves nothing to test.  Each
-        given block is read and checked once; ``A``, ``D`` and ``E`` are
-        not kept.  The blocks built are new arrays, made read-only in place;
-        the PBH test takes a record of the raw rows of ``B_aug``.
+        ``A`` is (n, n), ``B`` (n, m) with m >= 1, ``C`` (q, n), ``D``
+        (q, m), ``E`` (n, r).  A given ``A`` must make (A, B) controllable;
+        ``A`` may be omitted for an unknown plant, which leaves nothing to
+        test but the input count.  Each given block is read and checked
+        once; ``A``, ``D`` and ``E`` are not kept.  The blocks built are new
+        arrays, made read-only in place; the PBH test takes a record of the
+        raw rows of ``B_aug``.
         """
         B = as_matrix(B, f"subsystem {sid}: B")
         C = as_matrix(C, f"subsystem {sid}: C")
         n, m = B.shape
+        if m == 0:
+            raise DimensionError(f"subsystem {sid}: B has no columns (a subsystem needs an input)")
         q = C.shape[0]
         if C.shape[1] != n:
             raise DimensionError(f"subsystem {sid}: C has {C.shape[1]} cols, expected {n}")
@@ -150,21 +158,44 @@ class AugmentedSubsystem:
                 X.flags.writeable = False
 
 
-def augment_edge(A_ij, q_to, q_from):
-    """Zero-pad a raw coupling block to augmented coordinates.
+def _augment_edge(A_ij, q_to, q_from):
+    """A raw coupling block read and zero-padded to augmented coordinates.
 
     ``A_ij`` maps the source's raw state into the destination's raw state
     equations; integral states neither couple nor are coupled, so the block
     lands in the top-left corner of an (n_i+q_i) x (n_j+q_j) zero matrix.
+    The counts are the subsystems' own ``q``.
     """
     A_ij = as_matrix(A_ij, "A")
-    for name, count in (("q_to", q_to), ("q_from", q_from)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"{name}: integral-state counts must be non-negative integers")
     ni, nj = A_ij.shape
     out = np.zeros((ni + q_to, nj + q_from))
     out[:ni, :nj] = A_ij
     return out
+
+
+def _reference_model(A_nom, B, C, K_x, K_xi):
+    """The desired dynamics ``[[A_nom - B K_x, B K_xi], [-C, 0]]`` of the
+    integral-augmented model, from gain blocks and raw ``B`` and ``C`` read
+    already, as a ``Checked`` record whose spectrum its Hurwitz test solved;
+    a network keeps it as it is.  The record is not read again: only its
+    entries' finiteness is checked, since the products of the blocks can
+    overflow."""
+    n = A_nom.shape[0]
+    q = C.shape[0]
+    if B.shape[0] != n or C.shape[1] != n:
+        raise DimensionError("B/C rows and columns must match A_nom")
+    if K_x.shape != (B.shape[1], n) or K_xi.shape != (B.shape[1], q):
+        raise DimensionError("gain blocks do not match (m, n) / (m, q)")
+    Am = np.zeros((n + q, n + q))
+    Am[:n, :n] = A_nom - B @ K_x
+    Am[:n, n:] = B @ K_xi
+    Am[n:, :n] = -C
+    if np.count_nonzero(np.isfinite(Am)) != Am.size:
+        raise NonFiniteError("A: non-finite entries")
+    Am = _own(Am)
+    if not is_hurwitz(Am):
+        raise StabilityError("constructed reference model is not Hurwitz")
+    return Am
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +205,7 @@ class Interconnection:
 
     It has exactly one of ``A``, the augmented coupling block (dim_dst x
     dim_src, stored as a read-only copy, or as it is from a ``Checked``
-    record, such as ``config`` makes of ``augment_edge``'s block), or
+    record, such as ``config`` makes of ``_augment_edge``'s block), or
     ``norm_bound``, a declared finite bound on its spectral norm; only the
     aggregate bounds can use a bound-only edge (``A is None``).  ``gain()``
     is computed when called; the pipelines take every gain from

@@ -71,6 +71,21 @@ def graph_edges(rng, kind, n):
     return [(src, dst, float(rng.uniform(0.1, 2.0))) for src, dst in sorted(edges)]
 
 
+def graph_net(rng, kind, n):
+    """A ring, mesh or random graph (``graph_edges``) of subsystems of 1 to 3
+    states, about one edge in five bound-only."""
+    dim = {f"s{k}": int(rng.integers(1, 4)) for k in rng.permutation(n)}
+    edges = [Interconnection(src=src, dst=dst, norm_bound=g) if rng.uniform() < 0.2
+             else Interconnection(src=src, dst=dst, A=g * rng.normal(size=(dim[dst], dim[src])))
+             for src, dst, g in graph_edges(rng, kind, n)]
+    return NetworkModel(
+        subsystems=[AugmentedSubsystem.from_raw(sid, B=np.eye(k)[:, :1], C=np.zeros((0, k)))
+                    for sid, k in dim.items()],
+        edges=edges, desired={sid: random_hurwitz(rng, k) for sid, k in dim.items()},
+        tuning={sid: Tuning(Q=np.eye(k), gamma=1.0, theta_max=1.0, eps0=0.1)
+                for sid, k in dim.items()})
+
+
 def _sweep_extremum(f, A, sign, points=2000):
     """Minimise ``sign * f(w)`` over ``w >= 0``: log grid, then local refinement.
 

@@ -610,6 +610,25 @@ class TestExitCodes:
             assert captured.err == (f"error: config.subsystems[{k}]: subsystem {sid}: "
                                     "(A, B) is not controllable\n")
 
+    @pytest.mark.parametrize("B", [[[]], []], ids=["empty_row", "flat"])
+    def test_subsystem_without_inputs_one_line_error(self, B, tmp_path, capsys):
+        # with A null no controllability test ran: riccati and smallgain exited
+        # 0, connective 2, and a distributed simulate ended in numpy's
+        # "zero-size array to reduction operation maximum" traceback
+        doc = json.loads(open(TOY, "rb").read())
+        for sub in doc["subsystems"]:
+            sub.update(A=None, B=B)
+        del doc["scenario"]["theta"]
+        cfg = tmp_path / "no_inputs.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["riccati"], ["connective"], ["smallgain"],
+                     ["simulate", "--out", str(tmp_path / "trace.csv")]):
+            assert main([argv[0], str(cfg), *argv[1:]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: config.subsystems[0]: subsystem a: B has no columns "
+                                    "(a subsystem needs an input)\n")
+
     def test_unknown_plant_skips_controllability(self, tmp_path, capsys):
         # with A null there is no pair (A, B) to test, even for B = 0
         doc = json.loads(open(TOY, "rb").read())

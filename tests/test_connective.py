@@ -1,34 +1,28 @@
+import ast
 import json
 import math
-import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, DC_AM, DC_A12, DC_A21, graph_edges, mixed_net, random_hurwitz
+from conftest import (CONFIG_DIR, DC_AM, DC_A12, DC_A21, graph_edges, graph_net, mixed_net,
+                      random_hurwitz)
 from gascert import connective
 from gascert import (
     AugmentedSubsystem,
-    DimensionError,
-    GascertError,
     Interconnection,
     NetworkModel,
-    NonFiniteError,
     Tuning,
-    adaptation_offsets,
     analyze,
-    check_conditions,
-    comparison_matrix,
     hinf_gain,
-    homogeneous_condition,
     small_gain_check,
     solve_lyapunov,
-    theta_max_bound,
-    transient_bound,
 )
 from gascert.config import load_config, parse_config
+from gascert.model import _edge_table
 
 
 def scalar_sub(sid):
@@ -65,19 +59,25 @@ def fab_net(coupling=0.1, gamma=1.0, theta_max=1.0):
                         tuning={"s1": tun, "s2": tun})
 
 
-class TestThetaMaxBound:
-    def test_half(self):
-        assert theta_max_bound(0.5) == pytest.approx(1.0)
+def formulas(net, P):
+    """``M`` and the offsets of a crafted ``P`` (each of its subsystem's size,
+    positive definite), from the private pieces ``analyze`` runs."""
+    ext, edges = connective._extremes(net, P), _edge_table(net)
+    return (connective._comparison_matrix(*ext, *edges),
+            connective._adaptation_offsets(net, *ext, *edges))
 
-    def test_zero(self):
-        assert theta_max_bound(0.0) == 0.0
 
-    def test_one(self):
-        assert theta_max_bound(1.0) == pytest.approx(4.0)
+def comparison_matrix(net, P):
+    return formulas(net, P)[0]
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            theta_max_bound(-0.1)
+
+def adaptation_offsets(net, P):
+    return formulas(net, P)[1]
+
+
+def check_conditions(M, offsets):
+    """``(cond_diag, cond_norm, M_stable)`` of built arrays."""
+    return connective._conditions(M, offsets)[1:]
 
 
 class TestComparisonMatrix:
@@ -143,14 +143,6 @@ class TestOffsets:
         phi = adaptation_offsets(fab_net(0.1, gamma=1.0, theta_max=1.0), P_FAB)
         assert np.allclose(phi, [0.05, 0.05])
 
-    def test_missing_or_indefinite_P_rejected(self):
-        # the same checks as comparison_matrix, from the shared extremes
-        with pytest.raises(ValueError, match="missing"):
-            adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"]})
-        with pytest.raises(ValueError, match="positive definite"):
-            adaptation_offsets(fab_net(0.1), {"s1": P_FAB["s1"], "s2": -np.eye(2)})
-
-
 
 def loop_comparison(net, P):
     """The oracle of the edge table: ``M`` filled one in-edge at a time."""
@@ -214,51 +206,35 @@ class TestEdgeTable:
         assert adaptation_offsets(net, P).tobytes() == loop_offsets(net, P).tobytes()
 
 
-PUBLIC_FORMULAS = {"comparison_matrix": comparison_matrix,
-                   "adaptation_offsets": adaptation_offsets}
+class TestDefinitenessOwnership:
+    """The Lyapunov kernel tests each weight ``P`` for definiteness; ``analyze``'s
+    eigensolve takes the network's own weights, exactly symmetric, as they are."""
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind,n", [("ring", 9), ("mesh", 16), ("random", 12)])
+    def test_extremes_receive_only_the_networks_weights(self, kind, n, seed, monkeypatch):
+        net = graph_net(np.random.default_rng([61, seed, n]), kind, n)
+        received, stacks = [], []
+        per_shape, lam_extremes = connective._per_shape, connective._lam_extremes
 
-class TestCallerP:
-    """``comparison_matrix`` and ``adaptation_offsets`` read the caller's ``P``."""
+        def receiving(kernel, items, Ps):
+            received.extend(Ps)
+            return per_shape(kernel, items, Ps)
 
-    @pytest.mark.parametrize("formula", PUBLIC_FORMULAS.values(), ids=PUBLIC_FORMULAS.keys())
-    def test_nested_lists_read(self, formula):
-        # a list raised AttributeError: 'list' object has no attribute 'T'
-        want = formula(fab_net(0.1), P_FAB)
-        got = formula(fab_net(0.1), {sid: P.tolist() for sid, P in P_FAB.items()})
-        assert got.tobytes() == want.tobytes()
+        def solving(S):
+            stacks.append(S)
+            return lam_extremes(S)
 
-    @pytest.mark.parametrize("P,error,fault", [
-        (np.full((2, 2), np.nan), NonFiniteError, "P.s2: non-finite entries"),
-        ([["1", 0], [0, "2"]], GascertError, "P.s2: not a numeric array"),
-        (np.eye(3), DimensionError, "P.s2 is (3, 3), expected (2, 2)"),
-        (np.ones((2, 3)), DimensionError, "P.s2 must be square, got shape (2, 3)"),
-    ], ids=["nan", "strings", "wrong_size", "not_square"])
-    @pytest.mark.parametrize("formula", PUBLIC_FORMULAS.values(), ids=PUBLIC_FORMULAS.keys())
-    def test_bad_P_rejected(self, formula, P, error, fault):
-        # an all-NaN P gave an all-NaN M, and a P of the wrong size was used as it was
-        with pytest.raises(error, match=f"^{re.escape(fault)}$"):
-            formula(fab_net(0.1), {"s1": P_FAB["s1"], "s2": P})
-
-    def test_analyze_does_not_read_the_weights_again(self, monkeypatch):
-        # analyze passes the network's own Lyapunov weights, read-only arrays it
-        # solved: they are not read again
-        net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
-        names = []
-        real = connective.as_matrix
-        monkeypatch.setattr(connective, "as_matrix",
-                            lambda M, name="matrix", square=False:
-                            names.append(name) or real(M, name, square))
+        monkeypatch.setattr(connective, "_per_shape", receiving)
+        monkeypatch.setattr(connective, "_lam_extremes", solving)
         analyze(net)
-        assert not [name for name in names if name.startswith("P.")]
-
-    def test_huge_symmetric_P_does_not_overflow(self):
-        # P + P' overflowed to infinity for entries above about 9e307
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            alpha, rho = transient_bound([[1e308]], [[1.0]], 0.0, 1.0, 1.0, 0.0)
-        assert alpha == 1.0 / 1e308
-        assert rho == math.sqrt(1.0 / 1e308)
+        assert len(received) == n == sum(len(S) for S in stacks)
+        for sid, P in zip(net.ids, received):
+            assert P is net.lyapunov(sid)
+            assert np.array_equal(P, P.T)  # so eigvalsh's lower triangle is all of P
+            assert np.linalg.eigvalsh(P)[0] > 0.0
+        for S in stacks:
+            assert np.array_equal(S, np.swapaxes(S, -1, -2))
 
 
 class TestCheckConditions:
@@ -345,86 +321,30 @@ class TestQScale:
         np.testing.assert_allclose(got.offsets, base.offsets, rtol=1e-12, atol=0.0)
 
 
-# each scalar argument of the three formulas, and its valid value
-FORMULA_SCALARS = {
-    "theta_max_bound": (theta_max_bound, {"theta_l1_bound": 0.5}),
-    "homogeneous_condition": (homogeneous_condition, {
-        "lmin_Q": 1.0, "lmax_P": 1.0, "lmin_P": 1.0, "n_neighbors": 1, "gain": 0.1}),
-    "transient_bound": (lambda **kw: transient_bound(np.eye(2), np.eye(2), t=0.5, **kw),
-                        {"theta_max": 1.0, "gamma": 2.0, "v0": 1.0}),
-}
-
-
-class TestFormulaScalars:
-    @pytest.mark.parametrize("value,error,fault", [
-        (math.nan, NonFiniteError, "non-finite entries"),
-        (math.inf, NonFiniteError, "non-finite entries"),
-        ("1", GascertError, "not a numeric array"),
-        (True, GascertError, "not a numeric array"),
-    ], ids=["nan", "inf", "string", "bool"])
-    @pytest.mark.parametrize("formula,arg", [(f, a) for f, (_, kw) in FORMULA_SCALARS.items()
-                                             for a in kw])
-    def test_read_by_the_number_reader(self, formula, arg, value, error, fault):
-        # NaN returned False or nan, and a string raised a raw TypeError
-        fn, kwargs = FORMULA_SCALARS[formula]
-        with pytest.raises(error, match=f"^{arg}: {fault}$"):
-            fn(**{**kwargs, arg: value})
-
-    def test_range_texts_kept(self):
-        with pytest.raises(ValueError, match="^neighbour count and gain must be non-negative$"):
-            homogeneous_condition(1.0, 1.0, 1.0, -1, 0.1)
-        with pytest.raises(ValueError, match="^gamma must be positive$"):
-            transient_bound(np.eye(2), np.eye(2), 1.0, 0.0, 1.0, 0.5)
+def identical_rows(lmin_Q, lmax_P, lmin_P, n_neighbors, gain):
+    """M's dominance rows for ``n_neighbors + 1`` identical subsystems, each
+    pair coupled both ways with the same gain (two nodes for one neighbour).
+    Each row is the homogeneous condition
+    ``lam_min(Q) / (2 lam_max(P)) > (lam_max(P) / lam_min(P)) * N * ||A_ij||``."""
+    k = n_neighbors + 1
+    src, dst = np.array([(j, i) for i in range(k) for j in range(k) if i != j],
+                        dtype=np.intp).reshape(-1, 2).T
+    M = connective._comparison_matrix(np.full(k, lmin_P), np.full(k, lmax_P), np.full(k, lmin_Q),
+                                      src, dst, np.full(len(src), gain))
+    return connective._dominance_rows(M)
 
 
 class TestHomogeneous:
     def test_passing(self):
-        assert homogeneous_condition(1.0, 2.0, 1.0, 1, 0.1)
+        assert identical_rows(1.0, 2.0, 1.0, 1, 0.1).all()
 
     def test_benchmark_failure(self):
-        # 1/(2*2.28e4) vs (2.28e4/723.2)*1.1e5
-        assert not homogeneous_condition(1.0, 2.28e4, 723.2, 1, 1.1e5)
+        # the paper's numbers: 1/(2*2.28e4) vs (2.28e4/723.2)*1.1e5
+        rows = identical_rows(1.0, 2.28e4, 723.2, 1, 1.1e5)
+        assert rows.shape == (2,) and not rows.any()
 
     def test_zero_gain_always_passes(self):
-        assert homogeneous_condition(1.0, 5.0, 0.1, 3, 0.0)
-
-
-class TestTransientBound:
-    def test_long_run_limit(self):
-        P = np.diag([1.0, 2.0])
-        alpha, rho_inf = transient_bound(P, np.eye(2), theta_max=0.8, gamma=4.0,
-                                         v0=10.0, t=1e9)
-        assert rho_inf == pytest.approx(np.sqrt(0.8 / (4.0 * 1.0)))
-
-    def test_no_uncertainty_pure_decay(self):
-        P = np.diag([1.0, 2.0])
-        v0 = 3.0
-        t = 1.7
-        alpha, rho = transient_bound(P, np.eye(2), theta_max=0.0, gamma=1.0, v0=v0, t=t)
-        assert rho == pytest.approx(np.sqrt(v0 / 1.0) * np.exp(-alpha * t / 2.0))
-
-    def test_decay_rate(self):
-        alpha, _ = transient_bound(np.diag([1.0, 2.0]), np.eye(2), 0.0, 1.0, 1.0, 0.0)
-        assert alpha == pytest.approx(0.5)
-
-    def test_array_time(self):
-        alpha, rho = transient_bound(np.eye(2), np.eye(2), 0.1, 1.0, 1.0,
-                                     np.array([0.0, 1.0, 10.0]))
-        assert rho.shape == (3,)
-        assert np.all(np.diff(rho) < 0.0)
-
-    @pytest.mark.parametrize("field", ["P", "Q"])
-    @pytest.mark.parametrize("value,message", [
-        ([[1.0, 2.0, 3.0]], r"must be square, got shape \(1, 3\)"),
-        ([1.0, 2.0], r"must be square, got shape \(1, 2\)"),
-        (np.ones((2, 2, 2)), r"must be 2-D, got ndim=3"),
-    ], ids=["1x3", "flat", "3-D"])
-    def test_weights_read_as_square_matrices(self, field, value, message):
-        # a 1x3 weight broadcast to 3x3 and read as indefinite, a flat one
-        # raised a raw LinAlgError and a 3-D one a raw TypeError
-        args = {"P": np.eye(2), "Q": np.eye(2), field: value}
-        with pytest.raises(DimensionError, match=f"^{field} {message}$"):
-            transient_bound(args["P"], args["Q"], 0.1, 1.0, 1.0, 0.5)
+        assert identical_rows(1.0, 5.0, 0.1, 3, 0.0).all()
 
 
 def path_net(*edges, subsystems=("s1", "s2")):
@@ -598,9 +518,6 @@ class TestAnalyzePipeline:
         assert np.isfinite(np.diag(rep.M)).all() and np.isneginf(rep.offsets).all()
         assert rep.cond_diag_rows.tolist() == [False, False]
         assert (rep.cond_diag, rep.cond_norm, rep.M_stable, rep.passed) == (False,) * 4
-        # the public check reads its arguments, and refuses them as before
-        with pytest.raises(NonFiniteError, match="^M: non-finite entries$"):
-            check_conditions(rep.M, rep.offsets)
 
     @pytest.mark.parametrize("theta_max", [None, 0.5])
     def test_extremes_once_per_matrix(self, theta_max, monkeypatch):
@@ -622,7 +539,7 @@ class TestAnalyzePipeline:
         # lam_min_Q was solved when it was built)
         assert sum(len(S) for S in seen) == len(net.ids)
         monkeypatch.undo()
-        # the shared extremes give what the public functions give
+        # the shared extremes give what the formulas give on their own
         M = comparison_matrix(net, rep.P)
         offsets = adaptation_offsets(net, rep.P)
         assert M.tobytes() == rep.M.tobytes()
@@ -634,14 +551,13 @@ class TestAnalyzePipeline:
             assert rep.alpha[sid] == rep.lambda_min_Q[sid] / rep.lambda_max_P[sid]
 
     def test_dominance_rows_once(self, monkeypatch):
-        # analyze computes M's dominance rows once and does not read back, through
-        # check_conditions, the M and offsets it has just built (a reader would
-        # refuse an entry that overflowed)
+        # analyze computes M's dominance rows once and does not read back the M
+        # and offsets it has just built (a reader would refuse an entry that
+        # overflowed)
         net, _, _ = load_config(CONFIG_DIR / "mesh6.json")
         calls = []
         rows = connective._dominance_rows
         monkeypatch.setattr(connective, "_dominance_rows", lambda M: calls.append(M) or rows(M))
-        monkeypatch.setattr(connective, "check_conditions", None)
         rep = analyze(net)
         assert len(calls) == 1 and calls[0] is rep.M
         monkeypatch.undo()
@@ -650,6 +566,14 @@ class TestAnalyzePipeline:
         off = rep.M - np.diag(np.diag(rep.M))
         assert rep.cond_diag_rows.tolist() == \
             (np.abs(np.diag(rep.M)) > off.sum(axis=1)).tolist()
+
+    def test_analyze_does_not_read_the_weights_again(self):
+        # analyze passes the network's own Lyapunov weights, read-only arrays it
+        # solved: they are not read again, and connective holds no reader to read them
+        tree = ast.parse(Path(connective.__file__).read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names}
+        assert imported.isdisjoint({"numeric_array", "as_matrix", "numeric_scalar"})
 
     def test_weak_coupling_passes(self):
         rep = analyze(pair_net(0.02))

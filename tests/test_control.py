@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from gascert import (
-    StabilityError,
-    baseline_control,
     boundary_function,
-    build_reference_model,
     mrac_control,
     predictor_rate,
     project,
@@ -13,19 +10,6 @@ from gascert import (
     update_normalized,
     update_projection,
 )
-
-
-class TestBaseline:
-    def test_zero_gain(self):
-        assert np.array_equal(baseline_control(np.zeros((1, 2)), [1.0, 2.0]), [0.0])
-
-    def test_plug_in(self):
-        assert baseline_control([[1.0, 2.0]], [1.0, 1.0])[0] == -3.0
-
-    def test_linearity(self):
-        K = np.array([[0.4, -1.1]])
-        x = np.array([2.0, 5.0])
-        assert np.allclose(baseline_control(K, 3.0 * x), 3.0 * baseline_control(K, x))
 
 
 class TestMracLaw:
@@ -43,40 +27,6 @@ class TestMracLaw:
         x = rng.normal(size=3)
         u = mrac_control(theta, x)
         assert np.allclose(u + theta.T @ x, 0.0, atol=1e-15)
-
-
-class TestReferenceModel:
-    def test_structure(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        B = np.array([[0.0], [1.0]])
-        C = np.array([[1.0, 0.0]])
-        K_x = np.array([[2.0, 3.0]])
-        K_xi = np.array([[1.0]])
-        Am = build_reference_model(A, B, C, K_x, K_xi)
-        assert Am.shape == (3, 3)
-        assert np.array_equal(Am[2, :2], -C[0])
-        assert Am[2, 2] == 0.0
-        assert np.array_equal(Am[:2, :2], A - B @ K_x)
-        assert np.array_equal(Am[:2, 2:], B @ K_xi)
-
-    def test_slice_built_matches_np_block(self):
-        rng = np.random.default_rng(3)
-        for n, m, q in ((1, 1, 1), (3, 2, 1), (4, 2, 2), (2, 2, 0), (3, 3, 2)):
-            B = rng.normal(size=(n, m))
-            C = rng.normal(size=(q, n))
-            K_x = rng.normal(size=(m, n))
-            # A_nom - B K_x = -5 I, and K_xi = 0.1 (C B)^+ puts the integral
-            # modes near -0.02: Hurwitz by construction
-            A_nom = -5.0 * np.eye(n) + B @ K_x
-            K_xi = 0.1 * np.linalg.pinv(C @ B)
-            want = np.block([[A_nom - B @ K_x, B @ K_xi], [-C, np.zeros((q, q))]])
-            Am = build_reference_model(A_nom, B, C, K_x, K_xi)
-            assert Am.dtype == want.dtype and Am.shape == want.shape
-            assert Am.tobytes() == want.tobytes()
-
-    def test_unstable_rejected(self):
-        with pytest.raises(StabilityError):
-            build_reference_model([[0.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]])
 
 
 class TestPredictorRate:

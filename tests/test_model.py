@@ -20,7 +20,6 @@ from gascert import (
     NonFiniteError,
     StabilityError,
     Tuning,
-    augment_edge,
     analyze,
     check_controllability,
     certify,
@@ -204,13 +203,47 @@ class TestFromRawBlocks:
                     assert (s.n, s.m, s.q, s.r) == (n, m, q, 0 if e is None else r)
 
 
+class TestReferenceModel:
+    def test_structure(self):
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        B = np.array([[0.0], [1.0]])
+        C = np.array([[1.0, 0.0]])
+        K_x = np.array([[2.0, 3.0]])
+        K_xi = np.array([[1.0]])
+        Am = model._reference_model(A, B, C, K_x, K_xi).A
+        assert Am.shape == (3, 3)
+        assert np.array_equal(Am[2, :2], -C[0])
+        assert Am[2, 2] == 0.0
+        assert np.array_equal(Am[:2, :2], A - B @ K_x)
+        assert np.array_equal(Am[:2, 2:], B @ K_xi)
+
+    def test_slice_built_matches_np_block(self):
+        rng = np.random.default_rng(3)
+        for n, m, q in ((1, 1, 1), (3, 2, 1), (4, 2, 2), (2, 2, 0), (3, 3, 2)):
+            B = rng.normal(size=(n, m))
+            C = rng.normal(size=(q, n))
+            K_x = rng.normal(size=(m, n))
+            # A_nom - B K_x = -5 I, and K_xi = 0.1 (C B)^+ puts the integral
+            # modes near -0.02: Hurwitz by construction
+            A_nom = -5.0 * np.eye(n) + B @ K_x
+            K_xi = 0.1 * np.linalg.pinv(C @ B)
+            want = np.block([[A_nom - B @ K_x, B @ K_xi], [-C, np.zeros((q, q))]])
+            Am = model._reference_model(A_nom, B, C, K_x, K_xi).A
+            assert Am.dtype == want.dtype and Am.shape == want.shape
+            assert Am.tobytes() == want.tobytes()
+
+    def test_unstable_rejected(self):
+        with pytest.raises(StabilityError):
+            model._reference_model(*(np.array([[x]]) for x in (0.0, 1.0, 1.0, 0.0, 0.0)))
+
+
 class TestAugmentEdge:
     def test_scalar(self):
-        assert np.array_equal(augment_edge([[5.0]], 1, 1),
+        assert np.array_equal(model._augment_edge([[5.0]], 1, 1),
                               np.array([[5.0, 0.0], [0.0, 0.0]]))
 
     def test_zero_padding_shape(self):
-        out = augment_edge(np.ones((2, 2)), 1, 1)
+        out = model._augment_edge(np.ones((2, 2)), 1, 1)
         assert out.shape == (3, 3)
         assert np.all(out[:2, :2] == 1.0)
         assert np.all(out[2, :] == 0.0)
@@ -220,23 +253,13 @@ class TestAugmentEdge:
         # the benchmark coupling block has its only entry in the raw part,
         # so augmenting the raw 2x2 reproduces the full 3x3
         raw = np.array([[0.0, 0.0], [0.0, 5.32e4]])
-        out = augment_edge(raw, 1, 1)
+        out = model._augment_edge(raw, 1, 1)
         expected = np.zeros((3, 3))
         expected[1, 1] = 5.32e4
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("count", [1.5, "1", True, -1, None],
-                             ids=["float", "string", "bool", "negative", "none"])
-    @pytest.mark.parametrize("field", ["q_to", "q_from"])
-    def test_counts_are_non_negative_integers(self, field, count):
-        # 1.5 and "1" raised raw TypeErrors, and True was taken as 1
-        counts = {"q_to": 1, "q_from": 1, field: count}
-        with pytest.raises(ValueError, match=f"^{field}: integral-state counts must be "
-                                             "non-negative integers$"):
-            augment_edge([[5.0]], **counts)
-
     def test_numpy_integer_counts(self):
-        assert augment_edge([[5.0]], np.int64(1), np.int32(0)).shape == (2, 1)
+        assert model._augment_edge([[5.0]], np.int64(1), np.int32(0)).shape == (2, 1)
 
 
 def two_sub_net(coupling=0.5, heterogeneous=False):
@@ -286,7 +309,7 @@ def round_trip_net():
         desired[sid] = random_hurwitz(rng, n + q)
         tuning[sid] = toy_tuning(n + q)
     e_xy = rng.normal(size=(2, 3))
-    edge = Interconnection(src="y", dst="x", A=augment_edge(e_xy, 1, 1))
+    edge = Interconnection(src="y", dst="x", A=model._augment_edge(e_xy, 1, 1))
     return NetworkModel(subsystems=subs, edges=[edge], desired=desired, tuning=tuning), e_xy
 
 

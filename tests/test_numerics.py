@@ -26,7 +26,6 @@ from gascert import (
     SolverError,
     StabilityError,
     Tuning,
-    check_conditions,
     check_controllability,
     distance_to_instability,
     eigenvalues,
@@ -415,7 +414,6 @@ EMPTY_DOORS = {
     "distance_to_instability": (lambda: distance_to_instability(EMPTY), "Am"),
     "is_hyperbolic": (lambda: is_hyperbolic(EMPTY, 1.0, 1.0), "Am"),
     "hamiltonian": (lambda: hamiltonian(EMPTY, 1.0, 1.0), "Am"),
-    "check_conditions": (lambda: check_conditions(EMPTY, []), "M"),
     "check_controllability": (lambda: check_controllability(EMPTY, np.zeros((0, 1))), "A"),
     "Tuning": (lambda: Tuning(Q=EMPTY, gamma=1.0, theta_max=1.0, eps0=0.1), "Q"),
 }

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, graph_edges, mixed_net, random_hurwitz
+from conftest import CONFIG_DIR, graph_net, mixed_net, random_hurwitz
 from gascert import (
     AugmentedSubsystem,
     DimensionError,
@@ -90,21 +90,6 @@ def walk_incoming(net, sid):
             gain = e.norm_bound if e.A is None else float(np.linalg.norm(e.A, 2))
             N, xi2 = N + 1, xi2 + gain * gain
     return N, xi2
-
-
-def graph_net(rng, kind, n):
-    """A ring, mesh or random graph (``graph_edges``) of subsystems of 1 to 3
-    states, about one edge in five bound-only."""
-    dim = {f"s{k}": int(rng.integers(1, 4)) for k in rng.permutation(n)}
-    edges = [Interconnection(src=src, dst=dst, norm_bound=g) if rng.uniform() < 0.2
-             else Interconnection(src=src, dst=dst, A=g * rng.normal(size=(dim[dst], dim[src])))
-             for src, dst, g in graph_edges(rng, kind, n)]
-    return NetworkModel(
-        subsystems=[AugmentedSubsystem.from_raw(sid, B=np.eye(k)[:, :1], C=np.zeros((0, k)))
-                    for sid, k in dim.items()],
-        edges=edges, desired={sid: random_hurwitz(rng, k) for sid, k in dim.items()},
-        tuning={sid: Tuning(Q=np.eye(k), gamma=1.0, theta_max=1.0, eps0=0.1)
-                for sid, k in dim.items()})
 
 
 class TestHurwitzOwnership:

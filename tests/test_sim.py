@@ -28,7 +28,6 @@ from gascert import (
     Tuning,
     analyze,
     certify,
-    check_conditions,
     closed_loop_global,
     control,
     export_csv,
@@ -512,10 +511,9 @@ class TestScenarioCheck:
         (lambda: AugmentedSubsystem.from_raw("a", B=np.eye(2), C=[[1.0, 0.0]],
                                              E=np.full((2, 1), np.nan)),
          "subsystem a: E: non-finite entries"),
-        (lambda: check_conditions([[-1.0]], ["0.5"]), "offsets: not a numeric array"),
     ], ids=["x0_nan", "xhat0_string", "theta_inf", "theta_hat0_bool", "x0_int_beyond_double",
             "xhat0_ragged", "dt_string", "schedule_string", "subsystem_C_string",
-            "subsystem_E_nan", "offsets_string"])
+            "subsystem_E_nan"])
     def test_non_numeric_or_non_finite_rejected(self, call, fault):
         # every library value is read by numeric_array, so simulate cannot run,
         # or report a divergence at its first step, on a string, boolean or NaN
