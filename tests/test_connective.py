@@ -10,11 +10,12 @@ import pytest
 
 from conftest import (CONFIG_DIR, DC_AM, DC_A12, DC_A21, graph_edges, graph_net, mixed_net,
                       random_hurwitz)
-from gascert import connective
+from gascert import connective, numerics
 from gascert import (
     AugmentedSubsystem,
     Interconnection,
     NetworkModel,
+    SolverError,
     Tuning,
     analyze,
     hinf_gain,
@@ -236,6 +237,25 @@ class TestDefinitenessOwnership:
         for S in stacks:
             assert np.array_equal(S, np.swapaxes(S, -1, -2))
 
+    @pytest.mark.parametrize("bad", ["s1", "s2"])
+    def test_indefinite_weight_stops_analyze(self, bad, monkeypatch):
+        # a solver answer within the residual bound whose small eigenvalue has
+        # the wrong sign is refused by the kernel, and analyze raises that
+        # refusal before any formula runs
+        net = diagonal_pair([1.0, 1.0], [1.0, 1e-12])
+        real, calls = numerics._bartels_stewart, []
+
+        def flipped(*args):
+            calls.append(None)
+            P = real(*args)
+            return P * np.diag([1.0, -1.0]) if len(calls) - 1 == net.ids.index(bad) else P
+
+        monkeypatch.setattr(numerics, "_bartels_stewart", flipped)
+        monkeypatch.setattr(connective, "_extremes", None)
+        with pytest.raises(SolverError, match="^Lyapunov solution is not positive definite$"):
+            analyze(net)
+        assert len(calls) == 2
+
 
 class TestCheckConditions:
     def test_passing_instance(self):
@@ -345,6 +365,68 @@ class TestHomogeneous:
 
     def test_zero_gain_always_passes(self):
         assert identical_rows(1.0, 5.0, 0.1, 3, 0.0).all()
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below", "above"])
+    @pytest.mark.parametrize("n_neighbors", [1, 2, 3, 5])
+    @pytest.mark.parametrize("lmin_Q,lmax_P,lmin_P", [
+        (1.0, 2.0, 1.0), (1.0, 2.28e4, 723.2), (3.0, 0.5, 0.1),
+    ], ids=["unit", "benchmark", "wide"])
+    def test_rows_are_the_homogeneous_condition(self, lmin_Q, lmax_P, lmin_P, n_neighbors,
+                                                factor):
+        # every row passes with the gain a factor below the closed-form
+        # threshold, and fails with it a factor above
+        threshold = lmin_Q / (2.0 * lmax_P) / ((lmax_P / lmin_P) * n_neighbors)
+        rows = identical_rows(lmin_Q, lmax_P, lmin_P, n_neighbors, factor * threshold)
+        assert rows.shape == (n_neighbors + 1,)
+        assert rows.tolist() == [factor < 1.0] * (n_neighbors + 1)
+
+
+def diagonal_pair(rates, weights, theta_max=1.0):
+    """Two uncoupled subsystems whose desired dynamics are ``-diag(rates)`` and
+    whose weights are ``diag(weights)``: ``P = diag(weights / (2 rates))``.
+    Their adaptive gain is 2."""
+    p = len(rates)
+
+    def sub(sid):
+        return AugmentedSubsystem.from_raw(sid, B=np.ones((p, 1)), C=np.zeros((0, p)),
+                                           A=-np.diag(np.arange(1.0, p + 1.0)))
+
+    tun = Tuning(Q=np.diag(weights), gamma=2.0, theta_max=theta_max, eps0=0.1)
+    return NetworkModel(subsystems=[sub("s1"), sub("s2")], edges=[],
+                        desired={sid: -np.diag(rates) for sid in ("s1", "s2")},
+                        tuning={"s1": tun, "s2": tun})
+
+
+class TestTransientBound:
+    """The report's ``alpha``, ``lam_min(Q) / lam_max(P)``, is the decay rate
+    of ``V = sum x' P x`` in the transient bound."""
+
+    def test_decay_rate(self):
+        # P = diag(1, 2), Q = I: alpha = 1/2
+        rep = analyze(diagonal_pair([0.5, 0.25], [1.0, 1.0]))
+        assert rep.lambda_min_P == {"s1": pytest.approx(1.0), "s2": pytest.approx(1.0)}
+        assert rep.lambda_max_P == {"s1": pytest.approx(2.0), "s2": pytest.approx(2.0)}
+        assert rep.alpha == {"s1": pytest.approx(0.5), "s2": pytest.approx(0.5)}
+
+    @pytest.mark.parametrize("rates,weights", [
+        ([1.0], [3.0]), ([0.5, 0.25], [1.0, 1.0]), ([2.0, 1.0, 4.0], [1.0, 1.0, 1.0]),
+        ([1.0, 1.0], [1.0, 5.0]), ([3.0, 0.1], [2.0, 0.5]), ([1e3, 1e-3], [1.0, 1.0]),
+        ([0.7, 1.3, 2.9], [4.0, 0.2, 1.0]),
+    ], ids=["scalar", "halves", "three", "weights", "mixed", "stiff", "three_mixed"])
+    def test_decay_rate_closed_form(self, rates, weights):
+        rep = analyze(diagonal_pair(rates, weights))
+        p_diag = np.array(weights) / (2.0 * np.array(rates))
+        for sid in rep.ids:
+            assert rep.lambda_min_P[sid] == pytest.approx(p_diag.min(), rel=1e-12)
+            assert rep.lambda_max_P[sid] == pytest.approx(p_diag.max(), rel=1e-12)
+            assert rep.lambda_min_Q[sid] == pytest.approx(min(weights), rel=1e-12)
+            assert rep.alpha[sid] == pytest.approx(min(weights) / p_diag.max(), rel=1e-12)
+        # uncoupled: M is diagonal at -alpha / 2, each offset is
+        # theta_max * alpha / (2 Gamma) = alpha / 4, and every condition holds
+        half = np.array([0.5 * rep.alpha[sid] for sid in rep.ids])
+        np.testing.assert_allclose(rep.M, np.diag(-half), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rep.offsets, 0.5 * half, rtol=1e-12, atol=0.0)
+        assert rep.passed
 
 
 def path_net(*edges, subsystems=("s1", "s2")):

@@ -262,6 +262,73 @@ class TestAugmentEdge:
         assert model._augment_edge([[5.0]], np.int64(1), np.int32(0)).shape == (2, 1)
 
 
+# three subsystems of different raw sizes n and integral counts q, each with
+# its own tuning and reference model: (n, A, B, C)
+MIXED_SUBS = {
+    "a": (2, [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
+    "b": (1, [[0.0]], [[1.0]], [[1.0]]),
+    "c": (3, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+          [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+}
+MIXED_PAIRS = [(src, dst) for src in MIXED_SUBS for dst in MIXED_SUBS if src != dst]
+
+
+def mixed_doc(raw=None):
+    """A document coupling every ordered pair of ``MIXED_SUBS`` by a raw block
+    (destination rows, source columns), with ``raw`` replacing some blocks by
+    pair."""
+    subs = []
+    for sid, (n, A, B, C) in MIXED_SUBS.items():
+        p = n + len(C)
+        subs.append({"id": sid, "A": A, "B": B, "C": C,
+                     "tuning": {"Q": np.eye(p).tolist(), "gamma": 2.0, "theta_max": 1.0,
+                                "eps0": 0.1},
+                     "reference_model": np.diag(-np.arange(1.0, p + 1.0)).tolist()})
+    edges = []
+    for k, (src, dst) in enumerate(MIXED_PAIRS):
+        n_dst, n_src = MIXED_SUBS[dst][0], MIXED_SUBS[src][0]
+        block = 0.01 * (k + 1) * np.arange(1.0, n_dst * n_src + 1.0).reshape(n_dst, n_src)
+        edges.append({"from": src, "to": dst,
+                      "A": (raw or {}).get((src, dst), block.tolist())})
+    return {"subsystems": subs, "edges": edges}
+
+
+class TestEdgeBlockCounts:
+    """The integral counts that pad an edge block are the subsystems' own
+    ``q``; the block given is checked against the raw sizes alone."""
+
+    @pytest.mark.parametrize("src,dst", MIXED_PAIRS)
+    def test_block_padded_by_the_subsystems_own_counts(self, src, dst):
+        doc = mixed_doc()
+        net = parse_config(doc)[0]
+        k = MIXED_PAIRS.index((src, dst))
+        edge, raw = net.edges[k], np.array(doc["edges"][k]["A"])
+        s_dst, s_src = net.subsystem(dst), net.subsystem(src)
+        assert (edge.src, edge.dst) == (src, dst)
+        assert edge.A.shape == (s_dst.n + s_dst.q, s_src.n + s_src.q)
+        assert np.array_equal(edge.A[:s_dst.n, :s_src.n], raw)
+        assert not edge.A[s_dst.n:].any() and not edge.A[:, s_src.n:].any()
+
+    @pytest.mark.parametrize("src,dst,kind", [
+        (src, dst, kind) for src, dst in MIXED_PAIRS
+        for kind in ("extra_row", "extra_col", "augmented", "transposed", "missing_row",
+                     "missing_col")
+        if (kind != "missing_row" or MIXED_SUBS[dst][0] > 1)
+        and (kind != "missing_col" or MIXED_SUBS[src][0] > 1)])
+    def test_raw_shape_mismatch_refused(self, src, dst, kind):
+        n_dst, n_src = MIXED_SUBS[dst][0], MIXED_SUBS[src][0]
+        q_dst, q_src = len(MIXED_SUBS[dst][3]), len(MIXED_SUBS[src][3])
+        shape = {"extra_row": (n_dst + 1, n_src), "extra_col": (n_dst, n_src + 1),
+                 "augmented": (n_dst + q_dst, n_src + q_src), "transposed": (n_src, n_dst),
+                 "missing_row": (n_dst - 1, n_src), "missing_col": (n_dst, n_src - 1)}[kind]
+        k = MIXED_PAIRS.index((src, dst))
+        doc = mixed_doc({(src, dst): np.full(shape, 0.1).tolist()})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config.edges[{k}].A: shape {shape} does not match destination x source "
+                f"raw dims {(n_dst, n_src)}") + "$"):
+            parse_config(doc)
+
+
 def two_sub_net(coupling=0.5, heterogeneous=False):
     def scalar_sub(sid, a):
         return AugmentedSubsystem.from_raw(sid, B=[[1.0]], C=np.zeros((0, 1)), A=[[a]])
